@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
 
 from . import dense as dn
 from .cohomology import (
@@ -421,6 +420,9 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6(runs: int = 1000, seed: int = 1) -> CriterionResult:
     def run(details: dict) -> bool:
+        # Imported here, by its only user: scipy.stats costs most of a second.
+        from scipy import stats
+
         n = 8
         bundle = build_model("cluster-1d", n=n)
         doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)

@@ -185,25 +185,6 @@ def solve(a: BitMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple((x >> c) & 1 for c in range(a.cols))
 
 
-def solve_in_rowspace(rows: Sequence[int], cols: int, target: int) -> Optional[int]:
-    """Find a combination c with XOR of the chosen rows equal to target.
-
-    Returns a bitmask over row indices, or None when target is outside the
-    row space.  Deterministic: derived from the recorded RREF transform.
-    """
-    mat = BitMatrix(list(rows), cols)
-    red, pivots, transform = mat.rref_with_transform()
-    combo = 0
-    residue = target
-    for r, c in enumerate(pivots):
-        if (residue >> c) & 1:
-            residue ^= red.rows[r]
-            combo ^= transform[r]
-    if residue:
-        return None
-    return combo
-
-
 def rowspace_intersection(rows_a: Sequence[int], rows_b: Sequence[int], cols: int) -> list[int]:
     """Basis of span(rows_a) ∩ span(rows_b) via the Zassenhaus construction.
 

@@ -87,7 +87,12 @@ class PauliOperator:
 
     def support(self) -> SiteSet:
         both = self.x | self.z
-        return SiteSet(i for i in range(self.n) if (both >> i) & 1)
+        sites = []
+        while both:
+            low = both & -both
+            sites.append(low.bit_length() - 1)
+            both ^= low
+        return SiteSet(sites)
 
     @property
     def weight(self) -> int:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .gf2 import BitMatrix, rowspace_intersection, solve_in_rowspace
+from .gf2 import BitMatrix, rowspace_intersection
 from .pauli import PauliOperator, SiteSet
 
 
@@ -224,48 +225,64 @@ def tableau_gate(n: int, images: dict[int, tuple[PauliOperator, PauliOperator]])
 
 @dataclass(frozen=True)
 class CliffordCircuit:
-    """Layered local Clifford circuit; gates within a layer have disjoint supports."""
+    """Layered local Clifford circuit; gates within a layer have disjoint supports.
+
+    Conjugation follows the light cone of the operator: in each layer only the
+    gates touching its current support are applied (the others fix it, and
+    gates of one layer commute), found through a per-layer site index.
+    """
 
     n: int
     layers: tuple[tuple[CliffordGate, ...], ...]
+    _site_gates: tuple[dict[int, tuple[CliffordGate, int]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(
             self, "layers", tuple(tuple(layer) for layer in self.layers)
         )
+        index = []
         for layer in self.layers:
-            seen = 0
+            at: dict[int, tuple[CliffordGate, int]] = {}
             for g in layer:
                 if g.n != self.n:
                     raise ValueError("gate register size mismatch")
-                mask = 0
+                mask = sum(1 << a for a in g.support)
                 for a in g.support:
-                    mask |= 1 << a
-                if mask & seen:
-                    raise ValueError("overlapping gate supports within a layer")
-                seen |= mask
+                    if a in at:
+                        raise ValueError("overlapping gate supports within a layer")
+                    at[a] = (g, mask)
+            index.append(at)
+        object.__setattr__(self, "_site_gates", tuple(index))
 
     @property
     def depth(self) -> int:
         return len(self.layers)
 
-    def gates(self) -> Iterable[CliffordGate]:
-        for layer in self.layers:
-            yield from layer
-
     def conjugate(self, p: PauliOperator) -> PauliOperator:
-        for layer in self.layers:
-            for g in layer:
-                p = g.conjugate(p)
+        if p.n != self.n:
+            raise ValueError("operator size does not match circuit register")
+        for at in self._site_gates:
+            todo = p.x | p.z
+            while todo:
+                low = todo & -todo
+                hit = at.get(low.bit_length() - 1)
+                if hit is None:
+                    todo ^= low
+                else:
+                    p = hit[0].conjugate(p)
+                    todo &= ~hit[1]
         return p
 
     def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
-        for layer in reversed(self.layers):
-            for g in reversed(layer):
-                p = g.inverse().conjugate(p)
-        return p
+        return self.inverse().conjugate(p)
 
     def inverse(self) -> "CliffordCircuit":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "CliffordCircuit":
         inv_layers = tuple(
             tuple(g.inverse() for g in reversed(layer)) for layer in reversed(self.layers)
         )
@@ -398,8 +415,7 @@ class StabilizerMixture:
             for j in range(i + 1, len(gens)):
                 if gens[i].symplectic_product(gens[j]):
                     raise ValueError(f"generators {gens[i]} and {gens[j]} anticommute")
-        rows = [g.symplectic() for g in gens]
-        if BitMatrix(rows, 2 * self.n).rank() != len(gens):
+        if len(self._basis[1]) != len(gens):
             raise ValueError("generators are not independent")
 
     def tensor(self, other: "StabilizerMixture") -> "StabilizerMixture":
@@ -409,6 +425,14 @@ class StabilizerMixture:
 
     # -- group membership -------------------------------------------------
 
+    @cached_property
+    def _basis(self) -> tuple[list[int], list[int], list[int], dict[int, int]]:
+        """One RREF of the generators' (x|z) rows, shared by every query:
+        reduced rows, pivot columns, row transform, pivot column -> row."""
+        rows = [g.symplectic() for g in self.generators]
+        red, pivots, transform = BitMatrix(rows, 2 * self.n).rref_with_transform()
+        return red.rows, pivots, transform, {c: r for r, c in enumerate(pivots)}
+
     def _combine(self, mask: int) -> PauliOperator:
         acc = PauliOperator.identity(self.n)
         for j, g in enumerate(self.generators):
@@ -416,13 +440,31 @@ class StabilizerMixture:
                 acc = acc * g
         return acc
 
+    def element_with_vector(self, vec: int) -> Optional[PauliOperator]:
+        """The product of generators whose packed (x|z) row is vec, or None
+        when vec is outside the row space.
+
+        A reduced row is the only one with a bit in its pivot column, so the
+        rows to add are read off vec's own pivot bits, in any order.
+        """
+        red, _, transform, row_of = self._basis
+        residue, combo, bits = vec, 0, vec
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            r = row_of.get(low.bit_length() - 1)
+            if r is not None:
+                residue ^= red[r]
+                combo ^= transform[r]
+        if residue:
+            return None
+        return self._combine(combo)
+
     def membership_sign(self, p: PauliOperator) -> Optional[int]:
         """+1 if p is in the signed group, -1 if -p is, None otherwise."""
-        rows = [g.symplectic() for g in self.generators]
-        combo = solve_in_rowspace(rows, 2 * self.n, p.symplectic())
-        if combo is None:
+        member = self.element_with_vector(p.symplectic())
+        if member is None:
             return None
-        member = self._combine(combo)
         diff = (member.phase - p.phase) & 3
         if diff == 0:
             return 1
@@ -439,29 +481,22 @@ class StabilizerMixture:
 
     # -- evolution ---------------------------------------------------------
 
-    def apply_gate(self, gate: CliffordGate) -> "StabilizerMixture":
-        new = StabilizerMixture(self.n, tuple(gate.conjugate(g) for g in self.generators))
+    def _evolve(self, conj: Callable[[PauliOperator], PauliOperator]) -> "StabilizerMixture":
+        new = StabilizerMixture(self.n, tuple(conj(g) for g in self.generators))
         if __debug__:
             new.validate()
         return new
+
+    def apply_gate(self, gate: CliffordGate) -> "StabilizerMixture":
+        return self._evolve(gate.conjugate)
 
     def apply_circuit(self, circuit: CliffordCircuit) -> "StabilizerMixture":
         if circuit.n != self.n:
             raise ValueError("circuit register size mismatch")
-        gens = list(self.generators)
-        for layer in circuit.layers:
-            for gate in layer:
-                gens = [gate.conjugate(g) for g in gens]
-        new = StabilizerMixture(self.n, tuple(gens))
-        if __debug__:
-            new.validate()
-        return new
+        return self._evolve(circuit.conjugate)
 
     def apply_qca(self, qca: QcaLike) -> "StabilizerMixture":
-        new = StabilizerMixture(self.n, tuple(qca.conjugate(g) for g in self.generators))
-        if __debug__:
-            new.validate()
-        return new
+        return self._evolve(qca.conjugate)
 
     def measure(
         self, p: PauliOperator, rng: np.random.Generator
@@ -469,21 +504,12 @@ class StabilizerMixture:
         """Projective measurement of a hermitian Pauli; exact update."""
         if not p.is_hermitian():
             raise ValueError("cannot measure a non-hermitian operator")
-        anti = [j for j, g in enumerate(self.generators) if g.symplectic_product(p)]
-        if anti:
-            outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
-            gens = list(self.generators)
-            j0 = anti[0]
-            for j in anti[1:]:
-                gens[j] = gens[j] * gens[j0]
-            gens[j0] = p.with_sign(outcome)
-            new = StabilizerMixture(self.n, tuple(gens))
-        else:
+        if not any(g.symplectic_product(p) for g in self.generators):
             sign = self.membership_sign(p)
             if sign is not None:
                 return sign, self
-            outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
-            new = StabilizerMixture(self.n, self.generators + (p.with_sign(outcome),))
+        outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
+        new = self.project(p, outcome)
         if __debug__:
             new.validate()
         return outcome, new
@@ -511,9 +537,7 @@ class StabilizerMixture:
 
     def canonical(self) -> "StabilizerMixture":
         """Row-echelon canonical generators (unique per signed group)."""
-        rows = [g.symplectic() for g in self.generators]
-        mat = BitMatrix(rows, 2 * self.n)
-        red, pivots, transform = mat.rref_with_transform()
+        _, pivots, transform, _ = self._basis
         gens = tuple(self._combine(transform[r]) for r in range(len(pivots)))
         return StabilizerMixture(self.n, gens)
 
@@ -545,11 +569,10 @@ class StabilizerMixture:
 
 
 def _element_with_vector(state: StabilizerMixture, vec: int) -> PauliOperator:
-    rows = [g.symplectic() for g in state.generators]
-    combo = solve_in_rowspace(rows, 2 * state.n, vec)
-    if combo is None:
+    element = state.element_with_vector(vec)
+    if element is None:
         raise AssertionError("vector is not in the group row space")
-    return state._combine(combo)
+    return element
 
 
 def fidelity(rho: StabilizerMixture, sigma: StabilizerMixture) -> Union[Fraction, float]:
@@ -609,12 +632,4 @@ def renyi_correlator(
 
 def is_invariant(state: StabilizerMixture, conj: Union[CliffordCircuit, QcaLike]) -> bool:
     """True iff conjugation maps the signed stabilizer group onto itself."""
-    conj_fn: Callable[[PauliOperator], PauliOperator]
-    if isinstance(conj, CliffordCircuit):
-        conj_fn = conj.conjugate
-    else:
-        conj_fn = conj.conjugate
-    for g in state.generators:
-        if state.membership_sign(conj_fn(g)) != 1:
-            return False
-    return True
+    return all(state.membership_sign(conj.conjugate(g)) == 1 for g in state.generators)

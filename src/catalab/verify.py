@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -29,20 +30,17 @@ from .models import (
     RingLattice,
     SymmetryRep,
 )
-from .pauli import PauliOperator
+from .pauli import PauliOperator, SiteSet
 from .stabilizer import (
-    CircuitQca,
     CliffordCircuit,
     CliffordGate,
-    PermutationQca,
+    QcaLike,
     StabilizerMixture,
     fidelity,
     pack_gates_into_layers,
     swap_gate,
     tableau_gate,
 )
-
-QcaLike = Union[CircuitQca, PermutationQca]
 
 
 class RegionTooSmallError(Exception):
@@ -54,15 +52,25 @@ class RegionTooSmallError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def qca_spread(qca: QcaLike, n: int, lattice) -> int:
-    """Exact maximum support growth of single-site operators under the QCA."""
+def _site_images(
+    conj: Callable[[PauliOperator], PauliOperator], n: int
+) -> list[tuple[PauliOperator, PauliOperator]]:
+    """(conj(X_a), conj(Z_a)) for every site a."""
+    return [(conj(PauliOperator.x_at(n, a)), conj(PauliOperator.z_at(n, a))) for a in range(n)]
+
+
+def _spread(images: list[tuple[PauliOperator, PauliOperator]], lattice) -> int:
     worst = 0
-    for i in range(n):
-        for p in (PauliOperator.x_at(n, i), PauliOperator.z_at(n, i)):
-            image = qca.conjugate(p)
+    for i, pair in enumerate(images):
+        for image in pair:
             for j in image.support():
                 worst = max(worst, lattice.distance(i, j))
     return worst
+
+
+def qca_spread(qca: QcaLike, n: int, lattice) -> int:
+    """Exact maximum support growth of single-site operators under the QCA."""
+    return _spread(_site_images(qca.conjugate, n), lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +78,13 @@ def qca_spread(qca: QcaLike, n: int, lattice) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DoubledCircuit:
     """U (x) U^-1 as one v-layer plus one s-layer on registers [0,n), [n,2n)."""
 
     n: int
-    v_gates: list[CliffordGate]
-    s_gates: list[CliffordGate]
+    v_gates: tuple[CliffordGate, ...]
+    s_gates: tuple[CliffordGate, ...]
     spread: int
 
     @property
@@ -93,9 +101,12 @@ class DoubledCircuit:
     def as_circuit(self) -> CliffordCircuit:
         """Temporal order: the swap layer acts first, then the v gates (the
         operator product (prod v_i)(prod s_i) has the swaps rightmost)."""
+        return self._circuit
+
+    @cached_property
+    def _circuit(self) -> CliffordCircuit:
         packed = pack_gates_into_layers(2 * self.n, self.v_gates)
-        s_layer = tuple(self.s_gates)
-        return CliffordCircuit(2 * self.n, (s_layer,) + packed.layers)
+        return CliffordCircuit(2 * self.n, (self.s_gates,) + packed.layers)
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         return self.as_circuit().conjugate(p)
@@ -128,60 +139,47 @@ def doubled_conjugate(qca: QcaLike, n: int, p: PauliOperator) -> PauliOperator:
     )
 
 
-def _conjugate_register_a(
-    conj_fn: Callable[[PauliOperator], PauliOperator], n: int, p: PauliOperator
-) -> PauliOperator:
-    """Conjugation by (V (x) 1): register A evolves, register B is untouched."""
-    mask = (1 << n) - 1
-    part_a = PauliOperator(n, p.x & mask, p.z & mask, 0)
-    img_a = conj_fn(part_a)
-    return PauliOperator(
-        2 * n,
-        img_a.x | (p.x & ~mask),
-        img_a.z | (p.z & ~mask),
-        (p.phase + img_a.phase) & 3,
-    )
-
-
 def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
-    """Compile U (x) U^-1 into local symmetric gates (conjugated swaps + swaps)."""
-    spread = qca_spread(qca, n, lattice)
+    """Compile U (x) U^-1 into local symmetric gates (conjugated swaps + swaps).
+
+    Each v_i = (U (x) 1) s_i (U^-1 (x) 1) is assembled from the single-site
+    images U P U^dagger and U^dagger P U, computed once for all i.  For P_a on
+    register A, write U^dagger P_a U = R S with S the phase-free site-i factor:
+    the swap moves S to site n+i and U maps R = (U^dagger P_a U) S^dagger to
+    P_a (U S U^dagger)^dagger.  P_{n+i} is swapped to P_i and maps to U P_i U^dagger.
+    """
+    forward = _site_images(qca.conjugate, n)
+    spread = _spread(forward, lattice)
     if spread > max(1, n // 3):
         raise ValueError("entangler failed the locality audit at this size")
-    # reach[a] = sites touched by the inverse-conjugated X_a / Z_a images.
-    reach: list[set[int]] = []
-    for a in range(n):
-        touched = set()
-        for p in (PauliOperator.x_at(n, a), PauliOperator.z_at(n, a)):
-            touched.update(qca.conjugate_inverse(p).support())
-        reach.append(touched)
-    v_gates = []
+    backward = _site_images(qca.conjugate_inverse, n)
+    # touching[i] = register-A sites whose inverse-conjugated X/Z images reach i.
+    touching: list[list[int]] = [[] for _ in range(n)]
+    for a, (bx, bz) in enumerate(backward):
+        for i in SiteSet(bx.support() + bz.support()):
+            touching[i].append(a)
     n2 = 2 * n
+    identity = PauliOperator.identity(n)
+    v_gates = []
     for i in range(n):
-        support_a = sorted(a for a in range(n) if i in reach[a])
-        support = support_a + [n + i]
+        fx, fz = forward[i]
+        b = n + i
         images = {}
-        for a in support:
-            for basis, img_key in ((PauliOperator.x_at(n2, a), 0), (PauliOperator.z_at(n2, a), 1)):
-                inner = _conjugate_register_a(qca.conjugate_inverse, n, basis)
-                swapped = _swap_sites(inner, i, n + i, n2)
-                outer = _conjugate_register_a(qca.conjugate, n, swapped)
-                images.setdefault(a, [None, None])[img_key] = outer
-        images = {a: (pair[0], pair[1]) for a, pair in images.items()}
-        gate = tableau_gate(n2, images)
-        for a, (ix, iz) in images.items():
-            bad = [s for s in ix.support() if s not in gate.support]
-            bad += [s for s in iz.support() if s not in gate.support]
-            if bad:
-                raise AssertionError("doubled gate image escaped its support")
-        v_gates.append(gate)
-    s_gates = [swap_gate(n2, i, n + i) for i in range(n)]
-    return DoubledCircuit(n, v_gates, s_gates, spread)
-
-
-def _swap_sites(p: PauliOperator, a: int, b: int, n: int) -> PauliOperator:
-    perm = {a: b, b: a}
-    return p.permute(perm)
+        for a in touching[i]:
+            pair = []
+            for p, q in zip((PauliOperator.x_at(n, a), PauliOperator.z_at(n, a)), backward[a]):
+                # S = X_i^sx Z_i^sz is the site-i factor of q = U^dagger p U.
+                sx, sz = (q.x >> i) & 1, (q.z >> i) & 1
+                u_s = fx if sx else identity
+                if sz:
+                    u_s = u_s * fz
+                head = p * u_s.dagger()
+                pair.append(PauliOperator(n2, head.x | sx << b, head.z | sz << b, head.phase))
+            images[a] = tuple(pair)
+        images[b] = (fx.shift(0, n2), fz.shift(0, n2))
+        v_gates.append(tableau_gate(n2, images))
+    s_gates = tuple(swap_gate(n2, i, n + i) for i in range(n))
+    return DoubledCircuit(n, tuple(v_gates), s_gates, spread)
 
 
 # -- doubled form of diagonal qudit entanglers -------------------------------
@@ -582,13 +580,8 @@ def strong_localization(
     allowed = set(left) | set(right)
     gens = rho.generators
     # Prefer the trivial witness: the truncated symmetry absorbed entirely.
-    from .gf2 import solve_in_rowspace
-
-    direct = solve_in_rowspace(
-        [g.symplectic() for g in gens], 2 * n, u_gamma.symplectic()
-    )
-    if direct is not None:
-        h = rho._combine(direct)
+    h = rho.element_with_vector(u_gamma.symplectic())
+    if h is not None:
         w = h.dagger() * u_gamma
         return _split_endpoint_operator(w, left, right)
     forbidden = [s for s in range(n) if s not in allowed]

@@ -1,0 +1,267 @@
+"""Differential tests: the light-cone and cached-basis fast paths against
+plain reference forms of the same computation, compared exactly."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from catalab.gf2 import BitMatrix
+from catalab.models import RingLattice, build_model
+from catalab.pauli import PauliOperator
+from catalab.stabilizer import (
+    CircuitQca,
+    CliffordCircuit,
+    StabilizerMixture,
+    cnot_gate,
+    cz_gate,
+    h_gate,
+    pack_gates_into_layers,
+    s_gate,
+    sdg_gate,
+    swap_gate,
+    tableau_gate,
+    x_gate,
+    y_gate,
+    z_gate,
+)
+from catalab.verify import build_doubled_fdqc
+
+ONE_SITE = (h_gate, s_gate, sdg_gate, x_gate, y_gate, z_gate)
+TWO_SITE = (cz_gate, cnot_gate, swap_gate)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+# ---------------------------------------------------------------------------
+# random local Clifford circuits
+# ---------------------------------------------------------------------------
+
+
+def random_named_gate(rng, n, sites):
+    if len(sites) == 1 or rng.random() < 0.4:
+        return ONE_SITE[rng.integers(len(ONE_SITE))](n, int(rng.choice(sites)))
+    a, b = rng.choice(sites, size=2, replace=False)
+    return TWO_SITE[rng.integers(len(TWO_SITE))](n, int(a), int(b))
+
+
+def random_tableau_gate(rng, n, sites):
+    """A TABLEAU gate carrying the images of a few random named gates."""
+    named = [random_named_gate(rng, n, sites) for _ in range(4)]
+    images = {}
+    for a in sites:
+        pair = []
+        for p in (PauliOperator.x_at(n, a), PauliOperator.z_at(n, a)):
+            for g in named:
+                p = g.conjugate(p)
+            pair.append(p)
+        images[a] = (pair[0], pair[1])
+    return tableau_gate(n, images)
+
+
+def random_gate(rng, n, sites):
+    if rng.random() < 0.3:
+        return random_tableau_gate(rng, n, sites)
+    return random_named_gate(rng, n, sites)
+
+
+def random_circuit(rng, n, num_gates):
+    """Gates on arbitrary sets of up to three sites, packed into layers."""
+    gates = []
+    for _ in range(num_gates):
+        size = int(rng.integers(1, min(3, n) + 1))
+        sites = [int(a) for a in rng.choice(n, size=size, replace=False)]
+        gates.append(random_gate(rng, n, sites))
+    return pack_gates_into_layers(n, gates)
+
+
+def random_ring_circuit(rng, n):
+    """Single-site layer, one nearest-neighbour pair layer, single-site layer:
+    every single-site operator spreads by at most one site on the ring."""
+
+    def singles():
+        return tuple(random_gate(rng, n, [a]) for a in range(n) if rng.random() < 0.7)
+
+    offset = int(rng.integers(2))
+    pairs = tuple(
+        random_gate(rng, n, [(2 * j + offset) % n, (2 * j + 1 + offset) % n])
+        for j in range(n // 2)
+        if rng.random() < 0.8
+    )
+    return CliffordCircuit(n, (singles(), pairs, singles()))
+
+
+def random_pauli(rng, n):
+    return PauliOperator(
+        n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.integers(4))
+    )
+
+
+def hermitian(p):
+    return PauliOperator(p.n, p.x, p.z, (p.x & p.z).bit_count() + 2 * (p.phase >> 1))
+
+
+# ---------------------------------------------------------------------------
+# light-cone circuit conjugation against the gate-by-gate loop
+# ---------------------------------------------------------------------------
+
+
+def naive_conjugate(circuit, p):
+    for layer in circuit.layers:
+        for g in layer:
+            p = g.conjugate(p)
+    return p
+
+
+def naive_conjugate_inverse(circuit, p):
+    for layer in reversed(circuit.layers):
+        for g in reversed(layer):
+            p = g.inverse().conjugate(p)
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), num_gates=st.integers(0, 16), seed=SEEDS)
+def test_light_cone_conjugation_matches_gate_by_gate(n, num_gates, seed):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, n, num_gates)
+    for _ in range(8):
+        p = random_pauli(rng, n)
+        assert circuit.conjugate(p) == naive_conjugate(circuit, p)
+        assert circuit.conjugate_inverse(p) == naive_conjugate_inverse(circuit, p)
+        assert circuit.conjugate_inverse(circuit.conjugate(p)) == p
+
+
+def test_size_mismatch_raises_even_when_no_gate_is_touched():
+    circuit = CliffordCircuit(4, ((cz_gate(4, 0, 1),),))
+    for far in (PauliOperator.x_at(5, 3), PauliOperator.identity(5), PauliOperator.z_at(3, 2)):
+        with pytest.raises(ValueError):
+            circuit.conjugate(far)
+        with pytest.raises(ValueError):
+            circuit.conjugate_inverse(far)
+    with pytest.raises(ValueError):
+        CliffordCircuit(4, ()).conjugate(PauliOperator.identity(5))
+
+
+# ---------------------------------------------------------------------------
+# doubled compile from single-site images against the full-width compile
+# ---------------------------------------------------------------------------
+
+
+def _conjugate_register_a(conj, n, p):
+    mask = (1 << n) - 1
+    img = conj(PauliOperator(n, p.x & mask, p.z & mask, 0))
+    return PauliOperator(2 * n, img.x | (p.x & ~mask), img.z | (p.z & ~mask), p.phase + img.phase)
+
+
+def reference_doubled_images(qca, n):
+    """v_i images with every basis operator pushed full width through
+    U^-1 (x) 1, the swap s_i and U (x) 1, one site at a time."""
+    n2 = 2 * n
+    reach = [
+        set(qca.conjugate_inverse(PauliOperator.x_at(n, a)).support())
+        | set(qca.conjugate_inverse(PauliOperator.z_at(n, a)).support())
+        for a in range(n)
+    ]
+    gates = []
+    for i in range(n):
+        support = [a for a in range(n) if i in reach[a]] + [n + i]
+        images = {}
+        for a in support:
+            pair = []
+            for basis in (PauliOperator.x_at(n2, a), PauliOperator.z_at(n2, a)):
+                inner = _conjugate_register_a(qca.conjugate_inverse, n, basis)
+                swapped = inner.permute({i: n + i, n + i: i})
+                pair.append(_conjugate_register_a(qca.conjugate, n, swapped))
+            images[a] = tuple(pair)
+        gates.append(images)
+    return gates
+
+
+def assert_doubled_matches_reference(qca, n, lattice):
+    doubled = build_doubled_fdqc(qca, n, lattice)
+    reference = reference_doubled_images(qca, n)
+    assert len(doubled.v_gates) == len(reference)
+    for gate, images in zip(doubled.v_gates, reference):
+        assert list(gate.support) == sorted(images)
+        for a in gate.support:
+            assert gate.images[a] == images[a]
+    assert [tuple(g.support) for g in doubled.s_gates] == [(i, n + i) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("lsm-dimer", {"n": 8}),
+        ("cluster-1d", {"n": 4}),
+        ("cluster-1d", {"n": 8}),
+        ("lieb-2d", {"lx": 2, "ly": 2}),
+        ("lieb-2d", {"lx": 3, "ly": 2}),
+        ("square-sspt", {"l": 3}),
+    ],
+)
+def test_doubled_compile_matches_reference_on_registry(model, params):
+    bundle = build_model(model, **params)
+    assert_doubled_matches_reference(bundle.entangler, bundle.n, bundle.lattice)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([4, 6, 8]), seed=SEEDS)
+def test_doubled_compile_matches_reference_on_random_ring_circuits(n, seed):
+    qca = CircuitQca(random_ring_circuit(np.random.default_rng(seed), n))
+    assert_doubled_matches_reference(qca, n, RingLattice(n))
+
+
+# ---------------------------------------------------------------------------
+# cached reduced basis against a fresh elimination per query
+# ---------------------------------------------------------------------------
+
+
+def fresh_reduction(state):
+    rows = [g.symplectic() for g in state.generators]
+    return BitMatrix(rows, 2 * state.n).rref_with_transform()
+
+
+def product_of(state, combo):
+    acc = PauliOperator.identity(state.n)
+    for j, g in enumerate(state.generators):
+        if (combo >> j) & 1:
+            acc = acc * g
+    return acc
+
+
+def fresh_membership_sign(state, p):
+    red, pivots, transform = fresh_reduction(state)
+    residue, combo = p.symplectic(), 0
+    for r, c in enumerate(pivots):
+        if (residue >> c) & 1:
+            residue ^= red.rows[r]
+            combo ^= transform[r]
+    if residue:
+        return None
+    return {0: 1, 2: -1}[(product_of(state, combo).phase - p.phase) & 3]
+
+
+def fresh_canonical(state):
+    _, pivots, transform = fresh_reduction(state)
+    return tuple(product_of(state, transform[r]) for r in range(len(pivots)))
+
+
+def random_mixture(rng, n):
+    """A random Clifford image of |0...0>, some generators dropped or negated."""
+    pure = StabilizerMixture.zero_state(n).apply_circuit(random_circuit(rng, n, 3 * n))
+    gens = [g.negate() if rng.random() < 0.3 else g for g in pure.generators]
+    keep = [g for g in gens if rng.random() < 0.7]
+    return StabilizerMixture.from_generators(n, keep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=SEEDS)
+def test_cached_basis_matches_fresh_elimination(n, seed):
+    rng = np.random.default_rng(seed)
+    state = random_mixture(rng, n)
+    queries = [hermitian(random_pauli(rng, n)) for _ in range(6)]
+    for _ in range(6):
+        member = product_of(state, int(rng.integers(0, 1 << state.k)))
+        queries.append(member.negate() if rng.random() < 0.5 else member)
+    for p in queries:
+        assert state.membership_sign(p) == fresh_membership_sign(state, p)
+    assert state.canonical().generators == fresh_canonical(state)

@@ -13,7 +13,6 @@ from catalab.gf2 import (
     smith_normal_form,
     smith_normal_form_int,
     solve,
-    solve_in_rowspace,
     solve_mod,
 )
 
@@ -92,18 +91,6 @@ def test_rref_transform_identity():
                 if (transform[r] >> j) & 1:
                     acc ^= rows[j]
             assert acc == red.rows[r]
-
-
-def test_solve_in_rowspace():
-    rows = [0b011, 0b110]
-    combo = solve_in_rowspace(rows, 3, 0b101)
-    assert combo is not None
-    acc = 0
-    for j in range(2):
-        if (combo >> j) & 1:
-            acc ^= rows[j]
-    assert acc == 0b101
-    assert solve_in_rowspace(rows, 3, 0b111) is None
 
 
 def test_rowspace_intersection_bruteforce():

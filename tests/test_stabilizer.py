@@ -121,6 +121,16 @@ def test_layer_overlap_rejected():
         CliffordCircuit(3, ((cz_gate(3, 0, 1), cz_gate(3, 1, 2)),))
 
 
+def test_membership_sign_combines_generators():
+    state = StabilizerMixture.from_generators(2, (P("XX"), P("ZZ")))
+    # XX * ZZ = -YY: the row space holds YY, with sign -1
+    assert state.membership_sign(P("-YY")) == 1
+    assert state.membership_sign(P("YY")) == -1
+    assert state.element_with_vector(P("YY").symplectic()) == P("-YY")
+    assert state.membership_sign(P("XZ")) is None
+    assert state.element_with_vector(P("XZ").symplectic()) is None
+
+
 def test_measure_plus_state_seeded():
     state = StabilizerMixture.plus_state(1)
     outcomes = set()
