@@ -33,7 +33,6 @@ from .protocols import (
     register_a_matches,
 )
 from .stabilizer import (
-    CircuitQca,
     CliffordCircuit,
     StabilizerMixture,
     cnot_gate,
@@ -126,15 +125,6 @@ def criterion_1() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _dense_unitary_from_apply(apply_fn, n: int) -> np.ndarray:
-    dim = 1 << n
-    cols = np.zeros((dim, dim), dtype=np.complex128)
-    for idx in range(dim):
-        state = dn.DenseState.computational(2, n, idx)
-        cols[:, idx] = apply_fn(state).amps
-    return cols
-
-
 def _doubled_operator_equality_dense(bundle, doubled, details_key, details) -> bool:
     """Full-matrix comparison of the compiled doubled circuit with U x U^-1,
     column by column over the computational basis (includes the phase)."""
@@ -152,10 +142,10 @@ def _doubled_operator_equality_dense(bundle, doubled, details_key, details) -> b
     else:
         expected_perm = None
         expected_mats = []
-        for layer in bundle.entangler.circuit.layers:
+        for layer in bundle.entangler.layers:
             for gate in layer:
                 expected_mats.append((dn.gate_unitary(gate), list(gate.support)))
-        for layer in bundle.entangler.circuit.inverse().layers:
+        for layer in bundle.entangler.inverse().layers:
             for gate in layer:
                 expected_mats.append(
                     (dn.gate_unitary(gate), [s + n for s in gate.support])
@@ -196,7 +186,7 @@ def _per_gate_dense_equality(bundle, doubled) -> float:
                 expected = swap
             worst = max(worst, float(np.max(np.abs(got - expected))))
         return worst
-    circuit = bundle.entangler.circuit
+    circuit = bundle.entangler
     for i, gate in enumerate(doubled.v_gates):
         sites = list(gate.support)
         pos = {s: k for k, s in enumerate(sites)}
@@ -279,9 +269,7 @@ def criterion_3() -> CriterionResult:
         n = 12
         bundle = build_model("cluster-1d", n=n)
         ok = True
-        identity_table = spt_invariant(
-            CircuitQca(CliffordCircuit(n, ())), bundle.symmetry, n
-        )
+        identity_table = spt_invariant(CliffordCircuit(n, ()), bundle.symmetry, n)
         ok = ok and all(v == 1 for v in identity_table.entries.values())
         table = spt_invariant(bundle.entangler, bundle.symmetry, n)
         ok = ok and table.entries[("x-even", "x-odd")] == -1
@@ -298,8 +286,8 @@ def criterion_3() -> CriterionResult:
         for key, value in table.entries.items():
             worst = max(worst, abs(dense_table.entries[key] - complex(value)))
         ok = ok and worst < 1e-9
-        circuit = bundle.entangler.circuit
-        squared = CircuitQca(CliffordCircuit(n, circuit.layers + circuit.layers))
+        circuit = bundle.entangler
+        squared = CliffordCircuit(n, circuit.layers + circuit.layers)
         squared_table = spt_invariant(squared, bundle.symmetry, n)
         ok = ok and all(v == 1 for v in squared_table.entries.values())
         details["mixed_entry"] = str(table.entries[("x-even", "x-odd")])

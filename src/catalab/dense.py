@@ -361,23 +361,29 @@ def stabilizer_to_dense(state: StabilizerMixture) -> DenseState:
     """Dense vector for a pure stabilizer state (phase convention arbitrary)."""
     if not state.is_pure:
         raise ValueError("dense vector form needs a pure state")
-    n = state.n
+    vec = _projected_basis_state(state.n, state.generators)
+    if vec is None:
+        raise AssertionError("projector product vanished on every basis state")
+    return vec
+
+
+def _projected_basis_state(n: int, gens: Sequence[PauliOperator]) -> Optional[DenseState]:
+    """prod_g (1 + g)/2 applied to the first basis state it does not
+    annihilate, renormalized after each factor; None when it annihilates all."""
     dim = 1 << n
     for start in range(dim):
         psi = np.zeros(dim, dtype=np.complex128)
         psi[start] = 1.0
         vec = DenseState(2, n, psi)
-        ok = True
-        for g in state.generators:
+        for g in gens:
             projected = 0.5 * (vec.amps + apply_pauli(vec, g).amps)
             norm = np.linalg.norm(projected)
             if norm < 1e-9:
-                ok = False
                 break
             vec = DenseState.from_amplitudes(2, n, projected / norm)
-        if ok:
+        else:
             return vec
-    raise AssertionError("projector product vanished on every basis state")
+    return None
 
 
 def stabilizer_density(state: StabilizerMixture) -> np.ndarray:
@@ -404,22 +410,7 @@ def gate_unitary(gate: CliffordGate) -> np.ndarray:
     img_x = [_restrict_pauli(gate.images[a][0], tuple(support)) for a in support]
     img_z = [_restrict_pauli(gate.images[a][1], tuple(support)) for a in support]
 
-    v0 = None
-    for start in range(dim):
-        psi = np.zeros(dim, dtype=np.complex128)
-        psi[start] = 1.0
-        vec = DenseState(2, m, psi)
-        ok = True
-        for g in img_z:
-            projected = 0.5 * (vec.amps + apply_pauli(vec, g).amps)
-            norm = np.linalg.norm(projected)
-            if norm < 1e-9:
-                ok = False
-                break
-            vec = DenseState.from_amplitudes(2, m, projected / norm)
-        if ok:
-            v0 = vec
-            break
+    v0 = _projected_basis_state(m, img_z)
     if v0 is None:
         raise AssertionError("could not build the image of |0...0>")
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over GF(2) and over Z_M.
 
 GF(2) matrices are stored as packed bit rows (one Python int per row, bit c
-of row r holding the entry (r, c)) with an explicit column count.  All
-elimination is done in place on copies, with row operations recorded where a
-transform is needed.  Z_M arithmetic (used for cohomology exponent systems)
-is kept separate and works through integer Smith normal form; there is no
-generic ring abstraction on purpose.
+of row r holding the entry (r, c)) with an explicit column count.  One
+Gauss–Jordan routine does all elimination, in place on copies; the row
+transform or a right-hand side rides along in low payload bits.  Z_M
+arithmetic (used for cohomology exponent systems) is kept separate and works
+through integer Smith normal form; there is no generic ring abstraction on
+purpose.
 """
 from __future__ import annotations
 
@@ -14,8 +15,36 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
+def _reduce(rows: list[int], cols: int, low: int = 0) -> list[int]:
+    """Gauss–Jordan elimination in place on bits [low, low+cols) of each row.
+
+    Returns the pivot columns (counted from bit `low`).  The bits below `low`
+    ride along with every swap and XOR, so they carry a payload through the
+    elimination: the row transform or a right-hand side.
+    """
+    pivots: list[int] = []
+    n = len(rows)
+    rank = 0
+    bit = 1 << low
+    for c in range(cols):
+        for r in range(rank, n):
+            if rows[r] & bit:
+                break
+        else:
+            bit <<= 1
+            continue
+        head = rows[r]
+        rows[r] = rows[rank]
+        rows[rank] = head
+        for r in range(n):
+            if rows[r] & bit and r != rank:
+                rows[r] ^= head
+        pivots.append(c)
+        rank += 1
+        if rank == n:
+            break
+        bit <<= 1
+    return pivots
 
 
 class BitMatrix:
@@ -59,9 +88,6 @@ class BitMatrix:
     def copy(self) -> "BitMatrix":
         return BitMatrix(list(self.rows), self.cols)
 
-    def to_lists(self) -> list[list[int]]:
-        return [[(row >> c) & 1 for c in range(self.cols)] for row in self.rows]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -75,47 +101,16 @@ class BitMatrix:
     def rref(self) -> tuple["BitMatrix", list[int]]:
         """Reduced row echelon form and its pivot columns."""
         rows = list(self.rows)
-        pivots: list[int] = []
-        rank = 0
-        for c in range(self.cols):
-            pivot = None
-            for r in range(rank, len(rows)):
-                if (rows[r] >> c) & 1:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            for r in range(len(rows)):
-                if r != rank and (rows[r] >> c) & 1:
-                    rows[r] ^= rows[rank]
-            pivots.append(c)
-            rank += 1
+        pivots = _reduce(rows, self.cols)
         return BitMatrix(rows, self.cols), pivots
 
     def rref_with_transform(self) -> tuple["BitMatrix", list[int], list[int]]:
         """RREF together with the row transform T (as bit rows, T·A = R)."""
-        rows = list(self.rows)
-        transform = [1 << i for i in range(len(rows))]
-        pivots: list[int] = []
-        rank = 0
-        for c in range(self.cols):
-            pivot = None
-            for r in range(rank, len(rows)):
-                if (rows[r] >> c) & 1:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            transform[rank], transform[pivot] = transform[pivot], transform[rank]
-            for r in range(len(rows)):
-                if r != rank and (rows[r] >> c) & 1:
-                    rows[r] ^= rows[rank]
-                    transform[r] ^= transform[rank]
-            pivots.append(c)
-            rank += 1
-        return BitMatrix(rows, self.cols), pivots, transform
+        k = len(self.rows)
+        rows = [(row << k) | (1 << i) for i, row in enumerate(self.rows)]
+        pivots = _reduce(rows, self.cols, k)
+        mask = (1 << k) - 1
+        return BitMatrix([r >> k for r in rows], self.cols), pivots, [r & mask for r in rows]
 
     def rank(self) -> int:
         _, pivots = self.rref()
@@ -125,33 +120,17 @@ class BitMatrix:
         """Solve A·x = b (b packed over rows).  Free variables are set to 0.
 
         Returns the solution as a column bitmask, or None when inconsistent.
+        Raises ValueError when b has bits at or above the row count.
         """
-        rows = list(self.rows)
-        rhs = [(b >> r) & 1 for r in range(len(rows))]
-        pivots: list[int] = []
-        rank = 0
-        for c in range(self.cols):
-            pivot = None
-            for r in range(rank, len(rows)):
-                if (rows[r] >> c) & 1:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            rhs[rank], rhs[pivot] = rhs[pivot], rhs[rank]
-            for r in range(len(rows)):
-                if r != rank and (rows[r] >> c) & 1:
-                    rows[r] ^= rows[rank]
-                    rhs[r] ^= rhs[rank]
-            pivots.append(c)
-            rank += 1
-        for r in range(rank, len(rows)):
-            if rhs[r]:
-                return None
+        if b < 0 or b >> len(self.rows):
+            raise ValueError("right-hand side has bits beyond the row count")
+        rows = [(row << 1) | ((b >> r) & 1) for r, row in enumerate(self.rows)]
+        pivots = _reduce(rows, self.cols, 1)
+        if any(row & 1 for row in rows[len(pivots):]):
+            return None
         x = 0
         for r, c in enumerate(pivots):
-            if rhs[r]:
+            if rows[r] & 1:
                 x |= 1 << c
         return x
 
@@ -168,21 +147,6 @@ class BitMatrix:
                     v |= 1 << c
             basis.append(v)
         return basis
-
-
-def rank(m: BitMatrix) -> int:
-    return m.rank()
-
-
-def solve(a: BitMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Solve A·x = b over GF(2); deterministic (free variables zero)."""
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side length must equal the row count")
-    mask = sum((bit & 1) << r for r, bit in enumerate(b))
-    x = a.solve_mask(mask)
-    if x is None:
-        return None
-    return tuple((x >> c) & 1 for c in range(a.cols))
 
 
 def rowspace_intersection(rows_a: Sequence[int], rows_b: Sequence[int], cols: int) -> list[int]:
@@ -361,8 +325,6 @@ def smith_normal_form(mat: IntMatrixModM) -> tuple[tuple[int, ...], SmithDecompo
 
 def solve_mod(a: Sequence[Sequence[int]], b: Sequence[int], modulus: int) -> Optional[list[int]]:
     """Solve A·x ≡ b (mod M) exactly, or return None when inconsistent."""
-    import math
-
     nr = len(a)
     nc = len(a[0]) if nr else 0
     if len(b) != nr:

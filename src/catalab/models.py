@@ -24,7 +24,6 @@ from .cohomology import (
 from .gf2 import BitMatrix
 from .pauli import PauliOperator
 from .stabilizer import (
-    CircuitQca,
     CliffordCircuit,
     PermutationQca,
     StabilizerMixture,
@@ -309,7 +308,7 @@ class ModelBundle:
     lattice: Lattice
     n: int
     symmetry: SymmetryRep
-    entangler: Union[CircuitQca, PermutationQca, CocycleCircuit]
+    entangler: Union[CliffordCircuit, PermutationQca, CocycleCircuit]
     entangler_label: str
     trivial: Optional[StabilizerMixture]
     target: Optional[StabilizerMixture]
@@ -320,7 +319,7 @@ class ModelBundle:
 
     @property
     def is_clifford(self) -> bool:
-        return isinstance(self.entangler, (CircuitQca, PermutationQca))
+        return isinstance(self.entangler, (CliffordCircuit, PermutationQca))
 
     def trivial_dense(self) -> dn.DenseState:
         if self.trivial_dense_builder is not None:
@@ -421,7 +420,7 @@ def _build_cluster_1d(n: int) -> ModelBundle:
         lattice=lat,
         n=n,
         symmetry=sym,
-        entangler=CircuitQca(circuit),
+        entangler=circuit,
         entangler_label="cz-ring",
         trivial=trivial,
         target=target,
@@ -461,7 +460,7 @@ def _build_lieb_2d(lx: int, ly: int) -> ModelBundle:
         lattice=lat,
         n=n,
         symmetry=sym,
-        entangler=CircuitQca(circuit),
+        entangler=circuit,
         entangler_label="cz-incidence",
         trivial=trivial,
         target=target,
@@ -495,7 +494,7 @@ def _build_square_sspt(l: int) -> ModelBundle:
         lattice=lat,
         n=n,
         symmetry=sym,
-        entangler=CircuitQca(circuit),
+        entangler=circuit,
         entangler_label="cz-edges",
         trivial=trivial,
         target=target,
@@ -564,7 +563,7 @@ def _check_bundle(bundle: ModelBundle) -> None:
                 raise AssertionError(
                     f"entangler is not symmetric under {gen.name} in {bundle.name}"
                 )
-        evolved = bundle.trivial.apply_qca(bundle.entangler)
+        evolved = bundle.trivial.apply_circuit(bundle.entangler)
         if not evolved.same_state(bundle.target):
             raise AssertionError(f"target state mismatch in {bundle.name}")
     else:
@@ -628,7 +627,7 @@ def _verify_catalyst_dense(bundle: ModelBundle, cat: Catalyst) -> None:
         if isinstance(bundle.entangler, PermutationQca):
             evolved = dn.apply_site_permutation(state, list(bundle.entangler.perm))
         else:
-            evolved = dn.apply_circuit_dense(state, bundle.entangler.circuit)
+            evolved = dn.apply_circuit_dense(state, bundle.entangler)
     if abs(abs(complex(np.vdot(state.amps, evolved.amps))) - 1) > 1e-9:
         raise AssertionError(f"catalyst {cat.name} is not entangler-invariant")
 
@@ -883,14 +882,13 @@ def _cocycle_ghz(bundle: ModelBundle, rng) -> Catalyst:
 
 
 def _independent_subset(n: int, gens: Iterable[PauliOperator]) -> list[PauliOperator]:
-    out: list[PauliOperator] = []
-    rows: list[int] = []
-    for g in gens:
-        candidate = rows + [g.symplectic()]
-        if BitMatrix(candidate, 2 * n).rank() == len(candidate):
-            out.append(g)
-            rows.append(g.symplectic())
-    return out
+    """The generators not in the span of those before them, in order: the
+    pivot columns of one RREF of the matrix whose columns are the (x|z) rows."""
+    gens = list(gens)
+    vecs = [g.symplectic() for g in gens]
+    rows = [sum(((v >> r) & 1) << j for j, v in enumerate(vecs)) for r in range(2 * n)]
+    _, pivots = BitMatrix(rows, len(gens)).rref()
+    return [gens[j] for j in pivots]
 
 
 _CATALYST_BUILDERS: dict[tuple[str, str], Callable] = {

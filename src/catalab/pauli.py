@@ -173,11 +173,6 @@ class PauliOperator:
         """Packed (x|z) row: bits [0,n) are x, bits [n,2n) are z."""
         return self.x | (self.z << self.n)
 
-    @classmethod
-    def from_symplectic(cls, n: int, bits: int, phase: int = 0) -> "PauliOperator":
-        mask = (1 << n) - 1
-        return cls(n, bits & mask, bits >> n, phase)
-
     # -- text form -------------------------------------------------------
 
     def to_string(self) -> str:

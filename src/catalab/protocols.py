@@ -13,13 +13,14 @@ from typing import Optional
 
 import numpy as np
 
-from .models import Catalyst, ModelBundle, SymmetryRep
+from .models import Catalyst, ModelBundle, SymmetryRep, cz_ring_circuit
 from .pauli import PauliOperator
 from .stabilizer import (
     CliffordCircuit,
     CliffordGate,
     StabilizerMixture,
     is_invariant,
+    pack_gates_into_layers,
     swap_gate,
     tableau_gate,
 )
@@ -194,8 +195,6 @@ def measurement_prepare_catalyst(
     """
     if n < 4 or n % 2:
         raise ValueError("needs an even ring of at least 4 qubits")
-    from .models import cz_ring_circuit
-
     state = StabilizerMixture.plus_state(n)
     outcomes = []
     for i in range(n):
@@ -261,8 +260,6 @@ def _conjugate_circuit_by_qca(circuit: CliffordCircuit, qca) -> tuple[CliffordCi
     layer counts once in the logical depth and is merely re-packed into
     disjoint-support sublayers for storage.
     """
-    from .stabilizer import pack_gates_into_layers
-
     new_layers: list[tuple[CliffordGate, ...]] = []
     for layer in circuit.layers:
         conjugated = [conjugate_gate_by_qca(g, qca) for g in layer]

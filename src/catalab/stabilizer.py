@@ -315,23 +315,6 @@ def pack_gates_into_layers(n: int, gates: Sequence[CliffordGate]) -> CliffordCir
 # ---------------------------------------------------------------------------
 
 
-class CircuitQca:
-    """QCA realized by an explicit Clifford circuit."""
-
-    def __init__(self, circuit: CliffordCircuit):
-        self.circuit = circuit
-        self.n = circuit.n
-
-    def conjugate(self, p: PauliOperator) -> PauliOperator:
-        return self.circuit.conjugate(p)
-
-    def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
-        return self.circuit.conjugate_inverse(p)
-
-    def inverse(self) -> "CircuitQca":
-        return CircuitQca(self.circuit.inverse())
-
-
 class PermutationQca:
     """QCA that relabels sites (e.g. lattice translation); not an FDQC."""
 
@@ -353,7 +336,8 @@ class PermutationQca:
         return PermutationQca(self.perm_inv)
 
 
-QcaLike = Union[CircuitQca, PermutationQca]
+# Both handles offer n, conjugate, conjugate_inverse and inverse.
+QcaLike = Union[CliffordCircuit, PermutationQca]
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +474,10 @@ class StabilizerMixture:
     def apply_gate(self, gate: CliffordGate) -> "StabilizerMixture":
         return self._evolve(gate.conjugate)
 
-    def apply_circuit(self, circuit: CliffordCircuit) -> "StabilizerMixture":
+    def apply_circuit(self, circuit: QcaLike) -> "StabilizerMixture":
         if circuit.n != self.n:
             raise ValueError("circuit register size mismatch")
         return self._evolve(circuit.conjugate)
-
-    def apply_qca(self, qca: QcaLike) -> "StabilizerMixture":
-        return self._evolve(qca.conjugate)
 
     def measure(
         self, p: PauliOperator, rng: np.random.Generator
@@ -630,6 +611,6 @@ def renyi_correlator(
     return Fraction(1)
 
 
-def is_invariant(state: StabilizerMixture, conj: Union[CliffordCircuit, QcaLike]) -> bool:
+def is_invariant(state: StabilizerMixture, conj: QcaLike) -> bool:
     """True iff conjugation maps the signed stabilizer group onto itself."""
     return all(state.membership_sign(conj.conjugate(g)) == 1 for g in state.generators)

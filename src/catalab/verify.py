@@ -36,6 +36,7 @@ from .stabilizer import (
     CliffordGate,
     QcaLike,
     StabilizerMixture,
+    UnsupportedCaseError,
     fidelity,
     pack_gates_into_layers,
     swap_gate,
@@ -78,6 +79,11 @@ def qca_spread(qca: QcaLike, n: int, lattice) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _swap_registers(state: dn.DenseState, n: int) -> dn.DenseState:
+    """The s-layer on a dense state: exchange registers [0, n) and [n, 2n)."""
+    return dn.apply_site_permutation(state, list(range(n, 2 * n)) + list(range(n)))
+
+
 @dataclass(frozen=True)
 class DoubledCircuit:
     """U (x) U^-1 as one v-layer plus one s-layer on registers [0,n), [n,2n)."""
@@ -115,10 +121,7 @@ class DoubledCircuit:
         return state.apply_circuit(self.as_circuit())
 
     def apply_dense(self, state: dn.DenseState) -> dn.DenseState:
-        perm = list(range(2 * self.n))
-        for i in range(self.n):
-            perm[i], perm[self.n + i] = perm[self.n + i], perm[i]
-        state = dn.apply_site_permutation(state, perm)
+        state = _swap_registers(state, self.n)
         for gate in self.v_gates:
             state = dn.apply_matrix(state, dn.gate_unitary(gate), list(gate.support))
         return state
@@ -197,11 +200,12 @@ class DoubledDiagonalCircuit:
     def logical_depth(self) -> int:
         return 2
 
+    @property
+    def max_gate_support(self) -> int:
+        return max(len(s) for s, _ in self.v_terms)
+
     def apply_dense(self, state: dn.DenseState) -> dn.DenseState:
-        perm = list(range(2 * self.n))
-        for i in range(self.n):
-            perm[i], perm[self.n + i] = perm[self.n + i], perm[i]
-        state = dn.apply_site_permutation(state, perm)
+        state = _swap_registers(state, self.n)
         for support, mat in self.v_terms:
             state = dn.apply_matrix(state, mat, list(support))
         return state
@@ -252,7 +256,8 @@ def audit_gate_symmetric(gate: CliffordGate, symmetry: SymmetryRep) -> bool:
     loop/line generators restrict to their intersection with the support)."""
     for gen in symmetry.generators:
         restricted = gen.pauli.restrict(gate.support)
-        if gate.conjugate(restricted) != restricted:
+        # Every gate fixes the identity: skip generators that miss the support.
+        if (restricted.x or restricted.z) and gate.conjugate(restricted) != restricted:
             return False
     return True
 
@@ -261,7 +266,6 @@ def audit_dense_gate_symmetric(
     support: Sequence[int],
     matrix: np.ndarray,
     qsym: QuditSymmetry,
-    doubled_n: Optional[int] = None,
 ) -> bool:
     """Dense audit for qudit gates: commutation with the on-site symmetry
     restricted to the support (doubled registers repeat the action)."""
@@ -325,65 +329,36 @@ def verify_catalysis(
             doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
         dsym = bundle.symmetry.doubled()
         audits = [(repr(g), audit_gate_symmetric(g, dsym)) for g in doubled.all_gates()]
-        audits_ok = all(ok for _, ok in audits)
-        if catalyst.engine == "stabilizer":
-            combined = bundle.trivial.tensor(catalyst.stab)
-            evolved = doubled.apply_stab(combined)
-            expected = bundle.target.tensor(catalyst.stab)
-            matched = evolved.same_state(expected)
-            kind = "operator-equality" if catalyst.mixed else "group-equality-up-to-phase"
-            report = CatalysisReport(
-                model=bundle.name,
-                catalyst=catalyst.name,
-                engine="stabilizer",
-                logical_depth=doubled.logical_depth,
-                max_gate_support=doubled.max_gate_support,
-                gate_audits=audits,
-                state_match=kind if matched else "mismatch",
-                overlap_modulus=None,
-                passed=matched and audits_ok,
-                wall_seconds=time.perf_counter() - start,
-            )
-            return report
-        combined = bundle.trivial_dense().tensor(catalyst.dense_state)
-        evolved = doubled.apply_dense(combined)
+    else:
+        # Diagonal qudit entangler: dense throughout.
+        doubled = build_doubled_diagonal(bundle.entangler)
+        qsym = bundle.qudit_symmetry
+        audits = [
+            (f"v{tuple(support)}", audit_dense_gate_symmetric(support, mat, qsym))
+            for support, mat in doubled.v_terms
+        ]
+    stabilizer = catalyst.engine == "stabilizer"
+    if stabilizer:
+        evolved = doubled.apply_stab(bundle.trivial.tensor(catalyst.stab))
+        matched = evolved.same_state(bundle.target.tensor(catalyst.stab))
+        kind = "operator-equality" if catalyst.mixed else "group-equality-up-to-phase"
+        modulus = None
+    else:
+        evolved = doubled.apply_dense(bundle.trivial_dense().tensor(catalyst.dense_state))
         expected = bundle.target_dense().tensor(catalyst.dense_state)
         modulus = abs(complex(np.vdot(expected.amps, evolved.amps)))
         matched = modulus >= 1 - 1e-10
-        return CatalysisReport(
-            model=bundle.name,
-            catalyst=catalyst.name,
-            engine="dense",
-            logical_depth=doubled.logical_depth,
-            max_gate_support=doubled.max_gate_support,
-            gate_audits=audits,
-            state_match="overlap" if matched else "mismatch",
-            overlap_modulus=modulus,
-            passed=matched and audits_ok,
-            wall_seconds=time.perf_counter() - start,
-        )
-    # Diagonal qudit entangler: dense throughout.
-    doubled_diag = build_doubled_diagonal(bundle.entangler)
-    audits = []
-    for support, mat in doubled_diag.v_terms:
-        ok = audit_dense_gate_symmetric(support, mat, bundle.qudit_symmetry)
-        audits.append((f"v{tuple(support)}", ok))
-    audits_ok = all(ok for _, ok in audits)
-    combined = bundle.trivial_dense().tensor(catalyst.dense_state)
-    evolved = doubled_diag.apply_dense(combined)
-    expected = bundle.target_dense().tensor(catalyst.dense_state)
-    modulus = abs(complex(np.vdot(expected.amps, evolved.amps)))
-    matched = modulus >= 1 - 1e-10
+        kind = "overlap"
     return CatalysisReport(
         model=bundle.name,
         catalyst=catalyst.name,
-        engine="dense",
-        logical_depth=doubled_diag.logical_depth,
-        max_gate_support=max(len(s) for s, _ in doubled_diag.v_terms),
+        engine="stabilizer" if stabilizer else "dense",
+        logical_depth=doubled.logical_depth,
+        max_gate_support=doubled.max_gate_support,
         gate_audits=audits,
-        state_match="overlap" if matched else "mismatch",
+        state_match=kind if matched else "mismatch",
         overlap_modulus=modulus,
-        passed=matched and audits_ok,
+        passed=matched and all(ok for _, ok in audits),
         wall_seconds=time.perf_counter() - start,
     )
 
@@ -667,8 +642,6 @@ def fidelity_with_fallback(
     dense route exists for callers that compare unrelated mixtures, and is
     size-guarded.
     """
-    from .stabilizer import UnsupportedCaseError
-
     try:
         return fidelity(rho, sigma)
     except UnsupportedCaseError:
@@ -679,17 +652,20 @@ def fidelity_with_fallback(
         )
 
 
-def fidelity_correlator(
-    rho: StabilizerMixture, o_i: PauliOperator, o_j: PauliOperator
-) -> Union[Fraction, float]:
-    """F(rho, Oi Oj' rho Oj Oi'), exact for commuting stabilizer mixtures."""
-    w = o_i * o_j.dagger()
-    sigma = StabilizerMixture.from_generators(
+def _pauli_conjugated(rho: StabilizerMixture, w: PauliOperator) -> StabilizerMixture:
+    """W rho W^dagger for a Pauli W: the generators W anticommutes with flip sign."""
+    return StabilizerMixture.from_generators(
         rho.n,
         tuple(g if w.commutes(g) else g.negate() for g in rho.generators),
         validate=False,
     )
-    return fidelity_with_fallback(rho, sigma)
+
+
+def fidelity_correlator(
+    rho: StabilizerMixture, o_i: PauliOperator, o_j: PauliOperator
+) -> Union[Fraction, float]:
+    """F(rho, Oi Oj' rho Oj Oi'), exact for commuting stabilizer mixtures."""
+    return fidelity_with_fallback(rho, _pauli_conjugated(rho, o_i * o_j.dagger()))
 
 
 def disorder_parameter(
@@ -697,11 +673,4 @@ def disorder_parameter(
 ) -> tuple[int, Union[Fraction, float]]:
     """(Tr(rho U_gamma-bar), F(rho, U rho U)) for a truncated 1-form string."""
     expectation = rho.expectation(truncated_string)
-    sigma = StabilizerMixture.from_generators(
-        rho.n,
-        tuple(
-            g if truncated_string.commutes(g) else g.negate() for g in rho.generators
-        ),
-        validate=False,
-    )
-    return expectation, fidelity(rho, sigma)
+    return expectation, fidelity(rho, _pauli_conjugated(rho, truncated_string))

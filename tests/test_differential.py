@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalab.gf2 import BitMatrix
-from catalab.models import RingLattice, build_model
+from catalab.models import RingLattice, _independent_subset, build_model
 from catalab.pauli import PauliOperator
 from catalab.stabilizer import (
-    CircuitQca,
     CliffordCircuit,
     StabilizerMixture,
     cnot_gate,
@@ -206,7 +205,7 @@ def test_doubled_compile_matches_reference_on_registry(model, params):
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([4, 6, 8]), seed=SEEDS)
 def test_doubled_compile_matches_reference_on_random_ring_circuits(n, seed):
-    qca = CircuitQca(random_ring_circuit(np.random.default_rng(seed), n))
+    qca = random_ring_circuit(np.random.default_rng(seed), n)
     assert_doubled_matches_reference(qca, n, RingLattice(n))
 
 
@@ -265,3 +264,81 @@ def test_cached_basis_matches_fresh_elimination(n, seed):
     for p in queries:
         assert state.membership_sign(p) == fresh_membership_sign(state, p)
     assert state.canonical().generators == fresh_canonical(state)
+
+
+# ---------------------------------------------------------------------------
+# one elimination routine against the textbook loop
+# ---------------------------------------------------------------------------
+
+
+def reference_rref_with_transform(rows, cols):
+    """Plain Gauss-Jordan with the transform kept in a separate list."""
+    rows = list(rows)
+    transform = [1 << i for i in range(len(rows))]
+    pivots, rank = [], 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if (rows[r] >> c) & 1), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        transform[rank], transform[pivot] = transform[pivot], transform[rank]
+        for r in range(len(rows)):
+            if r != rank and (rows[r] >> c) & 1:
+                rows[r] ^= rows[rank]
+                transform[r] ^= transform[rank]
+        pivots.append(c)
+        rank += 1
+    return rows, pivots, transform
+
+
+@settings(max_examples=100, deadline=None)
+@given(nrows=st.integers(0, 9), cols=st.integers(0, 12), data=st.data())
+def test_eliminations_match_reference_loop(nrows, cols, data):
+    rows = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=nrows, max_size=nrows))
+    b = data.draw(st.integers(0, (1 << nrows) - 1))
+    m = BitMatrix(rows, cols)
+    red, pivots, transform = reference_rref_with_transform(rows, cols)
+    assert m.rref() == (BitMatrix(red, cols), pivots)
+    assert m.rref_with_transform() == (BitMatrix(red, cols), pivots, transform)
+    rhs = [(t & b).bit_count() & 1 for t in transform]
+    if any(rhs[len(pivots):]):
+        expected = None
+    else:
+        expected = sum(1 << c for r, c in enumerate(pivots) if rhs[r])
+    assert m.solve_mask(b) == expected
+
+
+def greedy_independent_subset(n, gens):
+    """Keep each generator that raises the rank of those kept so far."""
+    out, rows = [], []
+    for g in gens:
+        candidate = rows + [g.symplectic()]
+        if BitMatrix(candidate, 2 * n).rank() == len(candidate):
+            out.append(g)
+            rows.append(g.symplectic())
+    return out
+
+
+@st.composite
+def pauli_lists(draw):
+    """Random Paulis on at most 12 qubits, with repeats and products of
+    earlier entries mixed in so that some rows are dependent."""
+    n = draw(st.integers(1, 12))
+    gens = []
+    for _ in range(draw(st.integers(0, 2 * n + 4))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "product")) if gens else st.just("fresh"))
+        if kind == "fresh":
+            x, z = draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, (1 << n) - 1))
+            gens.append(PauliOperator(n, x, z, draw(st.integers(0, 3))))
+        elif kind == "repeat":
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            gens.append(draw(st.sampled_from(gens)) * draw(st.sampled_from(gens)))
+    return n, gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_lists())
+def test_independent_subset_matches_greedy_rank_loop(case):
+    n, gens = case
+    assert _independent_subset(n, gens) == greedy_independent_subset(n, gens)

@@ -8,44 +8,55 @@ from catalab.gf2 import (
     IntMatrixModM,
     hermite_column_basis,
     lattice_quotient,
-    rank,
     rowspace_intersection,
     smith_normal_form,
     smith_normal_form_int,
-    solve,
     solve_mod,
 )
 
 
+def _bits(values):
+    return sum((v & 1) << i for i, v in enumerate(values))
+
+
 def test_rank_identity():
-    assert rank(BitMatrix.identity(3)) == 3
+    assert BitMatrix.identity(3).rank() == 3
 
 
 def test_rank_equal_rows():
     m = BitMatrix.from_rows([[1, 1], [1, 1]])
-    assert rank(m) == 1
+    assert m.rank() == 1
 
 
 def test_rank_zero_matrix():
-    assert rank(BitMatrix.zeros(3, 4)) == 0
+    assert BitMatrix.zeros(3, 4).rank() == 0
 
 
 def test_solve_identity():
-    assert solve(BitMatrix.identity(2), [1, 0]) == (1, 0)
+    assert BitMatrix.identity(2).solve_mask(_bits([1, 0])) == _bits([1, 0])
 
 
 def test_solve_free_variable_rule():
     # Two solutions exist; the deterministic rule picks free variables = 0.
-    assert solve(BitMatrix.from_rows([[1, 1]]), [1]) == (1, 0)
+    assert BitMatrix.from_rows([[1, 1]]).solve_mask(_bits([1])) == _bits([1, 0])
 
 
 def test_solve_inconsistent():
-    assert solve(BitMatrix.from_rows([[1], [1]]), [1, 0]) is None
+    assert BitMatrix.from_rows([[1], [1]]).solve_mask(_bits([1, 0])) is None
 
 
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
-        solve(BitMatrix.identity(2), [1, 0, 1])
+        BitMatrix.identity(2).solve_mask(_bits([1, 0, 1]))
+
+
+def test_solve_mask_rejects_bits_beyond_the_rows():
+    m = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+    for b in (1 << 3, (1 << 3) | 1, 1 << 40, -1):
+        with pytest.raises(ValueError):
+            m.solve_mask(b)
+    assert m.solve_mask(0b011) == 0b11
+    assert BitMatrix.zeros(0, 2).solve_mask(0) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -70,10 +81,9 @@ def test_solve_against_enumeration_oracle():
             if all(((rows[r] & x).bit_count() & 1) == b[r] for r in range(nrows)):
                 expected_exists = True
                 break
-        got = solve(m, b)
-        assert (got is not None) == expected_exists
-        if got is not None:
-            xmask = sum(bit << c for c, bit in enumerate(got))
+        xmask = m.solve_mask(_bits(b))
+        assert (xmask is not None) == expected_exists
+        if xmask is not None:
             assert all(((rows[r] & xmask).bit_count() & 1) == b[r] for r in range(nrows))
 
 

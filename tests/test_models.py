@@ -47,7 +47,7 @@ def test_cluster_bundle_target():
 
 def test_lsm_dimer_translation_maps_trivial_to_target():
     bundle = build_model("lsm-dimer", n=4)
-    moved = bundle.trivial.apply_qca(bundle.entangler)
+    moved = bundle.trivial.apply_circuit(bundle.entangler)
     assert moved.same_state(bundle.target)
     assert not bundle.trivial.same_state(bundle.target)
 
@@ -55,14 +55,14 @@ def test_lsm_dimer_translation_maps_trivial_to_target():
 def test_lieb_bundle_shape():
     bundle = build_model("lieb-2d", lx=2, ly=2)
     assert bundle.n == 12
-    cz_count = sum(len(layer) for layer in bundle.entangler.circuit.layers)
+    cz_count = sum(len(layer) for layer in bundle.entangler.layers)
     assert cz_count == 16  # one CZ per edge-vertex incidence
 
 
 def test_square_bundle_shape():
     bundle = build_model("square-sspt", l=3)
     assert bundle.n == 9
-    cz_count = sum(len(layer) for layer in bundle.entangler.circuit.layers)
+    cz_count = sum(len(layer) for layer in bundle.entangler.layers)
     assert cz_count == 18
 
 
@@ -91,7 +91,7 @@ def test_registry_catalysts_build_and_validate(model, params, kinds):
 def test_cluster_ghz_pair_is_entangler_invariant():
     bundle = build_model("cluster-1d", n=8)
     cat = build_catalyst(bundle, "ghz")
-    assert is_invariant(cat.stab, bundle.entangler.circuit)
+    assert is_invariant(cat.stab, bundle.entangler)
 
 
 def test_toric_code_catalyst_stabilizers():
@@ -142,7 +142,7 @@ def _dense_circuit_unitary(circuit, n):
 def test_interpolated_hamiltonian_commutes_with_entangler():
     bundle = build_model("cluster-1d", n=8)
     h = build_hamiltonian(bundle, "interpolated", alpha=0.5).to_matrix()
-    u = _dense_circuit_unitary(bundle.entangler.circuit, 8)
+    u = _dense_circuit_unitary(bundle.entangler, 8)
     assert np.linalg.norm(h @ u - u @ h) < 1e-10
     # away from the self-dual point the commutator does not vanish
     h_away = build_hamiltonian(bundle, "interpolated", alpha=0.3).to_matrix()

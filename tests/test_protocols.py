@@ -244,7 +244,6 @@ def test_identity_entangler_pipeline_acts_trivially_on_system():
     # with an identity entangler the doubled stage is swap-then-swap, so the
     # schedule leaves register A in the trivial state
     from catalab.models import ModelBundle
-    from catalab.stabilizer import CircuitQca
 
     n = 8
     base = build_model("cluster-1d", n=n)
@@ -254,7 +253,7 @@ def test_identity_entangler_pipeline_acts_trivially_on_system():
         lattice=base.lattice,
         n=n,
         symmetry=base.symmetry,
-        entangler=CircuitQca(CliffordCircuit(n, ())),
+        entangler=CliffordCircuit(n, ()),
         entangler_label="identity",
         trivial=trivial,
         target=trivial,

@@ -5,12 +5,10 @@ from catalab.dense import DenseState, apply_pauli, apply_site_permutation, overl
 from catalab.models import Catalyst, build_catalyst, build_model
 from catalab.pauli import PauliOperator
 from catalab.stabilizer import (
-    CircuitQca,
     CliffordCircuit,
     PermutationQca,
     StabilizerMixture,
     cz_gate,
-    pack_gates_into_layers,
     z_gate,
 )
 from catalab.verify import (
@@ -31,12 +29,6 @@ from catalab.verify import (
 
 def ring_translation(n):
     return PermutationQca([(i + 1) % n for i in range(n)])
-
-
-def cz_ring_qca(n):
-    return CircuitQca(
-        pack_gates_into_layers(n, [cz_gate(n, i, (i + 1) % n) for i in range(n)])
-    )
 
 
 def random_stab_state(n, seed):
@@ -76,12 +68,12 @@ def test_qca_spread_single_layer():
     n = 6
     circuit = CliffordCircuit(n, ((cz_gate(n, 0, 1), cz_gate(n, 2, 3)),))
     bundle = build_model("cluster-1d", n=n)
-    assert qca_spread(CircuitQca(circuit), n, bundle.lattice) <= 1
+    assert qca_spread(circuit, n, bundle.lattice) <= 1
 
 
 def test_doubled_identity_acts_trivially():
     n = 4
-    qca = CircuitQca(CliffordCircuit(n, ()))
+    qca = CliffordCircuit(n, ())
     bundle = build_model("cluster-1d", n=n)
     doubled = build_doubled_fdqc(qca, n, bundle.lattice)
     state = random_stab_state(2 * n, seed=5)
@@ -244,7 +236,7 @@ def test_catalysis_cocycle_ghz():
 def test_invariant_identity_entangler():
     n = 12
     bundle = build_model("cluster-1d", n=n)
-    qca = CircuitQca(CliffordCircuit(n, ()))
+    qca = CliffordCircuit(n, ())
     table = spt_invariant(qca, bundle.symmetry, n)
     for value in table.entries.values():
         assert value == 1
@@ -283,8 +275,8 @@ def test_invariant_matches_dense_oracle():
 def test_invariant_squared_entangler_trivial():
     n = 12
     bundle = build_model("cluster-1d", n=n)
-    circuit = bundle.entangler.circuit
-    squared = CircuitQca(CliffordCircuit(n, circuit.layers + circuit.layers))
+    circuit = bundle.entangler
+    squared = CliffordCircuit(n, circuit.layers + circuit.layers)
     table = spt_invariant(squared, bundle.symmetry, n)
     for value in table.entries.values():
         assert value == 1
