@@ -34,6 +34,7 @@ from .protocols import (
 )
 from .stabilizer import (
     CliffordCircuit,
+    PermutationQca,
     StabilizerMixture,
     cnot_gate,
     cz_gate,
@@ -125,45 +126,29 @@ def criterion_1() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
+def _dense_matrix(qca) -> np.ndarray:
+    """Dense matrix of a QCA handle on one register, column by column."""
+    cols = [
+        dn.apply_qca_dense(dn.DenseState.computational(2, qca.n, j), qca).amps
+        for j in range(1 << qca.n)
+    ]
+    return np.stack(cols, axis=1)
+
+
 def _doubled_operator_equality_dense(bundle, doubled, details_key, details) -> bool:
     """Full-matrix comparison of the compiled doubled circuit with U x U^-1,
-    column by column over the computational basis (includes the phase)."""
+    column by column over the computational basis (includes the phase).
+    Register A holds the low digits, so column idx of the reference is
+    kron(U^-1 column idx >> n, U column idx mod 2^n)."""
     n = bundle.n
-    dim = 1 << (2 * n)
-    v_mats = [(dn.gate_unitary(g), list(g.support)) for g in doubled.v_gates]
-    swap_perm = list(range(2 * n))
-    for i in range(n):
-        swap_perm[i], swap_perm[n + i] = swap_perm[n + i], swap_perm[i]
-    if hasattr(bundle.entangler, "perm"):
-        expected_perm = list(bundle.entangler.perm) + [
-            n + p for p in bundle.entangler.perm_inv
-        ]
-        expected_mats = None
-    else:
-        expected_perm = None
-        expected_mats = []
-        for layer in bundle.entangler.layers:
-            for gate in layer:
-                expected_mats.append((dn.gate_unitary(gate), list(gate.support)))
-        for layer in bundle.entangler.inverse().layers:
-            for gate in layer:
-                expected_mats.append(
-                    (dn.gate_unitary(gate), [s + n for s in gate.support])
-                )
+    u = _dense_matrix(bundle.entangler)
+    u_inv = _dense_matrix(bundle.entangler.inverse())
+    low = (1 << n) - 1
     worst = 0.0
-    for idx in range(dim):
-        state = dn.DenseState.computational(2, 2 * n, idx)
-        got = dn.apply_site_permutation(state, swap_perm)
-        for mat, support in v_mats:
-            got = dn.apply_matrix(got, mat, support)
-        if expected_perm is not None:
-            expected = dn.apply_site_permutation(state, expected_perm).amps
-        else:
-            out = state
-            for mat, support in expected_mats:
-                out = dn.apply_matrix(out, mat, support)
-            expected = out.amps
-        worst = max(worst, float(np.max(np.abs(got.amps - expected))))
+    for idx in range(1 << (2 * n)):
+        got = doubled.apply_dense(dn.DenseState.computational(2, 2 * n, idx)).amps
+        expected = np.kron(u_inv[:, idx >> n], u[:, idx & low])
+        worst = max(worst, float(np.max(np.abs(got - expected))))
     details[details_key] = worst
     return worst <= 1e-10
 
@@ -171,40 +156,35 @@ def _doubled_operator_equality_dense(bundle, doubled, details_key, details) -> b
 def _per_gate_dense_equality(bundle, doubled) -> float:
     """Compare each compiled v-gate with its locally built dense form.
 
-    For diagonal entanglers, v_i = (prod of entangler gates touching i) s_i
-    (same product)^-1 exactly, all supported on the compiled gate support.
+    For a translation the v-gates are swaps (or identities); for a circuit,
+    v_i = (prod of entangler gates touching i) s_i (same product)^-1 exactly,
+    all supported on the compiled gate support.
     """
     n = bundle.n
+    swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
     worst = 0.0
-    if hasattr(bundle.entangler, "perm"):
-        for i, gate in enumerate(doubled.v_gates):
-            sites = list(gate.support)
-            got = dn.gate_unitary(gate)
-            expected = np.eye(1 << len(sites), dtype=np.complex128)
-            swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
-            if len(sites) == 2:
-                expected = swap
+    if isinstance(bundle.entangler, PermutationQca):
+        for sites, got in doubled.v_terms:
+            expected = swap if len(sites) == 2 else np.eye(1 << len(sites), dtype=np.complex128)
             worst = max(worst, float(np.max(np.abs(got - expected))))
         return worst
     circuit = bundle.entangler
-    for i, gate in enumerate(doubled.v_gates):
-        sites = list(gate.support)
+    for i, (sites, got) in enumerate(doubled.v_terms):
         pos = {s: k for k, s in enumerate(sites)}
         m = len(sites)
         local = np.eye(1 << m, dtype=np.complex128)
         for layer in circuit.layers:
             for cz in layer:
                 if i in cz.support:
-                    assert all(s in pos for s in cz.support)
+                    if any(s not in pos for s in cz.support):
+                        raise AssertionError(
+                            f"entangler gate on {list(cz.support)} leaves v-gate {i}'s support"
+                        )
                     mat = dn.embed_operator(
                         dn.gate_unitary(cz), [pos[s] for s in cz.support], m, 2
                     )
                     local = mat @ local
-        swap = dn.embed_operator(
-            np.eye(4)[[0, 2, 1, 3]].astype(complex), [pos[i], pos[n + i]], m, 2
-        )
-        expected = local @ swap @ local.conj().T
-        got = dn.gate_unitary(gate)
+        expected = local @ dn.embed_operator(swap, [pos[i], pos[n + i]], m, 2) @ local.conj().T
         worst = max(worst, float(np.max(np.abs(got - expected))))
     return worst
 
@@ -419,9 +399,8 @@ def criterion_6(runs: int = 1000, seed: int = 1) -> CriterionResult:
         seeds = np.random.SeedSequence(seed).spawn(runs)
         for child in seeds:
             rng = np.random.default_rng(child)
+            # Raises on a parity violation or a non-invariant post-state.
             record = measurement_prepare_catalyst(n, rng)
-            ok = ok and record.parity_even == 1 and record.parity_odd == 1
-            ok = ok and record.invariant_under_entangler
             counts[record.outcomes] = counts.get(record.outcomes, 0) + 1
             combined = bundle.trivial.tensor(record.post_state)
             evolved = doubled.apply_stab(combined)

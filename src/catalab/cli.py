@@ -1,8 +1,9 @@
 """Batch experiment runner and report emitter.
 
 One command produces one report.  Reports are deterministic given the config
-and seed (the timestamp field is excluded from golden comparisons).  Exit
-codes: 0 all checks passed, 1 check failure, 2 usage error.
+and seed, apart from the timing fields listed in the README (section "Command
+line"), which golden comparisons mask.  Exit codes: 0 all checks passed,
+1 check failure, 2 usage error.
 """
 from __future__ import annotations
 

@@ -443,6 +443,24 @@ class CocycleCircuit:
         return out
 
 
+def conjugate_by_gates(
+    gates: Sequence[DiagonalQuditGate], q: int, support: Sequence[int], mat: np.ndarray
+) -> np.ndarray:
+    """D mat D^dagger for D the product of the gates' phase diagonals, written
+    on `support` (support[0] least significant; it holds every gate site)."""
+    m = len(support)
+    pos = {s: k for k, s in enumerate(support)}
+    dim = q**m
+    diag = np.ones(dim, dtype=np.complex128)
+    for gate in gates:
+        phases = gate.phases()
+        for idx in range(dim):
+            digits = [(idx // q**k) % q for k in range(m)]
+            gidx = sum(digits[pos[s]] * q**k for k, s in enumerate(gate.sites))
+            diag[idx] *= phases[gidx]
+    return (diag[:, None] * mat) * diag.conj()[None, :]
+
+
 def ring_triangulation(num_sites: int) -> list[tuple[tuple[int, ...], int]]:
     """1D ring: edges (i, i+1) oriented by increasing index, signs all +1."""
     return [(((i, (i + 1) % num_sites)), 1) for i in range(num_sites)]

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .pauli import PauliOperator
-from .stabilizer import CliffordGate, CliffordCircuit, StabilizerMixture
+from .stabilizer import CliffordGate, PermutationQca, QcaLike, StabilizerMixture
 
 _DEFAULT_AMP_LIMIT = 2**20
 _DEFAULT_EIG_LIMIT = 2**14
@@ -159,10 +159,14 @@ def overlap(a: DenseState, b: DenseState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def apply_circuit_dense(state: DenseState, circuit: CliffordCircuit) -> DenseState:
-    for layer in circuit.layers:
+def apply_qca_dense(state: DenseState, qca: QcaLike) -> DenseState:
+    """Dense action of a QCA handle: a site relabelling, or every gate of a
+    circuit in temporal order."""
+    if isinstance(qca, PermutationQca):
+        return apply_site_permutation(state, qca.perm)
+    for layer in qca.layers:
         for gate in layer:
-            state = apply_matrix(state, gate_unitary(gate), list(gate.support))
+            state = apply_matrix(state, gate_unitary(gate), gate.support)
     return state
 
 

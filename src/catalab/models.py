@@ -18,6 +18,7 @@ from .cohomology import (
     FiniteAbelianGroup,
     bilinear_cocycle,
     compile_cocycle_circuit,
+    conjugate_by_gates,
     normalize_cocycle,
     ring_triangulation,
 )
@@ -624,10 +625,7 @@ def _verify_catalyst_dense(bundle: ModelBundle, cat: Catalyst) -> None:
             moved = dn.apply_pauli(state, gen.pauli)
             if abs(complex(np.vdot(state.amps, moved.amps)) - 1) > 1e-9:
                 raise AssertionError(f"catalyst {cat.name} is not symmetric under {name}")
-        if isinstance(bundle.entangler, PermutationQca):
-            evolved = dn.apply_site_permutation(state, list(bundle.entangler.perm))
-        else:
-            evolved = dn.apply_circuit_dense(state, bundle.entangler)
+        evolved = dn.apply_qca_dense(state, bundle.entangler)
     if abs(abs(complex(np.vdot(state.amps, evolved.amps))) - 1) > 1e-9:
         raise AssertionError(f"catalyst {cat.name} is not entangler-invariant")
 
@@ -994,19 +992,7 @@ def _conjugate_term_by_diagonal(
             touching.append(gate)
             halo.update(gate.sites)
     new_support = tuple(sorted(halo))
-    q = circuit.q
-    m = len(new_support)
-    pos = {s: i for i, s in enumerate(new_support)}
-    dim = q**m
-    diag = np.ones(dim, dtype=np.complex128)
-    for gate in touching:
-        phases = gate.phases()
-        for idx in range(dim):
-            digits = [(idx // q**k) % q for k in range(m)]
-            gate_idx = 0
-            for k, site in enumerate(gate.sites):
-                gate_idx += digits[pos[site]] * q**k
-            diag[idx] *= phases[gate_idx]
-    embedded = dn.embed_operator(mat, [pos[s] for s in support], m, q)
-    new_mat = (diag[:, None] * embedded) * diag.conj()[None, :]
-    return new_support, new_mat
+    embedded = dn.embed_operator(
+        mat, [new_support.index(s) for s in support], len(new_support), circuit.q
+    )
+    return new_support, conjugate_by_gates(touching, circuit.q, new_support, embedded)

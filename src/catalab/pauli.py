@@ -32,9 +32,9 @@ class PauliOperator:
     phase: int = 0
 
     def __post_init__(self):
-        mask = (1 << self.n) - 1
-        object.__setattr__(self, "x", self.x & mask)
-        object.__setattr__(self, "z", self.z & mask)
+        # A negative x or z shifts down to -1, so this also rejects those.
+        if (self.x | self.z) >> self.n:
+            raise ValueError(f"Pauli bits outside the {self.n} sites: x={self.x}, z={self.z}")
         object.__setattr__(self, "phase", self.phase & 3)
 
     # -- constructors -------------------------------------------------

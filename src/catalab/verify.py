@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import dense as dn
-from .cohomology import CocycleCircuit
+from .cohomology import CocycleCircuit, conjugate_by_gates
 from .gf2 import BitMatrix
 from .models import (
     Catalyst,
@@ -79,11 +79,6 @@ def qca_spread(qca: QcaLike, n: int, lattice) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _swap_registers(state: dn.DenseState, n: int) -> dn.DenseState:
-    """The s-layer on a dense state: exchange registers [0, n) and [n, 2n)."""
-    return dn.apply_site_permutation(state, list(range(n, 2 * n)) + list(range(n)))
-
-
 @dataclass(frozen=True)
 class DoubledCircuit:
     """U (x) U^-1 as one v-layer plus one s-layer on registers [0,n), [n,2n)."""
@@ -120,10 +115,17 @@ class DoubledCircuit:
     def apply_stab(self, state: StabilizerMixture) -> StabilizerMixture:
         return state.apply_circuit(self.as_circuit())
 
+    @cached_property
+    def v_terms(self) -> tuple[tuple[SiteSet, np.ndarray], ...]:
+        """(support, dense unitary) of each v gate, built once."""
+        return tuple((g.support, dn.gate_unitary(g)) for g in self.v_gates)
+
     def apply_dense(self, state: dn.DenseState) -> dn.DenseState:
-        state = _swap_registers(state, self.n)
-        for gate in self.v_gates:
-            state = dn.apply_matrix(state, dn.gate_unitary(gate), list(gate.support))
+        """The s-layer (exchange registers [0, n) and [n, 2n)), then the v-terms."""
+        n = self.n
+        state = dn.apply_site_permutation(state, list(range(n, 2 * n)) + list(range(n)))
+        for support, mat in self.v_terms:
+            state = dn.apply_matrix(state, mat, support)
         return state
 
 
@@ -194,7 +196,7 @@ class DoubledDiagonalCircuit:
 
     n: int
     q: int
-    v_terms: list[tuple[tuple[int, ...], np.ndarray]]
+    v_terms: tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
     @property
     def logical_depth(self) -> int:
@@ -204,11 +206,8 @@ class DoubledDiagonalCircuit:
     def max_gate_support(self) -> int:
         return max(len(s) for s, _ in self.v_terms)
 
-    def apply_dense(self, state: dn.DenseState) -> dn.DenseState:
-        state = _swap_registers(state, self.n)
-        for support, mat in self.v_terms:
-            state = dn.apply_matrix(state, mat, list(support))
-        return state
+    # The same two layers: the register swap, then the v-terms.
+    apply_dense = DoubledCircuit.apply_dense
 
 
 def build_doubled_diagonal(circuit: CocycleCircuit) -> DoubledDiagonalCircuit:
@@ -219,19 +218,9 @@ def build_doubled_diagonal(circuit: CocycleCircuit) -> DoubledDiagonalCircuit:
         support_a = sorted({s for g in gates for s in g.sites})
         support = tuple(support_a) + (n + i,)
         m = len(support)
-        pos = {s: k for k, s in enumerate(support)}
-        dim = q**m
-        diag = np.ones(dim, dtype=np.complex128)
-        for gate in gates:
-            phases = gate.phases()
-            for idx in range(dim):
-                digits = [(idx // q**k) % q for k in range(m)]
-                gidx = sum(digits[pos[s]] * q**k for k, s in enumerate(gate.sites))
-                diag[idx] *= phases[gidx]
-        swap = _qudit_swap_matrix(q, m, pos[i], pos[n + i])
-        v = (diag[:, None] * swap) * diag.conj()[None, :]
-        v_terms.append((support, v))
-    return DoubledDiagonalCircuit(n, q, v_terms)
+        swap = _qudit_swap_matrix(q, m, support.index(i), m - 1)
+        v_terms.append((support, conjugate_by_gates(gates, q, support, swap)))
+    return DoubledDiagonalCircuit(n, q, tuple(v_terms))
 
 
 def _qudit_swap_matrix(q: int, m: int, pa: int, pb: int) -> np.ndarray:

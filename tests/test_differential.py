@@ -1,10 +1,15 @@
 """Differential tests: the light-cone and cached-basis fast paths against
-plain reference forms of the same computation, compared exactly."""
+plain reference forms of the same computation, compared exactly, and the
+dense oracle's entangler action and doubled-circuit check."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalab.acceptance import _doubled_operator_equality_dense
+from catalab.dense import apply_qca_dense, overlap, stabilizer_to_dense
 from catalab.gf2 import BitMatrix
 from catalab.models import RingLattice, _independent_subset, build_model
 from catalab.pauli import PauliOperator
@@ -207,6 +212,45 @@ def test_doubled_compile_matches_reference_on_registry(model, params):
 def test_doubled_compile_matches_reference_on_random_ring_circuits(n, seed):
     qca = random_ring_circuit(np.random.default_rng(seed), n)
     assert_doubled_matches_reference(qca, n, RingLattice(n))
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: the entangler action and the criterion-2 full-matrix check
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [("lsm-dimer", {"n": 4}), ("cluster-1d", {"n": 6}), ("square-sspt", {"l": 2})],
+)
+def test_dense_qca_action_maps_trivial_to_target(model, params):
+    bundle = build_model(model, **params)
+    moved = apply_qca_dense(stabilizer_to_dense(bundle.trivial), bundle.entangler)
+    assert abs(abs(overlap(stabilizer_to_dense(bundle.target), moved)) - 1) < 1e-10
+
+
+def _negate_one_image(gate):
+    """The same gate with its first X image negated: still a valid tableau."""
+    images = dict(gate.images)
+    a = gate.support[0]
+    px, pz = images[a]
+    images[a] = (PauliOperator(px.n, px.x, px.z, px.phase + 2), pz)
+    return tableau_gate(gate.n, images)
+
+
+@pytest.mark.parametrize("model", ["cluster-1d", "lsm-dimer"])
+def test_full_matrix_check_catches_a_corrupted_v_gate(model):
+    bundle = build_model(model, n=4)
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    details = {}
+    assert _doubled_operator_equality_dense(bundle, doubled, "err", details)
+    assert details["err"] == 0.0
+    for k in range(len(doubled.v_gates)):
+        v_gates = list(doubled.v_gates)
+        v_gates[k] = _negate_one_image(v_gates[k])
+        corrupted = replace(doubled, v_gates=tuple(v_gates))
+        assert not _doubled_operator_equality_dense(bundle, corrupted, "err", details)
+        assert details["err"] > 1e-10
 
 
 # ---------------------------------------------------------------------------

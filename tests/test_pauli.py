@@ -138,6 +138,17 @@ def test_size_mismatch_raises():
         PauliOperator.identity(2) * PauliOperator.identity(3)
 
 
+@pytest.mark.parametrize("x, z", [(1 << 3, 0), (0, 0b1001), (-1, 0), (0, -2), (-1, -1)])
+def test_bits_outside_the_register_raise(x, z):
+    with pytest.raises(ValueError):
+        PauliOperator(3, x, z)
+
+
+def test_phase_is_reduced_mod_4():
+    assert PauliOperator(3, 0b111, 0b100, 7) == PauliOperator(3, 0b111, 0b100, 3)
+    assert PauliOperator(3, 0, 0, -1).phase == 3
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

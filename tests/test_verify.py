@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from catalab.dense import DenseState, apply_pauli, apply_site_permutation, overlap
+from catalab.dense import (
+    DenseState,
+    apply_local_unitary,
+    apply_pauli,
+    apply_site_permutation,
+    overlap,
+)
 from catalab.models import Catalyst, build_catalyst, build_model
 from catalab.pauli import PauliOperator
 from catalab.stabilizer import (
@@ -126,8 +132,6 @@ def test_doubled_cz_ring_matches_tableau_and_dense():
         expected = state
         for i in range(n):
             czm = np.diag([1.0, 1, 1, -1]).astype(complex)
-            from catalab.dense import apply_local_unitary
-
             expected = apply_local_unitary(expected, czm, [i, (i + 1) % n])
             expected = apply_local_unitary(expected, czm, [n + i, n + (i + 1) % n])
         assert np.linalg.norm(out.amps - expected.amps) < 1e-10
@@ -261,8 +265,6 @@ def test_invariant_matches_dense_oracle():
     czm = np.diag([1.0, 1, 1, -1]).astype(complex)
 
     def apply_u(state):
-        from catalab.dense import apply_local_unitary
-
         for i in range(n):
             state = apply_local_unitary(state, czm, [i, (i + 1) % n])
         return state
