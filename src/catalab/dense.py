@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -81,20 +82,31 @@ def _axis(state_sites: int, site: int) -> int:
     return state_sites - 1 - site
 
 
+@lru_cache(maxsize=1024)
+def _support_first(sites: int, support: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis permutation that brings the support to the front, and its inverse.
+
+    Local matrices index support[0] as the least-significant digit, so the
+    highest support site leads; the other axes keep their order.
+    """
+    axes = [_axis(sites, s) for s in reversed(support)]
+    perm = tuple(axes + [a for a in range(sites) if a not in axes])
+    inverse = [0] * sites
+    for i, a in enumerate(perm):
+        inverse[a] = i
+    return perm, tuple(inverse)
+
+
 def apply_matrix(state: DenseState, matrix: np.ndarray, support: Sequence[int]) -> DenseState:
     """Contract a q^m x q^m matrix into the state on the given sites."""
     q, n = state.q, state.sites
     m = len(support)
     if matrix.shape != (q**m, q**m):
         raise ValueError("matrix shape does not match the support")
-    psi = state.amps.reshape((q,) * n)
-    # Local matrices index support[0] as the least-significant digit.
-    axes = [_axis(n, s) for s in reversed(support)]
-    moved = np.moveaxis(psi, axes, range(m))
-    shaped = moved.reshape(q**m, -1)
-    out = matrix @ shaped
-    out = out.reshape((q,) * m + moved.shape[m:])
-    out = np.moveaxis(out, range(m), axes)
+    perm, inverse = _support_first(n, tuple(support))
+    moved = state.amps.reshape((q,) * n).transpose(perm)
+    out = matrix @ moved.reshape(q**m, -1)
+    out = out.reshape(moved.shape).transpose(inverse)
     return DenseState.from_amplitudes(q, n, out.reshape(-1))
 
 
@@ -111,12 +123,11 @@ def apply_diagonal(state: DenseState, phases: np.ndarray, support: Sequence[int]
     """Multiply by a diagonal gate given as a q^m phase vector on `support`."""
     q, n = state.q, state.sites
     m = len(support)
-    psi = state.amps.reshape((q,) * n)
-    axes = [_axis(n, s) for s in reversed(support)]
-    moved = np.moveaxis(psi, axes, range(m)).copy()
+    perm, inverse = _support_first(n, tuple(support))
+    moved = state.amps.reshape((q,) * n).transpose(perm).copy()
     shaped = moved.reshape(q**m, -1)
     shaped *= np.asarray(phases, dtype=np.complex128)[:, None]
-    out = np.moveaxis(shaped.reshape((q,) * m + moved.shape[m:]), range(m), axes)
+    out = shaped.reshape(moved.shape).transpose(inverse)
     return DenseState.from_amplitudes(q, n, out.reshape(-1))
 
 
@@ -159,15 +170,20 @@ def overlap(a: DenseState, b: DenseState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def apply_qca_dense(state: DenseState, qca: QcaLike) -> DenseState:
+def qca_dense_action(qca: QcaLike) -> Callable[[DenseState], DenseState]:
     """Dense action of a QCA handle: a site relabelling, or every gate of a
-    circuit in temporal order."""
+    circuit in temporal order.  Each gate's unitary is built once here and
+    reused on every state the action is applied to."""
     if isinstance(qca, PermutationQca):
-        return apply_site_permutation(state, qca.perm)
-    for layer in qca.layers:
-        for gate in layer:
-            state = apply_matrix(state, gate_unitary(gate), gate.support)
-    return state
+        return lambda state: apply_site_permutation(state, qca.perm)
+    terms = [(gate_unitary(gate), gate.support) for layer in qca.layers for gate in layer]
+
+    def act(state: DenseState) -> DenseState:
+        for matrix, support in terms:
+            state = apply_matrix(state, matrix, support)
+        return state
+
+    return act
 
 
 # ---------------------------------------------------------------------------

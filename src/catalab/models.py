@@ -8,6 +8,7 @@ and for entangler invariance before it is handed to the verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -339,7 +340,10 @@ REGISTRY_KEYS = ("lsm-dimer", "cluster-1d", "lieb-2d", "square-sspt", "cocycle-z
 # -- shared circuit builders -------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def cz_ring_circuit(n: int) -> CliffordCircuit:
+    """Ring of CZ gates; cached, so repeated callers share one frozen circuit
+    and the conjugation tables its gates fill."""
     return pack_gates_into_layers(n, [cz_gate(n, i, (i + 1) % n) for i in range(n)])
 
 
@@ -625,7 +629,7 @@ def _verify_catalyst_dense(bundle: ModelBundle, cat: Catalyst) -> None:
             moved = dn.apply_pauli(state, gen.pauli)
             if abs(complex(np.vdot(state.amps, moved.amps)) - 1) > 1e-9:
                 raise AssertionError(f"catalyst {cat.name} is not symmetric under {name}")
-        evolved = dn.apply_qca_dense(state, bundle.entangler)
+        evolved = dn.qca_dense_action(bundle.entangler)(state)
     if abs(abs(complex(np.vdot(state.amps, evolved.amps))) - 1) > 1e-9:
         raise AssertionError(f"catalyst {cat.name} is not entangler-invariant")
 

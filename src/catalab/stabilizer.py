@@ -39,12 +39,23 @@ _SELF_INVERSE = {"H", "X", "Y", "Z", "CZ", "CNOT", "SWAP"}
 
 @dataclass(frozen=True)
 class CliffordGate:
-    """A local Clifford gate given by its conjugation images on its support."""
+    """A local Clifford gate given by its conjugation images on its support.
+
+    Conjugation reads a per-gate table keyed by the operator's (x, z) bits on
+    the support; each entry is the phase-free local image (x, z, phase),
+    filled on first use by multiplying out the images.  The table lives on
+    the instance because equality and hashing ignore `images`: two TABLEAU
+    gates on one support compare equal but act differently.
+    """
 
     kind: str
     n: int
     support: SiteSet
     images: dict[int, tuple[PauliOperator, PauliOperator]] = field(compare=False)
+    _mask: int = field(init=False, repr=False, compare=False)
+    _table: dict[tuple[int, int], tuple[int, int, int]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         for a in self.support:
@@ -52,22 +63,35 @@ class CliffordGate:
                 raise ValueError(f"gate support {a} out of range for n={self.n}")
         if self.kind == "TABLEAU":
             _validate_tableau_images(self.n, self.support, self.images)
+        object.__setattr__(self, "_mask", sum(1 << a for a in self.support))
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
-        """Exact Heisenberg conjugation g P g^dagger."""
+        """Exact Heisenberg conjugation g P g^dagger.
+
+        Images stay on the support, so the image of the support part never
+        overlaps the untouched rest and the product with it adds no phase.
+        """
         if p.n != self.n:
             raise ValueError("operator size does not match gate register")
-        acc = PauliOperator(self.n, 0, 0, p.phase)
-        touched = 0
+        mask = self._mask
+        key = (p.x & mask, p.z & mask)
+        image = self._table.get(key)
+        if image is None:
+            image = self._table[key] = self._local_image(*key)
+        x, z, phase = image
+        return PauliOperator(self.n, x | (p.x & ~mask), z | (p.z & ~mask), p.phase + phase)
+
+    def _local_image(self, x: int, z: int) -> tuple[int, int, int]:
+        """g P g^dagger for P = prod_a X_a^{x_a} Z_a^{z_a} on the support,
+        as the product of the site images in site order, X before Z."""
+        acc = PauliOperator.identity(self.n)
         for a in self.support:
             bit = 1 << a
-            if p.x & bit:
+            if x & bit:
                 acc = acc * self.images[a][0]
-            if p.z & bit:
+            if z & bit:
                 acc = acc * self.images[a][1]
-            touched |= bit
-        rest = PauliOperator(self.n, p.x & ~touched, p.z & ~touched, 0)
-        return acc * rest
+        return acc.x, acc.z, acc.phase
 
     def inverse(self) -> "CliffordGate":
         if self.kind in _SELF_INVERSE:
@@ -248,11 +272,10 @@ class CliffordCircuit:
             for g in layer:
                 if g.n != self.n:
                     raise ValueError("gate register size mismatch")
-                mask = sum(1 << a for a in g.support)
                 for a in g.support:
                     if a in at:
                         raise ValueError("overlapping gate supports within a layer")
-                    at[a] = (g, mask)
+                    at[a] = (g, g._mask)
             index.append(at)
         object.__setattr__(self, "_site_gates", tuple(index))
 
@@ -294,9 +317,7 @@ def pack_gates_into_layers(n: int, gates: Sequence[CliffordGate]) -> CliffordCir
     layers: list[list[CliffordGate]] = []
     masks: list[int] = []
     for g in gates:
-        gmask = 0
-        for a in g.support:
-            gmask |= 1 << a
+        gmask = g._mask
         placed = False
         for i, m in enumerate(masks):
             if not (m & gmask):
@@ -395,17 +416,23 @@ class StabilizerMixture:
             if not g.is_hermitian():
                 raise ValueError(f"generator {g} is not hermitian")
         gens = self.generators
+        xs = [g.x for g in gens]
+        zs = [g.z for g in gens]
         for i in range(len(gens)):
+            xi, zi = xs[i], zs[i]
             for j in range(i + 1, len(gens)):
-                if gens[i].symplectic_product(gens[j]):
+                # symplectic_product: the parity of a sum of popcounts is
+                # the popcount parity of the XOR.
+                if ((xi & zs[j]) ^ (zi & xs[j])).bit_count() & 1:
                     raise ValueError(f"generators {gens[i]} and {gens[j]} anticommute")
         if len(self._basis[1]) != len(gens):
             raise ValueError("generators are not independent")
 
     def tensor(self, other: "StabilizerMixture") -> "StabilizerMixture":
-        gens = [g.tensor(PauliOperator.identity(other.n)) for g in self.generators]
-        gens += [PauliOperator.identity(self.n).tensor(g) for g in other.generators]
-        return StabilizerMixture(self.n + other.n, tuple(gens))
+        n, total = self.n, self.n + other.n
+        gens = [PauliOperator(total, g.x, g.z, g.phase) for g in self.generators]
+        gens += [PauliOperator(total, g.x << n, g.z << n, g.phase) for g in other.generators]
+        return StabilizerMixture(total, tuple(gens))
 
     # -- group membership -------------------------------------------------
 
@@ -418,11 +445,18 @@ class StabilizerMixture:
         return red.rows, pivots, transform, {c: r for r, c in enumerate(pivots)}
 
     def _combine(self, mask: int) -> PauliOperator:
-        acc = PauliOperator.identity(self.n)
-        for j, g in enumerate(self.generators):
-            if (mask >> j) & 1:
-                acc = acc * g
-        return acc
+        """The product of the generators selected by mask, in ascending
+        order, with PauliOperator.__mul__'s phase rule and one object."""
+        x = z = phase = 0
+        gens = self.generators
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            g = gens[low.bit_length() - 1]
+            phase += g.phase + 2 * ((z & g.x).bit_count() & 1)
+            x ^= g.x
+            z ^= g.z
+        return PauliOperator(self.n, x, z, phase)
 
     def element_with_vector(self, vec: int) -> Optional[PauliOperator]:
         """The product of generators whose packed (x|z) row is vec, or None

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,38 @@ def test_check_failure_exit_one(monkeypatch, tmp_path):
     assert load_report(out)["passed"] is False
 
 
+GOLDEN = Path(__file__).parent / "data"
+TIMING_FIELDS = {"timestamp", "wall_seconds", "seconds", "elapsed_seconds"}
+
+
+def without_timing(report):
+    if isinstance(report, dict):
+        return {k: without_timing(v) for k, v in report.items() if k not in TIMING_FIELDS}
+    if isinstance(report, list):
+        return [without_timing(v) for v in report]
+    return report
+
+
+GOLDEN_REPORTS = {
+    "catalyze-cluster-1d-ghz-n16": "catalyze --model cluster-1d --catalyst ghz --n 16",
+    "catalyze-cluster-1d-swssb-n16": "catalyze --model cluster-1d --catalyst swssb --n 16",
+    "measure-prep-n8-runs32-seed1": "measure-prep --n 8 --runs 32 --seed 1",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_REPORTS))
+def test_reports_match_golden_files(tmp_path, name):
+    """Reports are pinned byte for byte, timing fields removed.  Each file
+    under tests/data is the report of `catalab GOLDEN_REPORTS[name] --out
+    FILE` with every key in TIMING_FIELDS dropped, written by
+    json.dump(indent=2, sort_keys=True) plus a newline.  Regenerate a file
+    only for an intended change of output."""
+    out = tmp_path / "report.json"
+    assert run_cli(GOLDEN_REPORTS[name].split() + ["--out", str(out)]) == 0
+    got = json.dumps(without_timing(load_report(out)), indent=2, sort_keys=True) + "\n"
+    assert got == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_reports_deterministic_modulo_timestamp(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = [
@@ -145,6 +178,33 @@ def test_measure_prep_jobs_deterministic(tmp_path):
     assert run_cli(base + ["--jobs", "2", "--out", str(b)]) == 0
     ra, rb = load_report(a), load_report(b)
     assert ra["results"]["runs"] == rb["results"]["runs"]
+
+
+def test_measure_prep_protocol_violation_fails_the_report(tmp_path, monkeypatch):
+    real = cli.measurement_prepare_catalyst
+    calls = []
+
+    def flaky(n, rng):
+        calls.append(n)
+        if len(calls) in (3, 5):
+            raise AssertionError(f"sublattice parity constraint violated ({len(calls)})")
+        return real(n, rng)
+
+    monkeypatch.setattr(cli, "measurement_prepare_catalyst", flaky)
+    out = tmp_path / "mp.json"
+    argv = ["measure-prep", "--n", "8", "--runs", "6", "--seed", "2", "--jobs", "1"]
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    report = load_report(out)
+    assert report["passed"] is False
+    assert report["results"]["all_valid"] is False
+    assert report["results"]["first_failure"] == {
+        "run": 2,
+        "error": "sublattice parity constraint violated (3)",
+    }
+    runs = report["results"]["runs"]
+    assert runs[2] == {"error": "sublattice parity constraint violated (3)"}
+    assert runs[4] == {"error": "sublattice parity constraint violated (5)"}
+    assert all(r["invariant"] for i, r in enumerate(runs) if i not in (2, 4))
 
 
 def test_localization_report(tmp_path):

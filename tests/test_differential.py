@@ -1,6 +1,7 @@
-"""Differential tests: the light-cone and cached-basis fast paths against
-plain reference forms of the same computation, compared exactly, and the
-dense oracle's entangler action and doubled-circuit check."""
+"""Differential tests: the light-cone, conjugation-table, int-level and
+cached-basis fast paths against plain reference forms of the same
+computation, compared exactly, and the dense oracle's entangler action and
+doubled-circuit check."""
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalab.acceptance import _doubled_operator_equality_dense
-from catalab.dense import apply_qca_dense, overlap, stabilizer_to_dense
+from catalab.dense import overlap, qca_dense_action, stabilizer_to_dense
 from catalab.gf2 import BitMatrix
 from catalab.models import RingLattice, _independent_subset, build_model
 from catalab.pauli import PauliOperator
@@ -49,7 +50,11 @@ def random_named_gate(rng, n, sites):
 
 def random_tableau_gate(rng, n, sites):
     """A TABLEAU gate carrying the images of a few random named gates."""
-    named = [random_named_gate(rng, n, sites) for _ in range(4)]
+    return tableau_of(n, sites, [random_named_gate(rng, n, sites) for _ in range(4)])
+
+
+def tableau_of(n, sites, named):
+    """A TABLEAU gate on `sites` with the images of the named gates in turn."""
     images = {}
     for a in sites:
         pair = []
@@ -146,6 +151,81 @@ def test_size_mismatch_raises_even_when_no_gate_is_touched():
 
 
 # ---------------------------------------------------------------------------
+# table-driven gate conjugation against the image-product loop
+# ---------------------------------------------------------------------------
+
+
+def reference_gate_conjugate(gate, p):
+    """Multiply the site images into a Pauli object, in site order with X
+    before Z, starting from p's phase; then multiply in the untouched rest."""
+    acc = PauliOperator(gate.n, 0, 0, p.phase)
+    touched = 0
+    for a in gate.support:
+        bit = 1 << a
+        if p.x & bit:
+            acc = acc * gate.images[a][0]
+        if p.z & bit:
+            acc = acc * gate.images[a][1]
+        touched |= bit
+    return acc * PauliOperator(gate.n, p.x & ~touched, p.z & ~touched, 0)
+
+
+def support_patterns(rng, gate):
+    """Every (x, z) pattern on the gate support, each on random bits off the
+    support and with all four phases."""
+    n, sites = gate.n, list(gate.support)
+    off = ((1 << n) - 1) & ~sum(1 << a for a in sites)
+    for bits in range(4 ** len(sites)):
+        x = z = 0
+        for k, a in enumerate(sites):
+            x |= ((bits >> (2 * k)) & 1) << a
+            z |= ((bits >> (2 * k + 1)) & 1) << a
+        rx, rz = (int(rng.integers(0, 1 << n)) & off for _ in range(2))
+        for phase in range(4):
+            yield PauliOperator(n, x | rx, z | rz, phase)
+
+
+def assert_table_matches_loop(rng, gate):
+    for p in support_patterns(rng, gate):
+        want = reference_gate_conjugate(gate, p)
+        # The first call may fill the entry, the second reads it back.
+        assert gate.conjugate(p) == want
+        assert gate.conjugate(p) == want
+
+
+@pytest.mark.parametrize("make", ONE_SITE + TWO_SITE, ids=lambda f: f.__name__)
+def test_named_gate_table_matches_image_product_loop(make):
+    rng = np.random.default_rng(5)
+    sites = (2,) if make in ONE_SITE else (3, 1)
+    assert_table_matches_loop(rng, make(4, *sites))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=SEEDS)
+def test_tableau_gate_table_matches_image_product_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        size = int(rng.integers(1, min(3, n) + 1))
+        sites = [int(a) for a in rng.choice(n, size=size, replace=False)]
+        assert_table_matches_loop(rng, random_tableau_gate(rng, n, sites))
+        assert_table_matches_loop(rng, random_named_gate(rng, n, sites))
+
+
+def test_equal_tableau_gates_keep_their_own_tables():
+    n = 3
+    a = tableau_of(n, [0, 2], [h_gate(n, 0), cnot_gate(n, 0, 2)])
+    b = tableau_of(n, [0, 2], [s_gate(n, 2), cz_gate(n, 0, 2)])
+    assert a == b and hash(a) == hash(b)
+    rng = np.random.default_rng(11)
+    patterns = list(support_patterns(rng, a))
+    for _ in range(2):
+        for p in patterns:
+            assert a.conjugate(p) == reference_gate_conjugate(a, p)
+            assert b.conjugate(p) == reference_gate_conjugate(b, p)
+    assert any(a.conjugate(p) != b.conjugate(p) for p in patterns)
+
+
+# ---------------------------------------------------------------------------
 # doubled compile from single-site images against the full-width compile
 # ---------------------------------------------------------------------------
 
@@ -225,7 +305,7 @@ def test_doubled_compile_matches_reference_on_random_ring_circuits(n, seed):
 )
 def test_dense_qca_action_maps_trivial_to_target(model, params):
     bundle = build_model(model, **params)
-    moved = apply_qca_dense(stabilizer_to_dense(bundle.trivial), bundle.entangler)
+    moved = qca_dense_action(bundle.entangler)(stabilizer_to_dense(bundle.trivial))
     assert abs(abs(overlap(stabilizer_to_dense(bundle.target), moved)) - 1) < 1e-10
 
 
@@ -308,6 +388,69 @@ def test_cached_basis_matches_fresh_elimination(n, seed):
     for p in queries:
         assert state.membership_sign(p) == fresh_membership_sign(state, p)
     assert state.canonical().generators == fresh_canonical(state)
+
+
+# ---------------------------------------------------------------------------
+# int-level mixture arithmetic against Pauli-object products
+# ---------------------------------------------------------------------------
+
+
+def reference_tensor(a, b):
+    gens = [g.tensor(PauliOperator.identity(b.n)) for g in a.generators]
+    gens += [PauliOperator.identity(a.n).tensor(g) for g in b.generators]
+    return tuple(gens)
+
+
+def reference_validate(state):
+    """The generator checks with pairwise object symplectic products."""
+    gens = state.generators
+    for g in gens:
+        if g.n != state.n:
+            raise ValueError("generator register size mismatch")
+        if not g.is_hermitian():
+            raise ValueError(f"generator {g} is not hermitian")
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if gens[i].symplectic_product(gens[j]):
+                raise ValueError(f"generators {gens[i]} and {gens[j]} anticommute")
+    if BitMatrix([g.symplectic() for g in gens], 2 * state.n).rank() != len(gens):
+        raise ValueError("generators are not independent")
+
+
+def validation_error(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 4), seed=SEEDS)
+def test_int_level_mixture_arithmetic_matches_objects(n, m, seed):
+    rng = np.random.default_rng(seed)
+    state, other = random_mixture(rng, n), random_mixture(rng, m)
+    for _ in range(8):
+        mask = int(rng.integers(0, 1 << state.k))
+        assert state._combine(mask) == product_of(state, mask)
+    assert state.canonical().generators == fresh_canonical(state)
+    assert state.tensor(other).generators == reference_tensor(state, other)
+    # Valid, then with one more generator: often anticommuting or dependent.
+    extra = [hermitian(random_pauli(rng, n)), product_of(state, int(rng.integers(0, 1 << state.k)))]
+    for gens in (state.generators, state.generators + (extra[int(rng.integers(2))],)):
+        candidate = StabilizerMixture(n, gens)
+        assert validation_error(candidate.validate) == validation_error(
+            lambda: reference_validate(candidate)
+        )
+
+
+def test_anticommuting_pair_still_raises():
+    gens = (PauliOperator.z_at(6, 1, 2), PauliOperator.x_at(6, 4), PauliOperator.z_at(6, 4))
+    with pytest.raises(ValueError, match="anticommute"):
+        StabilizerMixture.from_generators(6, gens)
+    state = StabilizerMixture.plus_state(6)
+    with pytest.raises(ValueError, match="anticommute"):
+        StabilizerMixture(6, state.generators + (PauliOperator.z_at(6, 5),)).validate()
 
 
 # ---------------------------------------------------------------------------
