@@ -643,7 +643,7 @@ def criterion_9() -> CriterionResult:
             ok = ok and sched.stages[0].long_range
             ok = ok and sched.long_range_gate_count > 0
             final, _ = execute_schedule(sched)
-            ok = ok and register_a_matches(final, lb.target, m)
+            ok = ok and register_a_matches(final, lb.target)
             depths[m] = sched.total_depth
         ok = ok and len(set(depths.values())) == 1
         details["long_range_depths"] = depths

@@ -74,23 +74,22 @@ def _envelope(command: str, config: dict, results, passed: bool) -> dict:
 
 
 def _emit(envelope: dict, out: Optional[str], fmt: str, csv_rows=None) -> None:
-    payload = json.dumps(envelope, indent=2, sort_keys=True, default=str)
+    """Render the report in the chosen format, then write it to `out` or
+    stdout.  CSV needs the command's table rows."""
+    if fmt == "csv":
+        if csv_rows is None:
+            raise UsageError("csv output is only available for tabular payloads")
+        buf = io.StringIO()
+        csv.writer(buf).writerows(csv_rows)
+        text = buf.getvalue()
+    else:
+        text = json.dumps(envelope, indent=2, sort_keys=True, default=str) + "\n"
     if out:
-        if fmt == "csv":
-            if csv_rows is None:
-                raise UsageError("csv output is only available for tabular payloads")
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            for row in csv_rows:
-                writer.writerow(row)
-            with open(out, "w") as fh:
-                fh.write(buf.getvalue())
-        else:
-            with open(out, "w") as fh:
-                fh.write(payload + "\n")
+        with open(out, "w") as fh:
+            fh.write(text)
         print(f"{'PASS' if envelope['passed'] else 'FAIL'} report written to {out}")
     else:
-        print(payload)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +287,7 @@ def cmd_pipeline(args) -> int:
     rng = np.random.default_rng(args.seed)
     final, outcomes = execute_schedule(schedule, rng)
     if schedule.ancilla_offset is not None:
-        reached = register_a_matches(final, bundle.target, schedule.ancilla_offset)
+        reached = register_a_matches(final, bundle.target)
     else:
         reached = final.same_state(bundle.target)
     passed = audited and reached

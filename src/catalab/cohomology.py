@@ -94,20 +94,12 @@ class Cochain:
         self.table = {t: v % self.modulus for t, v in self.table.items()}
 
     @classmethod
-    def zero(cls, group: FiniteAbelianGroup, degree: int, modulus: int) -> "Cochain":
-        table = {t: 0 for t in itertools.product(group.elements(), repeat=degree + 1)}
-        return cls(group, degree, modulus, table)
-
-    @classmethod
     def from_function(cls, group, degree, modulus, fn) -> "Cochain":
         table = {
             t: fn(*t) % modulus
             for t in itertools.product(group.elements(), repeat=degree + 1)
         }
         return cls(group, degree, modulus, table)
-
-    def value(self, *args: tuple[int, ...]) -> int:
-        return self.table[tuple(args)]
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.table.values())
@@ -395,7 +387,6 @@ class DiagonalQuditGate:
     """Diagonal gate on `sites` (in simplex vertex order) with exact phases."""
 
     sites: tuple[int, ...]
-    group_order: int
     numerators: tuple[int, ...]
     modulus: int
 
@@ -405,10 +396,7 @@ class DiagonalQuditGate:
 
     def inverse(self) -> "DiagonalQuditGate":
         return DiagonalQuditGate(
-            self.sites,
-            self.group_order,
-            tuple((-v) % self.modulus for v in self.numerators),
-            self.modulus,
+            self.sites, tuple((-v) % self.modulus for v in self.numerators), self.modulus
         )
 
 
@@ -425,9 +413,10 @@ class CocycleCircuit:
         return self.group.order
 
     def apply(self, state: "_dense.DenseState") -> "_dense.DenseState":
+        """Every gate in order; the norm is checked once, at the end."""
         for gate in self.gates:
             state = _dense.apply_diagonal(state, gate.phases(), gate.sites)
-        return state
+        return _dense.check_norm(state)
 
     def inverse(self) -> "CocycleCircuit":
         return CocycleCircuit(self.group, self.num_sites, [g.inverse() for g in self.gates])
@@ -495,7 +484,7 @@ def compile_cocycle_circuit(
                 rest //= q
             val = nu.table[(group.identity,) + tuple(assignment)]
             nums.append((sign * val) % nu.modulus)
-        gates.append(DiagonalQuditGate(sites, q, tuple(nums), nu.modulus))
+        gates.append(DiagonalQuditGate(sites, tuple(nums), nu.modulus))
     return CocycleCircuit(group, num_sites, gates)
 
 

@@ -20,8 +20,6 @@ from .stabilizer import CliffordGate, PermutationQca, QcaLike, StabilizerMixture
 _DEFAULT_AMP_LIMIT = 2**20
 _DEFAULT_EIG_LIMIT = 2**14
 
-ATOL = 1e-10
-
 
 def amp_limit() -> int:
     return int(os.environ.get("CATALAB_DENSE_LIMIT", _DEFAULT_AMP_LIMIT))
@@ -31,9 +29,23 @@ def eig_limit() -> int:
     return int(os.environ.get("CATALAB_EIG_LIMIT", _DEFAULT_EIG_LIMIT))
 
 
+def check_norm(state: "DenseState") -> "DenseState":
+    """Return the state, or raise if its norm is not 1 within 1e-12."""
+    norm = np.linalg.norm(state.amps)
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"state norm {norm} is not 1 within 1e-12")
+    return state
+
+
 @dataclass
 class DenseState:
-    """Complex amplitude vector over `sites` qudits of dimension q."""
+    """Complex amplitude vector over `sites` qudits of dimension q.
+
+    The size limit and the norm are checked where amplitudes come from
+    outside: the constructor and the classmethods below, and `tensor`.  The
+    state operations further down apply unitaries, so their results skip
+    the re-check; each multi-gate action checks the norm once at its end.
+    """
 
     q: int
     sites: int
@@ -44,16 +56,13 @@ class DenseState:
         if dim > amp_limit():
             raise ValueError(f"dense state of {dim} amplitudes exceeds the configured limit")
         self.amps = np.asarray(self.amps, dtype=np.complex128).reshape(dim)
-        norm = np.linalg.norm(self.amps)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm} is not 1 within 1e-12")
+        check_norm(self)
 
     @classmethod
-    def from_amplitudes(cls, q: int, sites: int, amps: np.ndarray, normalize: bool = False):
+    def from_amplitudes(cls, q: int, sites: int, amps: np.ndarray) -> "DenseState":
+        """The state along the given amplitudes, normalized."""
         amps = np.asarray(amps, dtype=np.complex128)
-        if normalize:
-            amps = amps / np.linalg.norm(amps)
-        return cls(q, sites, amps)
+        return cls(q, sites, amps / np.linalg.norm(amps))
 
     @classmethod
     def computational(cls, q: int, sites: int, index: int = 0) -> "DenseState":
@@ -66,15 +75,19 @@ class DenseState:
         dim = q**sites
         return cls(q, sites, np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
 
-    def copy(self) -> "DenseState":
-        return DenseState(self.q, self.sites, self.amps.copy())
-
     def tensor(self, other: "DenseState") -> "DenseState":
         if self.q != other.q:
             raise ValueError("site dimensions differ")
         # Site 0 is the least-significant axis throughout the package.
         amps = np.kron(other.amps, self.amps)
         return DenseState(self.q, self.sites + other.sites, amps)
+
+    def _evolved(self, amps: np.ndarray) -> "DenseState":
+        """A state on the same register from the flat image of this one under
+        a unitary; its norm was checked on the way in, so no re-check."""
+        out = object.__new__(DenseState)
+        out.q, out.sites, out.amps = self.q, self.sites, amps
+        return out
 
 
 def _axis(state_sites: int, site: int) -> int:
@@ -98,7 +111,10 @@ def _support_first(sites: int, support: tuple[int, ...]) -> tuple[tuple[int, ...
 
 
 def apply_matrix(state: DenseState, matrix: np.ndarray, support: Sequence[int]) -> DenseState:
-    """Contract a q^m x q^m matrix into the state on the given sites."""
+    """Contract a q^m x q^m unitary into the state on the given sites.
+
+    The matrix must be unitary: the result is not norm-checked (see
+    `apply_local_unitary` for a checked entry point)."""
     q, n = state.q, state.sites
     m = len(support)
     if matrix.shape != (q**m, q**m):
@@ -107,7 +123,7 @@ def apply_matrix(state: DenseState, matrix: np.ndarray, support: Sequence[int]) 
     moved = state.amps.reshape((q,) * n).transpose(perm)
     out = matrix @ moved.reshape(q**m, -1)
     out = out.reshape(moved.shape).transpose(inverse)
-    return DenseState.from_amplitudes(q, n, out.reshape(-1))
+    return state._evolved(out.reshape(-1))
 
 
 def apply_local_unitary(state: DenseState, matrix: np.ndarray, support: Sequence[int]) -> DenseState:
@@ -128,18 +144,17 @@ def apply_diagonal(state: DenseState, phases: np.ndarray, support: Sequence[int]
     shaped = moved.reshape(q**m, -1)
     shaped *= np.asarray(phases, dtype=np.complex128)[:, None]
     out = shaped.reshape(moved.shape).transpose(inverse)
-    return DenseState.from_amplitudes(q, n, out.reshape(-1))
+    return state._evolved(out.reshape(-1))
 
 
-def apply_site_relabel(state: DenseState, mapping: Sequence[int], sites: Optional[Sequence[int]] = None) -> DenseState:
-    """Relabel local basis states |v> -> |mapping[v]> on the chosen sites."""
+def apply_site_relabel(state: DenseState, mapping: Sequence[int]) -> DenseState:
+    """Relabel local basis states |v> -> |mapping[v]> on every site."""
     q, n = state.q, state.sites
-    target = range(n) if sites is None else sites
     psi = state.amps.reshape((q,) * n)
     inv = np.argsort(np.asarray(mapping))
-    for s in target:
+    for s in range(n):
         psi = np.take(psi, inv, axis=_axis(n, s))
-    return DenseState.from_amplitudes(q, n, psi.reshape(-1))
+    return state._evolved(psi.reshape(-1))
 
 
 def apply_site_permutation(state: DenseState, perm: Sequence[int]) -> DenseState:
@@ -150,7 +165,7 @@ def apply_site_permutation(state: DenseState, perm: Sequence[int]) -> DenseState
     for i, p in enumerate(perm):
         axes_new[_axis(n, p)] = _axis(n, i)
     psi = psi.transpose(axes_new)
-    return DenseState.from_amplitudes(q, n, psi.reshape(-1))
+    return state._evolved(psi.reshape(-1))
 
 
 def apply_pauli(state: DenseState, p: PauliOperator) -> DenseState:
@@ -161,7 +176,7 @@ def apply_pauli(state: DenseState, p: PauliOperator) -> DenseState:
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(p.z)) & np.uint64(1)).astype(np.float64)
     tmp = signs * state.amps
     out = tmp[(idx ^ np.uint64(p.x)).astype(np.int64)]
-    return DenseState.from_amplitudes(2, state.sites, (1j**p.phase) * out)
+    return state._evolved((1j**p.phase) * out)
 
 
 def overlap(a: DenseState, b: DenseState) -> complex:
@@ -173,7 +188,8 @@ def overlap(a: DenseState, b: DenseState) -> complex:
 def qca_dense_action(qca: QcaLike) -> Callable[[DenseState], DenseState]:
     """Dense action of a QCA handle: a site relabelling, or every gate of a
     circuit in temporal order.  Each gate's unitary is built once here and
-    reused on every state the action is applied to."""
+    reused on every state the action is applied to; a circuit's action checks
+    the norm once, at its end."""
     if isinstance(qca, PermutationQca):
         return lambda state: apply_site_permutation(state, qca.perm)
     terms = [(gate_unitary(gate), gate.support) for layer in qca.layers for gate in layer]
@@ -181,7 +197,7 @@ def qca_dense_action(qca: QcaLike) -> Callable[[DenseState], DenseState]:
     def act(state: DenseState) -> DenseState:
         for matrix, support in terms:
             state = apply_matrix(state, matrix, support)
-        return state
+        return check_norm(state)
 
     return act
 
@@ -193,12 +209,11 @@ def qca_dense_action(qca: QcaLike) -> Callable[[DenseState], DenseState]:
 
 @dataclass
 class DenseOperator:
-    """Either a single matrix on a support or a sum of hermitian local terms."""
+    """A sum of hermitian local terms."""
 
     sites: int
     q: int
     terms: list[tuple[tuple[int, ...], np.ndarray]]
-    hermitian: bool = True
 
     def __post_init__(self):
         checked = []
@@ -211,7 +226,7 @@ class DenseOperator:
                 raise ValueError("term support out of range")
             if mat.shape != (self.q ** len(support),) * 2:
                 raise ValueError("term matrix does not match its support")
-            if self.hermitian and not np.allclose(mat, mat.conj().T, atol=1e-12):
+            if not np.allclose(mat, mat.conj().T, atol=1e-12):
                 raise ValueError("hamiltonian term is not hermitian within 1e-12")
             checked.append((support, mat))
         self.terms = checked
@@ -235,19 +250,6 @@ class DenseOperator:
         for support, mat in self.terms:
             total += embed_operator(mat, support, self.sites, self.q)
         return total
-
-    def conjugated(self, conj_term: Callable[[tuple[int, ...], np.ndarray], tuple[tuple[int, ...], np.ndarray]]) -> "DenseOperator":
-        return DenseOperator(
-            self.sites, self.q, [conj_term(s, m) for s, m in self.terms], self.hermitian
-        )
-
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        if (self.sites, self.q) != (other.sites, other.q):
-            raise ValueError("operator shapes differ")
-        return DenseOperator(self.sites, self.q, self.terms + other.terms, self.hermitian and other.hermitian)
-
-    def scaled(self, factor: float) -> "DenseOperator":
-        return DenseOperator(self.sites, self.q, [(s, factor * m) for s, m in self.terms], self.hermitian)
 
 
 def _restrict_pauli(p: PauliOperator, support: tuple[int, ...]) -> PauliOperator:
@@ -299,50 +301,9 @@ def ground_state(
     return e0, cols
 
 
-def symmetrize_in_ground_space(
-    basis: Sequence[np.ndarray], symmetries: Sequence[Callable[[np.ndarray], np.ndarray]]
-) -> np.ndarray:
-    """Simultaneous +1 eigenvector of all symmetries within span(basis).
-
-    Raises ValueError when the span is not symmetry-invariant or contains no
-    symmetric vector.
-    """
-    if not basis:
-        raise ValueError("empty ground-space basis")
-    b = np.stack(basis, axis=1)
-    k = b.shape[1]
-    proj = np.eye(k, dtype=np.complex128)
-    for apply_s in symmetries:
-        sb = np.stack([apply_s(b[:, i]) for i in range(k)], axis=1)
-        m = b.conj().T @ sb
-        if not np.allclose(b @ m, sb, atol=1e-9):
-            raise ValueError("ground space is not invariant under the symmetry")
-        proj = proj @ (np.eye(k) + m) / 2.0
-    for i in range(k):
-        v = proj @ np.eye(k, dtype=np.complex128)[:, i]
-        if np.linalg.norm(v) > 1e-8:
-            vec = b @ v
-            vec = vec / np.linalg.norm(vec)
-            for apply_s in symmetries:
-                if np.linalg.norm(apply_s(vec) - vec) > 1e-9:
-                    raise ValueError("projector output failed the symmetry check")
-            return vec
-    raise ValueError("no symmetric vector in the ground space")
-
-
 # ---------------------------------------------------------------------------
 # Density-matrix diagnostics
 # ---------------------------------------------------------------------------
-
-
-def density_from_mixture(weights: Sequence[float], states: Sequence[np.ndarray]) -> np.ndarray:
-    if abs(sum(weights) - 1.0) > 1e-10:
-        raise ValueError("weights must sum to 1")
-    dim = states[0].shape[0]
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for w, psi in zip(weights, states):
-        rho += w * np.outer(psi, psi.conj())
-    return rho
 
 
 def dense_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -400,7 +361,7 @@ def _projected_basis_state(n: int, gens: Sequence[PauliOperator]) -> Optional[De
             norm = np.linalg.norm(projected)
             if norm < 1e-9:
                 break
-            vec = DenseState.from_amplitudes(2, n, projected / norm)
+            vec = DenseState(2, n, projected / norm)
         else:
             return vec
     return None

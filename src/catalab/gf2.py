@@ -59,34 +59,9 @@ class BitMatrix:
             if r < 0 or r >> cols:
                 raise ValueError("row has bits outside the declared column range")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "BitMatrix":
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        packed = []
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            packed.append(sum((bit & 1) << c for c, bit in enumerate(row)))
-        return cls(packed, cols)
-
-    @classmethod
-    def zeros(cls, nrows: int, cols: int) -> "BitMatrix":
-        return cls([0] * nrows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls([1 << i for i in range(n)], n)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def get(self, r: int, c: int) -> int:
-        return (self.rows[r] >> c) & 1
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(list(self.rows), self.cols)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -134,21 +109,6 @@ class BitMatrix:
                 x |= 1 << c
         return x
 
-    def kernel_basis(self) -> list[int]:
-        """Basis of {x : A·x = 0}, one bitmask per basis vector."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = 1 << f
-            for r, c in enumerate(pivots):
-                if (red.rows[r] >> f) & 1:
-                    v |= 1 << c
-            basis.append(v)
-        return basis
-
-
 def rowspace_intersection(rows_a: Sequence[int], rows_b: Sequence[int], cols: int) -> list[int]:
     """Basis of span(rows_a) ∩ span(rows_b) via the Zassenhaus construction.
 
@@ -173,32 +133,13 @@ def rowspace_intersection(rows_a: Sequence[int], rows_b: Sequence[int], cols: in
 
 
 @dataclass
-class IntMatrixModM:
-    """Integer matrix with entries understood as residues mod M."""
-
-    modulus: int
-    entries: list[list[int]]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        m = self.modulus
-        self.entries = [[v % m for v in row] for row in self.entries]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.entries[0]) if self.entries else 0
-
-
-@dataclass
 class SmithDecomposition:
-    """U·A·V = D over the integers with U, V unimodular (inverses recorded)."""
+    """U·A·V = D over the integers with U, V unimodular (U's inverse recorded)."""
 
     diagonal: list[int]
     u: list[list[int]]
     v: list[list[int]]
     u_inv: list[list[int]]
-    v_inv: list[list[int]]
 
 
 def _mat_identity(n: int) -> list[list[int]]:
@@ -213,7 +154,6 @@ def smith_normal_form_int(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     u = _mat_identity(nr)
     u_inv = _mat_identity(nr)
     v = _mat_identity(nc)
-    v_inv = _mat_identity(nc)
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
@@ -243,7 +183,6 @@ def smith_normal_form_int(a: Sequence[Sequence[int]]) -> SmithDecomposition:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def col_add(i, j, c):
         # col_j += c * col_i
@@ -251,16 +190,6 @@ def smith_normal_form_int(a: Sequence[Sequence[int]]) -> SmithDecomposition:
             row[j] += c * row[i]
         for row in v:
             row[j] += c * row[i]
-        for k in range(nc):
-            v_inv[i][k] -= c * v_inv[j][k]
-
-    def col_neg(i):
-        for row in m:
-            row[i] = -row[i]
-        for row in v:
-            row[i] = -row[i]
-        for k in range(nc):
-            v_inv[i][k] = -v_inv[i][k]
 
     t = 0
     while t < min(nr, nc):
@@ -307,20 +236,7 @@ def smith_normal_form_int(a: Sequence[Sequence[int]]) -> SmithDecomposition:
             continue
         t += 1
     diag = [m[i][i] for i in range(min(nr, nc))]
-    return SmithDecomposition(diag, u, v, u_inv, v_inv)
-
-
-def smith_normal_form(mat: IntMatrixModM) -> tuple[tuple[int, ...], SmithDecomposition]:
-    """Invariant factors of a Z_M matrix plus the integer transforms.
-
-    Factors are gcd(d_i, M) for the integer SNF diagonal d_i, which is the
-    correct Z_M-module normalisation (a diagonal entry coprime to M acts
-    invertibly and contributes a trivial factor 1).
-    """
-    dec = smith_normal_form_int(mat.entries)
-    m = mat.modulus
-    factors = tuple(math.gcd(d, m) if d else m for d in dec.diagonal)
-    return factors, dec
+    return SmithDecomposition(diag, u, v, u_inv)
 
 
 def solve_mod(a: Sequence[Sequence[int]], b: Sequence[int], modulus: int) -> Optional[list[int]]:

@@ -100,15 +100,6 @@ class LiebLattice:
         i, j = idx % self.lx, idx // self.lx
         return self.vertex(i, j), self.vertex(i, j + 1)
 
-    def vertex_star(self, vtx: int) -> list[int]:
-        i, j = vtx % self.lx, vtx // self.lx
-        return [
-            self.h_edge(i, j),
-            self.h_edge(i - 1, j),
-            self.v_edge(i, j),
-            self.v_edge(i, j - 1),
-        ]
-
     def plaquette_edges(self, i: int, j: int) -> list[int]:
         return [
             self.h_edge(i, j),
@@ -580,9 +571,7 @@ def _check_bundle(bundle: ModelBundle) -> None:
                 size=qsym.group.order**bundle.n
             )
             probes.append(
-                dn.DenseState.from_amplitudes(
-                    qsym.group.order, bundle.n, amps, normalize=True
-                )
+                dn.DenseState.from_amplitudes(qsym.group.order, bundle.n, amps)
             )
         for state in probes:
             for g in qsym.group.elements():
@@ -634,14 +623,12 @@ def _verify_catalyst_dense(bundle: ModelBundle, cat: Catalyst) -> None:
         raise AssertionError(f"catalyst {cat.name} is not entangler-invariant")
 
 
-def build_catalyst(
-    bundle: ModelBundle, kind: str, rng: Optional[np.random.Generator] = None
-) -> Catalyst:
+def build_catalyst(bundle: ModelBundle, kind: str) -> Catalyst:
     """Construct a named catalyst for the bundle and verify it before return."""
     builder = _CATALYST_BUILDERS.get((bundle.name, kind))
     if builder is None:
         raise RegistryError(f"no catalyst {kind!r} for model {bundle.name!r}")
-    cat = builder(bundle, rng)
+    cat = builder(bundle)
     if cat.engine == "stabilizer":
         _verify_catalyst_stab(bundle, cat)
     else:
@@ -652,7 +639,7 @@ def build_catalyst(
 # -- individual constructions ---------------------------------------------
 
 
-def _lsm_ghz(bundle: ModelBundle, rng) -> Catalyst:
+def _lsm_ghz(bundle: ModelBundle) -> Catalyst:
     n = bundle.n
     gens = ghz_generators(n, list(range(n)))
     gens.append(PauliOperator.z_at(n, *range(n)))
@@ -667,7 +654,7 @@ def _lsm_ghz(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _lsm_long_range_bell(bundle: ModelBundle, rng) -> Catalyst:
+def _lsm_long_range_bell(bundle: ModelBundle) -> Catalyst:
     n = bundle.n
     m = n // 2
     gens = []
@@ -685,11 +672,11 @@ def _lsm_long_range_bell(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _superposition_catalyst(bundle: ModelBundle, rng) -> Catalyst:
+def _superposition_catalyst(bundle: ModelBundle) -> Catalyst:
     triv = bundle.trivial_dense()
     targ = bundle.target_dense()
     amps = triv.amps + targ.amps
-    state = dn.DenseState.from_amplitudes(triv.q, triv.sites, amps, normalize=True)
+    state = dn.DenseState.from_amplitudes(triv.q, triv.sites, amps)
     strong = tuple(bundle.symmetry.names()) if bundle.qudit_symmetry is None else ()
     return Catalyst(
         name="superposition",
@@ -701,7 +688,7 @@ def _superposition_catalyst(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _gapless_catalyst(bundle: ModelBundle, rng) -> Catalyst:
+def _gapless_catalyst(bundle: ModelBundle) -> Catalyst:
     op = build_hamiltonian(bundle, "catalyst-sum")
     energy, basis = dn.ground_state(op)
     if len(basis) != 1:
@@ -714,7 +701,6 @@ def _gapless_catalyst(bundle: ModelBundle, rng) -> Catalyst:
         2 if bundle.qudit_symmetry is None else bundle.qudit_symmetry.group.order,
         bundle.n,
         vec,
-        normalize=True,
     )
     strong = tuple(bundle.symmetry.names()) if bundle.qudit_symmetry is None else ()
     # The ground state must carry eigenvalue +1, not just map to itself.
@@ -728,7 +714,7 @@ def _gapless_catalyst(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _cluster_ghz(bundle: ModelBundle, rng) -> Catalyst:
+def _cluster_ghz(bundle: ModelBundle) -> Catalyst:
     n = bundle.n
     gens = ghz_generators(n, list(range(0, n, 2))) + ghz_generators(
         n, list(range(1, n, 2))
@@ -744,7 +730,7 @@ def _cluster_ghz(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _cluster_ghz_one_sublattice(bundle: ModelBundle, rng) -> Catalyst:
+def _cluster_ghz_one_sublattice(bundle: ModelBundle) -> Catalyst:
     n = bundle.n
     gens = ghz_generators(n, list(range(0, n, 2)))
     gens += [PauliOperator.x_at(n, i) for i in range(1, n, 2)]
@@ -759,7 +745,7 @@ def _cluster_ghz_one_sublattice(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _cluster_swssb(bundle: ModelBundle, rng) -> Catalyst:
+def _cluster_swssb(bundle: ModelBundle) -> Catalyst:
     n = bundle.n
     state = StabilizerMixture.from_generators(
         n,
@@ -779,7 +765,7 @@ def _cluster_swssb(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _group_average_catalyst(bundle: ModelBundle, rng) -> Catalyst:
+def _group_average_catalyst(bundle: ModelBundle) -> Catalyst:
     """rho proportional to the sum of all symmetry operators."""
     gens = [g.pauli for g in bundle.symmetry.generators]
     state = StabilizerMixture.from_generators(
@@ -794,7 +780,7 @@ def _group_average_catalyst(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _lieb_ghz_vertices(bundle: ModelBundle, rng) -> Catalyst:
+def _lieb_ghz_vertices(bundle: ModelBundle) -> Catalyst:
     lat: LiebLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.x_at(n, e) for e in lat.edges()]
@@ -810,7 +796,7 @@ def _lieb_ghz_vertices(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _lieb_toric_code(bundle: ModelBundle, rng) -> Catalyst:
+def _lieb_toric_code(bundle: ModelBundle) -> Catalyst:
     lat: LiebLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.x_at(n, v) for v in lat.vertices()]
@@ -831,7 +817,7 @@ def _lieb_toric_code(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _lieb_mixed(bundle: ModelBundle, rng) -> Catalyst:
+def _lieb_mixed(bundle: ModelBundle) -> Catalyst:
     lat: LiebLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.x_at(n, *lat.vertices())]
@@ -849,7 +835,7 @@ def _lieb_mixed(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _square_pim_symmetric(bundle: ModelBundle, rng) -> Catalyst:
+def _square_pim_symmetric(bundle: ModelBundle) -> Catalyst:
     lat: SquareLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.z_at(n, *lat.neighbors(v)) for v in range(n)]
@@ -865,7 +851,7 @@ def _square_pim_symmetric(bundle: ModelBundle, rng) -> Catalyst:
     )
 
 
-def _cocycle_ghz(bundle: ModelBundle, rng) -> Catalyst:
+def _cocycle_ghz(bundle: ModelBundle) -> Catalyst:
     qsym = bundle.qudit_symmetry
     group = qsym.group
     q = group.order
@@ -873,7 +859,7 @@ def _cocycle_ghz(bundle: ModelBundle, rng) -> Catalyst:
     for g in group.elements():
         idx = sum(group.index(g) * q**i for i in range(bundle.n))
         amps[idx] = 1.0
-    state = dn.DenseState.from_amplitudes(q, bundle.n, amps, normalize=True)
+    state = dn.DenseState.from_amplitudes(q, bundle.n, amps)
     return Catalyst(
         name="ghz",
         engine="dense",

@@ -94,10 +94,6 @@ class PauliOperator:
             both ^= low
         return SiteSet(sites)
 
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0 and self.phase == 0
 
@@ -121,9 +117,6 @@ class PauliOperator:
     def dagger(self) -> "PauliOperator":
         k = (-self.phase + 2 * ((self.x & self.z).bit_count() & 1)) & 3
         return PauliOperator(self.n, self.x, self.z, k)
-
-    def inverse(self) -> "PauliOperator":
-        return self.dagger()
 
     def negate(self) -> "PauliOperator":
         return PauliOperator(self.n, self.x, self.z, (self.phase + 2) & 3)

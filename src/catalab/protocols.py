@@ -94,17 +94,6 @@ class MeasurementRecord:
     parity_odd: int
     post_state: StabilizerMixture
     invariant_under_entangler: bool
-    seed: Optional[int] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcomes": list(self.outcomes),
-            "parity_even": self.parity_even,
-            "parity_odd": self.parity_odd,
-            "invariant": self.invariant_under_entangler,
-            "seed": self.seed,
-            "post_state": self.post_state.to_json_dict(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +172,12 @@ def long_range_bell_layer(n: int, n_total: int, offset: int) -> CliffordCircuit:
 # ---------------------------------------------------------------------------
 
 
-def measurement_prepare_catalyst(
-    n: int, rng: np.random.Generator, seed: Optional[int] = None
-) -> MeasurementRecord:
+def measurement_prepare_catalyst(n: int, rng: np.random.Generator) -> MeasurementRecord:
     """Measure every next-nearest-neighbor ZZ on the all-plus state.
 
     Valid outcome patterns have unit parity on each sublattice, and the
     post-measurement state is invariant under the ring-CZ entangler for every
-    outcome; both facts are asserted, not assumed.  The optional seed is
-    recorded in the returned record for report bookkeeping.
+    outcome; both facts are asserted, not assumed.
     """
     if n < 4 or n % 2:
         raise ValueError("needs an even ring of at least 4 qubits")
@@ -222,7 +208,6 @@ def measurement_prepare_catalyst(
         parity_odd=parity_odd,
         post_state=state,
         invariant_under_entangler=invariant,
-        seed=seed,
     )
 
 
@@ -453,9 +438,7 @@ def execute_schedule(
     return state, outcome_log
 
 
-def register_a_matches(
-    final: StabilizerMixture, target: StabilizerMixture, offset_b: int
-) -> bool:
+def register_a_matches(final: StabilizerMixture, target: StabilizerMixture) -> bool:
     """True iff register A of the final state is exactly the target state."""
     for g in target.generators:
         embedded = PauliOperator(final.n, g.x, g.z, g.phase)

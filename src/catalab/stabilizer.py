@@ -32,8 +32,6 @@ class ZeroProjectionError(Exception):
 # Clifford gates and circuits
 # ---------------------------------------------------------------------------
 
-_NAMED_ONE = {"H", "S", "SDG", "X", "Y", "Z"}
-_NAMED_TWO = {"CZ", "CNOT", "SWAP"}
 _SELF_INVERSE = {"H", "X", "Y", "Z", "CZ", "CNOT", "SWAP"}
 
 
@@ -379,12 +377,10 @@ class StabilizerMixture:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_generators(
-        cls, n: int, generators: Iterable[PauliOperator], validate: bool = True
-    ) -> "StabilizerMixture":
+    def from_generators(cls, n: int, generators: Iterable[PauliOperator]) -> "StabilizerMixture":
+        """The mixture of the given generators, validated."""
         state = cls(n, tuple(generators))
-        if validate:
-            state.validate()
+        state.validate()
         return state
 
     @classmethod
@@ -394,10 +390,6 @@ class StabilizerMixture:
     @classmethod
     def zero_state(cls, n: int) -> "StabilizerMixture":
         return cls(n, tuple(PauliOperator.z_at(n, i) for i in range(n)))
-
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "StabilizerMixture":
-        return cls(n, ())
 
     # -- structure ------------------------------------------------------
 
@@ -596,8 +588,7 @@ def fidelity(rho: StabilizerMixture, sigma: StabilizerMixture) -> Union[Fraction
     Exact via sign bookkeeping on the group intersection: zero when some
     common unsigned element carries opposite signs, else 2^(s - (k1+k2)/2)
     with s the intersection dimension.  Raises UnsupportedCaseError when the
-    two generator sets do not pairwise commute (caller may fall back to the
-    dense oracle).
+    two generator sets do not pairwise commute.
     """
     if rho.n != sigma.n:
         raise ValueError("register size mismatch")

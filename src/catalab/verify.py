@@ -36,7 +36,6 @@ from .stabilizer import (
     CliffordGate,
     QcaLike,
     StabilizerMixture,
-    UnsupportedCaseError,
     fidelity,
     pack_gates_into_layers,
     swap_gate,
@@ -121,12 +120,13 @@ class DoubledCircuit:
         return tuple((g.support, dn.gate_unitary(g)) for g in self.v_gates)
 
     def apply_dense(self, state: dn.DenseState) -> dn.DenseState:
-        """The s-layer (exchange registers [0, n) and [n, 2n)), then the v-terms."""
+        """The s-layer (exchange registers [0, n) and [n, 2n)), then the
+        v-terms; the norm is checked once, at the end."""
         n = self.n
         state = dn.apply_site_permutation(state, list(range(n, 2 * n)) + list(range(n)))
         for support, mat in self.v_terms:
             state = dn.apply_matrix(state, mat, support)
-        return state
+        return dn.check_norm(state)
 
 
 def doubled_conjugate(qca: QcaLike, n: int, p: PauliOperator) -> PauliOperator:
@@ -622,31 +622,12 @@ def weak_localization(
 # ---------------------------------------------------------------------------
 
 
-def fidelity_with_fallback(
-    rho: StabilizerMixture, sigma: StabilizerMixture
-) -> Union[Fraction, float]:
-    """Exact group fidelity where supported, dense oracle otherwise.
-
-    The exact path covers every case arising from Pauli conjugations; the
-    dense route exists for callers that compare unrelated mixtures, and is
-    size-guarded.
-    """
-    try:
-        return fidelity(rho, sigma)
-    except UnsupportedCaseError:
-        if rho.n > 12:
-            raise
-        return dn.dense_fidelity(
-            dn.stabilizer_density(rho), dn.stabilizer_density(sigma)
-        )
-
-
 def _pauli_conjugated(rho: StabilizerMixture, w: PauliOperator) -> StabilizerMixture:
-    """W rho W^dagger for a Pauli W: the generators W anticommutes with flip sign."""
-    return StabilizerMixture.from_generators(
-        rho.n,
-        tuple(g if w.commutes(g) else g.negate() for g in rho.generators),
-        validate=False,
+    """W rho W^dagger for a Pauli W: the generators W anticommutes with flip
+    sign.  The result keeps rho's unsigned group, so `fidelity` of the pair
+    always applies (the two generator sets commute pairwise)."""
+    return StabilizerMixture(
+        rho.n, tuple(g if w.commutes(g) else g.negate() for g in rho.generators)
     )
 
 
@@ -654,7 +635,7 @@ def fidelity_correlator(
     rho: StabilizerMixture, o_i: PauliOperator, o_j: PauliOperator
 ) -> Union[Fraction, float]:
     """F(rho, Oi Oj' rho Oj Oi'), exact for commuting stabilizer mixtures."""
-    return fidelity_with_fallback(rho, _pauli_conjugated(rho, o_i * o_j.dagger()))
+    return fidelity(rho, _pauli_conjugated(rho, o_i * o_j.dagger()))
 
 
 def disorder_parameter(

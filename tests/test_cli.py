@@ -366,3 +366,31 @@ def test_correlators_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("observable")
     assert len(lines) > 1
+
+
+def test_csv_format_on_stdout(capsys, tmp_path):
+    argv = ["invariant", "--model", "cluster-1d", "--n", "12", "--format", "csv"]
+    assert run_cli(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("g,h,re,im,ipower")
+    out = tmp_path / "inv.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes().decode() == printed
+
+
+def test_json_on_stdout_matches_the_report_file(capsys, tmp_path):
+    argv = ["cohomology", "--group", "Z2", "--degree", "2"]
+    assert run_cli(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    out = tmp_path / "c.json"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    written = load_report(out)
+    printed.pop("timestamp")
+    written.pop("timestamp")
+    assert printed == written
+
+
+def test_csv_without_rows_is_a_usage_error(tmp_path):
+    argv = ["catalyze", "--model", "cluster-1d", "--catalyst", "ghz", "--n", "8", "--format", "csv"]
+    assert run_cli(argv) == 2
+    assert run_cli(argv + ["--out", str(tmp_path / "r.csv")]) == 2

@@ -47,7 +47,7 @@ def test_group_basics():
 
 
 def test_coboundary_of_zero():
-    z = Cochain.zero(Z2, 1, 2)
+    z = Cochain.from_function(Z2, 1, 2, lambda *_: 0)
     assert coboundary(z).is_zero()
 
 
@@ -156,12 +156,12 @@ def test_h1_z3():
 
 
 def test_class_order():
-    assert class_order(Cochain.zero(Z2Z2, 2, 2)) == 1
+    assert class_order(Cochain.from_function(Z2Z2, 2, 2, lambda *_: 0)) == 1
     assert class_order(bilinear_cocycle(Z2Z2, 0, 1)) == 2
 
 
 def test_normalize_trivial():
-    out = normalize_cocycle(Cochain.zero(Z2Z2, 2, 2))
+    out = normalize_cocycle(Cochain.from_function(Z2Z2, 2, 2, lambda *_: 0))
     assert out.is_zero()
 
 
@@ -191,7 +191,7 @@ def test_normalize_cluster_class():
 
 
 def test_compile_trivial_is_identity():
-    nu = Cochain.zero(Z2Z2, 2, 2)
+    nu = Cochain.from_function(Z2Z2, 2, 2, lambda *_: 0)
     circuit = compile_cocycle_circuit(nu, ring_triangulation(4), 4)
     state = DenseState.uniform(4, 4)
     out = circuit.apply(state)
@@ -251,7 +251,7 @@ def test_normalized_circuit_fixes_uniform_site_states():
 
 
 def test_compile_degree_mismatch():
-    nu = Cochain.zero(Z2Z2, 2, 2)
+    nu = Cochain.from_function(Z2Z2, 2, 2, lambda *_: 0)
     with pytest.raises(ValueError):
         compile_cocycle_circuit(nu, [((0, 1, 2), 1)], 4)
 

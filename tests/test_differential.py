@@ -1,7 +1,7 @@
 """Differential tests: the light-cone, conjugation-table, int-level and
 cached-basis fast paths against plain reference forms of the same
-computation, compared exactly, and the dense oracle's entangler action and
-doubled-circuit check."""
+computation, compared exactly, and the dense oracle's entangler action,
+doubled-circuit check and fidelity."""
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalab.acceptance import _doubled_operator_equality_dense
-from catalab.dense import overlap, qca_dense_action, stabilizer_to_dense
+from catalab.dense import (
+    dense_fidelity,
+    overlap,
+    qca_dense_action,
+    stabilizer_density,
+    stabilizer_to_dense,
+)
 from catalab.gf2 import BitMatrix
 from catalab.models import RingLattice, _independent_subset, build_model
 from catalab.pauli import PauliOperator
@@ -19,6 +25,7 @@ from catalab.stabilizer import (
     StabilizerMixture,
     cnot_gate,
     cz_gate,
+    fidelity,
     h_gate,
     pack_gates_into_layers,
     s_gate,
@@ -529,3 +536,54 @@ def pauli_lists(draw):
 def test_independent_subset_matches_greedy_rank_loop(case):
     n, gens = case
     assert _independent_subset(n, gens) == greedy_independent_subset(n, gens)
+
+
+# ---------------------------------------------------------------------------
+# exact fidelity against the dense oracle on unrelated commuting groups
+# ---------------------------------------------------------------------------
+
+
+def independent_masks(rng, n, k, first=()):
+    """k GF(2)-independent nonzero n-bit masks, starting with `first`."""
+    masks = list(first)
+    while len(masks) < k:
+        mask = int(rng.integers(1, 1 << n))
+        if BitMatrix(masks + [mask], n).rank() == len(masks) + 1:
+            masks.append(mask)
+    return masks
+
+
+def signed_products(rng, pure, masks):
+    """The product of the pure state's generators selected by each mask,
+    each with an independent random sign."""
+    return [product_of(pure, m).with_sign(int(rng.choice((1, -1)))) for m in masks]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 5), opposite=st.booleans(), seed=SEEDS, data=st.data())
+def test_fidelity_matches_dense_on_unrelated_commuting_groups(n, opposite, seed, data):
+    """rho and sigma are independently drawn, randomly signed subgroups of one
+    random pure stabilizer group: they commute but share only part of their
+    groups.  With `opposite`, sigma also holds one of rho's generators with
+    the other sign, so the two are orthogonal (F = 0)."""
+    rng = np.random.default_rng(seed)
+    pure = StabilizerMixture.zero_state(n).apply_circuit(random_circuit(rng, n, 3 * n))
+    k1 = data.draw(st.integers(int(opposite), n))
+    k2 = data.draw(st.integers(int(opposite), n))
+    masks1 = independent_masks(rng, n, k1)
+    gens1 = signed_products(rng, pure, masks1)
+    if opposite:
+        masks2 = independent_masks(rng, n, k2, first=masks1[:1])
+        gens2 = [gens1[0].negate()] + signed_products(rng, pure, masks2[1:])
+    else:
+        gens2 = signed_products(rng, pure, independent_masks(rng, n, k2))
+    rho = StabilizerMixture.from_generators(n, gens1)
+    sigma = StabilizerMixture.from_generators(n, gens2)
+    got = fidelity(rho, sigma)
+    expected = dense_fidelity(stabilizer_density(rho), stabilizer_density(sigma))
+    assert abs(float(got) - expected) < 1e-10
+    if opposite:
+        assert got == 0
+    elif got:
+        # 2^(s - (k1 + k2)/2): exact for even k1 + k2, the float branch for odd.
+        assert isinstance(got, float) == bool((k1 + k2) % 2)

@@ -208,7 +208,7 @@ def test_lieb_hamiltonian_terms_are_cluster_terms():
     supports = {support for support, _ in h.terms}
     # every vertex term touches the vertex and its four incident edges
     v = lat.vertex(0, 0)
-    star = tuple(sorted([v] + lat.vertex_star(v)))
+    star = tuple(sorted([v, lat.h_edge(0, 0), lat.h_edge(-1, 0), lat.v_edge(0, 0), lat.v_edge(0, -1)]))
     assert star in supports
 
 

@@ -84,7 +84,7 @@ def test_phase_algebra_property():
         n = int(rng.integers(1, 17))
         p = PauliOperator(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.integers(0, 4)))
         q = PauliOperator(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.integers(0, 4)))
-        lhs = (p * q) * (q * p).inverse()
+        lhs = (p * q) * (q * p).dagger()
         expected_phase = 2 * p.symplectic_product(q)
         assert lhs.x == 0 and lhs.z == 0
         assert lhs.phase == expected_phase
@@ -95,7 +95,7 @@ def test_inverse_and_dagger():
     for _ in range(200):
         n = int(rng.integers(1, 8))
         p = PauliOperator(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.integers(0, 4)))
-        assert (p * p.inverse()).is_identity()
+        assert (p * p.dagger()).is_identity()
         assert np.allclose(dense(p.dagger()), dense(p).conj().T, atol=1e-12)
 
 

@@ -96,7 +96,7 @@ def test_ancilla_pipeline_cluster_ghz():
     assert schedule.total_depth == (n - 1) + 2
     assert audit_schedule(schedule, bundle.symmetry)
     final, _ = execute_schedule(schedule)
-    assert register_a_matches(final, bundle.target, n)
+    assert register_a_matches(final, bundle.target)
     assert final.same_state(bundle.target.tensor(ghz.stab))
 
 
@@ -132,7 +132,7 @@ def test_long_range_pipeline_constant_depth():
         lr_stage = schedule.stages[0]
         assert lr_stage.long_range
         final, _ = execute_schedule(schedule)
-        assert register_a_matches(final, bundle.target, n)
+        assert register_a_matches(final, bundle.target)
         depths[n] = schedule.total_depth
     assert len(set(depths.values())) == 1
     assert depths[8] == 3
@@ -146,7 +146,7 @@ def test_measurement_pipeline_yields_cluster_for_any_seed():
     assert audit_schedule(schedule, bundle.symmetry)
     for seed in range(10):
         final, outcomes = execute_schedule(schedule, np.random.default_rng(seed))
-        assert register_a_matches(final, bundle.target, n)
+        assert register_a_matches(final, bundle.target)
         assert len(outcomes[0]) == n
 
 
@@ -263,5 +263,5 @@ def test_identity_entangler_pipeline_acts_trivially_on_system():
     schedule = catalyzed_pipeline(bundle, ghz, "ancilla")
     assert audit_schedule(schedule, bundle.symmetry)
     final, _ = execute_schedule(schedule)
-    assert register_a_matches(final, trivial, n)
+    assert register_a_matches(final, trivial)
     assert final.same_state(trivial.tensor(ghz.stab))

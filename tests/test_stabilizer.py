@@ -163,7 +163,7 @@ def test_measure_zz_on_plus():
 
 
 def test_measure_mixed_state_growth():
-    state = StabilizerMixture.maximally_mixed(2)
+    state = StabilizerMixture(2, ())
     zz = PauliOperator.z_at(2, 0, 1)
     outcome, post = state.measure(zz, np.random.default_rng(3))
     assert post.k == 1

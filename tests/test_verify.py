@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from catalab.acceptance import CATALYSIS_MATRIX
 from catalab.dense import (
     DenseState,
     apply_local_unitary,
@@ -20,6 +23,7 @@ from catalab.stabilizer import (
 from catalab.verify import (
     RegionTooSmallError,
     audit_gate_symmetric,
+    build_doubled_diagonal,
     build_doubled_fdqc,
     disorder_parameter,
     doubled_conjugate,
@@ -137,6 +141,19 @@ def test_doubled_cz_ring_matches_tableau_and_dense():
         assert np.linalg.norm(out.amps - expected.amps) < 1e-10
 
 
+def test_doubled_action_checks_the_norm_at_its_end():
+    # The gates of a dense action are not re-checked one by one; the action
+    # checks the norm once, at its end, so a non-unitary v-term is caught.
+    bundle = build_model("cocycle-z2z2", sites=3)
+    doubled = build_doubled_diagonal(bundle.entangler)
+    state = bundle.trivial_dense().tensor(bundle.trivial_dense())
+    doubled.apply_dense(state)
+    (support, mat), *rest = doubled.v_terms
+    broken = replace(doubled, v_terms=((support, 1.5 * mat), *rest))
+    with pytest.raises(ValueError, match=r"state norm .* is not 1 within 1e-12"):
+        broken.apply_dense(state)
+
+
 def test_doubled_gate_supports_are_local():
     n = 8
     bundle = build_model("cluster-1d", n=n)
@@ -214,6 +231,27 @@ def test_catalysis_fake_catalyst_fails():
     )
     report = verify_catalysis(bundle, fake)
     assert not report.passed
+    assert report.state_match == "mismatch"
+
+
+# Every Clifford model at the criterion-1 sizes with its own trivial state as
+# the would-be catalyst, plus the |+>^n product on cluster-1d.
+NEGATIVE_CONTROLS = [
+    pytest.param(m, p, "trivial", id=f"{m}-trivial") for m, p, _ in CATALYSIS_MATRIX
+] + [pytest.param("cluster-1d", {"n": 8}, "plus-product", id="cluster-1d-plus-product")]
+
+
+@pytest.mark.parametrize("model, params, state", NEGATIVE_CONTROLS)
+def test_symmetric_product_state_is_not_a_catalyst(model, params, state):
+    # A symmetric short-range-entangled state cannot catalyze: the verifier
+    # must reject it on the state comparison.
+    bundle = build_model(model, **params)
+    stab = bundle.trivial if state == "trivial" else StabilizerMixture.plus_state(bundle.n)
+    for gen in bundle.symmetry.generators:
+        assert stab.membership_sign(gen.pauli) == 1
+    fake = Catalyst(name=state, engine="stabilizer", mixed=False, stab=stab)
+    report = verify_catalysis(bundle, fake)
+    assert report.passed is False
     assert report.state_match == "mismatch"
 
 
@@ -492,16 +530,6 @@ def test_swssb_diagnostics_match_dense_oracle_n6():
     )
     assert stab_r == 1
     assert abs(stab_r - dense_r) < 1e-10
-
-
-def test_fidelity_fallback_noncommuting_case():
-    from catalab.verify import fidelity_with_fallback
-
-    zero = StabilizerMixture.zero_state(1)
-    plus = StabilizerMixture.plus_state(1)
-    # |<0|+>|^2 = 1/2, so F = 1/sqrt(2); the exact path cannot cover this
-    val = float(fidelity_with_fallback(zero, plus))
-    assert abs(val - 2 ** -0.5) < 1e-10
 
 
 def test_doubled_rejects_nonlocal_unitary():
