@@ -385,17 +385,17 @@ def criterion_5() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_6(runs: int = 1000, seed: int = 1) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     def run(details: dict) -> bool:
         # Imported here, by its only user: scipy.stats costs most of a second.
         from scipy import stats
 
-        n = 8
+        n, runs = 8, 1000
         bundle = build_model("cluster-1d", n=n)
         doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
         counts: dict[tuple[int, ...], int] = {}
         ok = True
-        seeds = np.random.SeedSequence(seed).spawn(runs)
+        seeds = np.random.SeedSequence(1).spawn(runs)
         for child in seeds:
             rng = np.random.default_rng(child)
             # Raises on a parity violation or a non-invariant post-state.
@@ -510,9 +510,10 @@ def _random_hermitian_pauli(n: int, rng: np.random.Generator) -> PauliOperator:
     return PauliOperator(n, x, z, ((x & z).bit_count() + 2 * int(rng.integers(0, 2))) % 4)
 
 
-def criterion_8(cases: int = 200, seed: int = 2024) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     def run(details: dict) -> bool:
-        rng = np.random.default_rng(seed)
+        cases = 200
+        rng = np.random.default_rng(2024)
         ok = True
         worst = 0.0
         for case in range(cases):

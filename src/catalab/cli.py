@@ -395,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", default=None, help="report path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("catalyze", help="verify one catalyzed transformation")
     p.add_argument("--model", required=True)
@@ -403,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("auto", "stabilizer", "dense"), default="auto")
     add_sizes(p)
     add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_catalyze)
 
     p = sub.add_parser("invariant", help="entangler invariant table")
@@ -433,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--jobs", type=int, default=1)
     add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_measure_prep)
 
     p = sub.add_parser("pipeline", help="catalyzed preparation schedules")
@@ -441,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("ancilla", "four-step", "measurement"), default="ancilla")
     add_sizes(p)
     add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("cohomology", help="cohomology groups and representatives")

@@ -113,23 +113,6 @@ class Cochain:
                     return False
         return True
 
-    def scaled(self, factor: int, new_modulus: Optional[int] = None) -> "Cochain":
-        m = new_modulus or self.modulus
-        return Cochain(self.group, self.degree, m, {t: (factor * v) % m for t, v in self.table.items()})
-
-    def add(self, other: "Cochain") -> "Cochain":
-        if (self.group, self.degree, self.modulus) != (other.group, other.degree, other.modulus):
-            raise ValueError("cochain shapes differ")
-        return Cochain(
-            self.group,
-            self.degree,
-            self.modulus,
-            {t: (v + other.table[t]) % self.modulus for t, v in self.table.items()},
-        )
-
-    def sub(self, other: "Cochain") -> "Cochain":
-        return self.add(other.scaled(-1))
-
     def reduced(self) -> "Cochain":
         """Shrink the tracked exponent to the actual denominator lcm."""
         g = self.modulus
@@ -265,16 +248,14 @@ def _kernel_generators_mod(mat: list[list[int]], modulus: int) -> list[list[int]
     return gens
 
 
-def cohomology_group(
-    group: FiniteAbelianGroup, degree: int, modulus: Optional[int] = None
-) -> CohomologyResult:
+def cohomology_group(group: FiniteAbelianGroup, degree: int) -> CohomologyResult:
     """H^degree(G, Z_M) = ker(delta)/im(delta) via Smith normal form.
 
-    The coefficient module is the cyclic group (1/M)Z/Z with M defaulting to
-    the group exponent, which is where all the entangler classes used in the
-    registry live.
+    The coefficient module is the cyclic group (1/M)Z/Z with M the group
+    exponent, which is where all the entangler classes used in the registry
+    live.
     """
-    m = modulus or group.exponent
+    m = group.exponent
     dim = group.order**degree
     if dim * group.order > 20_000:
         raise ValueError("cochain table size exceeds the configured limit")
@@ -394,11 +375,6 @@ class DiagonalQuditGate:
         angle = 2j * np.pi / self.modulus
         return np.exp(angle * np.asarray(self.numerators, dtype=np.float64))
 
-    def inverse(self) -> "DiagonalQuditGate":
-        return DiagonalQuditGate(
-            self.sites, tuple((-v) % self.modulus for v in self.numerators), self.modulus
-        )
-
 
 @dataclass
 class CocycleCircuit:
@@ -417,9 +393,6 @@ class CocycleCircuit:
         for gate in self.gates:
             state = _dense.apply_diagonal(state, gate.phases(), gate.sites)
         return _dense.check_norm(state)
-
-    def inverse(self) -> "CocycleCircuit":
-        return CocycleCircuit(self.group, self.num_sites, [g.inverse() for g in self.gates])
 
     def gates_touching(self, site: int) -> list[DiagonalQuditGate]:
         return [g for g in self.gates if site in g.sites]
@@ -488,19 +461,19 @@ def compile_cocycle_circuit(
     return CocycleCircuit(group, num_sites, gates)
 
 
-def bilinear_cocycle(
-    group: FiniteAbelianGroup, i: int, j: int, modulus: Optional[int] = None
-) -> Cochain:
-    """The 2-cocycle omega(h1, h2) = h1[i] * h2[j] / gcd-scale, as a
-    homogeneous equivariant cochain (the in-cohomology entangler classes)."""
-    m = modulus or group.exponent
-    fi, fj = group.factors[i], group.factors[j]
-    if m % fi or m % fj:
-        raise ValueError("modulus must be divisible by the paired factors")
+def bilinear_cocycle(group: FiniteAbelianGroup, i: int, j: int) -> Cochain:
+    """The 2-cocycle omega(h1, h2) = h1[i] * h2[j] / gcd(f_i, f_j), as a
+    homogeneous equivariant cochain (the in-cohomology entangler classes).
+
+    Dividing by the gcd of the two factors makes the phase depend only on
+    h1[i] mod f_i and h2[j] mod f_j; the table is kept in units of 1/M with
+    M the group exponent, which the gcd divides."""
+    m = group.exponent
+    scale = m // math.gcd(group.factors[i], group.factors[j])
 
     def fn(g0, g1, g2):
         h1 = group.sub(g1, g0)
         h2 = group.sub(g2, g1)
-        return (m // fj) * h1[i] * h2[j]
+        return scale * h1[i] * h2[j]
 
     return Cochain.from_function(group, 2, m, fn)

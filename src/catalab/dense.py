@@ -290,14 +290,13 @@ def embed_operator(mat: np.ndarray, support: Sequence[int], sites: int, q: int) 
     return tensor.reshape(q**sites, q**sites)
 
 
-def ground_state(
-    op: DenseOperator, degeneracy_tol: float = 1e-8
-) -> tuple[float, list[np.ndarray]]:
-    """Full hermitian eigensolve; returns energy and an orthonormal ground basis."""
+def ground_state(op: DenseOperator) -> tuple[float, list[np.ndarray]]:
+    """Full hermitian eigensolve; returns energy and an orthonormal basis of
+    the eigenvectors within 1e-8 of the lowest eigenvalue."""
     h = op.to_matrix()
     evals, evecs = np.linalg.eigh(h)
     e0 = float(evals[0])
-    cols = [evecs[:, i].copy() for i in range(len(evals)) if evals[i] <= e0 + degeneracy_tol]
+    cols = [evecs[:, i].copy() for i in range(len(evals)) if evals[i] <= e0 + 1e-8]
     return e0, cols
 
 

@@ -292,7 +292,6 @@ class Catalyst:
     weak_under: tuple[str, ...] = ()
     broken: tuple[str, ...] = ()
     prep_recipe: Optional[str] = None
-    notes: str = ""
 
 
 @dataclass
@@ -302,10 +301,8 @@ class ModelBundle:
     n: int
     symmetry: SymmetryRep
     entangler: Union[CliffordCircuit, PermutationQca, CocycleCircuit]
-    entangler_label: str
     trivial: Optional[StabilizerMixture]
     target: Optional[StabilizerMixture]
-    catalyst_kinds: tuple[str, ...]
     qudit_symmetry: Optional[QuditSymmetry] = None
     trivial_dense_builder: Optional[Callable[[], dn.DenseState]] = None
     target_dense_builder: Optional[Callable[[], dn.DenseState]] = None
@@ -390,10 +387,8 @@ def _build_lsm_dimer(n: int) -> ModelBundle:
         n=n,
         symmetry=sym,
         entangler=entangler,
-        entangler_label="translation",
         trivial=trivial,
         target=target,
-        catalyst_kinds=("ghz", "superposition", "gapless", "long-range-bell"),
     )
 
 
@@ -417,17 +412,8 @@ def _build_cluster_1d(n: int) -> ModelBundle:
         n=n,
         symmetry=sym,
         entangler=circuit,
-        entangler_label="cz-ring",
         trivial=trivial,
         target=target,
-        catalyst_kinds=(
-            "ghz",
-            "ghz-one-sublattice",
-            "superposition",
-            "gapless",
-            "swssb",
-            "group-average",
-        ),
     )
 
 
@@ -457,10 +443,8 @@ def _build_lieb_2d(lx: int, ly: int) -> ModelBundle:
         n=n,
         symmetry=sym,
         entangler=circuit,
-        entangler_label="cz-incidence",
         trivial=trivial,
         target=target,
-        catalyst_kinds=("ghz-vertices", "toric-code", "lieb-mixed"),
     )
 
 
@@ -491,10 +475,8 @@ def _build_square_sspt(l: int) -> ModelBundle:
         n=n,
         symmetry=sym,
         entangler=circuit,
-        entangler_label="cz-edges",
         trivial=trivial,
         target=target,
-        catalyst_kinds=("pim-symmetric", "group-average"),
     )
 
 
@@ -519,10 +501,8 @@ def _build_cocycle_z2z2(sites: int) -> ModelBundle:
         n=sites,
         symmetry=sym,
         entangler=circuit,
-        entangler_label="cocycle-gates",
         trivial=None,
         target=None,
-        catalyst_kinds=("ghz", "superposition", "gapless"),
         qudit_symmetry=qsym,
         trivial_dense_builder=trivial_builder,
         target_dense_builder=target_builder,
@@ -627,7 +607,10 @@ def build_catalyst(bundle: ModelBundle, kind: str) -> Catalyst:
     """Construct a named catalyst for the bundle and verify it before return."""
     builder = _CATALYST_BUILDERS.get((bundle.name, kind))
     if builder is None:
-        raise RegistryError(f"no catalyst {kind!r} for model {bundle.name!r}")
+        known = tuple(k for model, k in _CATALYST_BUILDERS if model == bundle.name)
+        raise RegistryError(
+            f"no catalyst {kind!r} for model {bundle.name!r}; known: {known}"
+        )
     cat = builder(bundle)
     if cat.engine == "stabilizer":
         _verify_catalyst_stab(bundle, cat)
@@ -673,6 +656,7 @@ def _lsm_long_range_bell(bundle: ModelBundle) -> Catalyst:
 
 
 def _superposition_catalyst(bundle: ModelBundle) -> Catalyst:
+    """Equal-weight superposition of the trivial and entangled states."""
     triv = bundle.trivial_dense()
     targ = bundle.target_dense()
     amps = triv.amps + targ.amps
@@ -684,13 +668,14 @@ def _superposition_catalyst(bundle: ModelBundle) -> Catalyst:
         mixed=False,
         dense_state=state,
         strong_under=strong,
-        notes="equal-weight superposition of the trivial and entangled states",
     )
 
 
 def _gapless_catalyst(bundle: ModelBundle) -> Catalyst:
+    """Unique ground state of the sum of the trivial Hamiltonian and its
+    images under the entangler."""
     op = build_hamiltonian(bundle, "catalyst-sum")
-    energy, basis = dn.ground_state(op)
+    _, basis = dn.ground_state(op)
     if len(basis) != 1:
         raise AssertionError(
             f"catalyst Hamiltonian for {bundle.name} has a degenerate ground space "
@@ -710,7 +695,6 @@ def _gapless_catalyst(bundle: ModelBundle) -> Catalyst:
         mixed=False,
         dense_state=state,
         strong_under=strong,
-        notes=f"unique ground state at energy {energy:.6f}",
     )
 
 
@@ -746,6 +730,8 @@ def _cluster_ghz_one_sublattice(bundle: ModelBundle) -> Catalyst:
 
 
 def _cluster_swssb(bundle: ModelBundle) -> Catalyst:
+    """Spin-glass-like mixture with long-range fidelity correlations: the
+    strong-to-weak breaking of both sublattice symmetries."""
     n = bundle.n
     state = StabilizerMixture.from_generators(
         n,
@@ -761,7 +747,6 @@ def _cluster_swssb(bundle: ModelBundle) -> Catalyst:
         stab=state,
         strong_under=("x-even", "x-odd"),
         prep_recipe="measure-zz",
-        notes="spin-glass-like mixture with long-range fidelity correlations",
     )
 
 
@@ -781,6 +766,7 @@ def _group_average_catalyst(bundle: ModelBundle) -> Catalyst:
 
 
 def _lieb_ghz_vertices(bundle: ModelBundle) -> Catalyst:
+    """Cat state on the vertex qubits; edge qubits polarized in X."""
     lat: LiebLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.x_at(n, e) for e in lat.edges()]
@@ -792,11 +778,13 @@ def _lieb_ghz_vertices(bundle: ModelBundle) -> Catalyst:
         mixed=False,
         stab=state,
         strong_under=tuple(bundle.symmetry.names()),
-        notes="cat state on the vertex qubits; edge qubits polarized in X",
     )
 
 
 def _lieb_toric_code(bundle: ModelBundle) -> Catalyst:
+    """Topologically ordered edge state.  It spontaneously breaks the winding
+    1-form loops, which is the allowed partial breaking, so it names them in
+    `broken`."""
     lat: LiebLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.x_at(n, v) for v in lat.vertices()]
@@ -812,12 +800,11 @@ def _lieb_toric_code(bundle: ModelBundle) -> Catalyst:
         stab=state,
         strong_under=tuple(strong),
         broken=("loop-wind-h", "loop-wind-v"),
-        notes="topologically ordered edge state; winding 1-form loops are "
-        "spontaneously broken, which is the allowed partial breaking",
     )
 
 
 def _lieb_mixed(bundle: ModelBundle) -> Catalyst:
+    """Strong-to-weak breaking of both the 0-form and the 1-form symmetry."""
     lat: LiebLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.x_at(n, *lat.vertices())]
@@ -831,11 +818,11 @@ def _lieb_mixed(bundle: ModelBundle) -> Catalyst:
         stab=state,
         strong_under=tuple(strong),
         weak_under=("loop-wind-h", "loop-wind-v"),
-        notes="strong-to-weak breaking of both the 0-form and 1-form symmetry",
     )
 
 
 def _square_pim_symmetric(bundle: ModelBundle) -> Catalyst:
+    """Line-symmetric ground state of the plaquette Ising model."""
     lat: SquareLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.z_at(n, *lat.neighbors(v)) for v in range(n)]
@@ -847,11 +834,12 @@ def _square_pim_symmetric(bundle: ModelBundle) -> Catalyst:
         mixed=not state.is_pure,
         stab=state,
         strong_under=tuple(bundle.symmetry.names()),
-        notes="line-symmetric ground state of the plaquette Ising model",
     )
 
 
 def _cocycle_ghz(bundle: ModelBundle) -> Catalyst:
+    """Uniform-group cat state: symmetric, with the on-site symmetry
+    completely broken spontaneously."""
     qsym = bundle.qudit_symmetry
     group = qsym.group
     q = group.order
@@ -865,7 +853,6 @@ def _cocycle_ghz(bundle: ModelBundle) -> Catalyst:
         engine="dense",
         mixed=False,
         dense_state=state,
-        notes="uniform-group cat state; completely breaks the on-site symmetry",
     )
 
 

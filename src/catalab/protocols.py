@@ -277,12 +277,12 @@ def conjugate_gate_by_qca(gate: CliffordGate, qca) -> CliffordGate:
 
 
 def catalyzed_pipeline(
-    bundle: ModelBundle, catalyst: Catalyst, mode: str, unmake: bool = False
+    bundle: ModelBundle, catalyst: Catalyst, mode: str
 ) -> PreparationSchedule:
     """Build the preparation schedule that uses the catalyst.
 
-    ancilla mode: make the catalyst on register B (depth tau), run the
-    doubled circuit (depth 2), optionally unmake (another tau).
+    ancilla mode: make the catalyst on register B (depth tau), then run the
+    doubled circuit (depth 2), which hands the catalyst back unchanged.
     four-step mode: a single register, the catalyst maker followed by its
     entangler-conjugated inverse (total depth 2 tau).
     """
@@ -309,16 +309,6 @@ def catalyzed_pipeline(
                 circuit=doubled.as_circuit(),
             ),
         ]
-        if unmake:
-            stages.append(
-                Stage(
-                    kind="circuit",
-                    label=f"unmake-{catalyst.name}",
-                    depth=prep.depth,
-                    long_range=long_range,
-                    circuit=prep.inverse(),
-                )
-            )
         initial = bundle.trivial.tensor(bundle.trivial)
         return PreparationSchedule(
             model=bundle.name,

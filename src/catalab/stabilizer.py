@@ -493,8 +493,7 @@ class StabilizerMixture:
 
     def _evolve(self, conj: Callable[[PauliOperator], PauliOperator]) -> "StabilizerMixture":
         new = StabilizerMixture(self.n, tuple(conj(g) for g in self.generators))
-        if __debug__:
-            new.validate()
+        new.validate()
         return new
 
     def apply_gate(self, gate: CliffordGate) -> "StabilizerMixture":
@@ -517,8 +516,7 @@ class StabilizerMixture:
                 return sign, self
         outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
         new = self.project(p, outcome)
-        if __debug__:
-            new.validate()
+        new.validate()
         return outcome, new
 
     def project(self, p: PauliOperator, sign: int) -> "StabilizerMixture":
@@ -549,9 +547,11 @@ class StabilizerMixture:
         return StabilizerMixture(self.n, gens)
 
     def same_state(self, other: "StabilizerMixture") -> bool:
+        """Equal signed groups: with independent generators on both sides and
+        equal k, other's group lies in self's exactly when it is all of it."""
         if self.n != other.n or self.k != other.k:
             return False
-        return self.canonical().generators == other.canonical().generators
+        return all(self.membership_sign(g) == 1 for g in other.generators)
 
     # -- serialization --------------------------------------------------------
 

@@ -85,7 +85,6 @@ class DoubledCircuit:
     n: int
     v_gates: tuple[CliffordGate, ...]
     s_gates: tuple[CliffordGate, ...]
-    spread: int
 
     @property
     def logical_depth(self) -> int:
@@ -154,8 +153,7 @@ def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
     P_a (U S U^dagger)^dagger.  P_{n+i} is swapped to P_i and maps to U P_i U^dagger.
     """
     forward = _site_images(qca.conjugate, n)
-    spread = _spread(forward, lattice)
-    if spread > max(1, n // 3):
+    if _spread(forward, lattice) > max(1, n // 3):
         raise ValueError("entangler failed the locality audit at this size")
     backward = _site_images(qca.conjugate_inverse, n)
     # touching[i] = register-A sites whose inverse-conjugated X/Z images reach i.
@@ -184,7 +182,7 @@ def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
         images[b] = (fx.shift(0, n2), fz.shift(0, n2))
         v_gates.append(tableau_gate(n2, images))
     s_gates = tuple(swap_gate(n2, i, n + i) for i in range(n))
-    return DoubledCircuit(n, tuple(v_gates), s_gates, spread)
+    return DoubledCircuit(n, tuple(v_gates), s_gates)
 
 
 # -- doubled form of diagonal qudit entanglers -------------------------------
@@ -301,6 +299,31 @@ class CatalysisReport:
         }
 
 
+def _first_asymmetry(bundle: ModelBundle, catalyst: Catalyst) -> Optional[str]:
+    """The first symmetry element under which the catalyst is not even
+    weakly symmetric, or None.  Generators named in `catalyst.broken` are
+    skipped.  A stabilizer catalyst is weakly symmetric under a Pauli that
+    commutes with all its generators; a dense one under an element g with
+    |<psi|g|psi>| >= 1 - 1e-9."""
+    state = catalyst.dense_state
+    if bundle.qudit_symmetry is not None:
+        qsym = bundle.qudit_symmetry
+        for g in qsym.group.elements():
+            if abs(np.vdot(state.amps, qsym.apply(state, g).amps)) < 1 - 1e-9:
+                return str(g)
+        return None
+    for gen in bundle.symmetry.generators:
+        if gen.name in catalyst.broken:
+            continue
+        if catalyst.engine == "stabilizer":
+            ok = not any(gen.pauli.symplectic_product(g) for g in catalyst.stab.generators)
+        else:
+            ok = abs(np.vdot(state.amps, dn.apply_pauli(state, gen.pauli).amps)) >= 1 - 1e-9
+        if not ok:
+            return gen.name
+    return None
+
+
 def verify_catalysis(
     bundle: ModelBundle,
     catalyst: Catalyst,
@@ -308,11 +331,19 @@ def verify_catalysis(
 ) -> CatalysisReport:
     """Run the doubled circuit on (trivial x catalyst) and check the outcome.
 
+    The catalyst must be at least weakly symmetric under every symmetry
+    generator that `catalyst.broken` does not name; otherwise this raises
+    ValueError, because a state that breaks the symmetry outright can be
+    returned unchanged without the transformation being symmetric.
     Stabilizer catalysts are compared as exact signed groups (operator
     equality for mixtures, equality up to global phase for pure states);
-    dense catalysts by overlap modulus.  Failures are reported, not raised.
+    dense catalysts by overlap modulus.  A symmetric catalyst that does not
+    come back unchanged is reported as a failure, not raised.
     """
     start = time.perf_counter()
+    failed = _first_asymmetry(bundle, catalyst)
+    if failed is not None:
+        raise ValueError(f"catalyst {catalyst.name} is not symmetric under {failed}")
     if bundle.is_clifford:
         if doubled is None:
             doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
@@ -361,7 +392,6 @@ def verify_catalysis(
 class InvariantTable:
     region_a: tuple[int, int]
     region_b: tuple[int, int]
-    labels: list[str]
     entries: dict[tuple[str, str], complex]
     exact_ipower: Optional[dict[tuple[str, str], int]] = None
 
@@ -398,29 +428,23 @@ def _interval_sites(a: int, b: int, n: int) -> list[int]:
     return [(a + k) % n for k in range((b - a) % n + 1)]
 
 
-def spt_invariant(
-    qca: QcaLike,
-    symmetry: SymmetryRep,
-    n: int,
-    region_a: Optional[tuple[int, int]] = None,
-    region_b: Optional[tuple[int, int]] = None,
-    lattice=None,
-) -> InvariantTable:
+def _invariant_regions(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The inclusive intervals A = [0, n/2) and B = [n/4, 3n/4) of a ring."""
+    return (0, n // 2 - 1), (n // 4, 3 * n // 4 - 1)
+
+
+def spt_invariant(qca: QcaLike, symmetry: SymmetryRep, n: int) -> InvariantTable:
     """Phases c_{g,h} from the truncated-symmetry commutator, exact i-powers.
 
-    Defaults on a ring of n >= 12: A = [0, n/2), B = [n/4, 3n/4).  The four
-    boundary points a < b < c < d must be pairwise separated by more than the
-    entangler spread, so that each truncation boundary sits either in the
-    bulk or fully outside the other region (the N=12 defaults satisfy this
-    for spread-1 entanglers, as the dense oracle confirms).
+    The symmetry is truncated to A = [0, n/2) and B = [n/4, 3n/4) of the
+    ring of n sites.  The four boundary points a < b < c < d must be
+    pairwise separated by more than the entangler spread, so that each
+    truncation boundary sits either in the bulk or fully outside the other
+    region; otherwise this raises RegionTooSmallError.  Rings of n >= 12
+    satisfy this for spread-1 entanglers, as the dense oracle confirms.
     """
-    if region_a is None:
-        region_a = (0, n // 2 - 1)
-    if region_b is None:
-        region_b = (n // 4, 3 * n // 4 - 1)
-    if lattice is None:
-        lattice = RingLattice(n)
-    spread = qca_spread(qca, n, lattice)
+    region_a, region_b = _invariant_regions(n)
+    spread = qca_spread(qca, n, RingLattice(n))
     a, c = region_a
     b, d = region_b
     gaps = ((b - a) % n, (c - b) % n, (d - c) % n, (a - d) % n)
@@ -428,8 +452,8 @@ def spt_invariant(
         raise RegionTooSmallError(
             f"boundary separations {gaps} must exceed the entangler spread {spread}"
         )
-    sites_a = _interval_sites(region_a[0], region_a[1], n)
-    sites_b = _interval_sites(region_b[0], region_b[1], n)
+    sites_a = _interval_sites(a, c, n)
+    sites_b = _interval_sites(b, d, n)
     elements = symmetry.zero_form_elements()
     entries: dict[tuple[str, str], complex] = {}
     ipowers: dict[tuple[str, str], int] = {}
@@ -445,7 +469,7 @@ def spt_invariant(
                 )
             entries[(label_g, label_h)] = 1j**product.phase
             ipowers[(label_g, label_h)] = product.phase
-    return InvariantTable(region_a, region_b, [l for l, _ in elements], entries, ipowers)
+    return InvariantTable(region_a, region_b, entries, ipowers)
 
 
 def spt_invariant_dense(
@@ -453,19 +477,14 @@ def spt_invariant_dense(
     apply_u_inv: Callable[[dn.DenseState], dn.DenseState],
     symmetry: SymmetryRep,
     n: int,
-    region_a: Optional[tuple[int, int]] = None,
-    region_b: Optional[tuple[int, int]] = None,
-    trials: int = 3,
-    seed: int = 1234,
 ) -> InvariantTable:
-    """Brute-force oracle: apply the operator string to random dense states."""
-    if region_a is None:
-        region_a = (0, n // 2 - 1)
-    if region_b is None:
-        region_b = (n // 4, 3 * n // 4 - 1)
-    sites_a = _interval_sites(region_a[0], region_a[1], n)
-    sites_b = _interval_sites(region_b[0], region_b[1], n)
-    rng = np.random.default_rng(seed)
+    """Brute-force oracle for `spt_invariant`, on the same regions: apply
+    the commutator string to three random dense states, which must each
+    return with one common phase."""
+    region_a, region_b = _invariant_regions(n)
+    sites_a = _interval_sites(*region_a, n)
+    sites_b = _interval_sites(*region_b, n)
+    rng = np.random.default_rng(1234)
     entries: dict[tuple[str, str], complex] = {}
     elements = symmetry.zero_form_elements()
     for label_g, pauli_g in elements:
@@ -473,7 +492,7 @@ def spt_invariant_dense(
         for label_h, pauli_h in elements:
             trunc_b = pauli_h.restrict(sites_b)
             values = []
-            for _ in range(trials):
+            for _ in range(3):
                 amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
                 amps /= np.linalg.norm(amps)
                 psi = dn.DenseState(2, n, amps)
@@ -494,7 +513,7 @@ def spt_invariant_dense(
             if max(abs(v - values[0]) for v in values) > 1e-9:
                 raise RegionTooSmallError("dense phases disagree across trial states")
             entries[(label_g, label_h)] = values[0]
-    return InvariantTable(region_a, region_b, [l for l, _ in elements], entries)
+    return InvariantTable(region_a, region_b, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,12 @@ def test_catalyze_pass_exit_zero(tmp_path):
     assert all(g["symmetric"] for g in report["results"]["gate_audits"])
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert run_cli(["catalyze", "--model", "bogus", "--catalyst", "ghz"]) == 2
     assert run_cli(["catalyze", "--model", "cluster-1d", "--catalyst", "nope"]) == 2
+    err = capsys.readouterr().err
+    for kind in ("ghz", "ghz-one-sublattice", "superposition", "gapless", "swssb", "group-average"):
+        assert repr(kind) in err
     assert run_cli(["invariant", "--model", "cluster-1d", "--n", "8"]) == 2
     assert run_cli(["bogus-command"]) == 2
     assert (

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ def test_coboundaries_are_cocycles():
     for _ in range(50):
         lam = random_cochain(rng, Z2, 1, 2)
         assert is_cocycle(coboundary(lam))
+
+
+@pytest.mark.parametrize("factors", [(2, 2), (2, 4), (2, 6), (3, 6), (2, 3)])
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0)])
+def test_bilinear_cocycle_is_a_cocycle(factors, i, j):
+    # Unequal factors need the 1/gcd(f_i, f_j) scale for the phase to
+    # depend only on the residues mod f_i and f_j.
+    nu = bilinear_cocycle(FiniteAbelianGroup(factors), i, j)
+    assert nu.modulus == math.lcm(*factors)
+    assert is_cocycle(nu)
 
 
 def test_perturbed_cocycle_is_not_closed():
@@ -175,9 +186,10 @@ def test_normalize_h2_z2_representative():
         assert out.table[((0,), g, g)] == 0
     assert is_cocycle(out)
     # cohomologous to the input: the difference class is trivial
-    scale = out.modulus // nu.modulus if out.modulus >= nu.modulus else 1
-    lifted = nu.scaled(out.modulus // nu.modulus, out.modulus)
-    diff = lifted.sub(out)
+    lift = out.modulus // nu.modulus
+    diff = Cochain.from_function(
+        Z2, 2, out.modulus, lambda *t: lift * nu.table[t] - out.table[t]
+    )
     assert class_order(diff) == 1
 
 

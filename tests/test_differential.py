@@ -398,6 +398,54 @@ def test_cached_basis_matches_fresh_elimination(n, seed):
 
 
 # ---------------------------------------------------------------------------
+# same_state by membership against canonical-form equality
+# ---------------------------------------------------------------------------
+
+
+def reference_same_state(a, b):
+    """Equal canonical generators: the canonical form is unique per signed
+    group."""
+    return a.n == b.n and fresh_canonical(a) == fresh_canonical(b)
+
+
+def regenerated(rng, state):
+    """Another generating set of the same signed group: generator j times a
+    random product of those before it, in shuffled order."""
+    gens = [product_of(state, (1 << j) | int(rng.integers(0, 1 << j))) for j in range(state.k)]
+    return [gens[i] for i in rng.permutation(state.k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    mixed=st.booleans(),
+    change=st.sampled_from(("none", "sign-flip", "dropped", "unrelated")),
+    seed=SEEDS,
+)
+def test_same_state_by_membership_matches_canonical_form(n, mixed, change, seed):
+    rng = np.random.default_rng(seed)
+    if mixed:
+        state = random_mixture(rng, n)
+    else:
+        state = StabilizerMixture.zero_state(n).apply_circuit(random_circuit(rng, n, 3 * n))
+    gens = regenerated(rng, state)
+    if change == "unrelated":
+        other = random_mixture(rng, n)
+    else:
+        if gens and change == "sign-flip":
+            gens[0] = gens[0].negate()
+        elif gens and change == "dropped":
+            gens.pop(int(rng.integers(len(gens))))
+        other = StabilizerMixture.from_generators(n, gens)
+    for a, b in ((state, other), (other, state)):
+        assert a.same_state(b) == reference_same_state(a, b)
+    if change == "none":
+        assert state.same_state(other)
+    elif change != "unrelated" and state.k:
+        assert not state.same_state(other)
+
+
+# ---------------------------------------------------------------------------
 # int-level mixture arithmetic against Pauli-object products
 # ---------------------------------------------------------------------------
 

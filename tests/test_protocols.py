@@ -100,16 +100,6 @@ def test_ancilla_pipeline_cluster_ghz():
     assert final.same_state(bundle.target.tensor(ghz.stab))
 
 
-def test_ancilla_pipeline_with_unmake():
-    n = 8
-    bundle = build_model("cluster-1d", n=n)
-    ghz = build_catalyst(bundle, "ghz")
-    schedule = catalyzed_pipeline(bundle, ghz, "ancilla", unmake=True)
-    assert schedule.total_depth == 2 * (n - 1) + 2
-    final, _ = execute_schedule(schedule)
-    assert final.same_state(bundle.target.tensor(bundle.trivial))
-
-
 def test_four_step_pipeline():
     n = 8
     bundle = build_model("cluster-1d", n=n)
@@ -254,10 +244,8 @@ def test_identity_entangler_pipeline_acts_trivially_on_system():
         n=n,
         symmetry=base.symmetry,
         entangler=CliffordCircuit(n, ()),
-        entangler_label="identity",
         trivial=trivial,
         target=trivial,
-        catalyst_kinds=(),
     )
     ghz = build_catalyst(base, "ghz")
     schedule = catalyzed_pipeline(bundle, ghz, "ancilla")

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catalab
 from catalab.pauli import PauliOperator
 from catalab.stabilizer import (
     CliffordCircuit,
@@ -277,6 +282,24 @@ def test_validation_rejects_bad_groups():
         StabilizerMixture.from_generators(
             n, (PauliOperator.x_at(n, 0), PauliOperator.x_at(n, 0))
         )
+
+
+def test_evolution_validates_under_python_O():
+    # A wrong conjugation-table entry (X_0 -> Z_1 under H_0) makes |+>|+>
+    # evolve to generators that anticommute.  The check is a raise, not an
+    # assert, so it holds with asserts stripped too.
+    code = (
+        "from catalab.stabilizer import StabilizerMixture, h_gate\n"
+        "gate = h_gate(2, 0)\n"
+        "gate._table[(1, 0)] = (0, 0b10, 0)\n"
+        "StabilizerMixture.plus_state(2).apply_gate(gate)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "ValueError" in proc.stderr and "anticommute" in proc.stderr
 
 
 def test_purification_consistency():

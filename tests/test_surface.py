@@ -4,11 +4,17 @@ An `ast` walk over `src/catalab` collects each top-level function, class,
 method and module constant, and requires its name to be read somewhere in
 `src/` (as a name, an attribute or an import) apart from where it is
 defined.  Code that only tests use does not belong in `src/`.
+
+Two more walks close what a name match cannot see: every annotated field
+of a class must be read as an attribute, and every parameter with a
+default must be passed at some call of a function of that name.  A field
+nothing reads and an option nothing sets are dead weight in the same way.
 """
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Optional
 
 import catalab
 
@@ -22,6 +28,13 @@ EXEMPT = {
     "z_gate": "Pauli member of the named gate set next to h, s, cz, cnot and swap",
     "to_json": "JSON form of states and cochains, the entry point for round trips",
     "from_json_dict": "inverse of `to_json_dict`, the other half of the round trip",
+}
+
+# Defaulted parameters that no call in the package passes, each with its reason.
+OPTION_EXEMPT = {
+    "main(argv)": "the console script calls `main()`; tests and benchmarks pass argv",
+    "build_hamiltonian(alpha)": "public in `catalab.__all__`; its `interpolated` "
+    "kind needs alpha, and tests check that kind against the entangler",
 }
 
 
@@ -57,13 +70,18 @@ def _uses(tree: ast.Module) -> tuple[set[str], set[str]]:
     return names, attrs
 
 
+def _trees() -> dict[Path, ast.Module]:
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert trees, f"no modules under {SRC}"
+    return trees
+
+
 def unused_definitions() -> list[str]:
     """`module:name` for each definition that nothing in the package reads.
     A method counts as read only through an attribute (`x.name`); a
     top-level definition through a name, an import or an attribute
     (`module.name`)."""
-    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert trees, f"no modules under {SRC}"
+    trees = _trees()
     names: set[str] = set()
     attrs: set[str] = set()
     for tree in trees.values():
@@ -79,8 +97,95 @@ def unused_definitions() -> list[str]:
     return unused
 
 
+def unread_fields() -> list[str]:
+    """`module:Class.field` for each annotated field of a top-level class
+    that nothing in the package reads as an attribute."""
+    trees = _trees()
+    attrs: set[str] = set()
+    for tree in trees.values():
+        attrs |= _uses(tree)[1]
+    return [
+        f"{path.name}:{node.name}.{item.target.id}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and item.target.id not in attrs
+    ]
+
+
+def _defaulted_parameters(node: ast.AST, cls: Optional[ast.ClassDef] = None):
+    """(callee name, parameter, call position or None) for every parameter
+    with a default, in every function below `node`.  The position counts the
+    arguments a call writes, so a method's `self` or `cls` is left out; a
+    class's `__init__` is called by the class name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(child, child)
+        elif isinstance(child, ast.FunctionDef):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+            )
+            bound = 1 if cls is not None and not static else 0
+            name = cls.name if cls is not None and child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield name, arg.arg, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+            yield from _defaulted_parameters(child)
+        else:
+            yield from _defaulted_parameters(child, cls)
+
+
+def _passes(call: ast.Call, param: str, position: Optional[int]) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_options() -> list[str]:
+    """`module:function(parameter)` for each parameter with a default that
+    no call in the package passes.  Calls match by the callee's bare name or
+    attribute name; a call with `*args` or `**kwargs` passes everything."""
+    trees = _trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls.setdefault(func.attr, []).append(node)
+    unset = []
+    for path, tree in trees.items():
+        for name, param, position in _defaulted_parameters(tree):
+            key = f"{name}({param})"
+            if key not in OPTION_EXEMPT and not any(
+                _passes(call, param, position) for call in calls.get(name, ())
+            ):
+                unset.append(f"{path.name}:{key}")
+    return unset
+
+
 def test_every_definition_has_a_caller():
     assert unused_definitions() == []
+
+
+def test_every_field_has_a_reader():
+    assert unread_fields() == []
+
+
+def test_every_option_has_a_setter():
+    assert unset_options() == []
 
 
 def test_exemptions_are_still_defined():
@@ -92,3 +197,9 @@ def test_exemptions_are_still_defined():
         for name, _ in _definitions(ast.parse(path.read_text()))
     }
     assert set(EXEMPT) <= defined
+    options = {
+        f"{name}({param})"
+        for tree in _trees().values()
+        for name, param, _ in _defaulted_parameters(tree)
+    }
+    assert set(OPTION_EXEMPT) <= options

@@ -10,6 +10,7 @@ from catalab.dense import (
     apply_pauli,
     apply_site_permutation,
     overlap,
+    stabilizer_to_dense,
 )
 from catalab.models import Catalyst, build_catalyst, build_model
 from catalab.pauli import PauliOperator
@@ -158,10 +159,11 @@ def test_doubled_gate_supports_are_local():
     n = 8
     bundle = build_model("cluster-1d", n=n)
     doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
-    assert doubled.max_gate_support <= 2 * (2 * doubled.spread + 1)
+    spread = qca_spread(bundle.entangler, n, bundle.lattice)
+    assert doubled.max_gate_support <= 2 * (2 * spread + 1)
     for gate in doubled.v_gates:
         a_sites = [s for s in gate.support if s < n]
-        assert len(a_sites) <= 2 * doubled.spread + 1
+        assert len(a_sites) <= 2 * spread + 1
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +220,8 @@ def test_catalysis_swssb_mixed_branch():
 
 
 def test_catalysis_fake_catalyst_fails():
+    # A Z-basis product state is not x-all symmetric, so the verifier
+    # rejects it before it runs the doubled circuit.
     bundle = build_model("lsm-dimer", n=8)
     n = 8
     gens = tuple(
@@ -229,9 +233,50 @@ def test_catalysis_fake_catalyst_fails():
         mixed=False,
         stab=StabilizerMixture.from_generators(n, gens),
     )
-    report = verify_catalysis(bundle, fake)
-    assert not report.passed
-    assert report.state_match == "mismatch"
+    with pytest.raises(ValueError, match="fake-pattern is not symmetric under x-all$"):
+        verify_catalysis(bundle, fake)
+
+
+# A state that breaks a symmetry outright is no catalyst, even when the
+# doubled circuit returns it unchanged: each is rejected, naming the first
+# generator it fails.
+ASYMMETRIC = [
+    pytest.param("lsm-dimer", {"n": 8}, "zero", "x-all", id="lsm-dimer-zero"),
+    pytest.param("cluster-1d", {"n": 8}, "zero", "x-even", id="cluster-1d-zero"),
+    pytest.param("lieb-2d", {"lx": 2, "ly": 2}, "zero", "x-vertices", id="lieb-2d-zero"),
+    pytest.param("square-sspt", {"l": 3}, "zero", "line-d0", id="square-sspt-zero"),
+    pytest.param("lsm-dimer", {"n": 8}, "plus", "z-all", id="lsm-dimer-plus"),
+]
+
+
+@pytest.mark.parametrize("model, params, state, generator", ASYMMETRIC)
+@pytest.mark.parametrize("engine", ["stabilizer", "dense"])
+def test_asymmetric_catalyst_is_rejected(model, params, state, generator, engine):
+    bundle = build_model(model, **params)
+    n = bundle.n
+    stab = StabilizerMixture.zero_state(n) if state == "zero" else StabilizerMixture.plus_state(n)
+    fake = Catalyst(name=state, engine="stabilizer", mixed=False, stab=stab)
+    if engine == "dense":
+        fake = replace(fake, engine="dense", stab=None, dense_state=stabilizer_to_dense(stab))
+    with pytest.raises(ValueError, match=f"{state} is not symmetric under {generator}$"):
+        verify_catalysis(bundle, fake)
+
+
+def test_toric_code_needs_its_broken_loops_named():
+    bundle = build_model("lieb-2d", lx=2, ly=2)
+    toric = build_catalyst(bundle, "toric-code")
+    assert verify_catalysis(bundle, toric).passed
+    with pytest.raises(ValueError, match="toric-code is not symmetric under loop-wind-h$"):
+        verify_catalysis(bundle, replace(toric, broken=()))
+
+
+def test_asymmetric_qudit_catalyst_is_rejected():
+    bundle = build_model("cocycle-z2z2", sites=4)
+    fake = Catalyst(
+        name="zero", engine="dense", mixed=False, dense_state=DenseState.computational(4, 4)
+    )
+    with pytest.raises(ValueError, match=r"zero is not symmetric under \(0, 1\)$"):
+        verify_catalysis(bundle, fake)
 
 
 # Every Clifford model at the criterion-1 sizes with its own trivial state as
@@ -344,10 +389,12 @@ def test_invariant_bilinearity():
 
 
 def test_invariant_region_too_small():
-    n = 12
+    # At n=4 the regions A = [0, 2) and B = [1, 3) touch: their boundaries
+    # are closer than the spread-1 entangler reaches.
+    n = 4
     bundle = build_model("cluster-1d", n=n)
     with pytest.raises(RegionTooSmallError):
-        spt_invariant(bundle.entangler, bundle.symmetry, n, (0, 5), (5, 6))
+        spt_invariant(bundle.entangler, bundle.symmetry, n)
 
 
 # ---------------------------------------------------------------------------
