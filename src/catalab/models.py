@@ -1,9 +1,10 @@
 """Registry of lattices, symmetries, entanglers, targets, and catalysts.
 
 Every bundle is checked at build time: the entangler commutes with each
-symmetry generator as a whole, and the target state is reproduced from the
-trivial state.  Every catalyst is checked for its declared symmetry pattern
-and for entangler invariance before it is handed to the verifier.
+symmetry generator as a whole, and maps the trivial state onto a target
+written without it (the CZ models' graph states, from their stabilizers).
+Every catalyst is checked for its declared symmetry pattern and for
+entangler invariance before it is handed to the verifier.
 """
 from __future__ import annotations
 
@@ -228,9 +229,6 @@ class SymmetryRep:
                 return g
         raise KeyError(name)
 
-    def names(self) -> list[str]:
-        return [g.name for g in self.generators]
-
     def zero_form(self) -> list[SymmetryGenerator]:
         return [g for g in self.generators if g.form == "0-form"]
 
@@ -283,12 +281,14 @@ class QuditSymmetry:
 
 @dataclass
 class Catalyst:
+    """Strongly symmetric under every generator of its bundle's symmetry
+    except those it names: weakly under `weak_under`, not under `broken`."""
+
     name: str
     engine: str  # "stabilizer" | "dense"
     mixed: bool
     stab: Optional[StabilizerMixture] = None
     dense_state: Optional[dn.DenseState] = None
-    strong_under: tuple[str, ...] = ()
     weak_under: tuple[str, ...] = ()
     broken: tuple[str, ...] = ()
     prep_recipe: Optional[str] = None
@@ -298,7 +298,6 @@ class Catalyst:
 class ModelBundle:
     name: str
     lattice: Lattice
-    n: int
     symmetry: SymmetryRep
     entangler: Union[CliffordCircuit, PermutationQca, CocycleCircuit]
     trivial: Optional[StabilizerMixture]
@@ -306,6 +305,10 @@ class ModelBundle:
     qudit_symmetry: Optional[QuditSymmetry] = None
     trivial_dense_builder: Optional[Callable[[], dn.DenseState]] = None
     target_dense_builder: Optional[Callable[[], dn.DenseState]] = None
+
+    @property
+    def n(self) -> int:
+        return self.lattice.n
 
     @property
     def is_clifford(self) -> bool:
@@ -329,23 +332,14 @@ REGISTRY_KEYS = ("lsm-dimer", "cluster-1d", "lieb-2d", "square-sspt", "cocycle-z
 
 
 @lru_cache(maxsize=16)
-def cz_ring_circuit(n: int) -> CliffordCircuit:
-    """Ring of CZ gates; cached, so repeated callers share one frozen circuit
+def cz_circuit(n: int, edges: tuple[tuple[int, int], ...]) -> CliffordCircuit:
+    """One CZ per edge; cached, so repeated callers share one frozen circuit
     and the conjugation tables its gates fill."""
-    return pack_gates_into_layers(n, [cz_gate(n, i, (i + 1) % n) for i in range(n)])
+    return pack_gates_into_layers(n, [cz_gate(n, a, b) for a, b in edges])
 
 
-def lieb_entangler_circuit(lat: LiebLattice) -> CliffordCircuit:
-    gates = []
-    for e in lat.edges():
-        for v in lat.edge_endpoints(e):
-            gates.append(cz_gate(lat.n, e, v))
-    return pack_gates_into_layers(lat.n, gates)
-
-
-def square_entangler_circuit(lat: SquareLattice) -> CliffordCircuit:
-    gates = [cz_gate(lat.n, a, b) for a, b in lat.edge_pairs()]
-    return pack_gates_into_layers(lat.n, gates)
+def cz_ring_circuit(n: int) -> CliffordCircuit:
+    return cz_circuit(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def ghz_generators(n: int, sites: Sequence[int]) -> list[PauliOperator]:
@@ -358,6 +352,30 @@ def ghz_generators(n: int, sites: Sequence[int]) -> list[PauliOperator]:
 
 
 # -- model builders ----------------------------------------------------------
+
+
+def _graph_bundle(
+    name: str, lattice: Lattice, symmetry: SymmetryRep, edges: Sequence[tuple[int, int]]
+) -> ModelBundle:
+    """CZ entangler on the edges, |+>^n, and the graph state as target,
+    written from its stabilizers X_v prod_{u~v} Z_u (an edge listed twice
+    cancels, as its two CZs do)."""
+    n = lattice.n
+    z_mask = [0] * n
+    for a, b in edges:
+        z_mask[a] ^= 1 << b
+        z_mask[b] ^= 1 << a
+    target = StabilizerMixture.from_generators(
+        n, [PauliOperator(n, 1 << v, z_mask[v]) for v in range(n)]
+    )
+    return ModelBundle(
+        name=name,
+        lattice=lattice,
+        symmetry=symmetry,
+        entangler=cz_circuit(n, tuple(edges)),
+        trivial=StabilizerMixture.plus_state(n),
+        target=target,
+    )
 
 
 def _build_lsm_dimer(n: int) -> ModelBundle:
@@ -384,7 +402,6 @@ def _build_lsm_dimer(n: int) -> ModelBundle:
     return ModelBundle(
         name="lsm-dimer",
         lattice=lat,
-        n=n,
         symmetry=sym,
         entangler=entangler,
         trivial=trivial,
@@ -403,18 +420,7 @@ def _build_cluster_1d(n: int) -> ModelBundle:
             SymmetryGenerator("x-odd", PauliOperator.x_at(n, *range(1, n, 2)), "0-form"),
         ),
     )
-    trivial = StabilizerMixture.plus_state(n)
-    circuit = cz_ring_circuit(n)
-    target = trivial.apply_circuit(circuit)
-    return ModelBundle(
-        name="cluster-1d",
-        lattice=lat,
-        n=n,
-        symmetry=sym,
-        entangler=circuit,
-        trivial=trivial,
-        target=target,
-    )
+    return _graph_bundle("cluster-1d", lat, sym, [(i, (i + 1) % n) for i in range(n)])
 
 
 def _build_lieb_2d(lx: int, ly: int) -> ModelBundle:
@@ -433,19 +439,8 @@ def _build_lieb_2d(lx: int, ly: int) -> ModelBundle:
         gens.append(
             SymmetryGenerator(f"loop-{tag}", PauliOperator.x_at(n, *loop), "1-form")
         )
-    sym = SymmetryRep(n, tuple(gens))
-    trivial = StabilizerMixture.plus_state(n)
-    circuit = lieb_entangler_circuit(lat)
-    target = trivial.apply_circuit(circuit)
-    return ModelBundle(
-        name="lieb-2d",
-        lattice=lat,
-        n=n,
-        symmetry=sym,
-        entangler=circuit,
-        trivial=trivial,
-        target=target,
-    )
+    edges = [(e, v) for e in lat.edges() for v in lat.edge_endpoints(e)]
+    return _graph_bundle("lieb-2d", lat, SymmetryRep(n, tuple(gens)), edges)
 
 
 def _build_square_sspt(l: int) -> ModelBundle:
@@ -465,19 +460,7 @@ def _build_square_sspt(l: int) -> ModelBundle:
                 f"line-a{c}", PauliOperator.x_at(n, *lat.diagonal_line(c, -1)), "line"
             )
         )
-    sym = SymmetryRep(n, tuple(gens))
-    trivial = StabilizerMixture.plus_state(n)
-    circuit = square_entangler_circuit(lat)
-    target = trivial.apply_circuit(circuit)
-    return ModelBundle(
-        name="square-sspt",
-        lattice=lat,
-        n=n,
-        symmetry=sym,
-        entangler=circuit,
-        trivial=trivial,
-        target=target,
-    )
+    return _graph_bundle("square-sspt", lat, SymmetryRep(n, tuple(gens)), lat.edge_pairs())
 
 
 def _build_cocycle_z2z2(sites: int) -> ModelBundle:
@@ -498,7 +481,6 @@ def _build_cocycle_z2z2(sites: int) -> ModelBundle:
     return ModelBundle(
         name="cocycle-z2z2",
         lattice=RingLattice(sites),
-        n=sites,
         symmetry=sym,
         entangler=circuit,
         trivial=None,
@@ -571,14 +553,14 @@ def _check_bundle(bundle: ModelBundle) -> None:
 
 def _verify_catalyst_stab(bundle: ModelBundle, cat: Catalyst) -> None:
     state = cat.stab
-    for name in cat.strong_under:
-        gen = bundle.symmetry.by_name(name)
-        if state.membership_sign(gen.pauli) != 1:
-            raise AssertionError(f"catalyst {cat.name} is not strongly {name}-symmetric")
-    for name in cat.weak_under:
-        gen = bundle.symmetry.by_name(name)
-        if any(gen.pauli.symplectic_product(g) for g in state.generators):
-            raise AssertionError(f"catalyst {cat.name} is not weakly {name}-symmetric")
+    for gen in bundle.symmetry.generators:
+        if gen.name in cat.broken:
+            continue
+        if gen.name in cat.weak_under:
+            if any(gen.pauli.symplectic_product(g) for g in state.generators):
+                raise AssertionError(f"catalyst {cat.name} is not weakly {gen.name}-symmetric")
+        elif state.membership_sign(gen.pauli) != 1:
+            raise AssertionError(f"catalyst {cat.name} is not strongly {gen.name}-symmetric")
     if not is_invariant(state, bundle.entangler):
         raise AssertionError(f"catalyst {cat.name} is not entangler-invariant")
 
@@ -593,23 +575,29 @@ def _verify_catalyst_dense(bundle: ModelBundle, cat: Catalyst) -> None:
                 raise AssertionError(f"catalyst {cat.name} is not symmetric under {g}")
         evolved = bundle.entangler.apply(state)
     else:
-        for name in cat.strong_under:
-            gen = bundle.symmetry.by_name(name)
+        for gen in bundle.symmetry.generators:
+            if gen.name in cat.weak_under or gen.name in cat.broken:
+                continue
             moved = dn.apply_pauli(state, gen.pauli)
             if abs(complex(np.vdot(state.amps, moved.amps)) - 1) > 1e-9:
-                raise AssertionError(f"catalyst {cat.name} is not symmetric under {name}")
+                raise AssertionError(f"catalyst {cat.name} is not symmetric under {gen.name}")
         evolved = dn.qca_dense_action(bundle.entangler)(state)
     if abs(abs(complex(np.vdot(state.amps, evolved.amps))) - 1) > 1e-9:
         raise AssertionError(f"catalyst {cat.name} is not entangler-invariant")
+
+
+def catalyst_kinds(model: str) -> tuple[str, ...]:
+    """The model's catalyst keys, in registry order."""
+    return tuple(k for m, k in _CATALYST_BUILDERS if m == model)
 
 
 def build_catalyst(bundle: ModelBundle, kind: str) -> Catalyst:
     """Construct a named catalyst for the bundle and verify it before return."""
     builder = _CATALYST_BUILDERS.get((bundle.name, kind))
     if builder is None:
-        known = tuple(k for model, k in _CATALYST_BUILDERS if model == bundle.name)
         raise RegistryError(
-            f"no catalyst {kind!r} for model {bundle.name!r}; known: {known}"
+            f"no catalyst {kind!r} for model {bundle.name!r}; "
+            f"known: {catalyst_kinds(bundle.name)}"
         )
     cat = builder(bundle)
     if cat.engine == "stabilizer":
@@ -632,8 +620,6 @@ def _lsm_ghz(bundle: ModelBundle) -> Catalyst:
         engine="stabilizer",
         mixed=False,
         stab=state,
-        strong_under=("x-all", "z-all"),
-        prep_recipe=None,
     )
 
 
@@ -650,7 +636,6 @@ def _lsm_long_range_bell(bundle: ModelBundle) -> Catalyst:
         engine="stabilizer",
         mixed=False,
         stab=state,
-        strong_under=("x-all", "z-all"),
         prep_recipe="lr-bell-swap",
     )
 
@@ -661,13 +646,11 @@ def _superposition_catalyst(bundle: ModelBundle) -> Catalyst:
     targ = bundle.target_dense()
     amps = triv.amps + targ.amps
     state = dn.DenseState.from_amplitudes(triv.q, triv.sites, amps)
-    strong = tuple(bundle.symmetry.names()) if bundle.qudit_symmetry is None else ()
     return Catalyst(
         name="superposition",
         engine="dense",
         mixed=False,
         dense_state=state,
-        strong_under=strong,
     )
 
 
@@ -687,14 +670,12 @@ def _gapless_catalyst(bundle: ModelBundle) -> Catalyst:
         bundle.n,
         vec,
     )
-    strong = tuple(bundle.symmetry.names()) if bundle.qudit_symmetry is None else ()
-    # The ground state must carry eigenvalue +1, not just map to itself.
+    # Strong by default: eigenvalue +1 under each generator, not just a phase.
     return Catalyst(
         name="gapless",
         engine="dense",
         mixed=False,
         dense_state=state,
-        strong_under=strong,
     )
 
 
@@ -709,7 +690,6 @@ def _cluster_ghz(bundle: ModelBundle) -> Catalyst:
         engine="stabilizer",
         mixed=False,
         stab=state,
-        strong_under=("x-even", "x-odd"),
         prep_recipe="ghz-staircase",
     )
 
@@ -724,7 +704,6 @@ def _cluster_ghz_one_sublattice(bundle: ModelBundle) -> Catalyst:
         engine="stabilizer",
         mixed=False,
         stab=state,
-        strong_under=("x-even", "x-odd"),
         prep_recipe="ghz-staircase-even",
     )
 
@@ -745,7 +724,6 @@ def _cluster_swssb(bundle: ModelBundle) -> Catalyst:
         engine="stabilizer",
         mixed=True,
         stab=state,
-        strong_under=("x-even", "x-odd"),
         prep_recipe="measure-zz",
     )
 
@@ -761,7 +739,6 @@ def _group_average_catalyst(bundle: ModelBundle) -> Catalyst:
         engine="stabilizer",
         mixed=True,
         stab=state,
-        strong_under=tuple(bundle.symmetry.names()),
     )
 
 
@@ -777,7 +754,6 @@ def _lieb_ghz_vertices(bundle: ModelBundle) -> Catalyst:
         engine="stabilizer",
         mixed=False,
         stab=state,
-        strong_under=tuple(bundle.symmetry.names()),
     )
 
 
@@ -792,13 +768,11 @@ def _lieb_toric_code(bundle: ModelBundle) -> Catalyst:
     state = StabilizerMixture.from_generators(n, gens)
     for edges in lat.plaquettes():
         state = state.project(PauliOperator.x_at(n, *edges), 1)
-    strong = ["x-vertices"] + [f"loop-f{i}" for i in range(len(lat.plaquettes()))]
     return Catalyst(
         name="toric-code",
         engine="stabilizer",
         mixed=False,
         stab=state,
-        strong_under=tuple(strong),
         broken=("loop-wind-h", "loop-wind-v"),
     )
 
@@ -810,13 +784,11 @@ def _lieb_mixed(bundle: ModelBundle) -> Catalyst:
     gens = [PauliOperator.x_at(n, *lat.vertices())]
     gens += [PauliOperator.x_at(n, *edges) for edges in lat.plaquettes()]
     state = StabilizerMixture.from_generators(n, _independent_subset(n, gens))
-    strong = ["x-vertices"] + [f"loop-f{i}" for i in range(len(lat.plaquettes()))]
     return Catalyst(
         name="lieb-mixed",
         engine="stabilizer",
         mixed=True,
         stab=state,
-        strong_under=tuple(strong),
         weak_under=("loop-wind-h", "loop-wind-v"),
     )
 
@@ -833,7 +805,6 @@ def _square_pim_symmetric(bundle: ModelBundle) -> Catalyst:
         engine="stabilizer",
         mixed=not state.is_pure,
         stab=state,
-        strong_under=tuple(bundle.symmetry.names()),
     )
 
 
@@ -919,14 +890,7 @@ def build_hamiltonian(
 
 
 def _trivial_terms(bundle: ModelBundle) -> list[tuple[float, PauliOperator]]:
-    n = bundle.n
-    if bundle.name == "lsm-dimer":
-        terms = []
-        for i in range(0, n, 2):
-            terms.append((-1.0, PauliOperator.x_at(n, i, (i + 1) % n)))
-            terms.append((-1.0, PauliOperator.z_at(n, i, (i + 1) % n)))
-        return terms
-    return [(-1.0, PauliOperator.x_at(n, i)) for i in range(n)]
+    return [(-1.0, g) for g in bundle.trivial.generators]
 
 
 def _cocycle_hamiltonian(bundle, kind, alpha) -> dn.DenseOperator:

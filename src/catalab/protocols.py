@@ -283,6 +283,8 @@ def catalyzed_pipeline(
 
     ancilla mode: make the catalyst on register B (depth tau), then run the
     doubled circuit (depth 2), which hands the catalyst back unchanged.
+    measurement mode: measure ZZ pairs on register B, prepared in |+>^n,
+    then run the same doubled circuit.
     four-step mode: a single register, the catalyst maker followed by its
     entangler-conjugated inverse (total depth 2 tau).
     """
@@ -290,35 +292,6 @@ def catalyzed_pipeline(
         raise RecipeError("pipelines are realized for Clifford bundles and "
                           "stabilizer catalysts")
     n = bundle.n
-    if mode == "ancilla":
-        n_total = 2 * n
-        prep, long_range = _prep_circuit_for(bundle, catalyst, n_total, offset=n)
-        doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
-        stages = [
-            Stage(
-                kind="circuit",
-                label=f"make-{catalyst.name}-on-ancilla",
-                depth=prep.depth,
-                long_range=long_range,
-                circuit=prep,
-            ),
-            Stage(
-                kind="circuit",
-                label="doubled-entangler",
-                depth=doubled.logical_depth,
-                circuit=doubled.as_circuit(),
-            ),
-        ]
-        initial = bundle.trivial.tensor(bundle.trivial)
-        return PreparationSchedule(
-            model=bundle.name,
-            catalyst=catalyst.name,
-            mode=mode,
-            n_total=n_total,
-            initial_state=initial,
-            stages=stages,
-            ancilla_offset=n,
-        )
     if mode == "four-step":
         prep, long_range = _prep_circuit_for(bundle, catalyst, n, offset=0)
         conjugated, logical_depth = _conjugate_circuit_by_qca(
@@ -349,39 +322,47 @@ def catalyzed_pipeline(
             stages=stages,
             ancilla_offset=None,
         )
-    if mode == "measurement":
+    n_total = 2 * n
+    if mode == "ancilla":
+        prep, long_range = _prep_circuit_for(bundle, catalyst, n_total, offset=n)
+        first = Stage(
+            kind="circuit",
+            label=f"make-{catalyst.name}-on-ancilla",
+            depth=prep.depth,
+            long_range=long_range,
+            circuit=prep,
+        )
+        initial = bundle.trivial.tensor(bundle.trivial)
+    elif mode == "measurement":
         if catalyst.prep_recipe != "measure-zz":
             raise RecipeError("measurement mode applies to the measured mixture catalyst")
-        n_total = 2 * n
-        doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
-        measurements = tuple(
-            PauliOperator.z_at(n_total, n + i, n + (i + 2) % n) for i in range(n)
+        first = Stage(
+            kind="measurement",
+            label="measure-ancilla-zz",
+            depth=1,
+            measurements=tuple(
+                PauliOperator.z_at(n_total, n + i, n + (i + 2) % n) for i in range(n)
+            ),
         )
-        stages = [
-            Stage(
-                kind="measurement",
-                label="measure-ancilla-zz",
-                depth=1,
-                measurements=measurements,
-            ),
-            Stage(
-                kind="circuit",
-                label="doubled-entangler",
-                depth=doubled.logical_depth,
-                circuit=doubled.as_circuit(),
-            ),
-        ]
         initial = bundle.trivial.tensor(StabilizerMixture.plus_state(n))
-        return PreparationSchedule(
-            model=bundle.name,
-            catalyst=catalyst.name,
-            mode=mode,
-            n_total=n_total,
-            initial_state=initial,
-            stages=stages,
-            ancilla_offset=n,
-        )
-    raise RecipeError(f"unknown pipeline mode {mode!r}")
+    else:
+        raise RecipeError(f"unknown pipeline mode {mode!r}")
+    doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
+    doubled_stage = Stage(
+        kind="circuit",
+        label="doubled-entangler",
+        depth=doubled.logical_depth,
+        circuit=doubled.as_circuit(),
+    )
+    return PreparationSchedule(
+        model=bundle.name,
+        catalyst=catalyst.name,
+        mode=mode,
+        n_total=n_total,
+        initial_state=initial,
+        stages=[first, doubled_stage],
+        ancilla_offset=n,
+    )
 
 
 def audit_schedule(schedule: PreparationSchedule, symmetry: SymmetryRep) -> bool:

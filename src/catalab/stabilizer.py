@@ -130,44 +130,17 @@ def _validate_tableau_images(n, support, images):
 
 
 def _invert_tableau_gate(gate: CliffordGate) -> CliffordGate:
-    sites = list(gate.support)
-    m = len(sites)
-    pos = {a: i for i, a in enumerate(sites)}
-
-    def to_vec(p: PauliOperator) -> int:
-        v = 0
-        for a in p.support():
-            i = pos[a]
-            if (p.x >> a) & 1:
-                v |= 1 << i
-            if (p.z >> a) & 1:
-                v |= 1 << (m + i)
-        return v
-
-    cols = []
-    for a in sites:
-        cols.append(to_vec(gate.images[a][0]))
-        cols.append(to_vec(gate.images[a][1]))
-    # Matrix with columns = image vectors; rows = 2m coordinates.
-    rows = []
-    for coord in range(2 * m):
-        r = 0
-        for c, vec in enumerate(cols):
-            if (vec >> coord) & 1:
-                r |= 1 << c
-        rows.append(r)
-    fmat = BitMatrix(rows, 2 * m)
+    """Images of the inverse by symplectic duality: g preserves the symplectic
+    product, so the preimage Q of P has x bit <P, g Z_b g^dagger> and z bit
+    <P, g X_b g^dagger> at each support site b; one forward conjugation then
+    fixes the sign."""
 
     def preimage(target: PauliOperator) -> PauliOperator:
-        combo = fmat.solve_mask(to_vec(target))
-        if combo is None:
-            raise ValueError("tableau gate is not invertible")
         x = z = 0
-        for i, a in enumerate(sites):
-            if (combo >> (2 * i)) & 1:
-                x |= 1 << a
-            if (combo >> (2 * i + 1)) & 1:
-                z |= 1 << a
+        for b in gate.support:
+            img_x, img_z = gate.images[b]
+            x |= target.symplectic_product(img_z) << b
+            z |= target.symplectic_product(img_x) << b
         cand = PauliOperator(gate.n, x, z, (x & z).bit_count() % 4)
         forward = gate.conjugate(cand)
         if forward == target:
@@ -178,7 +151,7 @@ def _invert_tableau_gate(gate: CliffordGate) -> CliffordGate:
 
     images = {
         a: (preimage(PauliOperator.x_at(gate.n, a)), preimage(PauliOperator.z_at(gate.n, a)))
-        for a in sites
+        for a in gate.support
     }
     return CliffordGate("TABLEAU", gate.n, gate.support, images)
 

@@ -6,7 +6,6 @@ import pytest
 
 from catalab.cohomology import (
     Cochain,
-    CocycleCircuit,
     FiniteAbelianGroup,
     bilinear_cocycle,
     class_order,

@@ -218,6 +218,19 @@ def test_tableau_gate_table_matches_image_product_loop(n, seed):
         assert_table_matches_loop(rng, random_named_gate(rng, n, sites))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=SEEDS)
+def test_tableau_gate_inverse_round_trips_every_support_pauli(n, seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, min(3, n) + 1))
+    sites = [int(a) for a in rng.choice(n, size=size, replace=False)]
+    gate = random_tableau_gate(rng, n, sites)
+    inv = gate.inverse()
+    for p in support_patterns(rng, gate):
+        assert inv.conjugate(gate.conjugate(p)) == p
+        assert gate.conjugate(inv.conjugate(p)) == p
+
+
 def test_equal_tableau_gates_keep_their_own_tables():
     n = 3
     a = tableau_of(n, [0, 2], [h_gate(n, 0), cnot_gate(n, 0, 2)])

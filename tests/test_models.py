@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from catalab import models
 from catalab.dense import (
     DenseState,
     apply_site_permutation,
@@ -14,9 +15,10 @@ from catalab.models import (
     build_catalyst,
     build_hamiltonian,
     build_model,
+    cz_ring_circuit,
 )
 from catalab.pauli import PauliOperator
-from catalab.stabilizer import is_invariant
+from catalab.stabilizer import is_invariant, tableau_gate, z_gate
 
 
 def test_unknown_key():
@@ -43,6 +45,38 @@ def test_cluster_bundle_target():
             * PauliOperator.z_at(n, (i + 1) % n)
         )
         assert bundle.target.membership_sign(stab) == 1
+    # The measurement protocol checks invariance under the same frozen
+    # circuit, so the gate tables it fills serve both.
+    assert bundle.entangler is cz_ring_circuit(n)
+
+
+def test_wrong_entangler_is_caught_at_build_time(monkeypatch):
+    # CZ(2,3) and CZ(4,5) each gain a Z on their first site.  Either gate
+    # alone breaks x-even, but the pair keeps it: the circuit becomes the CZ
+    # ring times Z_2 Z_4, symmetric as a whole and wrong.
+    real_cz = models.cz_gate
+
+    def cz_with_z(n, a, b):
+        gate = real_cz(n, a, b)
+        if (a, b) not in ((2, 3), (4, 5)):
+            return gate
+        z = z_gate(n, a)
+        images = {
+            s: tuple(
+                z.conjugate(gate.conjugate(p))
+                for p in (PauliOperator.x_at(n, s), PauliOperator.z_at(n, s))
+            )
+            for s in (a, b)
+        }
+        return tableau_gate(n, images)
+
+    monkeypatch.setattr(models, "cz_gate", cz_with_z)
+    models.cz_circuit.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="target state mismatch"):
+            build_model("cluster-1d", n=14)
+    finally:
+        models.cz_circuit.cache_clear()
 
 
 def test_lsm_dimer_translation_maps_trivial_to_target():

@@ -4,7 +4,6 @@ import pytest
 from catalab.models import build_catalyst, build_model
 from catalab.pauli import PauliOperator
 from catalab.protocols import (
-    MeasurementRecord,
     PreparationSchedule,
     RecipeError,
     Stage,
@@ -241,7 +240,6 @@ def test_identity_entangler_pipeline_acts_trivially_on_system():
     bundle = ModelBundle(
         name="identity-demo",
         lattice=base.lattice,
-        n=n,
         symmetry=base.symmetry,
         entangler=CliffordCircuit(n, ()),
         trivial=trivial,

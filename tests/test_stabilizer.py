@@ -25,7 +25,6 @@ from catalab.stabilizer import (
     s_gate,
     swap_gate,
     tableau_gate,
-    x_gate,
 )
 
 P = PauliOperator.from_string

@@ -9,6 +9,9 @@ Two more walks close what a name match cannot see: every annotated field
 of a class must be read as an attribute, and every parameter with a
 default must be passed at some call of a function of that name.  A field
 nothing reads and an option nothing sets are dead weight in the same way.
+
+The test modules get the same treatment for their imports: every name a
+module under `tests/` imports is read in that module.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from typing import Optional
 import catalab
 
 SRC = Path(catalab.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # Definitions that need no caller inside the package, each with its reason.
 EXEMPT = {
@@ -176,6 +180,27 @@ def unset_options() -> list[str]:
     return unset
 
 
+def unused_test_imports() -> list[str]:
+    """`module:name` for each name a test module imports but never reads.
+    `import a.b` binds `a`; `from __future__` imports bind nothing."""
+    unused = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported: list[str] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.name}:{name}" for name in imported if name not in read]
+    return unused
+
+
 def test_every_definition_has_a_caller():
     assert unused_definitions() == []
 
@@ -203,3 +228,7 @@ def test_exemptions_are_still_defined():
         for name, param, _ in _defaulted_parameters(tree)
     }
     assert set(OPTION_EXEMPT) <= options
+
+
+def test_test_modules_use_their_imports():
+    assert unused_test_imports() == []

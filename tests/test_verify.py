@@ -7,9 +7,7 @@ from catalab.acceptance import CATALYSIS_MATRIX
 from catalab.dense import (
     DenseState,
     apply_local_unitary,
-    apply_pauli,
     apply_site_permutation,
-    overlap,
     stabilizer_to_dense,
 )
 from catalab.models import Catalyst, build_catalyst, build_model
@@ -282,7 +280,7 @@ def test_asymmetric_qudit_catalyst_is_rejected():
 # Every Clifford model at the criterion-1 sizes with its own trivial state as
 # the would-be catalyst, plus the |+>^n product on cluster-1d.
 NEGATIVE_CONTROLS = [
-    pytest.param(m, p, "trivial", id=f"{m}-trivial") for m, p, _ in CATALYSIS_MATRIX
+    pytest.param(m, p, "trivial", id=f"{m}-trivial") for m, p in CATALYSIS_MATRIX
 ] + [pytest.param("cluster-1d", {"n": 8}, "plus-product", id="cluster-1d-plus-product")]
 
 
