@@ -252,6 +252,9 @@ def _measure_prep_worker(item):
 
 
 def cmd_measure_prep(args) -> int:
+    for flag, value in (("--runs", args.runs), ("--jobs", args.jobs)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     seeds = np.random.SeedSequence(args.seed).spawn(args.runs)
     items = [(i, args.n, child) for i, child in enumerate(seeds)]
     results: list[Optional[dict]] = [None] * args.runs

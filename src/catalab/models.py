@@ -16,6 +16,7 @@ import numpy as np
 
 from . import dense as dn
 from .cohomology import (
+    Cochain,
     CocycleCircuit,
     FiniteAbelianGroup,
     bilinear_cocycle,
@@ -463,12 +464,31 @@ def _build_square_sspt(l: int) -> ModelBundle:
     return _graph_bundle("square-sspt", lat, SymmetryRep(n, tuple(gens)), lat.edge_pairs())
 
 
+def _cocycle_state_amplitudes(nu: Cochain, sites: int) -> np.ndarray:
+    """The cocycle state on the ring, written from nu rather than from a
+    circuit: prod_i omega^{nu(e, g_i, g_{i+1})} / sqrt(|G|^sites), with site 0
+    the least-significant digit and digit d standing for group.element(d)."""
+    group = nu.group
+    q = group.order
+    table = np.array(
+        [[nu.table[(group.identity, group.element(a), group.element(b))] for b in range(q)]
+         for a in range(q)]
+    )
+    index = np.arange(q**sites)
+    digits = [(index // q**i) % q for i in range(sites)]
+    numerators = sum(table[digits[i], digits[(i + 1) % sites]] for i in range(sites))
+    return np.exp(2j * np.pi * numerators / nu.modulus) / np.sqrt(q**sites)
+
+
 def _build_cocycle_z2z2(sites: int) -> ModelBundle:
     if sites < 3:
         raise RegistryError("the cocycle chain needs at least 3 sites")
     group = FiniteAbelianGroup((2, 2))
     nu = normalize_cocycle(bilinear_cocycle(group, 0, 1))
     circuit = compile_cocycle_circuit(nu, ring_triangulation(sites), sites)
+    evolved = circuit.apply(dn.DenseState.uniform(group.order, sites))
+    if np.linalg.norm(evolved.amps - _cocycle_state_amplitudes(nu, sites)) > 1e-10:
+        raise AssertionError("cocycle target mismatch")
     qsym = QuditSymmetry(group, sites)
     sym = SymmetryRep(sites, ())  # qubit-string generators are not used here
 
@@ -541,9 +561,6 @@ def _check_bundle(bundle: ModelBundle) -> None:
                 after = qsym.apply(bundle.entangler.apply(state), g)
                 if np.linalg.norm(before.amps - after.amps) > 1e-10:
                     raise AssertionError("cocycle entangler is not symmetric as a whole")
-        evolved = bundle.entangler.apply(bundle.trivial_dense())
-        if abs(dn.overlap(evolved, bundle.target_dense())) < 1 - 1e-10:
-            raise AssertionError("cocycle target mismatch")
 
 
 # ---------------------------------------------------------------------------

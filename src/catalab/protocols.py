@@ -8,7 +8,9 @@ is storage, not time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -19,7 +21,6 @@ from .stabilizer import (
     CliffordCircuit,
     CliffordGate,
     StabilizerMixture,
-    is_invariant,
     pack_gates_into_layers,
     swap_gate,
     tableau_gate,
@@ -175,39 +176,132 @@ def long_range_bell_layer(n: int, n_total: int, offset: int) -> CliffordCircuit:
 def measurement_prepare_catalyst(n: int, rng: np.random.Generator) -> MeasurementRecord:
     """Measure every next-nearest-neighbor ZZ on the all-plus state.
 
-    Valid outcome patterns have unit parity on each sublattice, and the
-    post-measurement state is invariant under the ring-CZ entangler for every
-    outcome; both facts are asserted, not assumed.
+    The protocol is proven once per n, for every outcome, and then sampled
+    (see `_measurement_template`): both sublattice parities are +1, and the
+    post-measurement state is invariant under the ring-CZ entangler and
+    keeps both sublattice symmetries.  A sample draws one bit per random
+    measurement, in measurement order, and reads its outcomes and the signs
+    of the post-measurement generators off the proven template.
     """
     if n < 4 or n % 2:
         raise ValueError("needs an even ring of at least 4 qubits")
-    state = StabilizerMixture.plus_state(n)
-    outcomes = []
-    for i in range(n):
-        op = PauliOperator.z_at(n, i, (i + 2) % n)
-        outcome, state = state.measure(op, rng)
-        outcomes.append(outcome)
-    parity_even = 1
-    parity_odd = 1
-    for i in range(0, n, 2):
-        parity_even *= outcomes[i]
-    for i in range(1, n, 2):
-        parity_odd *= outcomes[i]
-    if parity_even != 1 or parity_odd != 1:
-        raise AssertionError("sublattice parity constraint violated")
-    invariant = is_invariant(state, cz_ring_circuit(n))
-    if not invariant:
-        raise AssertionError("post-measurement state is not entangler-invariant")
-    u_e = PauliOperator.x_at(n, *range(0, n, 2))
-    u_o = PauliOperator.x_at(n, *range(1, n, 2))
-    if state.membership_sign(u_e) != 1 or state.membership_sign(u_o) != 1:
-        raise AssertionError("post-measurement state lost a sublattice symmetry")
+    template = _measurement_template(n)
+    bits = 0
+    for t in template.random:
+        bits |= int(rng.integers(0, 2)) << t
+    outcomes, state = template.evaluate(bits)
     return MeasurementRecord(
-        outcomes=tuple(outcomes),
-        parity_even=parity_even,
-        parity_odd=parity_odd,
+        outcomes=outcomes,
+        parity_even=math.prod(outcomes[0::2]),
+        parity_odd=math.prod(outcomes[1::2]),
         post_state=state,
-        invariant_under_entangler=invariant,
+        invariant_under_entangler=True,
+    )
+
+
+@dataclass(frozen=True)
+class MeasurementTemplate:
+    """The measurement sequence with every sign an affine GF(2) function of
+    the random outcome bits: bit t of `bits` is the draw of random
+    measurement t, whose outcome is (-1)^bit.
+
+    A sign is held as (base, mask): the base is its value when every random
+    outcome is +1, and the sign flips once for each set bit of mask & bits.
+    `outcomes` holds (base sign bit, mask) per measurement, `generators`
+    (x, z, base phase, mask) per post-measurement generator.
+    """
+
+    n: int
+    random: tuple[int, ...]
+    outcomes: tuple[tuple[int, int], ...]
+    generators: tuple[tuple[int, int, int, int], ...]
+
+    def evaluate(self, bits: int) -> tuple[tuple[int, ...], StabilizerMixture]:
+        """The outcomes and the post-measurement state for the given bits.
+        The template validated every projection, and validity does not
+        depend on signs, so the state is built without a re-check."""
+        outcomes = tuple(
+            -1 if (base + (mask & bits).bit_count()) & 1 else 1
+            for base, mask in self.outcomes
+        )
+        gens = tuple(
+            PauliOperator(self.n, x, z, phase + 2 * (mask & bits).bit_count())
+            for x, z, phase, mask in self.generators
+        )
+        return outcomes, StabilizerMixture(self.n, gens)
+
+
+def _affine_sign(
+    state: StabilizerMixture, masks: list[int], p: PauliOperator
+) -> Optional[tuple[int, int]]:
+    """(base sign bit, mask) of p's sign in the group, or None when p is
+    outside the group up to sign: the member with p's unsigned part is a
+    product of generators, so its mask is the XOR of theirs."""
+    combo = state.combination(p.symplectic())
+    if combo is None:
+        return None
+    diff = (state._combine(combo).phase - p.phase) & 3
+    if diff & 1:
+        raise AssertionError("phase mismatch between hermitian operators")
+    mask = 0
+    for j, m in enumerate(masks):
+        if combo >> j & 1:
+            mask ^= m
+    return diff >> 1, mask
+
+
+@lru_cache(maxsize=16)
+def _measurement_template(n: int) -> MeasurementTemplate:
+    """Run the measurement sequence once, with every random outcome held as
+    +1 and a mask over outcome bits next to each generator, then prove the
+    protocol's claims for all 2^r outcomes at once.
+
+    Which measurements are random, and the unsigned post-measurement group,
+    do not depend on earlier outcomes; only signs do, and each is affine in
+    the outcome bits.  A random measurement t gives its new generator the
+    mask 1 << t; the products of `project` XOR masks; a deterministic
+    outcome's mask is the XOR of the masks of the generators it is a
+    product of.  A sign is +1 for every outcome exactly when its base is +1
+    and its mask is 0, so each claim is one exact comparison of masks.
+    """
+    state = StabilizerMixture.plus_state(n)
+    masks = [0] * n
+    random: list[int] = []
+    outcomes: list[tuple[int, int]] = []
+    for t in range(n):
+        op = PauliOperator.z_at(n, t, (t + 2) % n)
+        anti = [j for j, g in enumerate(state.generators) if g.symplectic_product(op)]
+        if not anti:
+            # The state stays pure, so an operator that commutes with every
+            # generator is in the group up to sign: a deterministic outcome.
+            outcomes.append(_affine_sign(state, masks, op))
+            continue
+        random.append(t)
+        outcomes.append((0, 1 << t))
+        for j in anti[1:]:
+            masks[j] ^= masks[anti[0]]
+        masks[anti[0]] = 1 << t
+        state = state.project(op, 1)
+        state.validate()
+    for sublattice in (outcomes[0::2], outcomes[1::2]):
+        base = mask = 0
+        for b, m in sublattice:
+            base ^= b
+            mask ^= m
+        if base or mask:
+            raise AssertionError("sublattice parity constraint violated")
+    entangler = cz_ring_circuit(n)
+    for g, m in zip(state.generators, masks):
+        if _affine_sign(state, masks, entangler.conjugate(g)) != (0, m):
+            raise AssertionError("post-measurement state is not entangler-invariant")
+    for u in (PauliOperator.x_at(n, *range(0, n, 2)), PauliOperator.x_at(n, *range(1, n, 2))):
+        if _affine_sign(state, masks, u) != (0, 0):
+            raise AssertionError("post-measurement state lost a sublattice symmetry")
+    return MeasurementTemplate(
+        n=n,
+        random=tuple(random),
+        outcomes=tuple(outcomes),
+        generators=tuple((g.x, g.z, g.phase, m) for g, m in zip(state.generators, masks)),
     )
 
 

@@ -72,24 +72,24 @@ class CliffordGate:
         if p.n != self.n:
             raise ValueError("operator size does not match gate register")
         mask = self._mask
-        key = (p.x & mask, p.z & mask)
-        image = self._table.get(key)
-        if image is None:
-            image = self._table[key] = self._local_image(*key)
-        x, z, phase = image
+        x, z, phase = self._image(p.x & mask, p.z & mask)
         return PauliOperator(self.n, x | (p.x & ~mask), z | (p.z & ~mask), p.phase + phase)
 
-    def _local_image(self, x: int, z: int) -> tuple[int, int, int]:
-        """g P g^dagger for P = prod_a X_a^{x_a} Z_a^{z_a} on the support,
-        as the product of the site images in site order, X before Z."""
-        acc = PauliOperator.identity(self.n)
-        for a in self.support:
-            bit = 1 << a
-            if x & bit:
-                acc = acc * self.images[a][0]
-            if z & bit:
-                acc = acc * self.images[a][1]
-        return acc.x, acc.z, acc.phase
+    def _image(self, x: int, z: int) -> tuple[int, int, int]:
+        """The table entry for P = prod_a X_a^{x_a} Z_a^{z_a} on the support:
+        g P g^dagger as the product of the site images in site order, X
+        before Z, multiplied out on first use."""
+        image = self._table.get((x, z))
+        if image is None:
+            acc = PauliOperator.identity(self.n)
+            for a in self.support:
+                bit = 1 << a
+                if x & bit:
+                    acc = acc * self.images[a][0]
+                if z & bit:
+                    acc = acc * self.images[a][1]
+            image = self._table[(x, z)] = (acc.x, acc.z, acc.phase)
+        return image
 
     def inverse(self) -> "CliffordGate":
         if self.kind in _SELF_INVERSE:
@@ -255,19 +255,28 @@ class CliffordCircuit:
         return len(self.layers)
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
+        """The light-cone walk on (x, z, phase) ints, through each gate's
+        table; one operator is built at the end.  Every gate acts on this
+        register (checked when the circuit is built), so the size is
+        checked once, here."""
         if p.n != self.n:
             raise ValueError("operator size does not match circuit register")
+        x, z, phase = p.x, p.z, p.phase
         for at in self._site_gates:
-            todo = p.x | p.z
+            todo = x | z
             while todo:
                 low = todo & -todo
                 hit = at.get(low.bit_length() - 1)
                 if hit is None:
                     todo ^= low
                 else:
-                    p = hit[0].conjugate(p)
-                    todo &= ~hit[1]
-        return p
+                    gate, mask = hit
+                    ix, iz, iphase = gate._image(x & mask, z & mask)
+                    x = ix | (x & ~mask)
+                    z = iz | (z & ~mask)
+                    phase += iphase
+                    todo &= ~mask
+        return PauliOperator(self.n, x, z, phase)
 
     def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
         return self.inverse().conjugate(p)
@@ -425,7 +434,13 @@ class StabilizerMixture:
 
     def element_with_vector(self, vec: int) -> Optional[PauliOperator]:
         """The product of generators whose packed (x|z) row is vec, or None
-        when vec is outside the row space.
+        when vec is outside the row space."""
+        combo = self.combination(vec)
+        return None if combo is None else self._combine(combo)
+
+    def combination(self, vec: int) -> Optional[int]:
+        """The generators (bit j for generator j) whose product has packed
+        (x|z) row vec, or None when vec is outside the row space.
 
         A reduced row is the only one with a bit in its pivot column, so the
         rows to add are read off vec's own pivot bits, in any order.
@@ -441,7 +456,7 @@ class StabilizerMixture:
                 combo ^= transform[r]
         if residue:
             return None
-        return self._combine(combo)
+        return combo
 
     def membership_sign(self, p: PauliOperator) -> Optional[int]:
         """+1 if p is in the signed group, -1 if -p is, None otherwise."""

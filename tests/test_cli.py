@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import catalab
 import catalab.cli as cli
 from catalab.verify import CatalysisReport
 
@@ -181,6 +185,42 @@ def test_measure_prep_jobs_deterministic(tmp_path):
     assert run_cli(base + ["--jobs", "2", "--out", str(b)]) == 0
     ra, rb = load_report(a), load_report(b)
     assert ra["results"]["runs"] == rb["results"]["runs"]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--runs", "-3"), ("--runs", "0"), ("--jobs", "0"), ("--jobs", "-1")]
+)
+def test_measure_prep_rejects_bad_counts(tmp_path, capsys, flag, value):
+    out = tmp_path / "mp.json"
+    argv = ["measure-prep", "--n", "8", "--runs", "4", flag, value, "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_measure_prep_invariance_failure_under_python_O(tmp_path):
+    # The ring without its closing CZ does not fix the sublattice-X
+    # stabilizers, so the invariance proof fails for every outcome.  The
+    # proof raises rather than asserts, so it holds with asserts stripped.
+    out = tmp_path / "mp.json"
+    code = (
+        "import sys\n"
+        "import catalab.protocols as protocols\n"
+        "from catalab.cli import main\n"
+        "from catalab.stabilizer import cz_gate, pack_gates_into_layers\n"
+        "protocols.cz_ring_circuit = lambda n: pack_gates_into_layers(\n"
+        "    n, [cz_gate(n, i, i + 1) for i in range(n - 1)])\n"
+        f"sys.exit(main(['measure-prep', '--n', '8', '--runs', '3', '--out', {str(out)!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1, proc.stderr
+    results = load_report(out)["results"]
+    claim = "post-measurement state is not entangler-invariant"
+    assert results["first_failure"] == {"run": 0, "error": claim}
+    assert results["runs"] == [{"error": claim}] * 3
 
 
 def test_measure_prep_protocol_violation_fails_the_report(tmp_path, monkeypatch):

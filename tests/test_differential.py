@@ -1,7 +1,9 @@
 """Differential tests: the light-cone, conjugation-table, int-level and
 cached-basis fast paths against plain reference forms of the same
 computation, compared exactly, and the dense oracle's entangler action,
-doubled-circuit check and fidelity."""
+doubled-circuit check and fidelity; and the measurement protocol's
+affine-sign template against the per-sample loop and the dense projectors."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +15,15 @@ from catalab.acceptance import _doubled_operator_equality_dense
 from catalab.dense import (
     dense_fidelity,
     overlap,
+    pauli_matrix,
     qca_dense_action,
     stabilizer_density,
     stabilizer_to_dense,
 )
 from catalab.gf2 import BitMatrix
-from catalab.models import RingLattice, _independent_subset, build_model
+from catalab.models import RingLattice, _independent_subset, build_model, cz_ring_circuit
 from catalab.pauli import PauliOperator
+from catalab.protocols import _measurement_template, measurement_prepare_catalyst
 from catalab.stabilizer import (
     CliffordCircuit,
     StabilizerMixture,
@@ -27,6 +31,7 @@ from catalab.stabilizer import (
     cz_gate,
     fidelity,
     h_gate,
+    is_invariant,
     pack_gates_into_layers,
     s_gate,
     sdg_gate,
@@ -648,3 +653,61 @@ def test_fidelity_matches_dense_on_unrelated_commuting_groups(n, opposite, seed,
     elif got:
         # 2^(s - (k1 + k2)/2): exact for even k1 + k2, the float branch for odd.
         assert isinstance(got, float) == bool((k1 + k2) % 2)
+
+
+# ---------------------------------------------------------------------------
+# measurement template against the per-sample loop and the dense projectors
+# ---------------------------------------------------------------------------
+
+
+def reference_measurement(n, rng):
+    """The per-sample protocol: one `measure` per next-nearest-neighbor ZZ
+    on |+>^n, then the parity, invariance and symmetry claims checked on
+    this sample's own state."""
+    state = StabilizerMixture.plus_state(n)
+    outcomes = []
+    for i in range(n):
+        outcome, state = state.measure(PauliOperator.z_at(n, i, (i + 2) % n), rng)
+        outcomes.append(outcome)
+    assert math.prod(outcomes[0::2]) == 1 and math.prod(outcomes[1::2]) == 1
+    assert is_invariant(state, cz_ring_circuit(n))
+    for first in (0, 1):
+        assert state.membership_sign(PauliOperator.x_at(n, *range(first, n, 2))) == 1
+    return tuple(outcomes), state
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 6).map(lambda k: 2 * k), seed=SEEDS)
+def test_measurement_template_matches_per_sample_loop(n, seed):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    record = measurement_prepare_catalyst(n, rng_a)
+    outcomes, state = reference_measurement(n, rng_b)
+    assert record.outcomes == outcomes
+    # Exact generators: order, unsigned parts and phases.
+    assert record.post_state.generators == state.generators
+    assert (record.parity_even, record.parity_odd) == (1, 1)
+    # Both drew the same number of bits.
+    assert rng_a.integers(0, 2**32) == rng_b.integers(0, 2**32)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_measurement_template_matches_dense_projections(n):
+    """Every assignment of the random outcome bits: the template's state is
+    |+><+|^n after the projectors (1 + s_i Z_i Z_{i+2})/2 in sequence, each
+    renormalized; a random outcome has weight 1/2, a deterministic one 1."""
+    template = _measurement_template(n)
+    dim = 1 << n
+    plus = np.full((dim, dim), 1.0 / dim, dtype=np.complex128)
+    zz = [pauli_matrix(PauliOperator.z_at(n, i, (i + 2) % n)) for i in range(n)]
+    assert len(template.random) == n - 2
+    for draws in range(1 << len(template.random)):
+        bits = sum(((draws >> k) & 1) << t for k, t in enumerate(template.random))
+        outcomes, state = template.evaluate(bits)
+        rho = plus
+        for t, (sign, op) in enumerate(zip(outcomes, zz)):
+            proj = (np.eye(dim) + sign * op) / 2
+            rho = proj @ rho @ proj
+            weight = np.trace(rho).real
+            assert abs(weight - (0.5 if t in template.random else 1.0)) <= 1e-12
+            rho = rho / weight
+        assert np.abs(stabilizer_density(state) - rho).max() <= 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from catalab import models
+from catalab.cohomology import CocycleCircuit, bilinear_cocycle, normalize_cocycle
 from catalab.dense import (
     DenseState,
     apply_site_permutation,
@@ -217,6 +218,24 @@ def test_cocycle_bundle_checks():
     assert abs(overlap(bundle.entangler.apply(state), target)) == pytest.approx(
         1, abs=1e-10
     )
+
+
+@pytest.mark.parametrize("fault", ["wrong-cocycle", "dropped-gate"])
+def test_wrong_cocycle_circuit_is_caught_at_build_time(monkeypatch, fault):
+    # The target is written from nu directly, so a circuit compiled from
+    # the (1,0) bilinear cocycle instead of the (0,1) one, or missing one
+    # gate, no longer matches it.
+    real = models.compile_cocycle_circuit
+
+    def compile_wrong(nu, simplices, sites):
+        if fault == "wrong-cocycle":
+            return real(normalize_cocycle(bilinear_cocycle(nu.group, 1, 0)), simplices, sites)
+        circuit = real(nu, simplices, sites)
+        return CocycleCircuit(circuit.group, circuit.num_sites, circuit.gates[1:])
+
+    monkeypatch.setattr(models, "compile_cocycle_circuit", compile_wrong)
+    with pytest.raises(AssertionError, match="cocycle target mismatch"):
+        build_model("cocycle-z2z2", sites=4)
 
 
 def test_swssb_equals_group_average_for_cluster():
