@@ -1,9 +1,10 @@
 """Exact small-system oracle: dense state vectors and density matrices.
 
-Sites carry dimension q (2 for qubits, |G| for cocycle models).  Everything
-here is deliberately brute force: full hermitian eigensolves, explicit
-matrices, no iterative methods.  Configured limits keep sizes at desk scale;
-override with CATALAB_DENSE_LIMIT / CATALAB_EIG_LIMIT (amplitude counts).
+Sites carry dimension q (2 for qubits, |G| for cocycle models).  Gates are
+contracted into the amplitude tensor; a Hamiltonian is assembled by adding
+each local term at the q^m x q^sites entries it can reach, and eigensolved in
+full, with no iterative methods.  Configured limits keep sizes at desk scale;
+override with CATALAB_DENSE_LIMIT / CATALAB_EIG_LIMIT (positive amplitude counts).
 """
 from __future__ import annotations
 
@@ -21,12 +22,20 @@ _DEFAULT_AMP_LIMIT = 2**20
 _DEFAULT_EIG_LIMIT = 2**14
 
 
+def _env_limit(name: str, default: int) -> int:
+    """A positive integer read from the environment, or the default if unset."""
+    raw = os.environ.get(name, str(default))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def amp_limit() -> int:
-    return int(os.environ.get("CATALAB_DENSE_LIMIT", _DEFAULT_AMP_LIMIT))
+    return _env_limit("CATALAB_DENSE_LIMIT", _DEFAULT_AMP_LIMIT)
 
 
 def eig_limit() -> int:
-    return int(os.environ.get("CATALAB_EIG_LIMIT", _DEFAULT_EIG_LIMIT))
+    return _env_limit("CATALAB_EIG_LIMIT", _DEFAULT_EIG_LIMIT)
 
 
 def check_norm(state: "DenseState") -> "DenseState":
@@ -248,7 +257,7 @@ class DenseOperator:
             raise ValueError(f"operator dimension {dim} exceeds the dense-eig limit")
         total = np.zeros((dim, dim), dtype=np.complex128)
         for support, mat in self.terms:
-            total += embed_operator(mat, support, self.sites, self.q)
+            _add_local(total, mat, support, self.sites, self.q)
         return total
 
 
@@ -275,19 +284,22 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
 
 def embed_operator(mat: np.ndarray, support: Sequence[int], sites: int, q: int) -> np.ndarray:
     """Embed a local operator into the full q^sites space."""
-    support = list(support)
-    m = len(support)
-    rest = [s for s in range(sites) if s not in support]
-    full = np.kron(mat, np.eye(q ** len(rest), dtype=np.complex128))
-    # Axis j of the reshaped tensor holds the j-th most significant digit:
-    # support digits first (support[0] least significant), then rest digits.
-    order = list(reversed(support)) + list(reversed(rest))
-    tensor = full.reshape((q,) * (2 * sites))
-    perm = [0] * sites
-    for axis_pos, site in enumerate(order):
-        perm[_axis(sites, site)] = axis_pos
-    tensor = tensor.transpose(perm + [p + sites for p in perm])
-    return tensor.reshape(q**sites, q**sites)
+    return _add_local(np.zeros((q**sites,) * 2, dtype=np.complex128), mat, support, sites, q)
+
+
+def _add_local(full: np.ndarray, mat: np.ndarray, support: Sequence[int], sites: int, q: int) -> np.ndarray:
+    """Add a local operator to a full q^sites matrix in place, at the
+    q^m x q^sites entries where it can be nonzero; returns `full`.  place[l, r]
+    is the full index with index l on the support (support[0] least
+    significant) and index r on the other sites."""
+
+    def offsets(group: Sequence[int]) -> np.ndarray:
+        idx = np.arange(q ** len(group))
+        return sum((idx // q**k % q * q**s for k, s in enumerate(group)), 0 * idx)
+
+    place = offsets(support)[:, None] + offsets([s for s in range(sites) if s not in support])
+    full[place[:, None, :], place[None, :, :]] += np.asarray(mat)[:, :, None]
+    return full
 
 
 def ground_state(op: DenseOperator) -> tuple[float, list[np.ndarray]]:
@@ -350,11 +362,8 @@ def stabilizer_to_dense(state: StabilizerMixture) -> DenseState:
 def _projected_basis_state(n: int, gens: Sequence[PauliOperator]) -> Optional[DenseState]:
     """prod_g (1 + g)/2 applied to the first basis state it does not
     annihilate, renormalized after each factor; None when it annihilates all."""
-    dim = 1 << n
-    for start in range(dim):
-        psi = np.zeros(dim, dtype=np.complex128)
-        psi[start] = 1.0
-        vec = DenseState(2, n, psi)
+    for start in range(1 << n):
+        vec = DenseState.computational(2, n, start)
         for g in gens:
             projected = 0.5 * (vec.amps + apply_pauli(vec, g).amps)
             norm = np.linalg.norm(projected)

@@ -198,6 +198,18 @@ def test_measure_prep_rejects_bad_counts(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.stats costs most of a second; only criterion 6 imports it, when
+    # it runs, so the CLI's start-up time stays free of it.
+    code = "import sys, catalab.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_measure_prep_invariance_failure_under_python_O(tmp_path):
     # The ring without its closing CZ does not fix the sublattice-X
     # stabilizers, so the invariance proof fails for every outcome.  The

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,20 @@ def test_symmetrize_plaquette_ising_ground_space():
     for g in bundle.symmetry.generators:
         moved = apply_pauli(ref, g.pauli)
         assert np.linalg.norm(moved.amps - ref.amps) < 1e-10
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", ""])
+def test_bad_dense_limit_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("CATALAB_DENSE_LIMIT", value)
+    message = f"CATALAB_DENSE_LIMIT must be a positive integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DenseState.uniform(2, 2)
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", ""])
+def test_bad_eig_limit_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("CATALAB_EIG_LIMIT", value)
+    op = DenseOperator.from_pauli_terms(2, [(1.0, PauliOperator.z_at(2, 0))])
+    message = f"CATALAB_EIG_LIMIT must be a positive integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        op.to_matrix()

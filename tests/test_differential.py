@@ -1,8 +1,10 @@
 """Differential tests: the light-cone, conjugation-table, int-level and
 cached-basis fast paths against plain reference forms of the same
 computation, compared exactly, and the dense oracle's entangler action,
-doubled-circuit check and fidelity; and the measurement protocol's
-affine-sign template against the per-sample loop and the dense projectors."""
+doubled-circuit check and fidelity; criterion 2's basis-label images against
+the per-column dense action, and index-placed Hamiltonian assembly against
+the kron embedding; and the measurement protocol's affine-sign template
+against the per-sample loop and the dense projectors."""
 import math
 from dataclasses import replace
 
@@ -11,9 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalab.acceptance import _doubled_operator_equality_dense
+import catalab.acceptance as acceptance
+from catalab.acceptance import (
+    _basis_images,
+    _doubled_operator_equality_dense,
+    _qca_matrix,
+)
 from catalab.dense import (
+    DenseOperator,
+    DenseState,
     dense_fidelity,
+    embed_operator,
     overlap,
     pauli_matrix,
     qca_dense_action,
@@ -21,7 +31,13 @@ from catalab.dense import (
     stabilizer_to_dense,
 )
 from catalab.gf2 import BitMatrix
-from catalab.models import RingLattice, _independent_subset, build_model, cz_ring_circuit
+from catalab.models import (
+    RingLattice,
+    _independent_subset,
+    build_hamiltonian,
+    build_model,
+    cz_ring_circuit,
+)
 from catalab.pauli import PauliOperator
 from catalab.protocols import _measurement_template, measurement_prepare_catalyst
 from catalab.stabilizer import (
@@ -356,6 +372,153 @@ def test_full_matrix_check_catches_a_corrupted_v_gate(model):
         corrupted = replace(doubled, v_gates=tuple(v_gates))
         assert not _doubled_operator_equality_dense(bundle, corrupted, "err", details)
         assert details["err"] > 1e-10
+        assert details["err"] == reference_doubled_maxerr(bundle, corrupted)
+
+
+CRITERION_2_DENSE = [
+    ("lsm-dimer", {"n": 4}),
+    ("cluster-1d", {"n": 4}),
+    ("cluster-1d", {"n": 6}),
+    ("square-sspt", {"l": 2}),
+]
+
+
+def reference_columns(act, sites):
+    """Each computational basis column of a dense state map, one at a time."""
+    for j in range(1 << sites):
+        yield j, act(DenseState.computational(2, sites, j)).amps
+
+
+def reference_doubled_maxerr(bundle, doubled):
+    """The full-matrix check column by column: each basis state through the
+    doubled circuit's dense action, against kron(U^-1 column, U column)."""
+    n = bundle.n
+    u = np.stack([c for _, c in reference_columns(qca_dense_action(bundle.entangler), n)], 1)
+    inverse = qca_dense_action(bundle.entangler.inverse())
+    u_inv = np.stack([c for _, c in reference_columns(inverse, n)], 1)
+    worst = 0.0
+    for idx, got in reference_columns(doubled.apply_dense, 2 * n):
+        expected = np.outer(u_inv[:, idx >> n], u[:, idx & ((1 << n) - 1)]).reshape(-1)
+        worst = max(worst, float(np.max(np.abs(got - expected))))
+    return worst
+
+
+@pytest.mark.parametrize("model, params", CRITERION_2_DENSE)
+def test_basis_images_match_per_column_dense_action(model, params):
+    bundle = build_model(model, **params)
+    n = bundle.n
+    for qca in (bundle.entangler, bundle.entangler.inverse()):
+        matrix = _qca_matrix(qca)
+        for j, column in reference_columns(qca_dense_action(qca), n):
+            assert np.array_equal(matrix[:, j], column), j
+    doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
+    labels, signs = _basis_images(2 * n, [*range(n, 2 * n), *range(n)], doubled.v_terms)
+    for j, column in reference_columns(doubled.apply_dense, 2 * n):
+        expected = np.zeros(1 << (2 * n))
+        expected[labels[j]] = signs[j]
+        assert np.array_equal(column, expected), j
+
+
+@pytest.mark.parametrize(
+    "gate, support",
+    [
+        (np.array([[1, 1], [1, -1]]) / np.sqrt(2), (3,)),
+        (np.diag([1, 1j]), (5,)),
+        (np.array([[1, 1], [0, -1]]), (6,)),
+    ],
+    ids=["hadamard", "phase", "two-entries"],
+)
+def test_full_matrix_check_rejects_a_v_term_that_is_not_a_signed_permutation(gate, support):
+    bundle = build_model("cluster-1d", n=4)
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    vars(doubled)["v_terms"] = doubled.v_terms + ((support, gate),)
+    with pytest.raises(ValueError, match=rf"gate on \[{support[0]}\] is not a signed permutation"):
+        _doubled_operator_equality_dense(bundle, doubled, "err", {})
+
+
+def test_one_flipped_v_term_sign_fails_criterion_2(monkeypatch):
+    def with_flipped_sign(*args):
+        doubled = build_doubled_fdqc(*args)
+        (support, matrix), *rest = doubled.v_terms
+        matrix = matrix.copy()
+        matrix[np.flatnonzero(matrix[:, 0])[0], 0] *= -1
+        vars(doubled)["v_terms"] = ((support, matrix), *rest)
+        return doubled
+
+    monkeypatch.setattr(acceptance, "build_doubled_fdqc", with_flipped_sign)
+    result = acceptance.criterion_2()
+    assert not result.passed
+    maxerr = {k: v for k, v in result.details.items() if k.endswith("-dense-maxerr")}
+    assert maxerr == {
+        "lsm-dimer-n4-dense-maxerr": 2.0,
+        "cluster-1d-n4-dense-maxerr": 2.0,
+        "cluster-1d-n6-dense-maxerr": 2.0,
+        "square-sspt-n4-dense-maxerr": 2.0,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Hamiltonian assembly by index against the kron embedding
+# ---------------------------------------------------------------------------
+
+
+def kron_embed(mat, support, sites, q):
+    """One full np.kron with the identity on the other sites, then a transpose
+    of the 2 * sites digit axes that puts each digit on its site."""
+    support = list(support)
+    rest = [s for s in range(sites) if s not in support]
+    full = np.kron(mat, np.eye(q ** len(rest), dtype=np.complex128))
+    # Axis j of the reshaped tensor holds the j-th most significant digit:
+    # support digits first (support[0] least significant), then rest digits;
+    # site s lives on axis sites - 1 - s of the state tensor.
+    order = list(reversed(support)) + list(reversed(rest))
+    perm = [0] * sites
+    for axis_pos, site in enumerate(order):
+        perm[sites - 1 - site] = axis_pos
+    tensor = full.reshape((q,) * (2 * sites)).transpose(perm + [p + sites for p in perm])
+    return tensor.reshape(q**sites, q**sites)
+
+
+def kron_sum(op):
+    total = np.zeros((op.q**op.sites,) * 2, dtype=np.complex128)
+    for support, mat in op.terms:
+        total += kron_embed(mat, support, op.sites, op.q)
+    return total
+
+
+# lieb-2d is left out: its smallest torus has 12 qubits, where the kron
+# reference alone allocates 268 MB per term.
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("lsm-dimer", {"n": 8}),
+        ("cluster-1d", {"n": 8}),
+        ("square-sspt", {"l": 2}),
+        ("cocycle-z2z2", {"sites": 4}),
+    ],
+)
+@pytest.mark.parametrize("kind", ["triv", "spt", "interpolated", "catalyst-sum"])
+def test_hamiltonian_assembly_matches_kron_sum(model, params, kind):
+    op = build_hamiltonian(build_model(model, **params), kind, alpha=0.3)
+    assert op.to_matrix().tobytes() == kron_sum(op).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 4]), seed=SEEDS, data=st.data())
+def test_local_term_assembly_matches_kron_sum(q, seed, data):
+    sites = data.draw(st.integers(1, 5 if q == 2 else 4))
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        order = data.draw(st.permutations(range(sites)))
+        support = tuple(order[: data.draw(st.integers(0, min(sites, 3)))])
+        dim = q ** len(support)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        terms.append((support, a + a.conj().T))
+    op = DenseOperator(sites, q, terms)
+    assert op.to_matrix().tobytes() == kron_sum(op).tobytes()
+    for support, mat in op.terms:
+        assert np.array_equal(embed_operator(mat, support, sites, q), kron_embed(mat, support, sites, q))
 
 
 # ---------------------------------------------------------------------------
