@@ -219,12 +219,7 @@ def criterion_2() -> CriterionResult:
     def run(details: dict) -> bool:
         ok = True
         audits = {}
-        for model, params in (
-            ("lsm-dimer", {"n": 8}),
-            ("cluster-1d", {"n": 8}),
-            ("lieb-2d", {"lx": 2, "ly": 2}),
-            ("square-sspt", {"l": 3}),
-        ):
+        for model, params in CATALYSIS_MATRIX:
             bundle = build_model(model, **params)
             doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
             dsym = bundle.symmetry.doubled()

@@ -13,7 +13,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -233,17 +232,15 @@ def cmd_correlators(args) -> int:
     return 0
 
 
-def _measure_prep_worker(item):
-    """Top-level worker so process pools can pickle it; merged by index."""
-    idx, n, child = item
-    rng = np.random.default_rng(child)
+def _measure_prep_run(n: int, seed: np.random.SeedSequence) -> dict:
+    """One run of the protocol, as its report entry."""
     try:
-        record = measurement_prepare_catalyst(n, rng)
+        record = measurement_prepare_catalyst(n, np.random.default_rng(seed))
     except AssertionError as exc:
         # The protocol asserts its parity, invariance and symmetry claims;
         # a violation is a failed run, not a crash of the whole command.
-        return idx, {"error": str(exc)}
-    return idx, {
+        return {"error": str(exc)}
+    return {
         "outcomes": list(record.outcomes),
         "parity_even": record.parity_even,
         "parity_odd": record.parity_odd,
@@ -252,20 +249,10 @@ def _measure_prep_worker(item):
 
 
 def cmd_measure_prep(args) -> int:
-    for flag, value in (("--runs", args.runs), ("--jobs", args.jobs)):
-        if value < 1:
-            raise UsageError(f"{flag} must be at least 1, got {value}")
+    if args.runs < 1:
+        raise UsageError(f"--runs must be at least 1, got {args.runs}")
     seeds = np.random.SeedSequence(args.seed).spawn(args.runs)
-    items = [(i, args.n, child) for i, child in enumerate(seeds)]
-    results: list[Optional[dict]] = [None] * args.runs
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for idx, payload in pool.map(_measure_prep_worker, items):
-                results[idx] = payload
-    else:
-        for item in items:
-            idx, payload = _measure_prep_worker(item)
-            results[idx] = payload
+    results = [_measure_prep_run(args.n, seed) for seed in seeds]
     failures = [(idx, r["error"]) for idx, r in enumerate(results) if "error" in r]
     all_ok = not failures
     summary = {"runs": results, "all_valid": all_ok}
@@ -274,7 +261,7 @@ def cmd_measure_prep(args) -> int:
         summary["first_failure"] = {"run": idx, "error": message}
     envelope = _envelope(
         "measure-prep",
-        {"n": args.n, "runs": args.runs, "seed": args.seed, "jobs": args.jobs},
+        {"n": args.n, "runs": args.runs, "seed": args.seed},
         summary,
         all_ok,
     )
@@ -434,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure-prep", help="measurement-based catalyst preparation")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
     add_common(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_measure_prep)

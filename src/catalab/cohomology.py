@@ -394,8 +394,27 @@ class CocycleCircuit:
             state = _dense.apply_diagonal(state, gate.phases(), gate.sites)
         return _dense.check_norm(state)
 
-    def gates_touching(self, site: int) -> list[DiagonalQuditGate]:
-        return [g for g in self.gates if site in g.sites]
+    def conjugate_term(
+        self, support: Sequence[int], mat: np.ndarray
+    ) -> tuple[tuple[int, ...], np.ndarray]:
+        """D mat D^dagger for a local term on `support` (support[0] least
+        significant), with D the product of the gates that touch the support.
+        Returns the support grown by those gates' sites, sorted, and the
+        conjugated term written on it; sites the gates never act on (a second
+        register, say) pass through."""
+        gates = [g for g in self.gates if any(s in support for s in g.sites)]
+        grown = tuple(sorted(set(support).union(*(g.sites for g in gates))))
+        pos = {s: k for k, s in enumerate(grown)}
+        q, m = self.q, len(grown)
+        diag = np.ones(q**m, dtype=np.complex128)
+        for gate in gates:
+            phases = gate.phases()
+            for idx in range(q**m):
+                digits = [(idx // q**k) % q for k in range(m)]
+                gidx = sum(digits[pos[s]] * q**k for k, s in enumerate(gate.sites))
+                diag[idx] *= phases[gidx]
+        embedded = _dense.embed_operator(mat, [pos[s] for s in support], m, q)
+        return grown, (diag[:, None] * embedded) * diag.conj()[None, :]
 
     def order(self) -> int:
         out = 1
@@ -403,24 +422,6 @@ class CocycleCircuit:
             for v in g.numerators:
                 out = math.lcm(out, g.modulus // math.gcd(g.modulus, v) if v else 1)
         return out
-
-
-def conjugate_by_gates(
-    gates: Sequence[DiagonalQuditGate], q: int, support: Sequence[int], mat: np.ndarray
-) -> np.ndarray:
-    """D mat D^dagger for D the product of the gates' phase diagonals, written
-    on `support` (support[0] least significant; it holds every gate site)."""
-    m = len(support)
-    pos = {s: k for k, s in enumerate(support)}
-    dim = q**m
-    diag = np.ones(dim, dtype=np.complex128)
-    for gate in gates:
-        phases = gate.phases()
-        for idx in range(dim):
-            digits = [(idx // q**k) % q for k in range(m)]
-            gidx = sum(digits[pos[s]] * q**k for k, s in enumerate(gate.sites))
-            diag[idx] *= phases[gidx]
-    return (diag[:, None] * mat) * diag.conj()[None, :]
 
 
 def ring_triangulation(num_sites: int) -> list[tuple[tuple[int, ...], int]]:

@@ -21,7 +21,6 @@ from .cohomology import (
     FiniteAbelianGroup,
     bilinear_cocycle,
     compile_cocycle_circuit,
-    conjugate_by_gates,
     normalize_cocycle,
     ring_triangulation,
 )
@@ -304,8 +303,6 @@ class ModelBundle:
     trivial: Optional[StabilizerMixture]
     target: Optional[StabilizerMixture]
     qudit_symmetry: Optional[QuditSymmetry] = None
-    trivial_dense_builder: Optional[Callable[[], dn.DenseState]] = None
-    target_dense_builder: Optional[Callable[[], dn.DenseState]] = None
 
     @property
     def n(self) -> int:
@@ -316,17 +313,14 @@ class ModelBundle:
         return isinstance(self.entangler, (CliffordCircuit, PermutationQca))
 
     def trivial_dense(self) -> dn.DenseState:
-        if self.trivial_dense_builder is not None:
-            return self.trivial_dense_builder()
+        if self.qudit_symmetry is not None:
+            return dn.DenseState.uniform(self.qudit_symmetry.group.order, self.n)
         return dn.stabilizer_to_dense(self.trivial)
 
     def target_dense(self) -> dn.DenseState:
-        if self.target_dense_builder is not None:
-            return self.target_dense_builder()
+        if self.qudit_symmetry is not None:
+            return self.entangler.apply(self.trivial_dense())
         return dn.stabilizer_to_dense(self.target)
-
-
-REGISTRY_KEYS = ("lsm-dimer", "cluster-1d", "lieb-2d", "square-sspt", "cocycle-z2z2")
 
 
 # -- shared circuit builders -------------------------------------------------
@@ -489,46 +483,42 @@ def _build_cocycle_z2z2(sites: int) -> ModelBundle:
     evolved = circuit.apply(dn.DenseState.uniform(group.order, sites))
     if np.linalg.norm(evolved.amps - _cocycle_state_amplitudes(nu, sites)) > 1e-10:
         raise AssertionError("cocycle target mismatch")
-    qsym = QuditSymmetry(group, sites)
-    sym = SymmetryRep(sites, ())  # qubit-string generators are not used here
-
-    def trivial_builder() -> dn.DenseState:
-        return dn.DenseState.uniform(group.order, sites)
-
-    def target_builder() -> dn.DenseState:
-        return circuit.apply(trivial_builder())
-
     return ModelBundle(
         name="cocycle-z2z2",
         lattice=RingLattice(sites),
-        symmetry=sym,
+        symmetry=SymmetryRep(sites, ()),  # qubit-string generators are not used here
         entangler=circuit,
         trivial=None,
         target=None,
-        qudit_symmetry=qsym,
-        trivial_dense_builder=trivial_builder,
-        target_dense_builder=target_builder,
+        qudit_symmetry=QuditSymmetry(group, sites),
     )
+
+
+# Each model's builder and the size keys it takes, with their defaults.
+_MODEL_BUILDERS: dict[str, tuple[Callable[..., ModelBundle], dict[str, int]]] = {
+    "lsm-dimer": (_build_lsm_dimer, {"n": 8}),
+    "cluster-1d": (_build_cluster_1d, {"n": 8}),
+    "lieb-2d": (_build_lieb_2d, {"lx": 2, "ly": 2}),
+    "square-sspt": (_build_square_sspt, {"l": 3}),
+    "cocycle-z2z2": (_build_cocycle_z2z2, {"sites": 4}),
+}
 
 
 def build_model(name: str, **params) -> ModelBundle:
     """Build and validate a registry bundle.
 
-    Size parameters: n (1D models), lx/ly (lieb-2d), l (square-sspt),
-    sites (cocycle chains).
+    Size keys: n (1D models), lx/ly (lieb-2d), l (square-sspt), sites
+    (cocycle chains).  A key the model does not take is a RegistryError.
     """
-    if name == "lsm-dimer":
-        bundle = _build_lsm_dimer(int(params.get("n", 8)))
-    elif name == "cluster-1d":
-        bundle = _build_cluster_1d(int(params.get("n", 8)))
-    elif name == "lieb-2d":
-        bundle = _build_lieb_2d(int(params.get("lx", 2)), int(params.get("ly", 2)))
-    elif name == "square-sspt":
-        bundle = _build_square_sspt(int(params.get("l", 3)))
-    elif name == "cocycle-z2z2":
-        bundle = _build_cocycle_z2z2(int(params.get("sites", 4)))
-    else:
-        raise RegistryError(f"unknown model key {name!r}; known: {REGISTRY_KEYS}")
+    if name not in _MODEL_BUILDERS:
+        raise RegistryError(f"unknown model key {name!r}; known: {tuple(_MODEL_BUILDERS)}")
+    builder, sizes = _MODEL_BUILDERS[name]
+    extra = sorted(set(params) - set(sizes))
+    if extra:
+        raise RegistryError(
+            f"model {name!r} takes the size keys {tuple(sizes)}, not {tuple(extra)}"
+        )
+    bundle = builder(**{key: int(params.get(key, default)) for key, default in sizes.items()})
     _check_bundle(bundle)
     return bundle
 
@@ -609,69 +599,61 @@ def catalyst_kinds(model: str) -> tuple[str, ...]:
 
 
 def build_catalyst(bundle: ModelBundle, kind: str) -> Catalyst:
-    """Construct a named catalyst for the bundle and verify it before return."""
+    """Construct a named catalyst for the bundle and verify it before return.
+
+    A builder returns the state and its exceptions; the rest follows: the
+    name is the registry key, the engine is the state's type, and a
+    stabilizer state is mixed when it is not pure (a dense state never is)."""
     builder = _CATALYST_BUILDERS.get((bundle.name, kind))
     if builder is None:
         raise RegistryError(
             f"no catalyst {kind!r} for model {bundle.name!r}; "
             f"known: {catalyst_kinds(bundle.name)}"
         )
-    cat = builder(bundle)
-    if cat.engine == "stabilizer":
+    state, exceptions = builder(bundle)
+    if isinstance(state, StabilizerMixture):
+        cat = Catalyst(kind, "stabilizer", not state.is_pure, stab=state, **exceptions)
         _verify_catalyst_stab(bundle, cat)
     else:
+        cat = Catalyst(kind, "dense", False, dense_state=state, **exceptions)
         _verify_catalyst_dense(bundle, cat)
     return cat
+
+
+def _spec(state: Union[StabilizerMixture, dn.DenseState], **exceptions) -> tuple:
+    """A builder's result: the state and the exceptions to its symmetry
+    (`weak_under`, `broken`, `prep_recipe`)."""
+    return state, exceptions
 
 
 # -- individual constructions ---------------------------------------------
 
 
-def _lsm_ghz(bundle: ModelBundle) -> Catalyst:
+def _lsm_ghz(bundle: ModelBundle):
     n = bundle.n
     gens = ghz_generators(n, list(range(n)))
     gens.append(PauliOperator.z_at(n, *range(n)))
-    state = StabilizerMixture.from_generators(n, _independent_subset(n, gens))
-    return Catalyst(
-        name="ghz",
-        engine="stabilizer",
-        mixed=False,
-        stab=state,
-    )
+    return _spec(StabilizerMixture.from_generators(n, _independent_subset(n, gens)))
 
 
-def _lsm_long_range_bell(bundle: ModelBundle) -> Catalyst:
+def _lsm_long_range_bell(bundle: ModelBundle):
     n = bundle.n
     m = n // 2
     gens = []
     for i in range(m):
         gens.append(PauliOperator.x_at(n, i, i + m))
         gens.append(PauliOperator.z_at(n, i, i + m))
-    state = StabilizerMixture.from_generators(n, gens)
-    return Catalyst(
-        name="long-range-bell",
-        engine="stabilizer",
-        mixed=False,
-        stab=state,
-        prep_recipe="lr-bell-swap",
-    )
+    return _spec(StabilizerMixture.from_generators(n, gens), prep_recipe="lr-bell-swap")
 
 
-def _superposition_catalyst(bundle: ModelBundle) -> Catalyst:
+def _superposition_catalyst(bundle: ModelBundle):
     """Equal-weight superposition of the trivial and entangled states."""
     triv = bundle.trivial_dense()
-    targ = bundle.target_dense()
-    amps = triv.amps + targ.amps
-    state = dn.DenseState.from_amplitudes(triv.q, triv.sites, amps)
-    return Catalyst(
-        name="superposition",
-        engine="dense",
-        mixed=False,
-        dense_state=state,
-    )
+    amps = triv.amps + bundle.target_dense().amps
+    return _spec(dn.DenseState.from_amplitudes(triv.q, triv.sites, amps))
 
 
-def _gapless_catalyst(bundle: ModelBundle) -> Catalyst:
+def _gapless_catalyst(bundle: ModelBundle):
     """Unique ground state of the sum of the trivial Hamiltonian and its
     images under the entangler."""
     op = build_hamiltonian(bundle, "catalyst-sum")
@@ -681,100 +663,49 @@ def _gapless_catalyst(bundle: ModelBundle) -> Catalyst:
             f"catalyst Hamiltonian for {bundle.name} has a degenerate ground space "
             f"({len(basis)} states) at this size"
         )
-    vec = basis[0]
-    state = dn.DenseState.from_amplitudes(
-        2 if bundle.qudit_symmetry is None else bundle.qudit_symmetry.group.order,
-        bundle.n,
-        vec,
-    )
     # Strong by default: eigenvalue +1 under each generator, not just a phase.
-    return Catalyst(
-        name="gapless",
-        engine="dense",
-        mixed=False,
-        dense_state=state,
-    )
+    return _spec(dn.DenseState.from_amplitudes(op.q, bundle.n, basis[0]))
 
 
-def _cluster_ghz(bundle: ModelBundle) -> Catalyst:
+def _cluster_ghz(bundle: ModelBundle):
     n = bundle.n
     gens = ghz_generators(n, list(range(0, n, 2))) + ghz_generators(
         n, list(range(1, n, 2))
     )
-    state = StabilizerMixture.from_generators(n, gens)
-    return Catalyst(
-        name="ghz",
-        engine="stabilizer",
-        mixed=False,
-        stab=state,
-        prep_recipe="ghz-staircase",
-    )
+    return _spec(StabilizerMixture.from_generators(n, gens), prep_recipe="ghz-staircase")
 
 
-def _cluster_ghz_one_sublattice(bundle: ModelBundle) -> Catalyst:
+def _cluster_ghz_one_sublattice(bundle: ModelBundle):
     n = bundle.n
     gens = ghz_generators(n, list(range(0, n, 2)))
     gens += [PauliOperator.x_at(n, i) for i in range(1, n, 2)]
-    state = StabilizerMixture.from_generators(n, gens)
-    return Catalyst(
-        name="ghz-one-sublattice",
-        engine="stabilizer",
-        mixed=False,
-        stab=state,
-        prep_recipe="ghz-staircase-even",
-    )
+    return _spec(StabilizerMixture.from_generators(n, gens), prep_recipe="ghz-staircase-even")
 
 
-def _cluster_swssb(bundle: ModelBundle) -> Catalyst:
+def _cluster_swssb(bundle: ModelBundle):
     """Spin-glass-like mixture with long-range fidelity correlations: the
     strong-to-weak breaking of both sublattice symmetries."""
     n = bundle.n
-    state = StabilizerMixture.from_generators(
-        n,
-        (
-            PauliOperator.x_at(n, *range(0, n, 2)),
-            PauliOperator.x_at(n, *range(1, n, 2)),
-        ),
-    )
-    return Catalyst(
-        name="swssb",
-        engine="stabilizer",
-        mixed=True,
-        stab=state,
-        prep_recipe="measure-zz",
-    )
+    gens = (PauliOperator.x_at(n, *range(0, n, 2)), PauliOperator.x_at(n, *range(1, n, 2)))
+    return _spec(StabilizerMixture.from_generators(n, gens), prep_recipe="measure-zz")
 
 
-def _group_average_catalyst(bundle: ModelBundle) -> Catalyst:
+def _group_average_catalyst(bundle: ModelBundle):
     """rho proportional to the sum of all symmetry operators."""
     gens = [g.pauli for g in bundle.symmetry.generators]
-    state = StabilizerMixture.from_generators(
-        bundle.n, _independent_subset(bundle.n, gens)
-    )
-    return Catalyst(
-        name="group-average",
-        engine="stabilizer",
-        mixed=True,
-        stab=state,
-    )
+    return _spec(StabilizerMixture.from_generators(bundle.n, _independent_subset(bundle.n, gens)))
 
 
-def _lieb_ghz_vertices(bundle: ModelBundle) -> Catalyst:
+def _lieb_ghz_vertices(bundle: ModelBundle):
     """Cat state on the vertex qubits; edge qubits polarized in X."""
     lat: LiebLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.x_at(n, e) for e in lat.edges()]
     gens += ghz_generators(n, lat.vertices())
-    state = StabilizerMixture.from_generators(n, gens)
-    return Catalyst(
-        name="ghz-vertices",
-        engine="stabilizer",
-        mixed=False,
-        stab=state,
-    )
+    return _spec(StabilizerMixture.from_generators(n, gens))
 
 
-def _lieb_toric_code(bundle: ModelBundle) -> Catalyst:
+def _lieb_toric_code(bundle: ModelBundle):
     """Topologically ordered edge state.  It spontaneously breaks the winding
     1-form loops, which is the allowed partial breaking, so it names them in
     `broken`."""
@@ -785,63 +716,37 @@ def _lieb_toric_code(bundle: ModelBundle) -> Catalyst:
     state = StabilizerMixture.from_generators(n, gens)
     for edges in lat.plaquettes():
         state = state.project(PauliOperator.x_at(n, *edges), 1)
-    return Catalyst(
-        name="toric-code",
-        engine="stabilizer",
-        mixed=False,
-        stab=state,
-        broken=("loop-wind-h", "loop-wind-v"),
-    )
+    return _spec(state, broken=("loop-wind-h", "loop-wind-v"))
 
 
-def _lieb_mixed(bundle: ModelBundle) -> Catalyst:
+def _lieb_mixed(bundle: ModelBundle):
     """Strong-to-weak breaking of both the 0-form and the 1-form symmetry."""
     lat: LiebLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.x_at(n, *lat.vertices())]
     gens += [PauliOperator.x_at(n, *edges) for edges in lat.plaquettes()]
     state = StabilizerMixture.from_generators(n, _independent_subset(n, gens))
-    return Catalyst(
-        name="lieb-mixed",
-        engine="stabilizer",
-        mixed=True,
-        stab=state,
-        weak_under=("loop-wind-h", "loop-wind-v"),
-    )
+    return _spec(state, weak_under=("loop-wind-h", "loop-wind-v"))
 
 
-def _square_pim_symmetric(bundle: ModelBundle) -> Catalyst:
+def _square_pim_symmetric(bundle: ModelBundle):
     """Line-symmetric ground state of the plaquette Ising model."""
     lat: SquareLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.z_at(n, *lat.neighbors(v)) for v in range(n)]
     gens += [g.pauli for g in bundle.symmetry.generators]
-    state = StabilizerMixture.from_generators(n, _independent_subset(n, gens))
-    return Catalyst(
-        name="pim-symmetric",
-        engine="stabilizer",
-        mixed=not state.is_pure,
-        stab=state,
-    )
+    return _spec(StabilizerMixture.from_generators(n, _independent_subset(n, gens)))
 
 
-def _cocycle_ghz(bundle: ModelBundle) -> Catalyst:
+def _cocycle_ghz(bundle: ModelBundle):
     """Uniform-group cat state: symmetric, with the on-site symmetry
     completely broken spontaneously."""
-    qsym = bundle.qudit_symmetry
-    group = qsym.group
+    group = bundle.qudit_symmetry.group
     q = group.order
     amps = np.zeros(q**bundle.n, dtype=np.complex128)
     for g in group.elements():
-        idx = sum(group.index(g) * q**i for i in range(bundle.n))
-        amps[idx] = 1.0
-    state = dn.DenseState.from_amplitudes(q, bundle.n, amps)
-    return Catalyst(
-        name="ghz",
-        engine="dense",
-        mixed=False,
-        dense_state=state,
-    )
+        amps[sum(group.index(g) * q**i for i in range(bundle.n))] = 1.0
+    return _spec(dn.DenseState.from_amplitudes(q, bundle.n, amps))
 
 
 def _independent_subset(n: int, gens: Iterable[PauliOperator]) -> list[PauliOperator]:
@@ -918,7 +823,7 @@ def _cocycle_hamiltonian(bundle, kind, alpha) -> dn.DenseOperator:
     if kind == "triv":
         return dn.DenseOperator(bundle.n, q, triv)
     circuit: CocycleCircuit = bundle.entangler
-    conj1 = [_conjugate_term_by_diagonal(circuit, s, m) for s, m in triv]
+    conj1 = [circuit.conjugate_term(s, m) for s, m in triv]
     if kind == "spt":
         return dn.DenseOperator(bundle.n, q, conj1)
     if kind == "interpolated":
@@ -933,24 +838,7 @@ def _cocycle_hamiltonian(bundle, kind, alpha) -> dn.DenseOperator:
         terms = list(triv)
         current = triv
         for _ in range(order - 1):
-            current = [_conjugate_term_by_diagonal(circuit, s, m) for s, m in current]
+            current = [circuit.conjugate_term(s, m) for s, m in current]
             terms += current
         return dn.DenseOperator(bundle.n, q, terms)
     raise RegistryError(f"unknown hamiltonian kind {kind!r}")
-
-
-def _conjugate_term_by_diagonal(
-    circuit: CocycleCircuit, support: tuple[int, ...], mat: np.ndarray
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Conjugate a local term by the diagonal circuit, growing the support."""
-    touching = []
-    halo = set(support)
-    for gate in circuit.gates:
-        if any(s in support for s in gate.sites):
-            touching.append(gate)
-            halo.update(gate.sites)
-    new_support = tuple(sorted(halo))
-    embedded = dn.embed_operator(
-        mat, [new_support.index(s) for s in support], len(new_support), circuit.q
-    )
-    return new_support, conjugate_by_gates(touching, circuit.q, new_support, embedded)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import dense as dn
-from .cohomology import CocycleCircuit, conjugate_by_gates
+from .cohomology import CocycleCircuit
 from .gf2 import BitMatrix
 from .models import (
     Catalyst,
@@ -209,27 +209,13 @@ class DoubledDiagonalCircuit:
 
 
 def build_doubled_diagonal(circuit: CocycleCircuit) -> DoubledDiagonalCircuit:
+    """v_i is the register swap of sites i and n+i, conjugated by the gates
+    that touch site i."""
     n, q = circuit.num_sites, circuit.q
-    v_terms = []
-    for i in range(n):
-        gates = circuit.gates_touching(i)
-        support_a = sorted({s for g in gates for s in g.sites})
-        support = tuple(support_a) + (n + i,)
-        m = len(support)
-        swap = _qudit_swap_matrix(q, m, support.index(i), m - 1)
-        v_terms.append((support, conjugate_by_gates(gates, q, support, swap)))
-    return DoubledDiagonalCircuit(n, q, tuple(v_terms))
-
-
-def _qudit_swap_matrix(q: int, m: int, pa: int, pb: int) -> np.ndarray:
-    dim = q**m
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for idx in range(dim):
-        digits = [(idx // q**k) % q for k in range(m)]
-        digits[pa], digits[pb] = digits[pb], digits[pa]
-        jdx = sum(d * q**k for k, d in enumerate(digits))
-        mat[jdx, idx] = 1.0
-    return mat
+    swap = np.eye(q * q, dtype=np.complex128).reshape((q,) * 4).transpose(1, 0, 2, 3)
+    swap = swap.reshape(q * q, q * q)
+    v_terms = tuple(circuit.conjugate_term((i, n + i), swap) for i in range(n))
+    return DoubledDiagonalCircuit(n, q, v_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +507,19 @@ def spt_invariant_dense(
 # ---------------------------------------------------------------------------
 
 
-def _endpoint_regions(gamma: tuple[int, int], radius: int, n: int) -> tuple[list[int], list[int]]:
+def _truncation(
+    n: int, gamma: tuple[int, int], sym_pauli: PauliOperator, radius: int
+) -> tuple[PauliOperator, list[int], list[int]]:
+    """U_gamma and the left and right endpoint regions, each reaching
+    `radius` sites outward from its endpoint (inclusive)."""
     a, b = gamma
-    left = [(a - k) % n for k in range(radius + 1)]
-    right = [(b + k) % n for k in range(radius + 1)]
-    return sorted(set(left)), sorted(set(right))
+    if radius < 0:
+        raise ValueError(f"the radius must be at least 0, got {radius}")
+    if (b - a) % n + 1 < 4 * radius:
+        raise ValueError("the interval must be at least four times the radius")
+    left = sorted({(a - k) % n for k in range(radius + 1)})
+    right = sorted({(b + k) % n for k in range(radius + 1)})
+    return sym_pauli.restrict(_interval_sites(a, b, n)), left, right
 
 
 def _split_endpoint_operator(
@@ -551,15 +545,10 @@ def strong_localization(
     endpoint regions reach `radius` sites outward from each endpoint
     (inclusive).  The search is a GF(2) solve over the quotient of the Pauli
     group by the stabilizer group: exact, no sampling.  Requires
-    len(gamma) >= 4 * radius.
+    len(gamma) >= 4 * radius >= 0.
     """
     n = rho.n
-    a, b = gamma
-    length = (b - a) % n + 1
-    if length < 4 * radius:
-        raise ValueError("the interval must be at least four times the radius")
-    u_gamma = sym_pauli.restrict(_interval_sites(a, b, n))
-    left, right = _endpoint_regions(gamma, radius, n)
+    u_gamma, left, right = _truncation(n, gamma, sym_pauli, radius)
     allowed = set(left) | set(right)
     gens = rho.generators
     # Prefer the trivial witness: the truncated symmetry absorbed entirely.
@@ -596,14 +585,10 @@ def weak_localization(
     sym_pauli: PauliOperator,
     radius: int,
 ) -> Optional[tuple[PauliOperator, PauliOperator]]:
-    """Endpoint W with U_gamma' rho U_gamma = W' rho W, or None (exact)."""
+    """Endpoint W with U_gamma' rho U_gamma = W' rho W, or None (exact);
+    the same regions and preconditions as `strong_localization`."""
     n = rho.n
-    a, b = gamma
-    length = (b - a) % n + 1
-    if length < 4 * radius:
-        raise ValueError("the interval must be at least four times the radius")
-    u_gamma = sym_pauli.restrict(_interval_sites(a, b, n))
-    left, right = _endpoint_regions(gamma, radius, n)
+    u_gamma, left, right = _truncation(n, gamma, sym_pauli, radius)
     region = sorted(set(left) | set(right))
     gens = rho.generators
     # Unknowns: x and z bits of W on the region; equations: one per generator.

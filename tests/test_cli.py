@@ -52,6 +52,20 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert repr(kind) in err
     assert run_cli(["invariant", "--model", "cluster-1d", "--n", "8"]) == 2
     assert run_cli(["bogus-command"]) == 2
+    # A size key the model does not take names the keys it does take.
+    out = ["--out", str(tmp_path / "r.json")]
+    for argv in (
+        "catalyze --model lieb-2d --catalyst ghz-vertices --n 8",
+        "localization --model lieb-2d --catalyst toric-code --n 30",
+        "invariant --model cocycle-z2z2 --n 12",
+        "invariant --model lieb-2d --n 12",
+    ):
+        assert run_cli(argv.split() + out) == 2
+        assert "takes the size keys" in capsys.readouterr().err
+    argv = "localization --model cluster-1d --catalyst swssb --n 12 --radius -1"
+    assert run_cli(argv.split() + out) == 2
+    assert "the radius must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
     assert (
         run_cli(
             [
@@ -178,18 +192,7 @@ def test_invariant_csv(tmp_path):
     assert any("-1" in line for line in text[1:])
 
 
-def test_measure_prep_jobs_deterministic(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    base = ["measure-prep", "--n", "8", "--runs", "12", "--seed", "5"]
-    assert run_cli(base + ["--jobs", "1", "--out", str(a)]) == 0
-    assert run_cli(base + ["--jobs", "2", "--out", str(b)]) == 0
-    ra, rb = load_report(a), load_report(b)
-    assert ra["results"]["runs"] == rb["results"]["runs"]
-
-
-@pytest.mark.parametrize(
-    "flag, value", [("--runs", "-3"), ("--runs", "0"), ("--jobs", "0"), ("--jobs", "-1")]
-)
+@pytest.mark.parametrize("flag, value", [("--runs", "-3"), ("--runs", "0")])
 def test_measure_prep_rejects_bad_counts(tmp_path, capsys, flag, value):
     out = tmp_path / "mp.json"
     argv = ["measure-prep", "--n", "8", "--runs", "4", flag, value, "--out", str(out)]
@@ -247,7 +250,7 @@ def test_measure_prep_protocol_violation_fails_the_report(tmp_path, monkeypatch)
 
     monkeypatch.setattr(cli, "measurement_prepare_catalyst", flaky)
     out = tmp_path / "mp.json"
-    argv = ["measure-prep", "--n", "8", "--runs", "6", "--seed", "2", "--jobs", "1"]
+    argv = ["measure-prep", "--n", "8", "--runs", "6", "--seed", "2"]
     assert run_cli(argv + ["--out", str(out)]) == 1
     report = load_report(out)
     assert report["passed"] is False

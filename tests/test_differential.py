@@ -3,8 +3,10 @@ cached-basis fast paths against plain reference forms of the same
 computation, compared exactly, and the dense oracle's entangler action,
 doubled-circuit check and fidelity; criterion 2's basis-label images against
 the per-column dense action, and index-placed Hamiltonian assembly against
-the kron embedding; and the measurement protocol's affine-sign template
-against the per-sample loop and the dense projectors."""
+the kron embedding; the cocycle chain's v-terms and Hamiltonians against the
+gate-conjugation loops `CocycleCircuit.conjugate_term` replaced; and the
+measurement protocol's affine-sign template against the per-sample loop and
+the dense projectors."""
 import math
 from dataclasses import replace
 
@@ -30,6 +32,7 @@ from catalab.dense import (
     stabilizer_density,
     stabilizer_to_dense,
 )
+from catalab.cohomology import CocycleCircuit
 from catalab.gf2 import BitMatrix
 from catalab.models import (
     RingLattice,
@@ -57,7 +60,7 @@ from catalab.stabilizer import (
     y_gate,
     z_gate,
 )
-from catalab.verify import build_doubled_fdqc
+from catalab.verify import build_doubled_diagonal, build_doubled_fdqc
 
 ONE_SITE = (h_gate, s_gate, sdg_gate, x_gate, y_gate, z_gate)
 TWO_SITE = (cz_gate, cnot_gate, swap_gate)
@@ -501,6 +504,88 @@ def kron_sum(op):
 def test_hamiltonian_assembly_matches_kron_sum(model, params, kind):
     op = build_hamiltonian(build_model(model, **params), kind, alpha=0.3)
     assert op.to_matrix().tobytes() == kron_sum(op).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# cocycle chain: one conjugation by the diagonal gates, against the loops it
+# replaced (the doubled v-term loop and the Hamiltonian term loop)
+# ---------------------------------------------------------------------------
+
+
+def reference_conjugate_by_gates(gates, q, support, mat):
+    """D mat D^dagger for D the product of the gates' phase diagonals, written
+    on `support` (support[0] least significant; it holds every gate site)."""
+    m = len(support)
+    pos = {s: k for k, s in enumerate(support)}
+    dim = q**m
+    diag = np.ones(dim, dtype=np.complex128)
+    for gate in gates:
+        phases = gate.phases()
+        for idx in range(dim):
+            digits = [(idx // q**k) % q for k in range(m)]
+            gidx = sum(digits[pos[s]] * q**k for k, s in enumerate(gate.sites))
+            diag[idx] *= phases[gidx]
+    return (diag[:, None] * mat) * diag.conj()[None, :]
+
+
+def reference_qudit_swap_matrix(q, m, pa, pb):
+    dim = q**m
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for idx in range(dim):
+        digits = [(idx // q**k) % q for k in range(m)]
+        digits[pa], digits[pb] = digits[pb], digits[pa]
+        jdx = sum(d * q**k for k, d in enumerate(digits))
+        mat[jdx, idx] = 1.0
+    return mat
+
+
+def reference_doubled_diagonal_v_terms(circuit):
+    """v_i from the gates on site i and an explicit swap of sites i, n+i."""
+    n, q = circuit.num_sites, circuit.q
+    v_terms = []
+    for i in range(n):
+        gates = [g for g in circuit.gates if i in g.sites]
+        support = tuple(sorted({s for g in gates for s in g.sites})) + (n + i,)
+        m = len(support)
+        swap = reference_qudit_swap_matrix(q, m, support.index(i), m - 1)
+        v_terms.append((support, reference_conjugate_by_gates(gates, q, support, swap)))
+    return v_terms
+
+
+def reference_conjugate_term(circuit, support, mat):
+    """Conjugate a local term by the diagonal circuit, growing the support."""
+    touching = []
+    halo = set(support)
+    for gate in circuit.gates:
+        if any(s in support for s in gate.sites):
+            touching.append(gate)
+            halo.update(gate.sites)
+    new_support = tuple(sorted(halo))
+    embedded = embed_operator(
+        mat, [new_support.index(s) for s in support], len(new_support), circuit.q
+    )
+    return new_support, reference_conjugate_by_gates(touching, circuit.q, new_support, embedded)
+
+
+@pytest.mark.parametrize("sites", [3, 4, 5])
+def test_doubled_diagonal_v_terms_match_reference_loop(sites):
+    circuit = build_model("cocycle-z2z2", sites=sites).entangler
+    got = build_doubled_diagonal(circuit).v_terms
+    want = reference_doubled_diagonal_v_terms(circuit)
+    assert [support for support, _ in got] == [support for support, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("sites", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["triv", "spt", "interpolated", "catalyst-sum"])
+def test_cocycle_hamiltonian_matches_reference_conjugation(monkeypatch, sites, kind):
+    bundle = build_model("cocycle-z2z2", sites=sites)
+    got = build_hamiltonian(bundle, kind, alpha=0.3)
+    monkeypatch.setattr(CocycleCircuit, "conjugate_term", reference_conjugate_term)
+    want = build_hamiltonian(bundle, kind, alpha=0.3)
+    assert [support for support, _ in got.terms] == [support for support, _ in want.terms]
+    assert got.to_matrix().tobytes() == want.to_matrix().tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from catalab import models
+from catalab.acceptance import CATALYSIS_MATRIX
 from catalab.cohomology import CocycleCircuit, bilinear_cocycle, normalize_cocycle
 from catalab.dense import (
     DenseState,
@@ -16,6 +17,7 @@ from catalab.models import (
     build_catalyst,
     build_hamiltonian,
     build_model,
+    catalyst_kinds,
     cz_ring_circuit,
 )
 from catalab.pauli import PauliOperator
@@ -120,6 +122,38 @@ def test_registry_catalysts_build_and_validate(model, params, kinds):
     for kind in kinds:
         cat = build_catalyst(bundle, kind)
         assert cat.name == kind
+
+
+# (engine, mixed) of every registry catalyst at the criterion sizes.
+CATALYST_TABLE = {
+    ("lsm-dimer", "ghz"): ("stabilizer", False),
+    ("lsm-dimer", "superposition"): ("dense", False),
+    ("lsm-dimer", "gapless"): ("dense", False),
+    ("lsm-dimer", "long-range-bell"): ("stabilizer", False),
+    ("cluster-1d", "ghz"): ("stabilizer", False),
+    ("cluster-1d", "ghz-one-sublattice"): ("stabilizer", False),
+    ("cluster-1d", "superposition"): ("dense", False),
+    ("cluster-1d", "gapless"): ("dense", False),
+    ("cluster-1d", "swssb"): ("stabilizer", True),
+    ("cluster-1d", "group-average"): ("stabilizer", True),
+    ("lieb-2d", "ghz-vertices"): ("stabilizer", False),
+    ("lieb-2d", "toric-code"): ("stabilizer", False),
+    ("lieb-2d", "lieb-mixed"): ("stabilizer", True),
+    ("square-sspt", "pim-symmetric"): ("stabilizer", False),
+    ("square-sspt", "group-average"): ("stabilizer", True),
+    ("cocycle-z2z2", "ghz"): ("dense", False),
+    ("cocycle-z2z2", "superposition"): ("dense", False),
+    ("cocycle-z2z2", "gapless"): ("dense", False),
+}
+
+
+@pytest.mark.parametrize("model, params", CATALYSIS_MATRIX + [("cocycle-z2z2", {"sites": 4})])
+def test_catalyst_name_engine_and_mixedness_follow_from_the_state(model, params):
+    assert catalyst_kinds(model) == tuple(k for m, k in CATALYST_TABLE if m == model)
+    bundle = build_model(model, **params)
+    for kind in catalyst_kinds(model):
+        cat = build_catalyst(bundle, kind)
+        assert (cat.name, cat.engine, cat.mixed) == (kind, *CATALYST_TABLE[(model, kind)])
 
 
 def test_cluster_ghz_pair_is_entangler_invariant():

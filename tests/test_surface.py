@@ -10,8 +10,9 @@ of a class must be read as an attribute, and every parameter with a
 default must be passed at some call of a function of that name.  A field
 nothing reads and an option nothing sets are dead weight in the same way.
 
-The test modules get the same treatment for their imports: every name a
-module under `tests/` imports is read in that module.
+Imports get the same treatment: every name a module under `tests/` or
+`src/catalab` imports is read in that module, apart from the package's
+re-exports in `__init__.py`.
 """
 from __future__ import annotations
 
@@ -180,11 +181,11 @@ def unset_options() -> list[str]:
     return unset
 
 
-def unused_test_imports() -> list[str]:
-    """`module:name` for each name a test module imports but never reads.
+def unused_imports(paths) -> list[str]:
+    """`module:name` for each name a module imports but never reads.
     `import a.b` binds `a`; `from __future__` imports bind nothing."""
     unused = []
-    for path in sorted(TESTS.glob("*.py")):
+    for path in sorted(paths):
         tree = ast.parse(path.read_text())
         imported: list[str] = []
         for node in ast.walk(tree):
@@ -231,4 +232,8 @@ def test_exemptions_are_still_defined():
 
 
 def test_test_modules_use_their_imports():
-    assert unused_test_imports() == []
+    assert unused_imports(TESTS.glob("*.py")) == []
+
+
+def test_package_modules_use_their_imports():
+    assert unused_imports(p for p in SRC.glob("*.py") if p.name != "__init__.py") == []

@@ -467,6 +467,10 @@ def test_localization_radius_precondition():
     gen = PauliOperator.x_at(n, *range(n))
     with pytest.raises(ValueError):
         strong_localization(state, (0, 3), gen, radius=3)
+    # A negative radius has empty endpoint regions; both solvers reject it.
+    for solver in (strong_localization, weak_localization):
+        with pytest.raises(ValueError, match="the radius must be at least 0, got -1"):
+            solver(state, (0, 3), gen, radius=-1)
 
 
 # ---------------------------------------------------------------------------
