@@ -52,34 +52,19 @@ class UsageError(Exception):
 
 
 def _model_params(args) -> dict:
-    params = {}
-    for key in ("n", "lx", "ly", "l", "sites"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    return params
+    keys = ("n", "lx", "ly", "l", "sites")
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _envelope(command: str, config: dict, results, passed: bool) -> dict:
-    return {
-        "tool": "catalab",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "results": results,
-        "passed": passed,
-    }
-
-
-def _emit(envelope: dict, out: Optional[str], fmt: str, csv_rows=None) -> None:
-    """Render the report in the chosen format, then write it to `out` or
-    stdout.  CSV needs the command's table rows."""
+def _emit(envelope: dict, out: Optional[str], fmt: str, rows=None) -> None:
+    """Render the report as JSON, or as the CSV table `rows`, then write it
+    to `out` or stdout.  `_report`'s render step, kept apart so that the
+    benchmark can time it (`cli.emit_s`)."""
     if fmt == "csv":
-        if csv_rows is None:
+        if rows is None:
             raise UsageError("csv output is only available for tabular payloads")
         buf = io.StringIO()
-        csv.writer(buf).writerows(csv_rows)
+        csv.writer(buf).writerows(rows)
         text = buf.getvalue()
     else:
         text = json.dumps(envelope, indent=2, sort_keys=True, default=str) + "\n"
@@ -89,6 +74,28 @@ def _emit(envelope: dict, out: Optional[str], fmt: str, csv_rows=None) -> None:
         print(f"{'PASS' if envelope['passed'] else 'FAIL'} report written to {out}")
     else:
         sys.stdout.write(text)
+
+
+def _report(args, results, passed: bool = True, rows=None, config=None) -> int:
+    """Emit the command's report and return its exit code.  The config
+    defaults to every parsed option that is set, apart from those that route
+    or render the report.  A command without `--format` (selftest) writes
+    its report only to `--out`."""
+    if config is None:
+        skip = ("command", "fn", "out", "format")
+        config = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    envelope = {
+        "tool": "catalab",
+        "version": __version__,
+        "command": args.command,
+        "config": config,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "results": results,
+        "passed": passed,
+    }
+    if args.out or hasattr(args, "format"):
+        _emit(envelope, args.out, getattr(args, "format", "json"), rows)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +114,7 @@ def cmd_catalyze(args) -> int:
         catalyst.engine = "dense"
         catalyst.dense_state = dn.stabilizer_to_dense(catalyst.stab)
     report = verify_catalysis(bundle, catalyst)
-    envelope = _envelope(
-        "catalyze",
-        {
-            "model": args.model,
-            "catalyst": args.catalyst,
-            "engine": args.engine,
-            "seed": args.seed,
-            **_model_params(args),
-        },
-        report.to_json_dict(),
-        report.passed,
-    )
-    _emit(envelope, args.out, args.format)
-    return 0 if report.passed else 1
+    return _report(args, report.to_json_dict(), report.passed)
 
 
 def cmd_invariant(args) -> int:
@@ -130,17 +124,10 @@ def cmd_invariant(args) -> int:
     table = spt_invariant(bundle.entangler, bundle.symmetry, args.n)
     payload = table.to_json_dict()
     nontrivial = any(v != 1 for v in table.entries.values())
-    envelope = _envelope(
-        "invariant",
-        {"model": args.model, "n": args.n},
-        {**payload, "nontrivial": nontrivial},
-        True,
-    )
-    rows = [["g", "h", "re", "im", "ipower"]]
-    for entry in payload["entries"]:
-        rows.append([entry["g"], entry["h"], entry["re"], entry["im"], entry.get("ipower")])
-    _emit(envelope, args.out, args.format, csv_rows=rows)
-    return 0
+    rows = [["g", "h", "re", "im", "ipower"]] + [
+        [e["g"], e["h"], e["re"], e["im"], e.get("ipower")] for e in payload["entries"]
+    ]
+    return _report(args, {**payload, "nontrivial": nontrivial}, rows=rows)
 
 
 def cmd_localization(args) -> int:
@@ -148,14 +135,18 @@ def cmd_localization(args) -> int:
     catalyst = build_catalyst(bundle, args.catalyst)
     if catalyst.engine != "stabilizer":
         raise UsageError("localization diagnostics need a stabilizer catalyst")
-    lengths = [int(v) for v in args.lengths.split(",")]
+    low, high = 4 * args.radius, args.n - 4 * args.radius
+    for length in args.lengths:
+        if not low <= length <= high:
+            raise UsageError(
+                f"--lengths entry {length} does not fit: at --n {args.n} and "
+                f"--radius {args.radius} a length must lie in [{low}, {high}]"
+            )
+    solver = strong_localization if args.mode == "strong" else weak_localization
     results = []
     for gen in bundle.symmetry.generators:
-        for length in lengths:
+        for length in args.lengths:
             gamma = (0, length - 1)
-            if length < 4 * args.radius or (args.n - length) < 4 * args.radius:
-                continue
-            solver = strong_localization if args.mode == "strong" else weak_localization
             witness = solver(catalyst.stab, gamma, gen.pauli, args.radius)
             results.append(
                 {
@@ -167,21 +158,7 @@ def cmd_localization(args) -> int:
                     else [str(witness[0]), str(witness[1])],
                 }
             )
-    envelope = _envelope(
-        "localization",
-        {
-            "model": args.model,
-            "catalyst": args.catalyst,
-            "n": args.n,
-            "mode": args.mode,
-            "radius": args.radius,
-            "lengths": lengths,
-        },
-        results,
-        True,
-    )
-    _emit(envelope, args.out, args.format)
-    return 0
+    return _report(args, results)
 
 
 def cmd_correlators(args) -> int:
@@ -193,19 +170,18 @@ def cmd_correlators(args) -> int:
     results = []
     if bundle.name == "lieb-2d":
         lat = bundle.lattice
-        for tag, loop in zip(("dual-loop-h", "dual-loop-v"), lat.dual_loops()):
-            w = PauliOperator.z_at(bundle.n, *loop)
-            exp, fid = disorder_parameter(state, w)
-            results.append(
-                {"observable": tag, "expectation": exp, "fidelity": str(fid)}
-            )
+        loops = [PauliOperator.z_at(bundle.n, *loop) for loop in lat.dual_loops()]
         string = PauliOperator.x_at(bundle.n, *lat.open_string(lat.lx - 1))
-        exp, fid = disorder_parameter(state, string)
-        results.append(
-            {"observable": "open-string", "expectation": exp, "fidelity": str(fid)}
-        )
+        for tag, op in zip(("dual-loop-h", "dual-loop-v", "open-string"), loops + [string]):
+            exp, fid = disorder_parameter(state, op)
+            results.append({"observable": tag, "expectation": exp, "fidelity": str(fid)})
     else:
         pairs = [(0, 2), (0, 1), (0, 4)]
+        if bundle.n <= 4:
+            raise UsageError(
+                f"the correlator pairs {pairs} need sites 0 to 4; "
+                f"{args.model} at this size has {bundle.n} sites"
+            )
         for i, j in pairs:
             o_i = PauliOperator.z_at(bundle.n, i)
             o_j = PauliOperator.z_at(bundle.n, j)
@@ -217,19 +193,11 @@ def cmd_correlators(args) -> int:
                     "renyi2": str(renyi_correlator(state, o_i, o_j, 2)),
                 }
             )
-    envelope = _envelope(
-        "correlators",
-        {"model": args.model, "catalyst": args.catalyst, **_model_params(args)},
-        results,
-        True,
-    )
-    rows = [["observable", "expectation", "fidelity", "renyi2"]]
-    for r in results:
-        rows.append(
-            [r["observable"], r["expectation"], r["fidelity"], r.get("renyi2", "")]
-        )
-    _emit(envelope, args.out, args.format, csv_rows=rows)
-    return 0
+    rows = [["observable", "expectation", "fidelity", "renyi2"]] + [
+        [r["observable"], r["expectation"], r["fidelity"], r.get("renyi2", "")]
+        for r in results
+    ]
+    return _report(args, results, rows=rows)
 
 
 def _measure_prep_run(n: int, seed: np.random.SeedSequence) -> dict:
@@ -254,19 +222,11 @@ def cmd_measure_prep(args) -> int:
     seeds = np.random.SeedSequence(args.seed).spawn(args.runs)
     results = [_measure_prep_run(args.n, seed) for seed in seeds]
     failures = [(idx, r["error"]) for idx, r in enumerate(results) if "error" in r]
-    all_ok = not failures
-    summary = {"runs": results, "all_valid": all_ok}
+    summary = {"runs": results, "all_valid": not failures}
     if failures:
         idx, message = failures[0]
         summary["first_failure"] = {"run": idx, "error": message}
-    envelope = _envelope(
-        "measure-prep",
-        {"n": args.n, "runs": args.runs, "seed": args.seed},
-        summary,
-        all_ok,
-    )
-    _emit(envelope, args.out, args.format)
-    return 0 if all_ok else 1
+    return _report(args, summary, not failures)
 
 
 def cmd_pipeline(args) -> int:
@@ -280,26 +240,13 @@ def cmd_pipeline(args) -> int:
         reached = register_a_matches(final, bundle.target)
     else:
         reached = final.same_state(bundle.target)
-    passed = audited and reached
-    envelope = _envelope(
-        "pipeline",
-        {
-            "model": args.model,
-            "catalyst": args.catalyst,
-            "mode": args.mode,
-            "seed": args.seed,
-            **_model_params(args),
-        },
-        {
-            **schedule.to_json_dict(),
-            "audited": audited,
-            "target_reached": reached,
-            "measurement_outcomes": [list(o) for o in outcomes],
-        },
-        passed,
-    )
-    _emit(envelope, args.out, args.format)
-    return 0 if passed else 1
+    results = {
+        **schedule.to_json_dict(),
+        "audited": audited,
+        "target_reached": reached,
+        "measurement_outcomes": [list(o) for o in outcomes],
+    }
+    return _report(args, results, audited and reached)
 
 
 _GROUPS = {
@@ -328,11 +275,7 @@ def cmd_cohomology(args) -> int:
     if args.normalize and args.group == "Z2xZ2" and args.degree == 2:
         nu = normalize_cocycle(bilinear_cocycle(group, 0, 1))
         payload["normalized_entangler_class"] = nu.to_json_dict()
-    envelope = _envelope(
-        "cohomology", {"group": args.group, "degree": args.degree}, payload, True
-    )
-    _emit(envelope, args.out, args.format)
-    return 0
+    return _report(args, payload, config={"group": args.group, "degree": args.degree})
 
 
 def cmd_selftest(args) -> int:
@@ -340,30 +283,27 @@ def cmd_selftest(args) -> int:
     results = acc.run_all(keys)
     for result in results:
         print(result.line())
+    entries = [
+        {
+            "criterion": r.key,
+            "title": r.title,
+            "passed": r.passed,
+            "seconds": round(r.seconds, 3),
+            "details": r.details,
+        }
+        for r in results
+    ]
     passed = all(r.passed for r in results)
-    envelope = _envelope(
-        "selftest",
-        {"criteria": keys or "all"},
-        [
-            {
-                "criterion": r.key,
-                "title": r.title,
-                "passed": r.passed,
-                "seconds": round(r.seconds, 3),
-                "details": r.details,
-            }
-            for r in results
-        ],
-        passed,
-    )
-    if args.out:
-        _emit(envelope, args.out, "json")
-    return 0 if passed else 1
+    return _report(args, entries, passed, config={"criteria": keys or "all"})
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalyst", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--lengths", default="4,6,8")
+    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--lengths", type=_int_list, default="4,6,8")
     add_common(p)
     p.set_defaults(fn=cmd_localization)
 

@@ -227,8 +227,6 @@ def inhomogeneous_delta_matrix(group: FiniteAbelianGroup, degree: int) -> list[l
 
 @dataclass
 class CohomologyResult:
-    group: FiniteAbelianGroup
-    degree: int
     modulus: int
     invariant_factors: tuple[int, ...]
     representatives: list[Cochain]
@@ -271,7 +269,7 @@ def cohomology_group(group: FiniteAbelianGroup, degree: int) -> CohomologyResult
         image = []
     factors, reps = lattice_quotient(kernel, image, dim, m)
     rep_cochains = [from_inhomogeneous(group, degree, m, rep) for rep in reps]
-    return CohomologyResult(group, degree, m, factors, rep_cochains)
+    return CohomologyResult(m, factors, rep_cochains)
 
 
 def class_order(nu: Cochain) -> int:

@@ -48,7 +48,6 @@ class RegistryError(ValueError):
 @dataclass(frozen=True)
 class RingLattice:
     n: int
-    kind: str = "ring1d"
 
     def distance(self, i: int, j: int) -> int:
         d = abs(i - j) % self.n
@@ -66,7 +65,6 @@ class LiebLattice:
 
     lx: int
     ly: int
-    kind: str = "lieb2d"
 
     @property
     def num_vertices(self) -> int:
@@ -154,7 +152,6 @@ class SquareLattice:
     """Torus of vertex qubits with diagonal-line subsystem symmetries."""
 
     l: int
-    kind: str = "square2d"
 
     @property
     def n(self) -> int:
@@ -260,7 +257,6 @@ class QuditSymmetry:
     """On-site regular action u(g)|h> = |gh> of a finite abelian group."""
 
     group: FiniteAbelianGroup
-    sites: int
 
     def apply(self, state: dn.DenseState, g: tuple[int, ...]) -> dn.DenseState:
         mapping = [self.group.index(self.group.add(g, h)) for h in self.group.elements()]
@@ -490,7 +486,7 @@ def _build_cocycle_z2z2(sites: int) -> ModelBundle:
         entangler=circuit,
         trivial=None,
         target=None,
-        qudit_symmetry=QuditSymmetry(group, sites),
+        qudit_symmetry=QuditSymmetry(group),
     )
 
 
@@ -558,39 +554,39 @@ def _check_bundle(bundle: ModelBundle) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _verify_catalyst_stab(bundle: ModelBundle, cat: Catalyst) -> None:
-    state = cat.stab
-    for gen in bundle.symmetry.generators:
-        if gen.name in cat.broken:
-            continue
-        if gen.name in cat.weak_under:
-            if any(gen.pauli.symplectic_product(g) for g in state.generators):
-                raise AssertionError(f"catalyst {cat.name} is not weakly {gen.name}-symmetric")
-        elif state.membership_sign(gen.pauli) != 1:
-            raise AssertionError(f"catalyst {cat.name} is not strongly {gen.name}-symmetric")
-    if not is_invariant(state, bundle.entangler):
-        raise AssertionError(f"catalyst {cat.name} is not entangler-invariant")
+def symmetry_defect(bundle: ModelBundle, cat: Catalyst, weak_only: bool) -> Optional[str]:
+    """The first symmetry element the catalyst fails, or None.
 
-
-def _verify_catalyst_dense(bundle: ModelBundle, cat: Catalyst) -> None:
-    state = cat.dense_state
-    if bundle.qudit_symmetry is not None:
-        qsym = bundle.qudit_symmetry
-        for g in qsym.group.elements():
-            moved = qsym.apply(state, g)
-            if abs(complex(np.vdot(state.amps, moved.amps)) - 1) > 1e-9:
-                raise AssertionError(f"catalyst {cat.name} is not symmetric under {g}")
-        evolved = bundle.entangler.apply(state)
+    Under a generator the catalyst does not name it must be strongly
+    symmetric: a stabilizer state has g in its group with sign +1, a dense
+    state <psi|g|psi> within 1e-9 of 1.  Under one in `weak_under` it need
+    only be weakly symmetric: g commutes with every stabilizer generator, or
+    |<psi|g|psi>| >= 1 - 1e-9.  Generators in `broken` are skipped; on a
+    qudit chain every group element is checked.  With `weak_only`, every
+    check is weak."""
+    qsym = bundle.qudit_symmetry
+    if qsym is not None:
+        checks = [(str(g), g, weak_only) for g in qsym.group.elements()]
     else:
-        for gen in bundle.symmetry.generators:
-            if gen.name in cat.weak_under or gen.name in cat.broken:
-                continue
-            moved = dn.apply_pauli(state, gen.pauli)
-            if abs(complex(np.vdot(state.amps, moved.amps)) - 1) > 1e-9:
-                raise AssertionError(f"catalyst {cat.name} is not symmetric under {gen.name}")
-        evolved = dn.qca_dense_action(bundle.entangler)(state)
-    if abs(abs(complex(np.vdot(state.amps, evolved.amps))) - 1) > 1e-9:
-        raise AssertionError(f"catalyst {cat.name} is not entangler-invariant")
+        checks = [
+            (gen.name, gen.pauli, weak_only or gen.name in cat.weak_under)
+            for gen in bundle.symmetry.generators
+            if gen.name not in cat.broken
+        ]
+    for label, element, weak in checks:
+        if cat.engine == "stabilizer":
+            if weak:
+                ok = not any(element.symplectic_product(g) for g in cat.stab.generators)
+            else:
+                ok = cat.stab.membership_sign(element) == 1
+        else:
+            state = cat.dense_state
+            moved = dn.apply_pauli(state, element) if qsym is None else qsym.apply(state, element)
+            value = complex(np.vdot(state.amps, moved.amps))
+            ok = abs(value) >= 1 - 1e-9 if weak else abs(value - 1) <= 1e-9
+        if not ok:
+            return label
+    return None
 
 
 def catalyst_kinds(model: str) -> tuple[str, ...]:
@@ -613,10 +609,19 @@ def build_catalyst(bundle: ModelBundle, kind: str) -> Catalyst:
     state, exceptions = builder(bundle)
     if isinstance(state, StabilizerMixture):
         cat = Catalyst(kind, "stabilizer", not state.is_pure, stab=state, **exceptions)
-        _verify_catalyst_stab(bundle, cat)
+        invariant = is_invariant(state, bundle.entangler)
     else:
         cat = Catalyst(kind, "dense", False, dense_state=state, **exceptions)
-        _verify_catalyst_dense(bundle, cat)
+        if bundle.qudit_symmetry is None:
+            evolved = dn.qca_dense_action(bundle.entangler)(state)
+        else:
+            evolved = bundle.entangler.apply(state)
+        invariant = abs(abs(complex(np.vdot(state.amps, evolved.amps))) - 1) <= 1e-9
+    defect = symmetry_defect(bundle, cat, weak_only=False)
+    if defect is not None:
+        raise AssertionError(f"catalyst {kind} is not symmetric under {defect}")
+    if not invariant:
+        raise AssertionError(f"catalyst {kind} is not entangler-invariant")
     return cat
 
 

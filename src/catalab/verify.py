@@ -29,6 +29,7 @@ from .models import (
     QuditSymmetry,
     RingLattice,
     SymmetryRep,
+    symmetry_defect,
 )
 from .pauli import PauliOperator, SiteSet
 from .stabilizer import (
@@ -193,7 +194,6 @@ class DoubledDiagonalCircuit:
     """U (x) U^-1 for a diagonal qudit circuit: dense v-layer plus swaps."""
 
     n: int
-    q: int
     v_terms: tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
     @property
@@ -215,7 +215,7 @@ def build_doubled_diagonal(circuit: CocycleCircuit) -> DoubledDiagonalCircuit:
     swap = np.eye(q * q, dtype=np.complex128).reshape((q,) * 4).transpose(1, 0, 2, 3)
     swap = swap.reshape(q * q, q * q)
     v_terms = tuple(circuit.conjugate_term((i, n + i), swap) for i in range(n))
-    return DoubledDiagonalCircuit(n, q, v_terms)
+    return DoubledDiagonalCircuit(n, v_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -285,31 +285,6 @@ class CatalysisReport:
         }
 
 
-def _first_asymmetry(bundle: ModelBundle, catalyst: Catalyst) -> Optional[str]:
-    """The first symmetry element under which the catalyst is not even
-    weakly symmetric, or None.  Generators named in `catalyst.broken` are
-    skipped.  A stabilizer catalyst is weakly symmetric under a Pauli that
-    commutes with all its generators; a dense one under an element g with
-    |<psi|g|psi>| >= 1 - 1e-9."""
-    state = catalyst.dense_state
-    if bundle.qudit_symmetry is not None:
-        qsym = bundle.qudit_symmetry
-        for g in qsym.group.elements():
-            if abs(np.vdot(state.amps, qsym.apply(state, g).amps)) < 1 - 1e-9:
-                return str(g)
-        return None
-    for gen in bundle.symmetry.generators:
-        if gen.name in catalyst.broken:
-            continue
-        if catalyst.engine == "stabilizer":
-            ok = not any(gen.pauli.symplectic_product(g) for g in catalyst.stab.generators)
-        else:
-            ok = abs(np.vdot(state.amps, dn.apply_pauli(state, gen.pauli).amps)) >= 1 - 1e-9
-        if not ok:
-            return gen.name
-    return None
-
-
 def verify_catalysis(
     bundle: ModelBundle,
     catalyst: Catalyst,
@@ -327,7 +302,7 @@ def verify_catalysis(
     come back unchanged is reported as a failure, not raised.
     """
     start = time.perf_counter()
-    failed = _first_asymmetry(bundle, catalyst)
+    failed = symmetry_defect(bundle, catalyst, weak_only=True)
     if failed is not None:
         raise ValueError(f"catalyst {catalyst.name} is not symmetric under {failed}")
     if bundle.is_clifford:

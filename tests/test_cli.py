@@ -65,6 +65,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     argv = "localization --model cluster-1d --catalyst swssb --n 12 --radius -1"
     assert run_cli(argv.split() + out) == 2
     assert "the radius must be at least 0, got -1" in capsys.readouterr().err
+    # A length outside [4 radius, n - 4 radius] is named, not dropped.
+    argv = "localization --model cluster-1d --catalyst swssb --n 12 --lengths 100,13"
+    assert run_cli(argv.split() + out) == 2
+    assert "--lengths entry 100 does not fit" in capsys.readouterr().err
+    # The 1D correlator pairs reach site 4, so 4 sites are too few.
+    for argv in (
+        "correlators --model cluster-1d --catalyst swssb --n 4",
+        "correlators --model square-sspt --catalyst group-average --l 2",
+    ):
+        assert run_cli(argv.split() + out) == 2
+        err = capsys.readouterr().err
+        assert "need sites 0 to 4" in err and "has 4 sites" in err
     assert not (tmp_path / "r.json").exists()
     assert (
         run_cli(
@@ -120,6 +132,31 @@ GOLDEN_REPORTS = {
     "catalyze-cluster-1d-ghz-n16": "catalyze --model cluster-1d --catalyst ghz --n 16",
     "catalyze-cluster-1d-swssb-n16": "catalyze --model cluster-1d --catalyst swssb --n 16",
     "measure-prep-n8-runs32-seed1": "measure-prep --n 8 --runs 32 --seed 1",
+    "invariant-cluster-1d-n12": "invariant --model cluster-1d --n 12",
+    "localization-cluster-1d-swssb-n12-r1": (
+        "localization --model cluster-1d --catalyst swssb --n 12 --radius 1"
+    ),
+    "localization-cluster-1d-swssb-n12-r1-weak": (
+        "localization --model cluster-1d --catalyst swssb --n 12 --radius 1 --mode weak"
+    ),
+    "correlators-cluster-1d-swssb-n8": "correlators --model cluster-1d --catalyst swssb --n 8",
+    "correlators-lieb-2d-lieb-mixed-2x2": (
+        "correlators --model lieb-2d --catalyst lieb-mixed --lx 2 --ly 2"
+    ),
+    "pipeline-cluster-1d-ghz-ancilla-n8": (
+        "pipeline --model cluster-1d --catalyst ghz --mode ancilla --n 8"
+    ),
+    "pipeline-cluster-1d-swssb-measurement-n8-seed4": (
+        "pipeline --model cluster-1d --catalyst swssb --mode measurement --n 8 --seed 4"
+    ),
+    "pipeline-lsm-dimer-long-range-bell-four-step-n8": (
+        "pipeline --model lsm-dimer --catalyst long-range-bell --mode four-step --n 8"
+    ),
+    "cohomology-Z2xZ2-degree2-normalize": "cohomology --group Z2xZ2 --degree 2 --normalize",
+    "selftest-criteria5": "selftest --criteria 5",
+    "catalyze-lieb-2d-lieb-mixed-2x2": (
+        "catalyze --model lieb-2d --catalyst lieb-mixed --lx 2 --ly 2"
+    ),
 }
 
 
@@ -285,6 +322,14 @@ def test_localization_report(tmp_path):
     assert code == 0
     report = load_report(out)
     assert all(row["witness"] is None for row in report["results"])
+
+
+def test_readme_localization_example_writes_every_row(tmp_path):
+    # The default radius 1 fits every default length 4, 6, 8 at n = 12.
+    out = tmp_path / "loc.json"
+    argv = "localization --model cluster-1d --catalyst swssb --n 12 --mode strong"
+    assert run_cli(argv.split() + ["--out", str(out)]) == 0
+    assert len(load_report(out)["results"]) == 6
 
 
 def test_correlators_report(tmp_path):

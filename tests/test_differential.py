@@ -6,7 +6,8 @@ the per-column dense action, and index-placed Hamiltonian assembly against
 the kron embedding; the cocycle chain's v-terms and Hamiltonians against the
 gate-conjugation loops `CocycleCircuit.conjugate_term` replaced; and the
 measurement protocol's affine-sign template against the per-sample loop and
-the dense projectors."""
+the dense projectors; and the one catalyst symmetry contract against the
+three loops it replaced."""
 import math
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from catalab.acceptance import (
 from catalab.dense import (
     DenseOperator,
     DenseState,
+    apply_pauli,
     dense_fidelity,
     embed_operator,
     overlap,
@@ -35,11 +37,15 @@ from catalab.dense import (
 from catalab.cohomology import CocycleCircuit
 from catalab.gf2 import BitMatrix
 from catalab.models import (
+    Catalyst,
     RingLattice,
     _independent_subset,
+    build_catalyst,
     build_hamiltonian,
     build_model,
+    catalyst_kinds,
     cz_ring_circuit,
+    symmetry_defect,
 )
 from catalab.pauli import PauliOperator
 from catalab.protocols import _measurement_template, measurement_prepare_catalyst
@@ -959,3 +965,135 @@ def test_measurement_template_matches_dense_projections(n):
             assert abs(weight - (0.5 if t in template.random else 1.0)) <= 1e-12
             rho = rho / weight
         assert np.abs(stabilizer_density(state) - rho).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# catalyst symmetry contract
+# ---------------------------------------------------------------------------
+
+
+def reference_build_check_stab(bundle, cat):
+    """The symmetry loop `build_catalyst` ran on stabilizer catalysts."""
+    state = cat.stab
+    for gen in bundle.symmetry.generators:
+        if gen.name in cat.broken:
+            continue
+        if gen.name in cat.weak_under:
+            if any(gen.pauli.symplectic_product(g) for g in state.generators):
+                return gen.name
+        elif state.membership_sign(gen.pauli) != 1:
+            return gen.name
+    return None
+
+
+def reference_build_check_dense(bundle, cat):
+    """The symmetry loops `build_catalyst` ran on dense catalysts; they
+    skipped `weak_under` generators outright."""
+    state = cat.dense_state
+    if bundle.qudit_symmetry is not None:
+        qsym = bundle.qudit_symmetry
+        for g in qsym.group.elements():
+            moved = qsym.apply(state, g)
+            if abs(complex(np.vdot(state.amps, moved.amps)) - 1) > 1e-9:
+                return str(g)
+        return None
+    for gen in bundle.symmetry.generators:
+        if gen.name in cat.weak_under or gen.name in cat.broken:
+            continue
+        moved = apply_pauli(state, gen.pauli)
+        if abs(complex(np.vdot(state.amps, moved.amps)) - 1) > 1e-9:
+            return gen.name
+    return None
+
+
+def reference_first_asymmetry(bundle, catalyst):
+    """The weak-symmetry loop `verify_catalysis` ran before the doubled circuit."""
+    state = catalyst.dense_state
+    if bundle.qudit_symmetry is not None:
+        qsym = bundle.qudit_symmetry
+        for g in qsym.group.elements():
+            if abs(np.vdot(state.amps, qsym.apply(state, g).amps)) < 1 - 1e-9:
+                return str(g)
+        return None
+    for gen in bundle.symmetry.generators:
+        if gen.name in catalyst.broken:
+            continue
+        if catalyst.engine == "stabilizer":
+            ok = not any(gen.pauli.symplectic_product(g) for g in catalyst.stab.generators)
+        else:
+            ok = abs(np.vdot(state.amps, apply_pauli(state, gen.pauli).amps)) >= 1 - 1e-9
+        if not ok:
+            return gen.name
+    return None
+
+
+def as_dense(cat):
+    return replace(cat, engine="dense", stab=None, dense_state=stabilizer_to_dense(cat.stab))
+
+
+def contract_cases():
+    """(bundle, catalyst) pairs: every registry catalyst at the criterion
+    sizes, pure stabilizer ones also densely; |0...0>, |+...+> and
+    |-+...+> (weakly but not strongly symmetric) on every Clifford model on
+    both engines; the qudit |0...0> and a qudit state that picks up a sign
+    under half the group; and toric-code with its broken loops unnamed."""
+    models = acceptance.CATALYSIS_MATRIX + [("cocycle-z2z2", {"sites": 4})]
+    for model, params in models:
+        bundle = build_model(model, **params)
+        for kind in catalyst_kinds(model):
+            cat = build_catalyst(bundle, kind)
+            yield bundle, cat
+            if cat.engine == "stabilizer" and not cat.mixed:
+                yield bundle, as_dense(cat)
+        n = bundle.n
+        if bundle.qudit_symmetry is not None:
+            group = bundle.qudit_symmetry.group
+            # Site 0 carries the character (-1)^{h_0}; the other sites are uniform.
+            charge = [(-1) ** h[0] for h in group.elements()]
+            charged = np.kron(np.ones(group.order ** (n - 1)), charge)
+            for name, state in (
+                ("zero", DenseState.computational(group.order, n)),
+                ("charged", DenseState.from_amplitudes(group.order, n, charged)),
+            ):
+                yield bundle, Catalyst(name, "dense", False, dense_state=state)
+            continue
+        minus_first = [PauliOperator.x_at(n, i).with_sign(-1 if i == 0 else 1) for i in range(n)]
+        for name, stab in (
+            ("zero", StabilizerMixture.zero_state(n)),
+            ("plus", StabilizerMixture.plus_state(n)),
+            ("minus-first", StabilizerMixture.from_generators(n, minus_first)),
+        ):
+            cat = Catalyst(name, "stabilizer", False, stab=stab)
+            yield bundle, cat
+            yield bundle, as_dense(cat)
+        if model == "lieb-2d":
+            yield bundle, replace(build_catalyst(bundle, "toric-code"), broken=())
+
+
+def test_symmetry_defect_matches_the_loops_it_replaced():
+    seen = set()
+    for bundle, cat in contract_cases():
+        build_check = (
+            reference_build_check_stab
+            if cat.engine == "stabilizer"
+            else reference_build_check_dense
+        )
+        expected = {False: build_check(bundle, cat), True: reference_first_asymmetry(bundle, cat)}
+        for weak_only in (False, True):
+            assert symmetry_defect(bundle, cat, weak_only) == expected[weak_only], (
+                bundle.name, cat.name, cat.engine, weak_only
+            )
+            seen.add(expected[weak_only] is None)
+    # Both outcomes occur, so neither side can pass by always agreeing on one.
+    assert seen == {True, False}
+
+
+def test_dense_weak_under_generators_are_checked_weakly():
+    # The dense build check skipped `weak_under` generators; the contract
+    # checks them weakly on both engines.  |0...0> has <X...X> = 0 on a
+    # sublattice, so it is not even weakly symmetric there.
+    bundle = build_model("cluster-1d", n=8)
+    zero = StabilizerMixture.zero_state(8)
+    cat = Catalyst("zero", "stabilizer", False, stab=zero, weak_under=("x-even",))
+    assert symmetry_defect(bundle, cat, weak_only=False) == "x-even"
+    assert symmetry_defect(bundle, as_dense(cat), weak_only=False) == "x-even"

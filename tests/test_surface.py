@@ -9,6 +9,11 @@ Two more walks close what a name match cannot see: every annotated field
 of a class must be read as an attribute, and every parameter with a
 default must be passed at some call of a function of that name.  A field
 nothing reads and an option nothing sets are dead weight in the same way.
+The field walk matches by attribute name across all classes, since `ast`
+does not know an object's type: a field counts as read when any attribute
+of its name is read anywhere.  A lattice `kind` field nothing read would
+pass, because `Stage.kind` is read, and a `sites` or `q` field is hidden
+by `gate.sites` and `state.q`.  Such fields need a grep by hand.
 
 Imports get the same treatment: every name a module under `tests/` or
 `src/catalab` imports is read in that module, apart from the package's
