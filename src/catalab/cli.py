@@ -135,7 +135,8 @@ def cmd_localization(args) -> int:
     catalyst = build_catalyst(bundle, args.catalyst)
     if catalyst.engine != "stabilizer":
         raise UsageError("localization diagnostics need a stabilizer catalyst")
-    low, high = 4 * args.radius, args.n - 4 * args.radius
+    # An interval holds at least one site; [0, -1] would read as the whole ring.
+    low, high = max(1, 4 * args.radius), args.n - 4 * args.radius
     for length in args.lengths:
         if not low <= length <= high:
             raise UsageError(

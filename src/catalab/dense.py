@@ -3,8 +3,9 @@
 Sites carry dimension q (2 for qubits, |G| for cocycle models).  Gates are
 contracted into the amplitude tensor; a Hamiltonian is assembled by adding
 each local term at the q^m x q^sites entries it can reach, and eigensolved in
-full, with no iterative methods.  Configured limits keep sizes at desk scale;
-override with CATALAB_DENSE_LIMIT / CATALAB_EIG_LIMIT (positive amplitude counts).
+full one symmetry-character block at a time (one full `eigh` per block, with
+no iterative methods).  Configured limits keep sizes at desk scale; override
+with CATALAB_DENSE_LIMIT / CATALAB_EIG_LIMIT (positive amplitude counts).
 """
 from __future__ import annotations
 
@@ -177,15 +178,31 @@ def apply_site_permutation(state: DenseState, perm: Sequence[int]) -> DenseState
     return state._evolved(psi.reshape(-1))
 
 
+def pauli_basis_map(p: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The Pauli as a signed permutation of the basis: p|s> = sign[s] |image[s]>,
+    with image[s] = s ^ x and sign[s] = i^phase (-1)^popcount(s & z)."""
+    idx = np.arange(1 << p.n, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(p.z)) & np.uint64(1)).astype(np.float64)
+    return (idx ^ np.uint64(p.x)).astype(np.int64), (1j**p.phase) * signs
+
+
+def relabel_basis_map(q: int, sites: int, mapping: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The on-site relabelling |v> -> |mapping[v]> on every site as a basis
+    map (image, sign), in the form `pauli_basis_map` returns; every sign is 1."""
+    idx = np.arange(q**sites)
+    local = np.asarray(mapping)
+    image = sum((local[idx // q**i % q] * q**i for i in range(sites)), 0 * idx)
+    return image, np.ones(q**sites, dtype=np.complex128)
+
+
 def apply_pauli(state: DenseState, p: PauliOperator) -> DenseState:
     """Exact Pauli action for qubit states via index arithmetic."""
     if state.q != 2 or p.n != state.sites:
         raise ValueError("apply_pauli expects a qubit state of matching size")
-    idx = np.arange(state.amps.size, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(p.z)) & np.uint64(1)).astype(np.float64)
-    tmp = signs * state.amps
-    out = tmp[(idx ^ np.uint64(p.x)).astype(np.int64)]
-    return state._evolved((1j**p.phase) * out)
+    image, sign = pauli_basis_map(p)
+    # image is an involution, so gathering at it scatters each sign[s] amps[s]
+    # to image[s].
+    return state._evolved((sign * state.amps)[image])
 
 
 def overlap(a: DenseState, b: DenseState) -> complex:
@@ -216,13 +233,36 @@ def qca_dense_action(qca: QcaLike) -> Callable[[DenseState], DenseState]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class BasisMap:
+    """A named unitary that maps basis states to basis states up to a phase:
+    U|s> = sign[s] |image[s]>, as `pauli_basis_map` and `relabel_basis_map`
+    return it."""
+
+    name: str
+    image: np.ndarray
+    sign: np.ndarray
+
+    def compose(self, other: "BasisMap") -> "BasisMap":
+        """This map after `other`: U V|s> = sign_v[s] sign_u[image_v[s]] |image_u[image_v[s]]>."""
+        return BasisMap(
+            f"{self.name}*{other.name}", self.image[other.image], other.sign * self.sign[other.image]
+        )
+
+
 @dataclass
 class DenseOperator:
-    """A sum of hermitian local terms."""
+    """A sum of hermitian local terms, with the symmetry it commutes with.
+
+    `symmetry` lists commuting involutions given as basis maps; `ground_state`
+    solves one character block of the group they generate at a time.  Each
+    map is checked here to be an involution and to commute with the others;
+    commutation with the operator is checked where the matrix is built."""
 
     sites: int
     q: int
     terms: list[tuple[tuple[int, ...], np.ndarray]]
+    symmetry: tuple[BasisMap, ...] = ()
 
     def __post_init__(self):
         checked = []
@@ -239,17 +279,36 @@ class DenseOperator:
                 raise ValueError("hamiltonian term is not hermitian within 1e-12")
             checked.append((support, mat))
         self.terms = checked
+        dim = self.q**self.sites
+        for u in self.symmetry:
+            if (
+                u.image.shape != (dim,)
+                or np.any((u.image < 0) | (u.image >= dim))
+                or not np.allclose(np.abs(u.sign), 1, atol=1e-12)
+            ):
+                raise ValueError(f"symmetry map {u.name} is not a signed permutation of {dim} states")
+            twice = u.compose(u)
+            if np.any(twice.image != np.arange(dim)) or not np.allclose(twice.sign, 1, atol=1e-12):
+                raise ValueError(f"symmetry map {u.name} is not an involution")
+        for i, a in enumerate(self.symmetry):
+            for b in self.symmetry[:i]:
+                ab, ba = a.compose(b), b.compose(a)
+                if np.any(ab.image != ba.image) or not np.allclose(ab.sign, ba.sign, atol=1e-12):
+                    raise ValueError(f"symmetry maps {a.name} and {b.name} do not commute")
 
     @classmethod
     def from_pauli_terms(
-        cls, sites: int, terms: Iterable[tuple[float, PauliOperator]]
+        cls,
+        sites: int,
+        terms: Iterable[tuple[float, PauliOperator]],
+        symmetry: Sequence[BasisMap] = (),
     ) -> "DenseOperator":
         out = []
         for coeff, p in terms:
             support = tuple(p.support())
             local = _restrict_pauli(p, support)
             out.append((support, coeff * pauli_matrix(local)))
-        return cls(sites, 2, out)
+        return cls(sites, 2, out, symmetry)
 
     def to_matrix(self) -> np.ndarray:
         dim = self.q**self.sites
@@ -273,12 +332,9 @@ def _restrict_pauli(p: PauliOperator, support: tuple[int, ...]) -> PauliOperator
 
 def pauli_matrix(p: PauliOperator) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a signed Pauli."""
-    dim = 1 << p.n
-    idx = np.arange(dim, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(p.z)) & np.uint64(1)).astype(np.float64)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    rows = (idx ^ np.uint64(p.x)).astype(np.int64)
-    mat[rows, idx.astype(np.int64)] = (1j**p.phase) * signs
+    image, sign = pauli_basis_map(p)
+    mat = np.zeros((image.size,) * 2, dtype=np.complex128)
+    mat[image, np.arange(image.size)] = sign
     return mat
 
 
@@ -302,14 +358,103 @@ def _add_local(full: np.ndarray, mat: np.ndarray, support: Sequence[int], sites:
     return full
 
 
+def _check_commutes(h: np.ndarray, u: BasisMap) -> None:
+    """Raise unless U H U^dagger = H within 1e-12, in blocks of 256 rows:
+    (U H U^dagger)[image[s], image[t]] = sign[s] H[s, t] conj(sign[t])."""
+    for start in range(0, len(h), 256):
+        rows = slice(start, start + 256)
+        diff = np.take(np.take(h, u.image[rows], axis=0), u.image, axis=1)
+        diff -= u.sign[rows, None] * h[rows] * u.sign.conj()
+        if np.max(np.abs(diff)) > 1e-12:
+            raise ValueError(f"symmetry map {u.name} does not commute with the operator")
+
+
+@dataclass
+class _CharacterBlock:
+    """The isometry B onto one character block: column j is the normalized
+    sum over group elements g of chi(g) U_g|r_j>, for r_j the least basis
+    state of orbit j, stored as the |G| x d images U_g sends r_j to and their
+    weights."""
+
+    images: np.ndarray
+    weights: np.ndarray
+    dim: int
+
+    def compress(self, h: np.ndarray) -> np.ndarray:
+        """B^dagger H B, summed over pairs of group elements by gathers."""
+        out = np.zeros((self.images.shape[1],) * 2, dtype=np.complex128)
+        for rows, left in zip(self.images, self.weights.conj()):
+            gathered = np.take(h, rows, axis=0)
+            for cols, right in zip(self.images, self.weights):
+                out += left[:, None] * np.take(gathered, cols, axis=1) * right
+        return out
+
+    def lift(self, vec: np.ndarray) -> np.ndarray:
+        """B vec, as a vector on the full space."""
+        out = np.zeros(self.dim, dtype=np.complex128)
+        np.add.at(out, self.images.ravel(), (self.weights * vec).ravel())
+        return out
+
+
+def _character_blocks(symmetry: Sequence[BasisMap], dim: int) -> list[_CharacterBlock]:
+    """One block per character of the group the involutions generate whose
+    block is not empty.  Distinct orbits have disjoint supports, so each
+    block's columns are orthonormal and the blocks together span the space."""
+    elements = [BasisMap("1", np.arange(dim), np.ones(dim, dtype=np.complex128))]
+    for u in symmetry:
+        elements += [u.compose(g) for g in elements]
+    images = np.stack([g.image for g in elements])
+    signs = np.stack([g.sign for g in elements])
+    least = images.min(axis=0)
+    reps = np.flatnonzero(least == np.arange(dim))
+    orbit = np.searchsorted(reps, least)
+    # Element m is the product of the maps whose bits m sets; the character
+    # with bits c takes the value (-1)^popcount(c & m) on it.
+    masks = np.arange(len(elements))
+    blocks = []
+    for c in range(len(elements)):
+        chi = 1.0 - 2.0 * (np.bitwise_count(masks & c) & 1)
+        raw = chi[:, None] * signs[:, reps]
+        column = np.zeros(dim, dtype=np.complex128)
+        np.add.at(column, images[:, reps].ravel(), raw.ravel())
+        norms = np.sqrt(np.bincount(orbit, np.abs(column) ** 2, minlength=len(reps)))
+        keep = norms > 0.5
+        if keep.any():
+            blocks.append(_CharacterBlock(images[:, reps[keep]], raw[:, keep] / norms[keep], dim))
+    if sum(b.images.shape[1] for b in blocks) != dim:
+        raise AssertionError("character blocks do not add up to the whole space")
+    return blocks
+
+
+def _lowest_vectors(h: np.ndarray, lift, e0: Optional[float] = None) -> tuple[float, list[np.ndarray]]:
+    """Full hermitian eigensolve of h; the energy (the lowest eigenvalue unless
+    e0 is given) and the lifted eigenvectors within 1e-8 of it."""
+    evals, evecs = np.linalg.eigh(h)
+    e0 = float(evals[0]) if e0 is None else e0
+    return e0, [lift(evecs[:, i]) for i in range(len(evals)) if evals[i] <= e0 + 1e-8]
+
+
 def ground_state(op: DenseOperator) -> tuple[float, list[np.ndarray]]:
     """Full hermitian eigensolve; returns energy and an orthonormal basis of
-    the eigenvectors within 1e-8 of the lowest eigenvalue."""
+    the eigenvectors within 1e-8 of the lowest eigenvalue.
+
+    With a symmetry, each character block is solved on its own: eigenvalues
+    of every block give the lowest energy, and the eigenvectors of each block
+    that reaches it are lifted back, so the basis spans the whole ground
+    space however it splits across blocks."""
     h = op.to_matrix()
-    evals, evecs = np.linalg.eigh(h)
-    e0 = float(evals[0])
-    cols = [evecs[:, i].copy() for i in range(len(evals)) if evals[i] <= e0 + 1e-8]
-    return e0, cols
+    if not op.symmetry:
+        return _lowest_vectors(h, np.copy)
+    for u in op.symmetry:
+        _check_commutes(h, u)
+    blocks = [(block, block.compress(h)) for block in _character_blocks(op.symmetry, len(h))]
+    lowest = [float(np.linalg.eigvalsh(hb)[0]) for _, hb in blocks]
+    e0 = min(lowest)
+    basis = []
+    for (block, hb), low in zip(blocks, lowest):
+        if low <= e0 + 1e-8:
+            basis += _lowest_vectors(hb, block.lift, e0)[1]
+    return e0, basis
 
 
 # ---------------------------------------------------------------------------

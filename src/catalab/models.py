@@ -258,15 +258,27 @@ class QuditSymmetry:
 
     group: FiniteAbelianGroup
 
+    def mapping(self, g: tuple[int, ...]) -> list[int]:
+        """Index of gh for each element h, in element order."""
+        return [self.group.index(self.group.add(g, h)) for h in self.group.elements()]
+
     def apply(self, state: dn.DenseState, g: tuple[int, ...]) -> dn.DenseState:
-        mapping = [self.group.index(self.group.add(g, h)) for h in self.group.elements()]
-        return dn.apply_site_relabel(state, mapping)
+        return dn.apply_site_relabel(state, self.mapping(g))
+
+    def basis_maps(self, sites: int) -> tuple[dn.BasisMap, ...]:
+        """u(g) on every one of `sites` sites as a map of the basis, for g the
+        generator of each cyclic factor."""
+        k = len(self.group.factors)
+        units = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+        return tuple(
+            dn.BasisMap(str(g), *dn.relabel_basis_map(self.group.order, sites, self.mapping(g)))
+            for g in units
+        )
 
     def site_matrix(self, g: tuple[int, ...]) -> np.ndarray:
         q = self.group.order
         mat = np.zeros((q, q), dtype=np.complex128)
-        for h in self.group.elements():
-            mat[self.group.index(self.group.add(g, h)), self.group.index(h)] = 1.0
+        mat[self.mapping(g), np.arange(q)] = 1.0
         return mat
 
 
@@ -794,25 +806,32 @@ _CATALYST_BUILDERS: dict[tuple[str, str], Callable] = {
 def build_hamiltonian(
     bundle: ModelBundle, kind: str, alpha: Optional[float] = None
 ) -> dn.DenseOperator:
-    """Dense Hamiltonians: trivial / entangled-side / interpolated / catalyst-sum."""
+    """Dense Hamiltonians: trivial / entangled-side / interpolated / catalyst-sum.
+
+    Each carries the model's 0-form symmetry as basis maps, which every kind
+    commutes with: the 0-form Pauli generators, or on the qudit chain u(g)
+    for the generator g of each cyclic factor."""
     if bundle.qudit_symmetry is not None:
         return _cocycle_hamiltonian(bundle, kind, alpha)
+    symmetry = tuple(
+        dn.BasisMap(g.name, *dn.pauli_basis_map(g.pauli)) for g in bundle.symmetry.zero_form()
+    )
     triv_terms = _trivial_terms(bundle)
     if kind == "triv":
-        return dn.DenseOperator.from_pauli_terms(bundle.n, triv_terms)
+        return dn.DenseOperator.from_pauli_terms(bundle.n, triv_terms, symmetry)
     spt_terms = [
         (coeff, bundle.entangler.conjugate(p)) for coeff, p in triv_terms
     ]
     if kind == "spt":
-        return dn.DenseOperator.from_pauli_terms(bundle.n, spt_terms)
+        return dn.DenseOperator.from_pauli_terms(bundle.n, spt_terms, symmetry)
     if kind == "interpolated":
         if alpha is None:
             raise ValueError("interpolated Hamiltonians need alpha")
         terms = [(alpha * c, p) for c, p in triv_terms]
         terms += [((1 - alpha) * c, p) for c, p in spt_terms]
-        return dn.DenseOperator.from_pauli_terms(bundle.n, terms)
+        return dn.DenseOperator.from_pauli_terms(bundle.n, terms, symmetry)
     if kind == "catalyst-sum":
-        return dn.DenseOperator.from_pauli_terms(bundle.n, triv_terms + spt_terms)
+        return dn.DenseOperator.from_pauli_terms(bundle.n, triv_terms + spt_terms, symmetry)
     raise RegistryError(f"unknown hamiltonian kind {kind!r}")
 
 
@@ -823,21 +842,22 @@ def _trivial_terms(bundle: ModelBundle) -> list[tuple[float, PauliOperator]]:
 def _cocycle_hamiltonian(bundle, kind, alpha) -> dn.DenseOperator:
     qsym = bundle.qudit_symmetry
     q = qsym.group.order
+    symmetry = qsym.basis_maps(bundle.n)
     plus_proj = np.full((q, q), 1.0 / q, dtype=np.complex128)
     triv = [((i,), -plus_proj) for i in range(bundle.n)]
     if kind == "triv":
-        return dn.DenseOperator(bundle.n, q, triv)
+        return dn.DenseOperator(bundle.n, q, triv, symmetry)
     circuit: CocycleCircuit = bundle.entangler
     conj1 = [circuit.conjugate_term(s, m) for s, m in triv]
     if kind == "spt":
-        return dn.DenseOperator(bundle.n, q, conj1)
+        return dn.DenseOperator(bundle.n, q, conj1, symmetry)
     if kind == "interpolated":
         if alpha is None:
             raise ValueError("interpolated Hamiltonians need alpha")
         terms = [(s, alpha * m) for s, m in triv] + [
             (s, (1 - alpha) * m) for s, m in conj1
         ]
-        return dn.DenseOperator(bundle.n, q, terms)
+        return dn.DenseOperator(bundle.n, q, terms, symmetry)
     if kind == "catalyst-sum":
         order = circuit.order()
         terms = list(triv)
@@ -845,5 +865,5 @@ def _cocycle_hamiltonian(bundle, kind, alpha) -> dn.DenseOperator:
         for _ in range(order - 1):
             current = [circuit.conjugate_term(s, m) for s, m in current]
             terms += current
-        return dn.DenseOperator(bundle.n, q, terms)
+        return dn.DenseOperator(bundle.n, q, terms, symmetry)
     raise RegistryError(f"unknown hamiltonian kind {kind!r}")

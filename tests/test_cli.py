@@ -69,6 +69,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     argv = "localization --model cluster-1d --catalyst swssb --n 12 --lengths 100,13"
     assert run_cli(argv.split() + out) == 2
     assert "--lengths entry 100 does not fit" in capsys.readouterr().err
+    # At radius 0 a length of 0 would name the interval [0, -1].
+    argv = "localization --model cluster-1d --catalyst swssb --n 12 --radius 0 --lengths 0,12"
+    assert run_cli(argv.split() + out) == 2
+    assert "--lengths entry 0 does not fit" in capsys.readouterr().err
     # The 1D correlator pairs reach site 4, so 4 sites are too few.
     for argv in (
         "correlators --model cluster-1d --catalyst swssb --n 4",

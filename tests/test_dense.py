@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from catalab.dense import (
+    BasisMap,
     DenseOperator,
     DenseState,
+    _character_blocks,
     apply_diagonal,
     apply_local_unitary,
     apply_matrix,
@@ -18,6 +20,7 @@ from catalab.dense import (
     gate_unitary,
     ground_state,
     overlap,
+    pauli_basis_map,
     pauli_matrix,
     stabilizer_density,
     stabilizer_to_dense,
@@ -177,6 +180,93 @@ def test_ground_state_variational_consistency():
     h = op.to_matrix()
     for v in basis:
         assert np.vdot(v, h @ v).real == pytest.approx(energy, abs=1e-9)
+
+
+def pauli_map(name, p):
+    return BasisMap(name, *pauli_basis_map(p))
+
+
+def ising_chain(n, symmetry=()):
+    """-(Z0 Z1 + ... + Z_{n-2} Z_{n-1}): ground level |0...0>, |1...1>."""
+    terms = [(-1.0, PauliOperator.z_at(n, i, i + 1)) for i in range(n - 1)]
+    return DenseOperator.from_pauli_terms(n, terms, symmetry)
+
+
+def test_ground_level_split_across_sectors_comes_back_whole():
+    n = 4
+    x_all = PauliOperator.x_at(n, *range(n))
+    energy, basis = ground_state(ising_chain(n, (pauli_map("x-all", x_all),)))
+    assert energy == pytest.approx(-3.0, abs=1e-12)
+    # One vector from each sector: the cat states with X-all = +1 and -1.
+    assert len(basis) == 2
+    charges = [np.vdot(v, apply_pauli(DenseState(2, n, v), x_all).amps) for v in basis]
+    assert sorted(round(c.real, 9) for c in charges) == [-1.0, 1.0]
+    want = np.zeros((1 << n,) * 2)
+    want[0, 0] = want[-1, -1] = 1.0
+    assert np.linalg.norm(sum(np.outer(v, v.conj()) for v in basis) - want) <= 1e-12
+
+
+def apply_map(u, vec):
+    out = np.zeros_like(vec)
+    out[u.image] = u.sign * vec
+    return out
+
+
+def test_character_blocks_are_the_joint_eigenspaces():
+    # X-all and Z-all on 4 qubits: four characters, each block one joint
+    # eigenspace of dimension 4, so a dropped sign or a merged pair shows.
+    n = 4
+    maps = (
+        pauli_map("x-all", PauliOperator.x_at(n, *range(n))),
+        pauli_map("z-all", PauliOperator.z_at(n, *range(n))),
+    )
+    blocks = _character_blocks(maps, 1 << n)
+    assert [b.images.shape[1] for b in blocks] == [4, 4, 4, 4]
+    charges = set()
+    for block in blocks:
+        columns = np.stack([block.lift(e) for e in np.eye(4)], axis=1)
+        assert np.allclose(columns.conj().T @ columns, np.eye(4), atol=1e-12)
+        charge = []
+        for u in maps:
+            value = np.vdot(columns[:, 0], apply_map(u, columns[:, 0])).real
+            moved = np.stack([apply_map(u, c) for c in columns.T], axis=1)
+            assert np.allclose(moved, value * columns, atol=1e-12)
+            charge.append(round(value))
+        charges.add(tuple(charge))
+    assert charges == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+
+
+def test_symmetry_map_not_commuting_with_the_operator_is_refused():
+    op = DenseOperator.from_pauli_terms(
+        2,
+        [(-1.0, PauliOperator.x_at(2, i)) for i in range(2)],
+        (pauli_map("z0", PauliOperator.z_at(2, 0)),),
+    )
+    with pytest.raises(ValueError, match="symmetry map z0 does not commute with the operator"):
+        ground_state(op)
+
+
+@pytest.mark.parametrize(
+    "image, sign",
+    [
+        ([0, 1, 2, 3], [1j, 1j, 1j, 1j]),  # squares to -1
+        ([1, 2, 0, 3], [1, 1, 1, 1]),  # a 3-cycle
+    ],
+)
+def test_symmetry_map_that_is_not_an_involution_is_refused(image, sign):
+    bad = BasisMap("bad", np.array(image), np.array(sign, dtype=np.complex128))
+    with pytest.raises(ValueError, match="symmetry map bad is not an involution"):
+        ising_chain(2, (bad,))
+
+
+def test_symmetry_maps_must_commute_and_permute_the_basis():
+    x0 = pauli_map("x0", PauliOperator.x_at(2, 0))
+    z0 = pauli_map("z0", PauliOperator.z_at(2, 0))
+    with pytest.raises(ValueError, match="symmetry maps z0 and x0 do not commute"):
+        ising_chain(2, (x0, z0))
+    scaled = BasisMap("scaled", np.array([1, 0, 2, 3]), np.array([2, 0.5, 1, 1], dtype=complex))
+    with pytest.raises(ValueError, match="symmetry map scaled is not a signed permutation"):
+        ising_chain(2, (scaled,))
 
 
 def test_density_and_fidelity():

@@ -6,8 +6,9 @@ the per-column dense action, and index-placed Hamiltonian assembly against
 the kron embedding; the cocycle chain's v-terms and Hamiltonians against the
 gate-conjugation loops `CocycleCircuit.conjugate_term` replaced; and the
 measurement protocol's affine-sign template against the per-sample loop and
-the dense projectors; and the one catalyst symmetry contract against the
-three loops it replaced."""
+the dense projectors; the one catalyst symmetry contract against the
+three loops it replaced; and the ground-state solve by symmetry-character
+block against one full eigensolve of the whole space."""
 import math
 from dataclasses import replace
 
@@ -26,11 +27,15 @@ from catalab.dense import (
     DenseOperator,
     DenseState,
     apply_pauli,
+    apply_site_relabel,
     dense_fidelity,
     embed_operator,
+    ground_state,
     overlap,
+    pauli_basis_map,
     pauli_matrix,
     qca_dense_action,
+    relabel_basis_map,
     stabilizer_density,
     stabilizer_to_dense,
 )
@@ -1097,3 +1102,67 @@ def test_dense_weak_under_generators_are_checked_weakly():
     cat = Catalyst("zero", "stabilizer", False, stab=zero, weak_under=("x-even",))
     assert symmetry_defect(bundle, cat, weak_only=False) == "x-even"
     assert symmetry_defect(bundle, as_dense(cat), weak_only=False) == "x-even"
+
+
+# ---------------------------------------------------------------------------
+# ground states: the sector solve (one eigh per symmetry-character block)
+# against the one full eigh of the whole space it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_ground_state(op):
+    """One full eigh of the assembled matrix, as before the symmetry blocks."""
+    evals, evecs = np.linalg.eigh(op.to_matrix())
+    e0 = float(evals[0])
+    return e0, [evecs[:, i] for i in range(len(evals)) if evals[i] <= e0 + 1e-8]
+
+
+def projector(basis):
+    return sum(np.outer(v, v.conj()) for v in basis)
+
+
+# The cocycle chain needs at least 3 sites (`build_model` refuses 2).
+@pytest.mark.parametrize(
+    "model, params",
+    [("cluster-1d", {"n": n}) for n in (4, 6, 8)]
+    + [("lsm-dimer", {"n": n}) for n in (4, 6, 8)]
+    + [("cocycle-z2z2", {"sites": s}) for s in (3, 4)],
+)
+@pytest.mark.parametrize(
+    "kind, alpha",
+    [("triv", None), ("spt", None), ("interpolated", 0.25), ("interpolated", 0.5), ("catalyst-sum", None)],
+)
+def test_sector_ground_state_matches_full_eigh(model, params, kind, alpha):
+    op = build_hamiltonian(build_model(model, **params), kind, alpha=alpha)
+    assert len(op.symmetry) == 2
+    energy, basis = ground_state(op)
+    want_energy, want_basis = reference_ground_state(op)
+    assert abs(energy - want_energy) <= 1e-10
+    assert len(basis) == len(want_basis)
+    assert np.linalg.norm(projector(basis) - projector(want_basis)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_pauli_basis_map_matches_kron_of_site_matrices(n):
+    site = {(0, 0): np.eye(2), (1, 0): np.array([[0, 1], [1, 0]]), (0, 1): np.diag([1, -1])}
+    site[(1, 1)] = site[(1, 0)] @ site[(0, 1)]
+    rng = np.random.default_rng(n)
+    for _ in range(8):
+        x, z, phase = (int(v) for v in rng.integers(0, [1 << n, 1 << n, 4]))
+        want = np.eye(1)
+        for i in range(n):  # site 0 is the least-significant bit
+            want = np.kron(site[((x >> i) & 1, (z >> i) & 1)], want)
+        image, sign = pauli_basis_map(PauliOperator(n, x, z, phase))
+        got = np.zeros((1 << n,) * 2, dtype=np.complex128)
+        got[image, np.arange(1 << n)] = sign
+        assert np.array_equal(got, (1j**phase) * want)
+
+
+def test_relabel_basis_map_matches_site_relabel():
+    q, sites, mapping = 4, 3, [2, 3, 0, 1]
+    image, sign = relabel_basis_map(q, sites, mapping)
+    for index in range(q**sites):
+        moved = apply_site_relabel(DenseState.computational(q, sites, index), mapping)
+        want = np.zeros(q**sites, dtype=np.complex128)
+        want[image[index]] = sign[index]
+        assert np.array_equal(moved.amps, want)

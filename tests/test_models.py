@@ -5,11 +5,15 @@ from catalab import models
 from catalab.acceptance import CATALYSIS_MATRIX
 from catalab.cohomology import CocycleCircuit, bilinear_cocycle, normalize_cocycle
 from catalab.dense import (
+    BasisMap,
+    DenseOperator,
     DenseState,
     apply_site_permutation,
     embed_operator,
     gate_unitary,
+    ground_state,
     overlap,
+    pauli_basis_map,
     stabilizer_to_dense,
 )
 from catalab.models import (
@@ -197,6 +201,34 @@ def test_gapless_catalyst_symmetric_eigenvalues():
 
         moved = apply_pauli(state, gen.pauli)
         assert complex(np.vdot(state.amps, moved.amps)) == pytest.approx(1, abs=1e-9)
+
+
+def test_degenerate_catalyst_sum_across_sectors_is_refused(monkeypatch):
+    # A ground level split between the two X-all sectors: each sector's
+    # ground state is unique, so only the count over all sectors sees it.
+    bundle = build_model("cluster-1d", n=4)
+    x_all = BasisMap("x-all", *pauli_basis_map(PauliOperator.x_at(4, *range(4))))
+    chain = [(-1.0, PauliOperator.z_at(4, i, i + 1)) for i in range(3)]
+    op = DenseOperator.from_pauli_terms(4, chain, (x_all,))
+    monkeypatch.setattr(models, "build_hamiltonian", lambda bundle, kind: op)
+    with pytest.raises(AssertionError, match=r"degenerate ground space \(2 states\)"):
+        build_catalyst(bundle, "gapless")
+
+
+@pytest.mark.parametrize("flip", [0, 5, 15])
+@pytest.mark.parametrize("which", [0, 1])
+def test_one_flipped_sign_in_a_symmetry_map_is_refused(which, flip):
+    # lsm-dimer's maps are x-all (an involution pairing s with its
+    # complement) and z-all (diagonal): a flipped sign breaks the first's
+    # square, and the second's commutation with x-all and with the XX terms.
+    op = build_hamiltonian(build_model("lsm-dimer", n=4), "triv")
+    maps = list(op.symmetry)
+    sign = maps[which].sign.copy()
+    sign[flip] *= -1
+    maps[which] = BasisMap(maps[which].name, maps[which].image, sign)
+    for symmetry in (maps, [maps[which]]):
+        with pytest.raises(ValueError, match=maps[which].name):
+            ground_state(DenseOperator(op.sites, op.q, op.terms, tuple(symmetry)))
 
 
 def _dense_circuit_unitary(circuit, n):
