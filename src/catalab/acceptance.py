@@ -122,16 +122,6 @@ def criterion_1() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _signed_permutation(matrix: np.ndarray, support) -> tuple[np.ndarray, np.ndarray]:
-    """Read a gate exactly as a signed permutation: column c is signs[c] e_rows[c]."""
-    nonzero = matrix != 0
-    rows = np.argmax(nonzero, axis=0)
-    signs = matrix[rows, np.arange(len(rows))]
-    if np.any(nonzero.sum(axis=0) != 1) or np.any((signs != 1) & (signs != -1)):
-        raise ValueError(f"gate on {list(support)} is not a signed permutation")
-    return rows, signs.real
-
-
 def _basis_images(n: int, perm, terms) -> tuple[np.ndarray, np.ndarray]:
     """Labels and signs of the images of all n-qubit basis states under a site
     permutation (the bit of site i moves to perm[i]) followed by (support,
@@ -139,7 +129,10 @@ def _basis_images(n: int, perm, terms) -> tuple[np.ndarray, np.ndarray]:
     labels = sum(((np.arange(1 << n) >> i) & 1) << p for i, p in enumerate(perm))
     signs = np.ones(1 << n)
     for support, matrix in terms:
-        rows, gate_signs = _signed_permutation(matrix, support)
+        read = dn.monomial(matrix)
+        if read is None or np.any((read[1] != 1) & (read[1] != -1)):
+            raise ValueError(f"gate on {list(support)} is not a signed permutation")
+        rows, gate_signs = read[0], read[1].real
         local = sum(((labels >> s) & 1) << k for k, s in enumerate(support))
         moved = sum(((rows[local] >> k) & 1) << s for k, s in enumerate(support))
         labels = (labels & ~sum(1 << s for s in support)) | moved

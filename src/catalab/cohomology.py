@@ -388,9 +388,8 @@ class CocycleCircuit:
 
     def apply(self, state: "_dense.DenseState") -> "_dense.DenseState":
         """Every gate in order; the norm is checked once, at the end."""
-        for gate in self.gates:
-            state = _dense.apply_diagonal(state, gate.phases(), gate.sites)
-        return _dense.check_norm(state)
+        terms = [_dense.gate_term(gate.sites, np.diag(gate.phases())) for gate in self.gates]
+        return _dense.apply_gates(state, range(state.sites), terms)
 
     def conjugate_term(
         self, support: Sequence[int], mat: np.ndarray

@@ -1,11 +1,14 @@
 """Exact small-system oracle: dense state vectors and density matrices.
 
-Sites carry dimension q (2 for qubits, |G| for cocycle models).  Gates are
-contracted into the amplitude tensor; a Hamiltonian is assembled by adding
-each local term at the q^m x q^sites entries it can reach, and eigensolved in
-full one symmetry-character block at a time (one full `eigh` per block, with
-no iterative methods).  Configured limits keep sizes at desk scale; override
-with CATALAB_DENSE_LIMIT / CATALAB_EIG_LIMIT (positive amplitude counts).
+Sites carry dimension q (2 for qubits, |G| for cocycle models).  A gate list
+runs on one copy of the amplitude tensor: a gate that permutes its sites
+after one phase per basis state relabels axes and multiplies phases in
+place, and any other gate is contracted into the tensor.  A Hamiltonian is
+assembled by adding each local term at the q^m x q^sites entries it can
+reach, and eigensolved in full one symmetry-character block at a time (one
+full `eigh` per block, with no iterative methods).  Configured limits keep
+sizes at desk scale; override with CATALAB_DENSE_LIMIT / CATALAB_EIG_LIMIT
+(positive amplitude counts).
 """
 from __future__ import annotations
 
@@ -145,18 +148,6 @@ def apply_local_unitary(state: DenseState, matrix: np.ndarray, support: Sequence
     return apply_matrix(state, matrix, support)
 
 
-def apply_diagonal(state: DenseState, phases: np.ndarray, support: Sequence[int]) -> DenseState:
-    """Multiply by a diagonal gate given as a q^m phase vector on `support`."""
-    q, n = state.q, state.sites
-    m = len(support)
-    perm, inverse = _support_first(n, tuple(support))
-    moved = state.amps.reshape((q,) * n).transpose(perm).copy()
-    shaped = moved.reshape(q**m, -1)
-    shaped *= np.asarray(phases, dtype=np.complex128)[:, None]
-    out = shaped.reshape(moved.shape).transpose(inverse)
-    return state._evolved(out.reshape(-1))
-
-
 def apply_site_relabel(state: DenseState, mapping: Sequence[int]) -> DenseState:
     """Relabel local basis states |v> -> |mapping[v]> on every site."""
     q, n = state.q, state.sites
@@ -164,17 +155,6 @@ def apply_site_relabel(state: DenseState, mapping: Sequence[int]) -> DenseState:
     inv = np.argsort(np.asarray(mapping))
     for s in range(n):
         psi = np.take(psi, inv, axis=_axis(n, s))
-    return state._evolved(psi.reshape(-1))
-
-
-def apply_site_permutation(state: DenseState, perm: Sequence[int]) -> DenseState:
-    """Move the content of site i to site perm[i] (lattice translation etc.)."""
-    q, n = state.q, state.sites
-    psi = state.amps.reshape((q,) * n)
-    axes_new = [0] * n
-    for i, p in enumerate(perm):
-        axes_new[_axis(n, p)] = _axis(n, i)
-    psi = psi.transpose(axes_new)
     return state._evolved(psi.reshape(-1))
 
 
@@ -211,21 +191,89 @@ def overlap(a: DenseState, b: DenseState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
+def monomial(matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Read a gate exactly as one nonzero entry per column: (rows, phases)
+    with column c equal to phases[c] e_rows[c], or None if it is not so."""
+    nonzero = matrix != 0
+    if np.any(nonzero.sum(axis=0) != 1):
+        return None
+    rows = np.argmax(nonzero, axis=0)
+    return rows, matrix[rows, np.arange(len(rows))]
+
+
+@dataclass(frozen=True)
+class GateTerm:
+    """A q^m x q^m gate on `support`, read once for `apply_gates`.  When it is
+    a permutation of its support sites after one phase per input basis
+    state, the content of support[k] moves to support[moves[k]] and `phases`
+    has axis k on support[k] (None when every phase is 1); otherwise `moves`
+    is None and the matrix is contracted."""
+
+    support: tuple[int, ...]
+    matrix: np.ndarray
+    moves: Optional[tuple[int, ...]]
+    phases: Optional[np.ndarray]
+
+
+def gate_term(support: Sequence[int], matrix: np.ndarray) -> GateTerm:
+    """The gate on `support` as a `GateTerm`, its factor form read exactly."""
+    m, matrix = len(support), np.asarray(matrix, dtype=np.complex128)
+    q = round(len(matrix) ** (1 / m))
+    if matrix.shape != (q**m, q**m):
+        raise ValueError("matrix shape does not match the support")
+    read = monomial(matrix)
+    if read is not None:
+        # same[k, j]: digit k of every input is digit j of its image.
+        digits = np.stack([np.arange(q**m), read[0]])[:, :, None] // q ** np.arange(m) % q
+        same = (digits[0][:, :, None] == digits[1][:, None, :]).all(axis=0)
+        moves = tuple(same.argmax(axis=1).tolist())
+        if same.any(axis=1).all() and len(set(moves)) == m:
+            phases = read[1].reshape((q,) * m).T
+            return GateTerm(tuple(support), matrix, moves, None if np.all(phases == 1) else phases)
+    return GateTerm(tuple(support), matrix, None, None)
+
+
+def apply_gates(state: DenseState, perm: Sequence[int], terms: Sequence[GateTerm]) -> DenseState:
+    """Move the content of site i to site perm[i], then apply the terms in
+    temporal order; the norm is checked once, at the end.
+
+    The amplitudes are copied once into a tensor with a site -> axis map.  A
+    site permutation, the register's or a term's own, only updates the map;
+    a term's phases are one in-place broadcast multiply; a term that does
+    not factor is contracted on its current axes as `apply_matrix` does.
+    One transpose at the end restores the layout."""
+    q, n = state.q, state.sites
+    psi = state.amps.reshape((q,) * n).copy()
+    axis = [0] * n
+    for i, p in enumerate(perm):
+        axis[p] = _axis(n, i)
+    for term in terms:
+        at = [axis[s] for s in term.support]
+        if term.moves is None:
+            order = at[::-1] + [a for a in range(n) if a not in at]
+            moved = psi.transpose(order).reshape(len(term.matrix), -1)
+            psi = (term.matrix @ moved).reshape((q,) * n)
+            axis = [order.index(a) for a in axis]
+            continue
+        if term.phases is not None:
+            shape = [1] * n
+            for a in at:
+                shape[a] = q
+            np.multiply(psi, term.phases.transpose(np.argsort(at)).reshape(shape), out=psi)
+        for k, a in zip(term.moves, at):
+            axis[term.support[k]] = a
+    flat = psi.transpose([axis[s] for s in reversed(range(n))]).reshape(-1)
+    return check_norm(state._evolved(flat))
+
+
 def qca_dense_action(qca: QcaLike) -> Callable[[DenseState], DenseState]:
     """Dense action of a QCA handle: a site relabelling, or every gate of a
-    circuit in temporal order.  Each gate's unitary is built once here and
-    reused on every state the action is applied to; a circuit's action checks
-    the norm once, at its end."""
+    circuit in temporal order.  Each gate is read once here and reused on
+    every state the action is applied to."""
     if isinstance(qca, PermutationQca):
-        return lambda state: apply_site_permutation(state, qca.perm)
-    terms = [(gate_unitary(gate), gate.support) for layer in qca.layers for gate in layer]
-
-    def act(state: DenseState) -> DenseState:
-        for matrix, support in terms:
-            state = apply_matrix(state, matrix, support)
-        return check_norm(state)
-
-    return act
+        return lambda state: apply_gates(state, qca.perm, ())
+    terms = [gate_term(gate.support, gate_unitary(gate)) for layer in qca.layers for gate in layer]
+    return lambda state: apply_gates(state, range(state.sites), terms)
 
 
 # ---------------------------------------------------------------------------

@@ -275,12 +275,6 @@ class QuditSymmetry:
             for g in units
         )
 
-    def site_matrix(self, g: tuple[int, ...]) -> np.ndarray:
-        q = self.group.order
-        mat = np.zeros((q, q), dtype=np.complex128)
-        mat[self.mapping(g), np.arange(q)] = 1.0
-        return mat
-
 
 # ---------------------------------------------------------------------------
 # Bundles and catalysts

@@ -119,14 +119,16 @@ class DoubledCircuit:
         """(support, dense unitary) of each v gate, built once."""
         return tuple((g.support, dn.gate_unitary(g)) for g in self.v_gates)
 
+    @cached_property
+    def gate_terms(self) -> tuple[dn.GateTerm, ...]:
+        """The v-terms read once for `dn.apply_gates`."""
+        return tuple(dn.gate_term(support, mat) for support, mat in self.v_terms)
+
     def apply_dense(self, state: dn.DenseState) -> dn.DenseState:
         """The s-layer (exchange registers [0, n) and [n, 2n)), then the
         v-terms; the norm is checked once, at the end."""
         n = self.n
-        state = dn.apply_site_permutation(state, list(range(n, 2 * n)) + list(range(n)))
-        for support, mat in self.v_terms:
-            state = dn.apply_matrix(state, mat, support)
-        return dn.check_norm(state)
+        return dn.apply_gates(state, [*range(n, 2 * n), *range(n)], self.gate_terms)
 
 
 def doubled_conjugate(qca: QcaLike, n: int, p: PauliOperator) -> PauliOperator:
@@ -205,6 +207,7 @@ class DoubledDiagonalCircuit:
         return max(len(s) for s, _ in self.v_terms)
 
     # The same two layers: the register swap, then the v-terms.
+    gate_terms = DoubledCircuit.gate_terms
     apply_dense = DoubledCircuit.apply_dense
 
 
@@ -241,13 +244,12 @@ def audit_dense_gate_symmetric(
     qsym: QuditSymmetry,
 ) -> bool:
     """Dense audit for qudit gates: commutation with the on-site symmetry
-    restricted to the support (doubled registers repeat the action)."""
+    restricted to the support (doubled registers repeat the action).  The
+    restriction R permutes the basis, so R^dagger M R is M read at the
+    images, and ||M R - R M|| = ||R^dagger M R - M|| (Frobenius)."""
     for g in qsym.group.elements():
-        site_mat = qsym.site_matrix(g)
-        restriction = np.eye(1, dtype=np.complex128)
-        for _ in support:
-            restriction = np.kron(site_mat, restriction)
-        if np.linalg.norm(matrix @ restriction - restriction @ matrix) > 1e-10:
+        image, _ = dn.relabel_basis_map(qsym.group.order, len(support), qsym.mapping(g))
+        if np.linalg.norm(matrix[np.ix_(image, image)] - matrix) > 1e-10:
             return False
     return True
 

@@ -161,6 +161,12 @@ GOLDEN_REPORTS = {
     "catalyze-lieb-2d-lieb-mixed-2x2": (
         "catalyze --model lieb-2d --catalyst lieb-mixed --lx 2 --ly 2"
     ),
+    "catalyze-cluster-1d-ghz-dense-n8-seed1": (
+        "catalyze --model cluster-1d --catalyst ghz --engine dense --n 8 --seed 1"
+    ),
+    "catalyze-cocycle-z2z2-ghz-sites4-seed1": (
+        "catalyze --model cocycle-z2z2 --catalyst ghz --sites 4 --seed 1"
+    ),
 }
 
 

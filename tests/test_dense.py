@@ -8,15 +8,15 @@ from catalab.dense import (
     DenseOperator,
     DenseState,
     _character_blocks,
-    apply_diagonal,
+    apply_gates,
     apply_local_unitary,
     apply_matrix,
     apply_pauli,
-    apply_site_permutation,
     apply_site_relabel,
     dense_fidelity,
     dense_renyi_correlator,
     embed_operator,
+    gate_term,
     gate_unitary,
     ground_state,
     overlap,
@@ -119,8 +119,26 @@ def test_qudit_relabel():
 
 def test_site_permutation_translation():
     state = DenseState.computational(2, 3, 0b001)  # site 0 holds |1>
-    moved = apply_site_permutation(state, [1, 2, 0])
+    moved = apply_gates(state, [1, 2, 0], ())
     assert np.allclose(moved.amps, DenseState.computational(2, 3, 0b010).amps)
+
+
+def test_gate_term_reads_site_permutations_after_phases():
+    swap = gate_term((3, 5), np.eye(4)[[0, 2, 1, 3]])
+    assert (swap.moves, swap.phases) == ((1, 0), None)
+    cz = gate_term((0, 1), np.diag([1.0, 1, 1, -1]))
+    assert cz.moves == (0, 1) and np.array_equal(cz.phases, [[1, 1], [1, -1]])
+    # phases[d0, d1] multiplies |d0 d1>, with support[0] the first digit.
+    tilted = gate_term((0, 1), np.diag([1.0, 1j, 1, 1]))
+    assert np.array_equal(tilted.phases, [[1, 1], [1j, 1]])
+    # A qutrit swap factors; X, CNOT and H are contracted.
+    assert gate_term((0, 1), np.eye(9)[[3 * (i % 3) + i // 3 for i in range(9)]]).moves == (1, 0)
+    for support, matrix in (
+        ((0,), np.eye(2)[[1, 0]]),
+        ((0, 1), np.eye(4)[[0, 3, 2, 1]]),
+        ((0,), np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
+    ):
+        assert gate_term(support, matrix).moves is None
 
 
 def test_diagonal_matches_matrix():
@@ -130,9 +148,10 @@ def test_diagonal_matches_matrix():
     amps /= np.linalg.norm(amps)
     state = DenseState(2, n, amps)
     phases = np.exp(2j * np.pi * rng.random(4))
-    got = apply_diagonal(state, phases, [0, 2]).amps
-    expected = apply_matrix(state, np.diag(phases), [0, 2]).amps
-    assert np.allclose(got, expected, atol=1e-12)
+    for support in ([0, 2], [2, 0]):
+        got = apply_gates(state, range(n), [gate_term(support, np.diag(phases))]).amps
+        expected = apply_matrix(state, np.diag(phases), support).amps
+        assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_overlap_basics():

@@ -1,8 +1,11 @@
 """Differential tests: the light-cone, conjugation-table, int-level and
 cached-basis fast paths against plain reference forms of the same
 computation, compared exactly, and the dense oracle's entangler action,
-doubled-circuit check and fidelity; criterion 2's basis-label images against
-the per-column dense action, and index-placed Hamiltonian assembly against
+doubled-circuit check and fidelity; the dense gate runner against the
+per-gate contraction loop it replaced, on criterion 2's and the cocycle
+chain's circuits and on random Clifford circuits; criterion 2's basis-label
+images against that loop's per-column action; the dense symmetric-gate
+audit by index against the kron audit it replaced; and index-placed Hamiltonian assembly against
 the kron embedding; the cocycle chain's v-terms and Hamiltonians against the
 gate-conjugation loops `CocycleCircuit.conjugate_term` replaced; and the
 measurement protocol's affine-sign template against the per-sample loop and
@@ -11,6 +14,7 @@ three loops it replaced; and the ground-state solve by symmetry-character
 block against one full eigensolve of the whole space."""
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -26,10 +30,14 @@ from catalab.acceptance import (
 from catalab.dense import (
     DenseOperator,
     DenseState,
+    apply_gates,
+    apply_matrix,
     apply_pauli,
     apply_site_relabel,
     dense_fidelity,
     embed_operator,
+    gate_term,
+    gate_unitary,
     ground_state,
     overlap,
     pauli_basis_map,
@@ -56,6 +64,7 @@ from catalab.pauli import PauliOperator
 from catalab.protocols import _measurement_template, measurement_prepare_catalyst
 from catalab.stabilizer import (
     CliffordCircuit,
+    PermutationQca,
     StabilizerMixture,
     cnot_gate,
     cz_gate,
@@ -71,7 +80,7 @@ from catalab.stabilizer import (
     y_gate,
     z_gate,
 )
-from catalab.verify import build_doubled_diagonal, build_doubled_fdqc
+from catalab.verify import audit_dense_gate_symmetric, build_doubled_diagonal, build_doubled_fdqc
 
 ONE_SITE = (h_gate, s_gate, sdg_gate, x_gate, y_gate, z_gate)
 TWO_SITE = (cz_gate, cnot_gate, swap_gate)
@@ -397,6 +406,35 @@ CRITERION_2_DENSE = [
 ]
 
 
+def reference_apply_gates(state, perm, terms):
+    """The per-gate path `apply_gates` replaced: the site permutation as one
+    transpose, one `apply_matrix` contraction per (support, matrix) term in
+    temporal order, then the norm check of a fresh `DenseState`."""
+    q, n = state.q, state.sites
+    axes = [0] * n
+    for i, p in enumerate(perm):
+        axes[n - 1 - p] = n - 1 - i
+    state = DenseState(q, n, state.amps.reshape((q,) * n).transpose(axes).reshape(-1))
+    for support, matrix in terms:
+        state = apply_matrix(state, matrix, support)
+    return DenseState(q, n, state.amps)
+
+
+def reference_qca_action(qca):
+    """A QCA handle's dense action by the per-gate loop."""
+    if isinstance(qca, PermutationQca):
+        return lambda state: reference_apply_gates(state, qca.perm, ())
+    terms = [(gate.support, gate_unitary(gate)) for layer in qca.layers for gate in layer]
+    return lambda state: reference_apply_gates(state, range(qca.n), terms)
+
+
+def reference_doubled_action(doubled):
+    """The register swap, then the v-terms, by the per-gate loop."""
+    n = doubled.n
+    perm = [*range(n, 2 * n), *range(n)]
+    return lambda state: reference_apply_gates(state, perm, doubled.v_terms)
+
+
 def reference_columns(act, sites):
     """Each computational basis column of a dense state map, one at a time."""
     for j in range(1 << sites):
@@ -405,13 +443,13 @@ def reference_columns(act, sites):
 
 def reference_doubled_maxerr(bundle, doubled):
     """The full-matrix check column by column: each basis state through the
-    doubled circuit's dense action, against kron(U^-1 column, U column)."""
+    doubled circuit's per-gate dense action, against kron(U^-1 column, U column)."""
     n = bundle.n
-    u = np.stack([c for _, c in reference_columns(qca_dense_action(bundle.entangler), n)], 1)
-    inverse = qca_dense_action(bundle.entangler.inverse())
+    u = np.stack([c for _, c in reference_columns(reference_qca_action(bundle.entangler), n)], 1)
+    inverse = reference_qca_action(bundle.entangler.inverse())
     u_inv = np.stack([c for _, c in reference_columns(inverse, n)], 1)
     worst = 0.0
-    for idx, got in reference_columns(doubled.apply_dense, 2 * n):
+    for idx, got in reference_columns(reference_doubled_action(doubled), 2 * n):
         expected = np.outer(u_inv[:, idx >> n], u[:, idx & ((1 << n) - 1)]).reshape(-1)
         worst = max(worst, float(np.max(np.abs(got - expected))))
     return worst
@@ -423,11 +461,11 @@ def test_basis_images_match_per_column_dense_action(model, params):
     n = bundle.n
     for qca in (bundle.entangler, bundle.entangler.inverse()):
         matrix = _qca_matrix(qca)
-        for j, column in reference_columns(qca_dense_action(qca), n):
+        for j, column in reference_columns(reference_qca_action(qca), n):
             assert np.array_equal(matrix[:, j], column), j
     doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
     labels, signs = _basis_images(2 * n, [*range(n, 2 * n), *range(n)], doubled.v_terms)
-    for j, column in reference_columns(doubled.apply_dense, 2 * n):
+    for j, column in reference_columns(reference_doubled_action(doubled), 2 * n):
         expected = np.zeros(1 << (2 * n))
         expected[labels[j]] = signs[j]
         assert np.array_equal(column, expected), j
@@ -469,6 +507,101 @@ def test_one_flipped_v_term_sign_fails_criterion_2(monkeypatch):
         "cluster-1d-n6-dense-maxerr": 2.0,
         "square-sspt-n4-dense-maxerr": 2.0,
     }
+
+
+# ---------------------------------------------------------------------------
+# dense gate runner: relabelled axes and in-place phases against the
+# per-gate contraction loop
+# ---------------------------------------------------------------------------
+
+
+def random_dense_state(rng, q, sites):
+    amps = rng.normal(size=q**sites) + 1j * rng.normal(size=q**sites)
+    return DenseState.from_amplitudes(q, sites, amps)
+
+
+@lru_cache(maxsize=None)
+def criterion_2_doubled(case):
+    model, params = CRITERION_2_DENSE[case]
+    bundle = build_model(model, **params)
+    return bundle, build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+
+
+@pytest.mark.parametrize("case", range(len(CRITERION_2_DENSE)))
+@settings(max_examples=8, deadline=None)
+@given(seed=SEEDS)
+def test_runner_matches_per_gate_loop_on_criterion_2_circuits(case, seed):
+    # Every phase is exactly +-1 here, so the two paths agree bit for bit.
+    bundle, doubled = criterion_2_doubled(case)
+    rng = np.random.default_rng(seed)
+    for qca in (bundle.entangler, bundle.entangler.inverse()):
+        state = random_dense_state(rng, 2, bundle.n)
+        got = qca_dense_action(qca)(state).amps
+        assert np.array_equal(got, reference_qca_action(qca)(state).amps)
+    state = random_dense_state(rng, 2, 2 * bundle.n)
+    got = doubled.apply_dense(state).amps
+    assert np.array_equal(got, reference_doubled_action(doubled)(state).amps)
+
+
+@pytest.mark.parametrize("sites", [3, 4])
+@settings(max_examples=8, deadline=None)
+@given(seed=SEEDS)
+def test_runner_matches_per_gate_loop_on_cocycle_circuits(sites, seed):
+    # The cocycle phases are roots of unity with ~1e-16 round-off.
+    bundle = build_model("cocycle-z2z2", sites=sites)
+    circuit = bundle.entangler
+    rng = np.random.default_rng(seed)
+    state = random_dense_state(rng, 4, sites)
+    diagonals = [(gate.sites, np.diag(gate.phases())) for gate in circuit.gates]
+    want = reference_apply_gates(state, range(sites), diagonals).amps
+    assert np.max(np.abs(circuit.apply(state).amps - want)) <= 1e-12
+    doubled = build_doubled_diagonal(circuit)
+    state = random_dense_state(rng, 4, 2 * sites)
+    want = reference_doubled_action(doubled)(state).amps
+    assert np.max(np.abs(doubled.apply_dense(state).amps - want)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), num_gates=st.integers(0, 16), seed=SEEDS)
+def test_runner_matches_per_gate_loop_on_random_clifford_circuits(n, num_gates, seed):
+    # h, s, cnot and tableau gates: most do not factor, so they take the
+    # contraction branch, between relabelled axes and in-place phases.
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, n, num_gates)
+    perm = [int(p) for p in rng.permutation(n)]
+    terms = [(gate.support, gate_unitary(gate)) for layer in circuit.layers for gate in layer]
+    state = random_dense_state(rng, 2, n)
+    got = apply_gates(state, perm, [gate_term(*term) for term in terms]).amps
+    assert np.max(np.abs(got - reference_apply_gates(state, perm, terms).amps)) <= 1e-12
+
+
+def reference_audit_dense(support, matrix, qsym):
+    """The kron audit the index form replaced: ||M R - R M|| <= 1e-10 for R
+    the on-site action of each group element on every support site."""
+    q = qsym.group.order
+    for g in qsym.group.elements():
+        site = np.zeros((q, q))
+        site[qsym.mapping(g), np.arange(q)] = 1.0
+        restriction = np.eye(1)
+        for _ in support:
+            restriction = np.kron(site, restriction)
+        if np.linalg.norm(matrix @ restriction - restriction @ matrix) > 1e-10:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("sites", [3, 4, 5])
+def test_dense_audit_by_index_matches_kron_audit(sites):
+    bundle = build_model("cocycle-z2z2", sites=sites)
+    qsym = bundle.qudit_symmetry
+    for support, matrix in build_doubled_diagonal(bundle.entangler).v_terms:
+        rolled = matrix.copy()
+        rolled[1] = np.roll(rolled[1], 1)
+        for gate in (matrix, rolled, np.diag(np.arange(len(matrix)) % 3 + 0j)):
+            want = reference_audit_dense(support, gate, qsym)
+            assert audit_dense_gate_symmetric(support, gate, qsym) == want
+        assert reference_audit_dense(support, matrix, qsym)
+        assert not reference_audit_dense(support, rolled, qsym)
 
 
 # ---------------------------------------------------------------------------

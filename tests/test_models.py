@@ -8,7 +8,7 @@ from catalab.dense import (
     BasisMap,
     DenseOperator,
     DenseState,
-    apply_site_permutation,
+    apply_gates,
     embed_operator,
     gate_unitary,
     ground_state,
@@ -188,7 +188,7 @@ def test_pim_symmetric_is_pure_at_3x3():
 def test_superposition_catalyst_translation_invariant():
     bundle = build_model("lsm-dimer", n=8)
     cat = build_catalyst(bundle, "superposition")
-    moved = apply_site_permutation(cat.dense_state, list(bundle.entangler.perm))
+    moved = apply_gates(cat.dense_state, bundle.entangler.perm, ())
     assert abs(overlap(moved, cat.dense_state)) == pytest.approx(1, abs=1e-10)
 
 

@@ -7,7 +7,7 @@ from catalab.acceptance import CATALYSIS_MATRIX
 from catalab.dense import (
     DenseState,
     apply_local_unitary,
-    apply_site_permutation,
+    apply_gates,
     stabilizer_to_dense,
 )
 from catalab.models import Catalyst, build_catalyst, build_model
@@ -21,6 +21,7 @@ from catalab.stabilizer import (
 )
 from catalab.verify import (
     RegionTooSmallError,
+    audit_dense_gate_symmetric,
     audit_gate_symmetric,
     build_doubled_diagonal,
     build_doubled_fdqc,
@@ -110,8 +111,8 @@ def test_doubled_translation_dense_product_check():
         anc = DenseState(2, n, pb / np.linalg.norm(pb))
         combined = psi.tensor(anc)
         out = doubled.apply_dense(combined)
-        expected = apply_site_permutation(psi, list(bundle.entangler.perm)).tensor(
-            apply_site_permutation(anc, list(bundle.entangler.perm_inv))
+        expected = apply_gates(psi, bundle.entangler.perm, ()).tensor(
+            apply_gates(anc, bundle.entangler.perm_inv, ())
         )
         assert np.linalg.norm(out.amps - expected.amps) < 1e-10
 
@@ -151,6 +152,15 @@ def test_doubled_action_checks_the_norm_at_its_end():
     broken = replace(doubled, v_terms=((support, 1.5 * mat), *rest))
     with pytest.raises(ValueError, match=r"state norm .* is not 1 within 1e-12"):
         broken.apply_dense(state)
+
+
+def test_dense_audit_rejects_a_gate_with_one_row_rolled():
+    bundle = build_model("cocycle-z2z2", sites=5)
+    support, matrix = build_doubled_diagonal(bundle.entangler).v_terms[0]
+    assert audit_dense_gate_symmetric(support, matrix, bundle.qudit_symmetry)
+    rolled = matrix.copy()
+    rolled[1] = np.roll(rolled[1], 1)
+    assert not audit_dense_gate_symmetric(support, rolled, bundle.qudit_symmetry)
 
 
 def test_doubled_gate_supports_are_local():
