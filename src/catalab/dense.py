@@ -4,11 +4,12 @@ Sites carry dimension q (2 for qubits, |G| for cocycle models).  A gate list
 runs on one copy of the amplitude tensor: a gate that permutes its sites
 after one phase per basis state relabels axes and multiplies phases in
 place, and any other gate is contracted into the tensor.  A Hamiltonian is
-assembled by adding each local term at the q^m x q^sites entries it can
-reach, and eigensolved in full one symmetry-character block at a time (one
-full `eigh` per block, with no iterative methods).  Configured limits keep
-sizes at desk scale; override with CATALAB_DENSE_LIMIT / CATALAB_EIG_LIMIT
-(positive amplitude counts).
+eigensolved in full one symmetry-character block at a time (one full `eigh`
+per block, with no iterative methods), each block read from the sparse
+columns of its orbit representatives; only an operator with no symmetry is
+built as a full matrix.  Configured limits keep sizes at desk scale;
+override with CATALAB_DENSE_LIMIT (amplitudes) / CATALAB_EIG_LIMIT (the
+dimension of one eigensolve: the largest block), positive integers.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .stabilizer import CliffordGate, PermutationQca, QcaLike, StabilizerMixture
 
 _DEFAULT_AMP_LIMIT = 2**20
 _DEFAULT_EIG_LIMIT = 2**14
+_MAX_ORDER = 64  # of a symmetry map: each order multiplies the character blocks
 
 
 def _env_limit(name: str, default: int) -> int:
@@ -175,6 +177,14 @@ def relabel_basis_map(q: int, sites: int, mapping: Sequence[int]) -> tuple[np.nd
     return image, np.ones(q**sites, dtype=np.complex128)
 
 
+def translation_basis_map(q: int, sites: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """The translation that moves the content of site i to site i + shift
+    (mod sites), as a basis map (image, sign); every sign is 1."""
+    idx = np.arange(q**sites)
+    image = sum((idx // q**i % q * q ** ((i + shift) % sites) for i in range(sites)), 0 * idx)
+    return image, np.ones(q**sites, dtype=np.complex128)
+
+
 def apply_pauli(state: DenseState, p: PauliOperator) -> DenseState:
     """Exact Pauli action for qubit states via index arithmetic."""
     if state.q != 2 or p.n != state.sites:
@@ -284,8 +294,8 @@ def qca_dense_action(qca: QcaLike) -> Callable[[DenseState], DenseState]:
 @dataclass(frozen=True)
 class BasisMap:
     """A named unitary that maps basis states to basis states up to a phase:
-    U|s> = sign[s] |image[s]>, as `pauli_basis_map` and `relabel_basis_map`
-    return it."""
+    U|s> = sign[s] |image[s]>, in the form the `*_basis_map` functions
+    return."""
 
     name: str
     image: np.ndarray
@@ -297,15 +307,27 @@ class BasisMap:
             f"{self.name}*{other.name}", self.image[other.image], other.sign * self.sign[other.image]
         )
 
+    def powers(self) -> list["BasisMap"]:
+        """1, U, ..., U^(k-1) for k the order of U: the least k with U^k = 1
+        within 1e-12.  Raises ValueError naming the map past _MAX_ORDER."""
+        out = [BasisMap("1", np.arange(len(self.image)), np.ones(len(self.sign), dtype=np.complex128))]
+        while len(out) <= _MAX_ORDER:
+            power = self.compose(out[-1])
+            if np.all(power.image == out[0].image) and np.allclose(power.sign, 1, atol=1e-12):
+                return out
+            out.append(power)
+        raise ValueError(f"symmetry map {self.name} has no finite order up to {_MAX_ORDER}")
+
 
 @dataclass
 class DenseOperator:
     """A sum of hermitian local terms, with the symmetry it commutes with.
 
-    `symmetry` lists commuting involutions given as basis maps; `ground_state`
-    solves one character block of the group they generate at a time.  Each
-    map is checked here to be an involution and to commute with the others;
-    commutation with the operator is checked where the matrix is built."""
+    `symmetry` lists commuting basis maps of finite order, such as on-site
+    symmetries and translations; `ground_state` solves one character block
+    of the group they generate at a time.  Each map is checked here to have
+    a finite order and to commute with the others; commutation with the
+    operator is checked by `ground_state` on its sparse form."""
 
     sites: int
     q: int
@@ -335,9 +357,7 @@ class DenseOperator:
                 or not np.allclose(np.abs(u.sign), 1, atol=1e-12)
             ):
                 raise ValueError(f"symmetry map {u.name} is not a signed permutation of {dim} states")
-            twice = u.compose(u)
-            if np.any(twice.image != np.arange(dim)) or not np.allclose(twice.sign, 1, atol=1e-12):
-                raise ValueError(f"symmetry map {u.name} is not an involution")
+            u.powers()
         for i, a in enumerate(self.symmetry):
             for b in self.symmetry[:i]:
                 ab, ba = a.compose(b), b.compose(a)
@@ -367,6 +387,26 @@ class DenseOperator:
             _add_local(total, mat, support, self.sites, self.q)
         return total
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The operator in sparse form: rows, columns and values, one entry per
+        position any term reaches, ordered column by column.  Each term adds
+        its nonzero local entries at the placements `_add_local` writes."""
+        dim = self.q**self.sites
+        keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.complex128)]
+        for support, mat in self.terms:
+            place = _placements(support, self.sites, self.q)
+            out, into = np.nonzero(mat)
+            keys.append((place[into] * dim + place[out]).ravel())
+            vals.append(np.repeat(mat[out, into], place.shape[1]))
+        keys, vals = _summed(np.concatenate(keys), np.concatenate(vals))
+        return keys % dim, keys // dim, vals
+
+
+def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the sum of the values at each."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(inverse, vals.real, len(keys)) + 1j * np.bincount(inverse, vals.imag, len(keys))
+
 
 def _restrict_pauli(p: PauliOperator, support: tuple[int, ...]) -> PauliOperator:
     x = z = 0
@@ -391,85 +431,84 @@ def embed_operator(mat: np.ndarray, support: Sequence[int], sites: int, q: int) 
     return _add_local(np.zeros((q**sites,) * 2, dtype=np.complex128), mat, support, sites, q)
 
 
-def _add_local(full: np.ndarray, mat: np.ndarray, support: Sequence[int], sites: int, q: int) -> np.ndarray:
-    """Add a local operator to a full q^sites matrix in place, at the
-    q^m x q^sites entries where it can be nonzero; returns `full`.  place[l, r]
-    is the full index with index l on the support (support[0] least
-    significant) and index r on the other sites."""
+def _placements(support: Sequence[int], sites: int, q: int) -> np.ndarray:
+    """place[l, r]: the full index with index l on the support (support[0]
+    least significant) and index r on the other sites."""
 
     def offsets(group: Sequence[int]) -> np.ndarray:
         idx = np.arange(q ** len(group))
         return sum((idx // q**k % q * q**s for k, s in enumerate(group)), 0 * idx)
 
-    place = offsets(support)[:, None] + offsets([s for s in range(sites) if s not in support])
+    return offsets(support)[:, None] + offsets([s for s in range(sites) if s not in support])
+
+
+def _add_local(full: np.ndarray, mat: np.ndarray, support: Sequence[int], sites: int, q: int) -> np.ndarray:
+    """Add a local operator to a full q^sites matrix in place, at the
+    q^m x q^sites entries where it can be nonzero; returns `full`."""
+    place = _placements(support, sites, q)
     full[place[:, None, :], place[None, :, :]] += np.asarray(mat)[:, :, None]
     return full
 
 
-def _check_commutes(h: np.ndarray, u: BasisMap) -> None:
-    """Raise unless U H U^dagger = H within 1e-12, in blocks of 256 rows:
-    (U H U^dagger)[image[s], image[t]] = sign[s] H[s, t] conj(sign[t])."""
-    for start in range(0, len(h), 256):
-        rows = slice(start, start + 256)
-        diff = np.take(np.take(h, u.image[rows], axis=0), u.image, axis=1)
-        diff -= u.sign[rows, None] * h[rows] * u.sign.conj()
-        if np.max(np.abs(diff)) > 1e-12:
-            raise ValueError(f"symmetry map {u.name} does not commute with the operator")
-
-
 @dataclass
 class _CharacterBlock:
-    """The isometry B onto one character block: column j is the normalized
-    sum over group elements g of chi(g) U_g|r_j>, for r_j the least basis
-    state of orbit j, stored as the |G| x d images U_g sends r_j to and their
-    weights."""
+    """The isometry B onto one character block: column j is b_j = P|r_j> /
+    |P|r_j>|, for P the block's projector and r_j the least basis state of
+    the j-th orbit it reaches.  `column[s]` is b_j[s] for s in orbit j, whose
+    column `slot[s]` is j, and 0 on the orbits the block does not reach, so
+    B vec = column * vec[slot]."""
 
-    images: np.ndarray
-    weights: np.ndarray
-    dim: int
+    reps: np.ndarray
+    column: np.ndarray
+    slot: np.ndarray
 
-    def compress(self, h: np.ndarray) -> np.ndarray:
-        """B^dagger H B, summed over pairs of group elements by gathers."""
-        out = np.zeros((self.images.shape[1],) * 2, dtype=np.complex128)
-        for rows, left in zip(self.images, self.weights.conj()):
-            gathered = np.take(h, rows, axis=0)
-            for cols, right in zip(self.images, self.weights):
-                out += left[:, None] * np.take(gathered, cols, axis=1) * right
+    def matrix(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """B^dagger H B from the entries of H in the representatives' columns:
+        P H = H P, so column j is B^dagger H|r_j> / b_j[r_j].  An entry in a
+        row off the block meets a zero of `column` and adds nothing."""
+        mine = np.isin(cols, self.reps)
+        rows, cols, vals = rows[mine], cols[mine], vals[mine]
+        out = np.zeros((len(self.reps),) * 2, dtype=np.complex128)
+        weights = self.column[rows].conj() * vals / self.column[cols].real
+        np.add.at(out, (self.slot[rows], self.slot[cols]), weights)
         return out
 
     def lift(self, vec: np.ndarray) -> np.ndarray:
         """B vec, as a vector on the full space."""
-        out = np.zeros(self.dim, dtype=np.complex128)
-        np.add.at(out, self.images.ravel(), (self.weights * vec).ravel())
-        return out
+        return self.column * vec[self.slot]
 
 
 def _character_blocks(symmetry: Sequence[BasisMap], dim: int) -> list[_CharacterBlock]:
-    """One block per character of the group the involutions generate whose
-    block is not empty.  Distinct orbits have disjoint supports, so each
-    block's columns are orthonormal and the blocks together span the space."""
+    """One block per character of the abelian group the commuting maps
+    generate whose block is not empty.  Distinct orbits have disjoint
+    supports, so each block's columns are orthonormal and the blocks
+    together span the space."""
     elements = [BasisMap("1", np.arange(dim), np.ones(dim, dtype=np.complex128))]
+    # turns[c, e]: the phase of character c at element e, in turns.  With
+    # generator orders k_i, element e = prod u_i^a_i and character c take
+    # mixed-radix digits a_i and c_i, the first generator least significant.
+    turns = np.zeros((1, 1))
     for u in symmetry:
-        elements += [u.compose(g) for g in elements]
+        powers = u.powers()
+        k = len(powers)
+        elements = [p.compose(g) for p in powers for g in elements]
+        own = np.outer(np.arange(k), np.arange(k)) / k
+        turns = (own[:, None, :, None] + turns[None, :, None, :]).reshape(len(elements), -1)
     images = np.stack([g.image for g in elements])
     signs = np.stack([g.sign for g in elements])
     least = images.min(axis=0)
     reps = np.flatnonzero(least == np.arange(dim))
     orbit = np.searchsorted(reps, least)
-    # Element m is the product of the maps whose bits m sets; the character
-    # with bits c takes the value (-1)^popcount(c & m) on it.
-    masks = np.arange(len(elements))
     blocks = []
-    for c in range(len(elements)):
-        chi = 1.0 - 2.0 * (np.bitwise_count(masks & c) & 1)
-        raw = chi[:, None] * signs[:, reps]
+    for chi in np.exp(2j * np.pi * turns):
         column = np.zeros(dim, dtype=np.complex128)
-        np.add.at(column, images[:, reps].ravel(), raw.ravel())
+        np.add.at(column, images[:, reps].ravel(), (chi[:, None] * signs[:, reps]).ravel())
         norms = np.sqrt(np.bincount(orbit, np.abs(column) ** 2, minlength=len(reps)))
         keep = norms > 0.5
         if keep.any():
-            blocks.append(_CharacterBlock(images[:, reps[keep]], raw[:, keep] / norms[keep], dim))
-    if sum(b.images.shape[1] for b in blocks) != dim:
+            scale = np.divide(1, norms, out=np.zeros_like(norms), where=keep)
+            blocks.append(_CharacterBlock(reps[keep], column * scale[orbit], np.cumsum(keep)[orbit] - 1))
+    if sum(len(b.reps) for b in blocks) != dim:
         raise AssertionError("character blocks do not add up to the whole space")
     return blocks
 
@@ -486,22 +525,32 @@ def ground_state(op: DenseOperator) -> tuple[float, list[np.ndarray]]:
     """Full hermitian eigensolve; returns energy and an orthonormal basis of
     the eigenvectors within 1e-8 of the lowest eigenvalue.
 
-    With a symmetry, each character block is solved on its own: eigenvalues
-    of every block give the lowest energy, and the eigenvectors of each block
-    that reaches it are lifted back, so the basis spans the whole ground
-    space however it splits across blocks."""
-    h = op.to_matrix()
+    With a symmetry, H is built once in sparse form, each map U is checked
+    to satisfy U H U^dagger = H there within 1e-12, and each character block
+    is solved on its own: eigenvalues of every block give the lowest energy,
+    and the eigenvectors of each block that reaches it are lifted back, so
+    the basis spans the whole ground space however it splits across blocks."""
     if not op.symmetry:
-        return _lowest_vectors(h, np.copy)
+        return _lowest_vectors(op.to_matrix(), np.copy)
+    dim = op.q**op.sites
+    blocks = _character_blocks(op.symmetry, dim)
+    largest = max(len(b.reps) for b in blocks)
+    if largest > eig_limit():
+        raise ValueError(f"symmetry block dimension {largest} exceeds the dense-eig limit")
+    rows, cols, vals = op.entries()
     for u in op.symmetry:
-        _check_commutes(h, u)
-    blocks = [(block, block.compress(h)) for block in _character_blocks(op.symmetry, len(h))]
-    lowest = [float(np.linalg.eigvalsh(hb)[0]) for _, hb in blocks]
+        # U H U^dagger holds sign[a] H[a, b] conj(sign[b]) at (image[a], image[b]).
+        moved = u.sign[rows] * vals * u.sign[cols].conj()
+        keys = np.concatenate([cols * dim + rows, u.image[cols] * dim + u.image[rows]])
+        if np.max(np.abs(_summed(keys, np.concatenate([vals, -moved]))[1]), initial=0) > 1e-12:
+            raise ValueError(f"symmetry map {u.name} does not commute with the operator")
+    # One block matrix is held at a time: those that reach e0 are built again.
+    lowest = [float(np.linalg.eigvalsh(block.matrix(rows, cols, vals))[0]) for block in blocks]
     e0 = min(lowest)
     basis = []
-    for (block, hb), low in zip(blocks, lowest):
+    for block, low in zip(blocks, lowest):
         if low <= e0 + 1e-8:
-            basis += _lowest_vectors(hb, block.lift, e0)[1]
+            basis += _lowest_vectors(block.matrix(rows, cols, vals), block.lift, e0)[1]
     return e0, basis
 
 

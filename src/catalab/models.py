@@ -802,14 +802,21 @@ def build_hamiltonian(
 ) -> dn.DenseOperator:
     """Dense Hamiltonians: trivial / entangled-side / interpolated / catalyst-sum.
 
-    Each carries the model's 0-form symmetry as basis maps, which every kind
-    commutes with: the 0-form Pauli generators, or on the qudit chain u(g)
-    for the generator g of each cyclic factor."""
+    Each carries as basis maps the symmetry that every kind commutes with:
+    the model's 0-form Pauli generators, or on the qudit chain u(g) for the
+    generator g of each cyclic factor, then translation by the model's unit
+    cell where `_UNIT_CELL` declares one.  `ground_state` proves each map on
+    the operator, so a wrong unit cell fails there."""
+    cell = _UNIT_CELL.get(bundle.name)
+    q = 2 if bundle.qudit_symmetry is None else bundle.qudit_symmetry.group.order
+    shift = () if cell is None else (
+        dn.BasisMap(f"translate-{cell}", *dn.translation_basis_map(q, bundle.n, cell)),
+    )
     if bundle.qudit_symmetry is not None:
-        return _cocycle_hamiltonian(bundle, kind, alpha)
+        return _cocycle_hamiltonian(bundle, kind, alpha, bundle.qudit_symmetry.basis_maps(bundle.n) + shift)
     symmetry = tuple(
         dn.BasisMap(g.name, *dn.pauli_basis_map(g.pauli)) for g in bundle.symmetry.zero_form()
-    )
+    ) + shift
     triv_terms = _trivial_terms(bundle)
     if kind == "triv":
         return dn.DenseOperator.from_pauli_terms(bundle.n, triv_terms, symmetry)
@@ -829,14 +836,17 @@ def build_hamiltonian(
     raise RegistryError(f"unknown hamiltonian kind {kind!r}")
 
 
+# Sites per unit cell of the ring models: 2 on the qubit rings, whose
+# sublattice symmetries and dimer bonds a one-site shift would not keep.
+_UNIT_CELL = {"cluster-1d": 2, "lsm-dimer": 2, "cocycle-z2z2": 1}
+
+
 def _trivial_terms(bundle: ModelBundle) -> list[tuple[float, PauliOperator]]:
     return [(-1.0, g) for g in bundle.trivial.generators]
 
 
-def _cocycle_hamiltonian(bundle, kind, alpha) -> dn.DenseOperator:
-    qsym = bundle.qudit_symmetry
-    q = qsym.group.order
-    symmetry = qsym.basis_maps(bundle.n)
+def _cocycle_hamiltonian(bundle, kind, alpha, symmetry) -> dn.DenseOperator:
+    q = bundle.qudit_symmetry.group.order
     plus_proj = np.full((q, q), 1.0 / q, dtype=np.complex128)
     triv = [((i,), -plus_proj) for i in range(bundle.n)]
     if kind == "triv":

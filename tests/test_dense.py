@@ -24,7 +24,9 @@ from catalab.dense import (
     pauli_matrix,
     stabilizer_density,
     stabilizer_to_dense,
+    translation_basis_map,
 )
+from catalab.models import build_hamiltonian, build_model
 from catalab.pauli import PauliOperator
 from catalab.stabilizer import (
     StabilizerMixture,
@@ -231,28 +233,48 @@ def apply_map(u, vec):
     return out
 
 
+def translation_map(n, shift):
+    return BasisMap(f"translate-{shift}", *translation_basis_map(2, n, shift))
+
+
+def roots(value):
+    return round(value.real, 9), round(value.imag, 9)
+
+
 def test_character_blocks_are_the_joint_eigenspaces():
     # X-all and Z-all on 4 qubits: four characters, each block one joint
     # eigenspace of dimension 4, so a dropped sign or a merged pair shows.
-    n = 4
-    maps = (
-        pauli_map("x-all", PauliOperator.x_at(n, *range(n))),
-        pauli_map("z-all", PauliOperator.z_at(n, *range(n))),
+    x4, z4 = PauliOperator.x_at(4, *range(4)), PauliOperator.z_at(4, *range(4))
+    assert_joint_eigenspaces(
+        (pauli_map("x-all", x4), pauli_map("z-all", z4)),
+        [4, 4, 4, 4],
+        {(roots(a), roots(b)) for a in (1, -1) for b in (1, -1)},
     )
-    blocks = _character_blocks(maps, 1 << n)
-    assert [b.images.shape[1] for b in blocks] == [4, 4, 4, 4]
+    # X-all and the order-5 translation on 5 qubits: ten characters, eight of
+    # them complex; momentum 0 also holds the orbit {00000, 11111}.
+    assert_joint_eigenspaces(
+        (pauli_map("x-all", PauliOperator.x_at(5, *range(5))), translation_map(5, 1)),
+        [4, 4, 3, 3, 3, 3, 3, 3, 3, 3],
+        {(roots(a), roots(np.exp(2j * np.pi * k / 5))) for a in (1, -1) for k in range(5)},
+    )
+
+
+def assert_joint_eigenspaces(maps, sizes, want):
+    blocks = _character_blocks(maps, len(maps[0].image))
+    assert sorted((len(b.reps) for b in blocks), reverse=True) == sizes
     charges = set()
     for block in blocks:
-        columns = np.stack([block.lift(e) for e in np.eye(4)], axis=1)
-        assert np.allclose(columns.conj().T @ columns, np.eye(4), atol=1e-12)
+        d = len(block.reps)
+        columns = np.stack([block.lift(e) for e in np.eye(d)], axis=1)
+        assert np.allclose(columns.conj().T @ columns, np.eye(d), atol=1e-12)
         charge = []
         for u in maps:
-            value = np.vdot(columns[:, 0], apply_map(u, columns[:, 0])).real
+            value = np.vdot(columns[:, 0], apply_map(u, columns[:, 0]))
             moved = np.stack([apply_map(u, c) for c in columns.T], axis=1)
             assert np.allclose(moved, value * columns, atol=1e-12)
-            charge.append(round(value))
+            charge.append(roots(value))
         charges.add(tuple(charge))
-    assert charges == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    assert charges == want
 
 
 def test_symmetry_map_not_commuting_with_the_operator_is_refused():
@@ -266,16 +288,79 @@ def test_symmetry_map_not_commuting_with_the_operator_is_refused():
 
 
 @pytest.mark.parametrize(
-    "image, sign",
+    "image, sign, order",
     [
-        ([0, 1, 2, 3], [1j, 1j, 1j, 1j]),  # squares to -1
-        ([1, 2, 0, 3], [1, 1, 1, 1]),  # a 3-cycle
+        ([0, 1, 2, 3], [1j, 1j, 1j, 1j], 4),  # squares to -1
+        ([1, 2, 0, 3], [1, 1, 1, 1], 3),  # a 3-cycle
+        ([0, 1, 2, 3], [np.exp(1j)] * 4, None),  # e^i is no root of unity
+        ([1, 2, 0, 3], [1, 1, np.exp(0.1j), 1], None),  # nor is the 3-cycle's phase
     ],
 )
-def test_symmetry_map_that_is_not_an_involution_is_refused(image, sign):
-    bad = BasisMap("bad", np.array(image), np.array(sign, dtype=np.complex128))
-    with pytest.raises(ValueError, match="symmetry map bad is not an involution"):
-        ising_chain(2, (bad,))
+def test_symmetry_maps_need_a_finite_order(image, sign, order):
+    u = BasisMap("u", np.array(image), np.array(sign, dtype=np.complex128))
+    if order is None:
+        with pytest.raises(ValueError, match="^symmetry map u has no finite order up to 64$"):
+            ising_chain(2, (u,))
+    else:
+        assert len(u.powers()) == order
+        assert ising_chain(2, (u,)).symmetry == (u,)
+
+
+def catalyst_sum(model, n):
+    return build_hamiltonian(build_model(model, n=n), "catalyst-sum")
+
+
+def with_z_on_sublattice(op, first):
+    """The operator plus Z on every site first, first + 2, ...: a whole orbit
+    of the two-site translation, which breaks one sublattice X string."""
+    extra = [(0.5, PauliOperator.z_at(op.sites, s)) for s in range(first, op.sites, 2)]
+    return DenseOperator(op.sites, op.q, op.terms + DenseOperator.from_pauli_terms(op.sites, extra).terms, op.symmetry)
+
+
+def test_terms_breaking_one_symmetry_map_are_refused_naming_it():
+    op = catalyst_sum("cluster-1d", 8)
+    assert [u.name for u in op.symmetry] == ["x-even", "x-odd", "translate-2"]
+    # One coefficient off: the sublattice maps still hold, the translation
+    # not, down to 1e-10; round-off under the 1e-12 bound is no break.
+    (support, mat), rest = op.terms[0], op.terms[1:]
+    for factor in (1.5, 1 + 1e-10):
+        skewed = DenseOperator(op.sites, op.q, [(support, factor * mat)] + rest, op.symmetry)
+        with pytest.raises(ValueError, match="^symmetry map translate-2 does not commute with the operator$"):
+            ground_state(skewed)
+    ground_state(DenseOperator(op.sites, op.q, [(support, (1 + 1e-14) * mat)] + rest, op.symmetry))
+    for first, broken in ((0, "x-even"), (1, "x-odd")):
+        with pytest.raises(ValueError, match=f"^symmetry map {broken} does not commute with the operator$"):
+            ground_state(with_z_on_sublattice(op, first))
+
+
+def test_translation_with_the_wrong_shift_is_refused_naming_it():
+    # lsm-dimer's trivial dimers sit on even bonds, so a one-site shift maps
+    # them off themselves; it commutes with x-all and z-all, so only the
+    # operator sees it.  (Its catalyst sum covers every bond and is invariant.)
+    one = translation_map(8, 1)
+    triv = build_hamiltonian(build_model("lsm-dimer", n=8), "triv")
+    wrong = DenseOperator(8, 2, triv.terms, triv.symmetry[:2] + (one,))
+    with pytest.raises(ValueError, match="^symmetry map translate-1 does not commute with the operator$"):
+        ground_state(wrong)
+    # On cluster-1d a one-site shift swaps the sublattices, so the maps
+    # themselves are refused.
+    cluster = catalyst_sum("cluster-1d", 8)
+    with pytest.raises(ValueError, match="symmetry maps translate-1 and x-even do not commute"):
+        DenseOperator(8, 2, cluster.terms, cluster.symmetry[:2] + (one,))
+
+
+def test_symmetric_ground_state_never_builds_the_full_matrix(monkeypatch):
+    op = catalyst_sum("cluster-1d", 8)
+    want_energy, want_basis = ground_state(op)
+
+    def refuse(self):
+        raise AssertionError("to_matrix called")
+
+    monkeypatch.setattr(DenseOperator, "to_matrix", refuse)
+    energy, basis = ground_state(op)
+    assert energy == want_energy and len(basis) == len(want_basis) == 1
+    with pytest.raises(AssertionError, match="to_matrix called"):
+        ground_state(DenseOperator(op.sites, op.q, op.terms))
 
 
 def test_symmetry_maps_must_commute_and_permute_the_basis():
@@ -406,3 +491,20 @@ def test_bad_eig_limit_names_the_variable(monkeypatch, value):
     message = f"CATALAB_EIG_LIMIT must be a positive integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         op.to_matrix()
+    # The block path reads the same variable.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ground_state(catalyst_sum("cluster-1d", 4))
+
+
+def test_eig_limit_bounds_the_largest_block_not_the_space(monkeypatch):
+    op = catalyst_sum("cluster-1d", 8)
+    monkeypatch.setenv("CATALAB_EIG_LIMIT", "64")
+    with pytest.raises(ValueError, match="^operator dimension 256 exceeds the dense-eig limit$"):
+        op.to_matrix()
+    largest = 22  # 256 states in 16 character blocks of 12 to 22 states
+    monkeypatch.setenv("CATALAB_EIG_LIMIT", str(largest))
+    energy, basis = ground_state(op)
+    assert len(basis) == 1
+    monkeypatch.setenv("CATALAB_EIG_LIMIT", str(largest - 1))
+    with pytest.raises(ValueError, match=f"^symmetry block dimension {largest} exceeds the dense-eig limit$"):
+        ground_state(op)

@@ -11,7 +11,8 @@ gate-conjugation loops `CocycleCircuit.conjugate_term` replaced; and the
 measurement protocol's affine-sign template against the per-sample loop and
 the dense projectors; the one catalyst symmetry contract against the
 three loops it replaced; and the ground-state solve by symmetry-character
-block against one full eigensolve of the whole space."""
+block, built from the terms with the translation as a generator, against
+one full eigensolve of the whole space."""
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -1267,12 +1268,43 @@ def projector(basis):
 )
 def test_sector_ground_state_matches_full_eigh(model, params, kind, alpha):
     op = build_hamiltonian(build_model(model, **params), kind, alpha=alpha)
-    assert len(op.symmetry) == 2
+    assert len(op.symmetry) == 3
+    assert_ground_state_matches_full_eigh(op)
+
+
+def assert_ground_state_matches_full_eigh(op):
     energy, basis = ground_state(op)
     want_energy, want_basis = reference_ground_state(op)
     assert abs(energy - want_energy) <= 1e-10
     assert len(basis) == len(want_basis)
     assert np.linalg.norm(projector(basis) - projector(want_basis)) <= 1e-9
+
+
+# A window of three sites starting on either sublattice, its X part and
+# whether Z acts on both window ends: the 16 Paulis per window that commute
+# with both sublattice X strings, made hermitian by i^popcount(x & z).  The
+# coefficients are nonzero quarters: a coefficient near 1e-7 leaves a gap so
+# small that the full eigh's own eigenvectors miss the 1e-9 projector bound.
+QUARTERS = st.integers(-8, 8).filter(bool).map(lambda k: k / 4)
+WINDOW_TERMS = st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans(), QUARTERS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([4, 6, 8]), orbits=st.lists(WINDOW_TERMS, min_size=1, max_size=4))
+def test_block_solve_matches_full_eigh_on_random_translation_orbits(n, orbits):
+    # Each drawn term comes with its translates by the two-site unit cell at
+    # one coefficient, so the cluster-1d maps (both sublattice X strings and
+    # the translation) commute with the sum.
+    terms = []
+    for start, x, z_ends, coeff in orbits:
+        z = 0b101 if z_ends else 0
+        for shift in range(start, start + n, 2):
+            xs = [(shift + i) % n for i in range(3) if (x >> i) & 1]
+            zs = [(shift + i) % n for i in range(3) if (z >> i) & 1]
+            p = PauliOperator.x_at(n, *xs) * PauliOperator.z_at(n, *zs)
+            terms.append((coeff, PauliOperator(n, p.x, p.z, (p.x & p.z).bit_count() % 4)))
+    symmetry = build_hamiltonian(build_model("cluster-1d", n=n), "triv").symmetry
+    assert_ground_state_matches_full_eigh(DenseOperator.from_pauli_terms(n, terms, symmetry))
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
