@@ -6,10 +6,10 @@ after one phase per basis state relabels axes and multiplies phases in
 place, and any other gate is contracted into the tensor.  A Hamiltonian is
 eigensolved in full one symmetry-character block at a time (one full `eigh`
 per block, with no iterative methods), each block read from the sparse
-columns of its orbit representatives; only an operator with no symmetry is
-built as a full matrix.  Configured limits keep sizes at desk scale;
-override with CATALAB_DENSE_LIMIT (amplitudes) / CATALAB_EIG_LIMIT (the
-dimension of one eigensolve: the largest block), positive integers.
+columns of its orbit representatives; an operator with no symmetry is one
+block.  Configured limits keep sizes at desk scale; override with
+CATALAB_DENSE_LIMIT (amplitudes) / CATALAB_EIG_LIMIT (the dimension of one
+eigensolve: the largest block), positive integers.
 """
 from __future__ import annotations
 
@@ -180,9 +180,7 @@ def relabel_basis_map(q: int, sites: int, mapping: Sequence[int]) -> tuple[np.nd
 def translation_basis_map(q: int, sites: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
     """The translation that moves the content of site i to site i + shift
     (mod sites), as a basis map (image, sign); every sign is 1."""
-    idx = np.arange(q**sites)
-    image = sum((idx // q**i % q * q ** ((i + shift) % sites) for i in range(sites)), 0 * idx)
-    return image, np.ones(q**sites, dtype=np.complex128)
+    return _offsets([(i + shift) % sites for i in range(sites)], q), np.ones(q**sites, dtype=np.complex128)
 
 
 def apply_pauli(state: DenseState, p: PauliOperator) -> DenseState:
@@ -325,9 +323,9 @@ class DenseOperator:
 
     `symmetry` lists commuting basis maps of finite order, such as on-site
     symmetries and translations; `ground_state` solves one character block
-    of the group they generate at a time.  Each map is checked here to have
-    a finite order and to commute with the others; commutation with the
-    operator is checked by `ground_state` on its sparse form."""
+    of the group they generate at a time.  Each map is checked here to be a
+    signed permutation and to commute with the others; `ground_state` checks
+    that it has a finite order and commutes with the operator."""
 
     sites: int
     q: int
@@ -357,7 +355,6 @@ class DenseOperator:
                 or not np.allclose(np.abs(u.sign), 1, atol=1e-12)
             ):
                 raise ValueError(f"symmetry map {u.name} is not a signed permutation of {dim} states")
-            u.powers()
         for i, a in enumerate(self.symmetry):
             for b in self.symmetry[:i]:
                 ab, ba = a.compose(b), b.compose(a)
@@ -378,19 +375,10 @@ class DenseOperator:
             out.append((support, coeff * pauli_matrix(local)))
         return cls(sites, 2, out, symmetry)
 
-    def to_matrix(self) -> np.ndarray:
-        dim = self.q**self.sites
-        if dim > eig_limit():
-            raise ValueError(f"operator dimension {dim} exceeds the dense-eig limit")
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for support, mat in self.terms:
-            _add_local(total, mat, support, self.sites, self.q)
-        return total
-
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The operator in sparse form: rows, columns and values, one entry per
         position any term reaches, ordered column by column.  Each term adds
-        its nonzero local entries at the placements `_add_local` writes."""
+        its nonzero local entries at the placements `embed_operator` writes."""
         dim = self.q**self.sites
         keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.complex128)]
         for support, mat in self.terms:
@@ -427,27 +415,25 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
 
 
 def embed_operator(mat: np.ndarray, support: Sequence[int], sites: int, q: int) -> np.ndarray:
-    """Embed a local operator into the full q^sites space."""
-    return _add_local(np.zeros((q**sites,) * 2, dtype=np.complex128), mat, support, sites, q)
+    """Embed a local operator into the full q^sites space, at the
+    q^m x q^sites entries where it can be nonzero."""
+    place = _placements(support, sites, q)
+    full = np.zeros((q**sites,) * 2, dtype=np.complex128)
+    full[place[:, None, :], place[None, :, :]] += np.asarray(mat)[:, :, None]
+    return full
+
+
+def _offsets(group: Sequence[int], q: int) -> np.ndarray:
+    """The full index of each index on the sites `group` (group[0] least
+    significant), with digit 0 on every other site."""
+    idx = np.arange(q ** len(group))
+    return sum((idx // q**k % q * q**s for k, s in enumerate(group)), 0 * idx)
 
 
 def _placements(support: Sequence[int], sites: int, q: int) -> np.ndarray:
     """place[l, r]: the full index with index l on the support (support[0]
     least significant) and index r on the other sites."""
-
-    def offsets(group: Sequence[int]) -> np.ndarray:
-        idx = np.arange(q ** len(group))
-        return sum((idx // q**k % q * q**s for k, s in enumerate(group)), 0 * idx)
-
-    return offsets(support)[:, None] + offsets([s for s in range(sites) if s not in support])
-
-
-def _add_local(full: np.ndarray, mat: np.ndarray, support: Sequence[int], sites: int, q: int) -> np.ndarray:
-    """Add a local operator to a full q^sites matrix in place, at the
-    q^m x q^sites entries where it can be nonzero; returns `full`."""
-    place = _placements(support, sites, q)
-    full[place[:, None, :], place[None, :, :]] += np.asarray(mat)[:, :, None]
-    return full
+    return _offsets(support, q)[:, None] + _offsets([s for s in range(sites) if s not in support], q)
 
 
 @dataclass
@@ -482,14 +468,18 @@ def _character_blocks(symmetry: Sequence[BasisMap], dim: int) -> list[_Character
     """One block per character of the abelian group the commuting maps
     generate whose block is not empty.  Distinct orbits have disjoint
     supports, so each block's columns are orthonormal and the blocks
-    together span the space."""
+    together span the space.  Raises ValueError if a block exceeds the
+    dense-eig limit, before the group is built when its order alone shows it."""
+    generated = [u.powers() for u in symmetry]
+    order = int(np.prod([len(powers) for powers in generated]))
+    if dim > order * eig_limit():  # at most |G| blocks share the dim states
+        raise ValueError(f"a symmetry block of at least {-(-dim // order)} states exceeds the dense-eig limit")
     elements = [BasisMap("1", np.arange(dim), np.ones(dim, dtype=np.complex128))]
     # turns[c, e]: the phase of character c at element e, in turns.  With
     # generator orders k_i, element e = prod u_i^a_i and character c take
     # mixed-radix digits a_i and c_i, the first generator least significant.
     turns = np.zeros((1, 1))
-    for u in symmetry:
-        powers = u.powers()
+    for powers in generated:
         k = len(powers)
         elements = [p.compose(g) for p in powers for g in elements]
         own = np.outer(np.arange(k), np.arange(k)) / k
@@ -510,33 +500,27 @@ def _character_blocks(symmetry: Sequence[BasisMap], dim: int) -> list[_Character
             blocks.append(_CharacterBlock(reps[keep], column * scale[orbit], np.cumsum(keep)[orbit] - 1))
     if sum(len(b.reps) for b in blocks) != dim:
         raise AssertionError("character blocks do not add up to the whole space")
+    largest = max(len(b.reps) for b in blocks)
+    if largest > eig_limit():
+        raise ValueError(f"symmetry block dimension {largest} exceeds the dense-eig limit")
     return blocks
-
-
-def _lowest_vectors(h: np.ndarray, lift, e0: Optional[float] = None) -> tuple[float, list[np.ndarray]]:
-    """Full hermitian eigensolve of h; the energy (the lowest eigenvalue unless
-    e0 is given) and the lifted eigenvectors within 1e-8 of it."""
-    evals, evecs = np.linalg.eigh(h)
-    e0 = float(evals[0]) if e0 is None else e0
-    return e0, [lift(evecs[:, i]) for i in range(len(evals)) if evals[i] <= e0 + 1e-8]
 
 
 def ground_state(op: DenseOperator) -> tuple[float, list[np.ndarray]]:
     """Full hermitian eigensolve; returns energy and an orthonormal basis of
     the eigenvectors within 1e-8 of the lowest eigenvalue.
 
-    With a symmetry, H is built once in sparse form, each map U is checked
-    to satisfy U H U^dagger = H there within 1e-12, and each character block
-    is solved on its own: eigenvalues of every block give the lowest energy,
-    and the eigenvectors of each block that reaches it are lifted back, so
-    the basis spans the whole ground space however it splits across blocks."""
-    if not op.symmetry:
-        return _lowest_vectors(op.to_matrix(), np.copy)
+    H is built once in sparse form, each symmetry map U is checked to
+    satisfy U H U^dagger = H there within 1e-12, and each character block
+    (the whole space when there is no symmetry) is solved on its own:
+    eigenvalues of every block give the lowest energy, and the eigenvectors
+    of each block that reaches it are lifted back, so the basis spans the
+    whole ground space however it splits across blocks.  The basis vectors
+    are dense states, so q^sites is checked against the dense limit first."""
     dim = op.q**op.sites
+    if dim > amp_limit():
+        raise ValueError(f"dense state of {dim} amplitudes exceeds the configured limit")
     blocks = _character_blocks(op.symmetry, dim)
-    largest = max(len(b.reps) for b in blocks)
-    if largest > eig_limit():
-        raise ValueError(f"symmetry block dimension {largest} exceeds the dense-eig limit")
     rows, cols, vals = op.entries()
     for u in op.symmetry:
         # U H U^dagger holds sign[a] H[a, b] conj(sign[b]) at (image[a], image[b]).
@@ -550,7 +534,8 @@ def ground_state(op: DenseOperator) -> tuple[float, list[np.ndarray]]:
     basis = []
     for block, low in zip(blocks, lowest):
         if low <= e0 + 1e-8:
-            basis += _lowest_vectors(block.matrix(rows, cols, vals), block.lift, e0)[1]
+            evals, evecs = np.linalg.eigh(block.matrix(rows, cols, vals))
+            basis += [block.lift(evecs[:, i]) for i in np.flatnonzero(evals <= e0 + 1e-8)]
     return e0, basis
 
 

@@ -305,6 +305,7 @@ class ModelBundle:
     trivial: Optional[StabilizerMixture]
     target: Optional[StabilizerMixture]
     qudit_symmetry: Optional[QuditSymmetry] = None
+    unit_cell: Optional[int] = None  # sites per step of the translation its Hamiltonians carry
 
     @property
     def n(self) -> int:
@@ -403,6 +404,7 @@ def _build_lsm_dimer(n: int) -> ModelBundle:
         entangler=entangler,
         trivial=trivial,
         target=target,
+        unit_cell=2,  # a one-site shift moves the dimers off their bonds
     )
 
 
@@ -417,7 +419,9 @@ def _build_cluster_1d(n: int) -> ModelBundle:
             SymmetryGenerator("x-odd", PauliOperator.x_at(n, *range(1, n, 2)), "0-form"),
         ),
     )
-    return _graph_bundle("cluster-1d", lat, sym, [(i, (i + 1) % n) for i in range(n)])
+    bundle = _graph_bundle("cluster-1d", lat, sym, [(i, (i + 1) % n) for i in range(n)])
+    bundle.unit_cell = 2  # a one-site shift swaps the sublattices
+    return bundle
 
 
 def _build_lieb_2d(lx: int, ly: int) -> ModelBundle:
@@ -493,6 +497,7 @@ def _build_cocycle_z2z2(sites: int) -> ModelBundle:
         trivial=None,
         target=None,
         qudit_symmetry=QuditSymmetry(group),
+        unit_cell=1,
     )
 
 
@@ -805,9 +810,9 @@ def build_hamiltonian(
     Each carries as basis maps the symmetry that every kind commutes with:
     the model's 0-form Pauli generators, or on the qudit chain u(g) for the
     generator g of each cyclic factor, then translation by the model's unit
-    cell where `_UNIT_CELL` declares one.  `ground_state` proves each map on
-    the operator, so a wrong unit cell fails there."""
-    cell = _UNIT_CELL.get(bundle.name)
+    cell where it declares one.  `ground_state` proves each map on the
+    operator, so a wrong unit cell fails there."""
+    cell = bundle.unit_cell
     q = 2 if bundle.qudit_symmetry is None else bundle.qudit_symmetry.group.order
     shift = () if cell is None else (
         dn.BasisMap(f"translate-{cell}", *dn.translation_basis_map(q, bundle.n, cell)),
@@ -834,11 +839,6 @@ def build_hamiltonian(
     if kind == "catalyst-sum":
         return dn.DenseOperator.from_pauli_terms(bundle.n, triv_terms + spt_terms, symmetry)
     raise RegistryError(f"unknown hamiltonian kind {kind!r}")
-
-
-# Sites per unit cell of the ring models: 2 on the qubit rings, whose
-# sublattice symmetries and dimer bonds a one-site shift would not keep.
-_UNIT_CELL = {"cluster-1d": 2, "lsm-dimer": 2, "cocycle-z2z2": 1}
 
 
 def _trivial_terms(bundle: ModelBundle) -> list[tuple[float, PauliOperator]]:

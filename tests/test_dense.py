@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from catalab import dense as dense_module
 from catalab.dense import (
     BasisMap,
     DenseOperator,
@@ -198,7 +199,7 @@ def test_ground_state_variational_consistency():
         terms.append((float(rng.normal()), p))
     op = DenseOperator.from_pauli_terms(n, terms)
     energy, basis = ground_state(op)
-    h = op.to_matrix()
+    h = sum(embed_operator(mat, support, n, 2) for support, mat in op.terms)
     for v in basis:
         assert np.vdot(v, h @ v).real == pytest.approx(energy, abs=1e-9)
 
@@ -300,7 +301,7 @@ def test_symmetry_maps_need_a_finite_order(image, sign, order):
     u = BasisMap("u", np.array(image), np.array(sign, dtype=np.complex128))
     if order is None:
         with pytest.raises(ValueError, match="^symmetry map u has no finite order up to 64$"):
-            ising_chain(2, (u,))
+            ground_state(ising_chain(2, (u,)))
     else:
         assert len(u.powers()) == order
         assert ising_chain(2, (u,)).symmetry == (u,)
@@ -314,7 +315,8 @@ def with_z_on_sublattice(op, first):
     """The operator plus Z on every site first, first + 2, ...: a whole orbit
     of the two-site translation, which breaks one sublattice X string."""
     extra = [(0.5, PauliOperator.z_at(op.sites, s)) for s in range(first, op.sites, 2)]
-    return DenseOperator(op.sites, op.q, op.terms + DenseOperator.from_pauli_terms(op.sites, extra).terms, op.symmetry)
+    terms = op.terms + DenseOperator.from_pauli_terms(op.sites, extra).terms
+    return DenseOperator(op.sites, op.q, terms, op.symmetry)
 
 
 def test_terms_breaking_one_symmetry_map_are_refused_naming_it():
@@ -350,17 +352,23 @@ def test_translation_with_the_wrong_shift_is_refused_naming_it():
 
 
 def test_symmetric_ground_state_never_builds_the_full_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("full matrix built")
+
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda h, solve=solve: sizes.append(len(h)) or solve(h))
+    monkeypatch.setattr(dense_module, "embed_operator", refuse)
     op = catalyst_sum("cluster-1d", 8)
-    want_energy, want_basis = ground_state(op)
-
-    def refuse(self):
-        raise AssertionError("to_matrix called")
-
-    monkeypatch.setattr(DenseOperator, "to_matrix", refuse)
     energy, basis = ground_state(op)
-    assert energy == want_energy and len(basis) == len(want_basis) == 1
-    with pytest.raises(AssertionError, match="to_matrix called"):
-        ground_state(DenseOperator(op.sites, op.q, op.terms))
+    assert max(sizes) == 22 and len(basis) == 1  # 16 blocks of 12 to 22 states
+    # With no symmetry the whole space is the one block.
+    sizes.clear()
+    whole_energy, whole_basis = ground_state(DenseOperator(op.sites, op.q, op.terms))
+    assert sizes == [256, 256] and len(whole_basis) == 1
+    assert abs(whole_energy - energy) <= 1e-10
+    assert abs(abs(np.vdot(whole_basis[0], basis[0])) - 1) <= 1e-10
 
 
 def test_symmetry_maps_must_commute_and_permute_the_basis():
@@ -487,24 +495,44 @@ def test_bad_dense_limit_names_the_variable(monkeypatch, value):
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", ""])
 def test_bad_eig_limit_names_the_variable(monkeypatch, value):
     monkeypatch.setenv("CATALAB_EIG_LIMIT", value)
-    op = DenseOperator.from_pauli_terms(2, [(1.0, PauliOperator.z_at(2, 0))])
     message = f"CATALAB_EIG_LIMIT must be a positive integer, got {value!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        op.to_matrix()
-    # The block path reads the same variable.
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ground_state(catalyst_sum("cluster-1d", 4))
+    plain = DenseOperator.from_pauli_terms(2, [(1.0, PauliOperator.z_at(2, 0))])
+    for op in (plain, catalyst_sum("cluster-1d", 4)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ground_state(op)
 
 
 def test_eig_limit_bounds_the_largest_block_not_the_space(monkeypatch):
     op = catalyst_sum("cluster-1d", 8)
     monkeypatch.setenv("CATALAB_EIG_LIMIT", "64")
-    with pytest.raises(ValueError, match="^operator dimension 256 exceeds the dense-eig limit$"):
-        op.to_matrix()
+    message = "^a symmetry block of at least 256 states exceeds the dense-eig limit$"
+    with pytest.raises(ValueError, match=message):
+        ground_state(DenseOperator(op.sites, op.q, op.terms))
     largest = 22  # 256 states in 16 character blocks of 12 to 22 states
     monkeypatch.setenv("CATALAB_EIG_LIMIT", str(largest))
     energy, basis = ground_state(op)
     assert len(basis) == 1
     monkeypatch.setenv("CATALAB_EIG_LIMIT", str(largest - 1))
     with pytest.raises(ValueError, match=f"^symmetry block dimension {largest} exceeds the dense-eig limit$"):
+        ground_state(op)
+    # |G| = 16 elements share 256 states, so some block holds 16; that is
+    # refused from the group order alone.
+    monkeypatch.setenv("CATALAB_EIG_LIMIT", "15")
+    message = "^a symmetry block of at least 16 states exceeds the dense-eig limit$"
+    with pytest.raises(ValueError, match=message):
+        ground_state(op)
+
+
+def test_dense_limit_refuses_a_ground_state_before_any_block_is_built(monkeypatch):
+    op = catalyst_sum("cluster-1d", 8)
+
+    def refuse(symmetry, dim):
+        raise AssertionError("character blocks built")
+
+    monkeypatch.setattr(dense_module, "_character_blocks", refuse)
+    monkeypatch.setenv("CATALAB_DENSE_LIMIT", "255")
+    with pytest.raises(ValueError, match="^dense state of 256 amplitudes exceeds the configured limit$"):
+        ground_state(op)
+    monkeypatch.setenv("CATALAB_DENSE_LIMIT", "256")
+    with pytest.raises(AssertionError, match="character blocks built"):
         ground_state(op)

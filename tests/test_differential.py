@@ -634,6 +634,14 @@ def kron_sum(op):
     return total
 
 
+def sparse_to_full(op):
+    """The full matrix holding the operator's sparse entries."""
+    rows, cols, vals = op.entries()
+    total = np.zeros((op.q**op.sites,) * 2, dtype=np.complex128)
+    total[rows, cols] = vals
+    return total
+
+
 # lieb-2d is left out: its smallest torus has 12 qubits, where the kron
 # reference alone allocates 268 MB per term.
 @pytest.mark.parametrize(
@@ -648,7 +656,7 @@ def kron_sum(op):
 @pytest.mark.parametrize("kind", ["triv", "spt", "interpolated", "catalyst-sum"])
 def test_hamiltonian_assembly_matches_kron_sum(model, params, kind):
     op = build_hamiltonian(build_model(model, **params), kind, alpha=0.3)
-    assert op.to_matrix().tobytes() == kron_sum(op).tobytes()
+    assert sparse_to_full(op).tobytes() == kron_sum(op).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +738,7 @@ def test_cocycle_hamiltonian_matches_reference_conjugation(monkeypatch, sites, k
     monkeypatch.setattr(CocycleCircuit, "conjugate_term", reference_conjugate_term)
     want = build_hamiltonian(bundle, kind, alpha=0.3)
     assert [support for support, _ in got.terms] == [support for support, _ in want.terms]
-    assert got.to_matrix().tobytes() == want.to_matrix().tobytes()
+    assert sparse_to_full(got).tobytes() == sparse_to_full(want).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -746,7 +754,7 @@ def test_local_term_assembly_matches_kron_sum(q, seed, data):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         terms.append((support, a + a.conj().T))
     op = DenseOperator(sites, q, terms)
-    assert op.to_matrix().tobytes() == kron_sum(op).tobytes()
+    assert sparse_to_full(op).tobytes() == kron_sum(op).tobytes()
     for support, mat in op.terms:
         assert np.array_equal(embed_operator(mat, support, sites, q), kron_embed(mat, support, sites, q))
 
@@ -1245,8 +1253,8 @@ def test_dense_weak_under_generators_are_checked_weakly():
 
 
 def reference_ground_state(op):
-    """One full eigh of the assembled matrix, as before the symmetry blocks."""
-    evals, evecs = np.linalg.eigh(op.to_matrix())
+    """One full eigh of the kron-assembled matrix, as before the symmetry blocks."""
+    evals, evecs = np.linalg.eigh(kron_sum(op))
     e0 = float(evals[0])
     return e0, [evecs[:, i] for i in range(len(evals)) if evals[i] <= e0 + 1e-8]
 
@@ -1272,21 +1280,19 @@ def test_sector_ground_state_matches_full_eigh(model, params, kind, alpha):
     assert_ground_state_matches_full_eigh(op)
 
 
-def assert_ground_state_matches_full_eigh(op):
+def assert_ground_state_matches_full_eigh(op, projector_bound=1e-9):
     energy, basis = ground_state(op)
     want_energy, want_basis = reference_ground_state(op)
     assert abs(energy - want_energy) <= 1e-10
     assert len(basis) == len(want_basis)
-    assert np.linalg.norm(projector(basis) - projector(want_basis)) <= 1e-9
+    assert np.linalg.norm(projector(basis) - projector(want_basis)) <= projector_bound
 
 
 # A window of three sites starting on either sublattice, its X part and
 # whether Z acts on both window ends: the 16 Paulis per window that commute
-# with both sublattice X strings, made hermitian by i^popcount(x & z).  The
-# coefficients are nonzero quarters: a coefficient near 1e-7 leaves a gap so
-# small that the full eigh's own eigenvectors miss the 1e-9 projector bound.
-QUARTERS = st.integers(-8, 8).filter(bool).map(lambda k: k / 4)
-WINDOW_TERMS = st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans(), QUARTERS)
+# with both sublattice X strings, made hermitian by i^popcount(x & z), and a
+# real coefficient.
+WINDOW_TERMS = st.tuples(st.integers(0, 1), st.integers(0, 7), st.booleans(), st.floats(-2, 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1304,7 +1310,20 @@ def test_block_solve_matches_full_eigh_on_random_translation_orbits(n, orbits):
             p = PauliOperator.x_at(n, *xs) * PauliOperator.z_at(n, *zs)
             terms.append((coeff, PauliOperator(n, p.x, p.z, (p.x & p.z).bit_count() % 4)))
     symmetry = build_hamiltonian(build_model("cluster-1d", n=n), "triv").symmetry
-    assert_ground_state_matches_full_eigh(DenseOperator.from_pauli_terms(n, terms, symmetry))
+    op = DenseOperator.from_pauli_terms(n, terms, symmetry)
+    evals = np.linalg.eigvalsh(kron_sum(op))
+    inside = evals <= evals[0] + 1e-8
+    if np.min(np.abs(evals - evals[0] - 1e-8)) < 1e-11:
+        # A level on the edge of the 1e-8 window: round-off decides whether
+        # either solve counts it, so only the energy is compared.
+        assert abs(ground_state(op)[0] - evals[0]) <= 1e-10
+        return
+    # Each solve's eigenvectors leak about eps ||H|| / gap across the gap at
+    # the window's edge (up to 6.3 times that over 4000 draws), so a small
+    # gap widens the projector bound; the energy and count bounds stay.
+    gap = np.inf if inside.all() else evals[~inside][0] - evals[inside][-1]
+    spread = np.finfo(float).eps * np.abs(evals).max() / gap
+    assert_ground_state_matches_full_eigh(op, 1e-9 + 32 * spread)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
