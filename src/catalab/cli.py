@@ -26,7 +26,7 @@ from .cohomology import (
     cohomology_group,
     normalize_cocycle,
 )
-from .models import RegistryError, build_catalyst, build_model
+from .models import RegistryError, build_catalyst, build_model, catalyst_is_dense
 from .pauli import PauliOperator
 from .protocols import (
     RecipeError,
@@ -105,9 +105,14 @@ def _report(args, results, passed: bool = True, rows=None, config=None) -> int:
 
 def cmd_catalyze(args) -> int:
     bundle = build_model(args.model, **_model_params(args))
-    catalyst = build_catalyst(bundle, args.catalyst)
-    if args.engine == "stabilizer" and catalyst.engine != "stabilizer":
+    dense = catalyst_is_dense(bundle.name, args.catalyst)
+    if args.engine == "stabilizer" and dense:
         raise UsageError(f"catalyst {args.catalyst!r} has no stabilizer realization")
+    if args.engine == "dense" or dense:
+        # The doubled dense state is refused before the catalyst is built.
+        qsym = bundle.qudit_symmetry
+        dn.check_amps((2 if qsym is None else qsym.group.order) ** (2 * bundle.n))
+    catalyst = build_catalyst(bundle, args.catalyst)
     if args.engine == "dense" and catalyst.engine == "stabilizer":
         if catalyst.mixed:
             raise UsageError("mixed catalysts are verified exactly, not densely")

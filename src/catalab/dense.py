@@ -36,8 +36,11 @@ def _env_limit(name: str, default: int) -> int:
     return int(raw)
 
 
-def amp_limit() -> int:
-    return _env_limit("CATALAB_DENSE_LIMIT", _DEFAULT_AMP_LIMIT)
+def check_amps(dim: int) -> int:
+    """dim, or raise if a dense state of dim amplitudes exceeds the limit."""
+    if dim > _env_limit("CATALAB_DENSE_LIMIT", _DEFAULT_AMP_LIMIT):
+        raise ValueError(f"dense state of {dim} amplitudes exceeds the configured limit")
+    return dim
 
 
 def eig_limit() -> int:
@@ -67,9 +70,7 @@ class DenseState:
     amps: np.ndarray
 
     def __post_init__(self):
-        dim = self.q**self.sites
-        if dim > amp_limit():
-            raise ValueError(f"dense state of {dim} amplitudes exceeds the configured limit")
+        dim = check_amps(self.q**self.sites)
         self.amps = np.asarray(self.amps, dtype=np.complex128).reshape(dim)
         check_norm(self)
 
@@ -517,9 +518,7 @@ def ground_state(op: DenseOperator) -> tuple[float, list[np.ndarray]]:
     of each block that reaches it are lifted back, so the basis spans the
     whole ground space however it splits across blocks.  The basis vectors
     are dense states, so q^sites is checked against the dense limit first."""
-    dim = op.q**op.sites
-    if dim > amp_limit():
-        raise ValueError(f"dense state of {dim} amplitudes exceeds the configured limit")
+    dim = check_amps(op.q**op.sites)
     blocks = _character_blocks(op.symmetry, dim)
     rows, cols, vals = op.entries()
     for u in op.symmetry:

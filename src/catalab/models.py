@@ -605,6 +605,11 @@ def catalyst_kinds(model: str) -> tuple[str, ...]:
     return tuple(k for m, k in _CATALYST_BUILDERS if m == model)
 
 
+def catalyst_is_dense(model: str, kind: str) -> bool:
+    """Whether the registry's builder for this catalyst returns a dense state."""
+    return _CATALYST_BUILDERS.get((model, kind)) in _DENSE_BUILDERS
+
+
 def build_catalyst(bundle: ModelBundle, kind: str) -> Catalyst:
     """Construct a named catalyst for the bundle and verify it before return.
 
@@ -795,6 +800,7 @@ _CATALYST_BUILDERS: dict[tuple[str, str], Callable] = {
     ("cocycle-z2z2", "superposition"): _superposition_catalyst,
     ("cocycle-z2z2", "gapless"): _gapless_catalyst,
 }
+_DENSE_BUILDERS = (_superposition_catalyst, _gapless_catalyst, _cocycle_ghz)
 
 
 # ---------------------------------------------------------------------------

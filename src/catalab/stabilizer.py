@@ -41,9 +41,9 @@ class CliffordGate:
 
     Conjugation reads a per-gate table keyed by the operator's (x, z) bits on
     the support; each entry is the phase-free local image (x, z, phase),
-    filled on first use by multiplying out the images.  The table lives on
-    the instance because equality and hashing ignore `images`: two TABLEAU
-    gates on one support compare equal but act differently.
+    filled on first use by multiplying out the images on ints.  The table
+    lives on the instance because equality and hashing ignore `images`: two
+    TABLEAU gates on one support compare equal but act differently.
     """
 
     kind: str
@@ -59,9 +59,9 @@ class CliffordGate:
         for a in self.support:
             if not 0 <= a < self.n:
                 raise ValueError(f"gate support {a} out of range for n={self.n}")
-        if self.kind == "TABLEAU":
-            _validate_tableau_images(self.n, self.support, self.images)
         object.__setattr__(self, "_mask", sum(1 << a for a in self.support))
+        if self.kind == "TABLEAU":
+            _validate_tableau_images(self.n, self.support, self._mask, self.images)
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         """Exact Heisenberg conjugation g P g^dagger.
@@ -81,14 +81,8 @@ class CliffordGate:
         before Z, multiplied out on first use."""
         image = self._table.get((x, z))
         if image is None:
-            acc = PauliOperator.identity(self.n)
-            for a in self.support:
-                bit = 1 << a
-                if x & bit:
-                    acc = acc * self.images[a][0]
-                if z & bit:
-                    acc = acc * self.images[a][1]
-            image = self._table[(x, z)] = (acc.x, acc.z, acc.phase)
+            ops = [img for a in self.support for img, b in zip(self.images[a], (x, z)) if b >> a & 1]
+            image = self._table[(x, z)] = _product(ops, (1 << len(ops)) - 1)
         return image
 
     def inverse(self) -> "CliffordGate":
@@ -104,7 +98,7 @@ class CliffordGate:
         return f"{self.kind}{tuple(self.support)}"
 
 
-def _validate_tableau_images(n, support, images):
+def _validate_tableau_images(n, support, mask, images):
     for a in support:
         if a not in images:
             raise ValueError("tableau gate must give images for every support site")
@@ -114,19 +108,47 @@ def _validate_tableau_images(n, support, images):
                 raise ValueError("image register size mismatch")
             if not img.is_hermitian():
                 raise ValueError("tableau images must be hermitian")
-            if any(s not in support for s in img.support()):
+            if (img.x | img.z) & ~mask:
                 raise ValueError("tableau image escapes the gate support")
-    sites = list(support)
-    basis = []
-    for a in sites:
-        basis.append((PauliOperator.x_at(n, a), images[a][0]))
-        basis.append((PauliOperator.z_at(n, a), images[a][1]))
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            src = basis[i][0].symplectic_product(basis[j][0])
-            dst = basis[i][1].symplectic_product(basis[j][1])
-            if src != dst:
-                raise ValueError("tableau images do not preserve commutation")
+    # Only the two images of one site may anticommute, as X_a and Z_a do.
+    ops = [img for a in support for img in images[a]]
+    if _gram(n, ops) != [1 << j - 1 if j & 1 else 0 for j in range(len(ops))]:
+        raise ValueError("tableau images do not preserve commutation")
+
+
+def _product(ops: Sequence[PauliOperator], mask: int) -> tuple[int, int, int]:
+    """The product of the ops mask selects (bit j for ops[j]), ascending, as
+    (x, z, phase) ints by PauliOperator.__mul__'s rule, with no objects."""
+    x = z = phase = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        p = ops[low.bit_length() - 1]
+        phase += p.phase + 2 * ((z & p.x).bit_count() & 1)
+        x ^= p.x
+        z ^= p.z
+    return x, z, phase & 3
+
+
+def _gram(n: int, ops: Sequence[PauliOperator]) -> list[int]:
+    """Lower-triangular symplectic Gram rows: bit i < j of row j is set when
+    ops[i] and ops[j] anticommute.  One pass over the packed (x|z) bits: each
+    bit reads its partner column (Z for X, at index c - n either way) of the
+    earlier ops, then joins its own, so the cost is the total weight."""
+    cols = [0] * (2 * n)
+    rows = []
+    bit = 1
+    for p in ops:
+        row, bits = 0, p.x | p.z << n
+        while bits:
+            low = bits & -bits
+            c = low.bit_length() - 1
+            row ^= cols[c - n]
+            cols[c] |= bit
+            bits ^= low
+        rows.append(row & (bit - 1))
+        bit <<= 1
+    return rows
 
 
 def _invert_tableau_gate(gate: CliffordGate) -> CliffordGate:
@@ -390,15 +412,12 @@ class StabilizerMixture:
             if not g.is_hermitian():
                 raise ValueError(f"generator {g} is not hermitian")
         gens = self.generators
-        xs = [g.x for g in gens]
-        zs = [g.z for g in gens]
-        for i in range(len(gens)):
-            xi, zi = xs[i], zs[i]
-            for j in range(i + 1, len(gens)):
-                # symplectic_product: the parity of a sum of popcounts is
-                # the popcount parity of the XOR.
-                if ((xi & zs[j]) ^ (zi & xs[j])).bit_count() & 1:
-                    raise ValueError(f"generators {gens[i]} and {gens[j]} anticommute")
+        rows = _gram(self.n, gens)
+        if any(rows):
+            # Name the first anticommuting pair (i, j), i < j, in lexicographic order.
+            i = min((row & -row).bit_length() - 1 for row in rows if row)
+            j = next(j for j, row in enumerate(rows) if row >> i & 1)
+            raise ValueError(f"generators {gens[i]} and {gens[j]} anticommute")
         if len(self._basis[1]) != len(gens):
             raise ValueError("generators are not independent")
 
@@ -421,16 +440,7 @@ class StabilizerMixture:
     def _combine(self, mask: int) -> PauliOperator:
         """The product of the generators selected by mask, in ascending
         order, with PauliOperator.__mul__'s phase rule and one object."""
-        x = z = phase = 0
-        gens = self.generators
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            g = gens[low.bit_length() - 1]
-            phase += g.phase + 2 * ((z & g.x).bit_count() & 1)
-            x ^= g.x
-            z ^= g.z
-        return PauliOperator(self.n, x, z, phase)
+        return PauliOperator(self.n, *_product(self.generators, mask))
 
     def element_with_vector(self, vec: int) -> Optional[PauliOperator]:
         """The product of generators whose packed (x|z) row is vec, or None

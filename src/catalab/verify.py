@@ -37,6 +37,7 @@ from .stabilizer import (
     CliffordGate,
     QcaLike,
     StabilizerMixture,
+    _product,
     fidelity,
     pack_gates_into_layers,
     swap_gate,
@@ -165,7 +166,6 @@ def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
         for i in SiteSet(bx.support() + bz.support()):
             touching[i].append(a)
     n2 = 2 * n
-    identity = PauliOperator.identity(n)
     v_gates = []
     for i in range(n):
         fx, fz = forward[i]
@@ -173,14 +173,14 @@ def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
         images = {}
         for a in touching[i]:
             pair = []
-            for p, q in zip((PauliOperator.x_at(n, a), PauliOperator.z_at(n, a)), backward[a]):
+            for px, pz, q in ((1 << a, 0, backward[a][0]), (0, 1 << a, backward[a][1])):
                 # S = X_i^sx Z_i^sz is the site-i factor of q = U^dagger p U.
+                # U S U^dagger commutes with the single-site p, so the head
+                # p (U S U^dagger)^dagger takes only the dagger's phase.
                 sx, sz = (q.x >> i) & 1, (q.z >> i) & 1
-                u_s = fx if sx else identity
-                if sz:
-                    u_s = u_s * fz
-                head = p * u_s.dagger()
-                pair.append(PauliOperator(n2, head.x | sx << b, head.z | sz << b, head.phase))
+                ux, uz, uphase = _product((fx, fz), sx | sz << 1)
+                phase = 2 * (ux & uz).bit_count() - uphase
+                pair.append(PauliOperator(n2, (px ^ ux) | sx << b, (pz ^ uz) | sz << b, phase))
             images[a] = tuple(pair)
         images[b] = (fx.shift(0, n2), fz.shift(0, n2))
         v_gates.append(tableau_gate(n2, images))
@@ -230,11 +230,15 @@ def audit_gate_symmetric(gate: CliffordGate, symmetry: SymmetryRep) -> bool:
     """True iff the gate commutes with every generator's restriction to its
     support (exact; valid because 0-form generators are on-site products and
     loop/line generators restrict to their intersection with the support)."""
+    mask = gate._mask
     for gen in symmetry.generators:
-        restricted = gen.pauli.restrict(gate.support)
+        x, z = gen.pauli.x & mask, gen.pauli.z & mask
         # Every gate fixes the identity: skip generators that miss the support.
-        if (restricted.x or restricted.z) and gate.conjugate(restricted) != restricted:
-            return False
+        if x | z:
+            if gen.pauli.n != gate.n:
+                raise ValueError("operator size does not match gate register")
+            if gate._image(x, z) != (x, z, 0):
+                return False
     return True
 
 

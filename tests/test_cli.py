@@ -8,6 +8,7 @@ import pytest
 
 import catalab
 import catalab.cli as cli
+import catalab.dense as dn
 from catalab.verify import CatalysisReport
 
 
@@ -96,6 +97,34 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--model cluster-1d --catalyst gapless --n 16", "dense state of 4294967296 amplitudes"),
+        ("--model lsm-dimer --catalyst superposition --n 12", "dense state of 16777216 amplitudes"),
+        ("--model cocycle-z2z2 --catalyst gapless --sites 6", "dense state of 16777216 amplitudes"),
+        ("--model cluster-1d --catalyst ghz --engine dense --n 12", "dense state of 16777216 amplitudes"),
+        ("--model cluster-1d --catalyst gapless --engine stabilizer --n 16", "no stabilizer realization"),
+    ],
+)
+def test_dense_catalysts_beyond_the_doubled_limit_are_refused_unbuilt(
+    monkeypatch, tmp_path, capsys, argv, message
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the catalyst was built")
+
+    monkeypatch.setattr(dn, "ground_state", unreachable)
+    monkeypatch.setattr(dn, "stabilizer_to_dense", unreachable)
+    out = ["--out", str(tmp_path / "r.json")]
+    assert run_cli(["catalyze", *argv.split(), *out]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_stabilizer_catalysts_are_not_held_to_the_dense_limit(tmp_path):
+    out = ["--out", str(tmp_path / "r.json")]
+    assert run_cli(["catalyze", "--model", "cluster-1d", "--catalyst", "ghz", "--n", "16", *out]) == 0
 
 
 def test_check_failure_exit_one(monkeypatch, tmp_path):

@@ -1,7 +1,9 @@
 """Differential tests: the light-cone, conjugation-table, int-level and
 cached-basis fast paths against plain reference forms of the same
 computation, compared exactly, and the dense oracle's entangler action,
-doubled-circuit check and fidelity; the dense gate runner against the
+doubled-circuit check and fidelity; the Gram-matrix tableau and generator
+checks and the masked symmetric-gate audit against the basis-pair, pairwise
+and restrict-and-conjugate loops they replaced; the dense gate runner against the
 per-gate contraction loop it replaced, on criterion 2's and the cocycle
 chain's circuits and on random Clifford circuits; criterion 2's basis-label
 images against that loop's per-column action; the dense symmetric-gate
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 import catalab.acceptance as acceptance
 from catalab.acceptance import (
+    CATALYSIS_MATRIX,
     _basis_images,
     _doubled_operator_equality_dense,
     _qca_matrix,
@@ -53,10 +56,13 @@ from catalab.gf2 import BitMatrix
 from catalab.models import (
     Catalyst,
     RingLattice,
+    SymmetryGenerator,
+    SymmetryRep,
     _independent_subset,
     build_catalyst,
     build_hamiltonian,
     build_model,
+    catalyst_is_dense,
     catalyst_kinds,
     cz_ring_circuit,
     symmetry_defect,
@@ -81,7 +87,12 @@ from catalab.stabilizer import (
     y_gate,
     z_gate,
 )
-from catalab.verify import audit_dense_gate_symmetric, build_doubled_diagonal, build_doubled_fdqc
+from catalab.verify import (
+    audit_dense_gate_symmetric,
+    audit_gate_symmetric,
+    build_doubled_diagonal,
+    build_doubled_fdqc,
+)
 
 ONE_SITE = (h_gate, s_gate, sdg_gate, x_gate, y_gate, z_gate)
 TWO_SITE = (cz_gate, cnot_gate, swap_gate)
@@ -357,6 +368,187 @@ def test_doubled_compile_matches_reference_on_registry(model, params):
 def test_doubled_compile_matches_reference_on_random_ring_circuits(n, seed):
     qca = random_ring_circuit(np.random.default_rng(seed), n)
     assert_doubled_matches_reference(qca, n, RingLattice(n))
+
+
+# ---------------------------------------------------------------------------
+# the int-level checks on the compile, audit and evolve path against the
+# object loops they replaced: tableau images, generator commutation and the
+# symmetric-gate audit, on registry and random inputs and corruptions of them
+# ---------------------------------------------------------------------------
+
+
+def reference_validate_tableau_images(n, support, images):
+    """The basis-pair check: every pair of basis operators X_a, Z_a keeps
+    its symplectic product under the images; escape read off the support."""
+    for a in support:
+        if a not in images:
+            raise ValueError("tableau gate must give images for every support site")
+        ix, iz = images[a]
+        for img in (ix, iz):
+            if img.n != n:
+                raise ValueError("image register size mismatch")
+            if not img.is_hermitian():
+                raise ValueError("tableau images must be hermitian")
+            if any(s not in support for s in img.support()):
+                raise ValueError("tableau image escapes the gate support")
+    basis = []
+    for a in support:
+        basis.append((PauliOperator.x_at(n, a), images[a][0]))
+        basis.append((PauliOperator.z_at(n, a), images[a][1]))
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            src = basis[i][0].symplectic_product(basis[j][0])
+            dst = basis[i][1].symplectic_product(basis[j][1])
+            if src != dst:
+                raise ValueError("tableau images do not preserve commutation")
+
+
+def reference_audit(gate, symmetry):
+    """Restrict each generator to the gate support as an object and
+    conjugate it through the gate."""
+    for gen in symmetry.generators:
+        restricted = gen.pauli.restrict(gate.support)
+        if (restricted.x or restricted.z) and gate.conjugate(restricted) != restricted:
+            return False
+    return True
+
+
+def with_image(images, site, k, image):
+    out = dict(images)
+    pair = list(out[site])
+    pair[k] = image
+    out[site] = tuple(pair)
+    return out
+
+
+def corrupted_images(rng, n, images):
+    """(name, images, whether the check must refuse them): the images, one
+    flipped image phase (still a valid tableau), a non-hermitian image, two
+    images with the wrong commutation and an image that escapes the support."""
+    support = sorted(images)
+    a = support[int(rng.integers(len(support)))]
+    ix, iz = images[a]
+    cases = [
+        ("valid", images, False),
+        ("flipped-phase", with_image(images, a, 0, ix.negate()), False),
+        ("non-hermitian", with_image(images, a, 1, PauliOperator(n, iz.x, iz.z, iz.phase + 1)), True),
+    ]
+    others = [b for b in support if b != a]
+    if others:
+        # X images of two sites exchanged: X_b's image meets Z_a's.
+        b = others[int(rng.integers(len(others)))]
+        wrong = with_image(with_image(images, a, 0, images[b][0]), b, 0, ix)
+    else:
+        wrong = with_image(images, a, 0, iz)
+    cases.append(("wrong-commutation", wrong, True))
+    outside = [s for s in range(n) if s not in images]
+    if outside:
+        escaped = ix * PauliOperator.z_at(n, outside[int(rng.integers(len(outside)))])
+        cases.append(("escape", with_image(images, a, 0, escaped), True))
+    return cases
+
+
+def assert_tableau_check_matches_basis_pairs(rng, n, images):
+    for name, case, refused in corrupted_images(rng, n, images):
+        got = validation_error(lambda: tableau_gate(n, case))
+        want = validation_error(lambda: reference_validate_tableau_images(n, sorted(case), case))
+        assert got == want, name
+        assert (got is not None) == refused, name
+
+
+def corrupted_generators(rng, state):
+    """(generators, a word of the refusal or None): the state's own, one
+    negated (still valid), one made non-hermitian, one dependent extra, and
+    one multiplied by a site Pauli that anticommutes with another generator
+    at that site."""
+    gens, n = list(state.generators), state.n
+    if not gens:
+        return [((), None)]
+    j = int(rng.integers(len(gens)))
+    g = gens[j]
+    cases = [
+        (gens, None),
+        (gens[:j] + [g.negate()] + gens[j + 1 :], None),
+        (gens[:j] + [PauliOperator(n, g.x, g.z, g.phase + 1)] + gens[j + 1 :], "hermitian"),
+        (gens + [state._combine(int(rng.integers(1, 1 << min(len(gens), 62))))], "independent"),
+    ]
+    if len(gens) > 1:
+        i = (j + 1 + int(rng.integers(len(gens) - 1))) % len(gens)
+        site = int(rng.choice(list(gens[i].support())))
+        flip = PauliOperator.z_at(n, site) if gens[i].x >> site & 1 else PauliOperator.x_at(n, site)
+        cases.append((gens[:j] + [hermitian(g * flip)] + gens[j + 1 :], "anticommute"))
+    return [(tuple(c), word) for c, word in cases]
+
+
+def assert_validate_matches_pairwise_loop(rng, state):
+    for gens, word in corrupted_generators(rng, state):
+        candidate = StabilizerMixture(state.n, gens)
+        # The message names the first anticommuting pair, so equal messages
+        # mean the same pair.
+        got = validation_error(candidate.validate)
+        assert got == validation_error(lambda: reference_validate(candidate))
+        assert got is None if word is None else word in got
+
+
+def doubled_states(bundle, catalyst, doubled):
+    start = bundle.trivial.tensor(catalyst.stab)
+    return [bundle.trivial, bundle.target, catalyst.stab, start, doubled.apply_stab(start)]
+
+
+@pytest.mark.parametrize("model, params", CATALYSIS_MATRIX + [("cluster-1d", {"n": 6})])
+def test_int_level_checks_match_object_loops_on_registry(model, params):
+    rng = np.random.default_rng(17)
+    bundle = build_model(model, **params)
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    gates = doubled.all_gates()
+    if isinstance(bundle.entangler, CliffordCircuit):
+        gates += [g for layer in bundle.entangler.layers for g in layer]
+    for gate in gates:
+        assert_tableau_check_matches_basis_pairs(rng, gate.n, gate.images)
+    dsym = bundle.symmetry.doubled()
+    verdicts = set()
+    for gate in doubled.all_gates():
+        for audited in (gate, _negate_one_image(gate)):
+            got = audit_gate_symmetric(audited, dsym)
+            assert got == reference_audit(audited, dsym)
+            verdicts.add(got)
+    # Every compiled gate passes; a negated image flips some generator's
+    # image by a sign only, and that gate fails.
+    assert verdicts == {True, False}
+    for kind in catalyst_kinds(model):
+        if not catalyst_is_dense(model, kind):
+            catalyst = build_catalyst(bundle, kind)
+            for state in doubled_states(bundle, catalyst, doubled):
+                assert_validate_matches_pairwise_loop(rng, state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=SEEDS)
+def test_int_level_checks_match_object_loops_on_random_inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, min(3, n) + 1))
+    sites = [int(a) for a in rng.choice(n, size=size, replace=False)]
+    gate = random_tableau_gate(rng, n, sites)
+    assert_tableau_check_matches_basis_pairs(rng, n, gate.images)
+    assert_tableau_check_matches_basis_pairs(rng, n, random_named_gate(rng, n, sites).images)
+    state = random_mixture(rng, n)
+    assert_validate_matches_pairwise_loop(rng, state)
+    # A random state's commuting generators as the symmetry, audited on the
+    # gate and on the gate with one image negated.
+    symmetry = SymmetryRep(
+        n, tuple(SymmetryGenerator(f"g{k}", g, "0-form") for k, g in enumerate(state.generators))
+    )
+    for audited in (gate, _negate_one_image(gate)):
+        assert audit_gate_symmetric(audited, symmetry) == reference_audit(audited, symmetry)
+
+
+def test_audit_of_a_generator_on_another_register_raises_as_before():
+    gate = cz_gate(4, 0, 1)
+    symmetry = SymmetryRep(5, (SymmetryGenerator("x", PauliOperator.x_at(5, 1, 4), "0-form"),))
+    assert validation_error(lambda: audit_gate_symmetric(gate, symmetry)) == validation_error(
+        lambda: reference_audit(gate, symmetry)
+    )
+    assert validation_error(lambda: audit_gate_symmetric(gate, symmetry)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from catalab.models import (
     build_catalyst,
     build_hamiltonian,
     build_model,
+    catalyst_is_dense,
     catalyst_kinds,
     cz_ring_circuit,
 )
@@ -158,6 +159,7 @@ def test_catalyst_name_engine_and_mixedness_follow_from_the_state(model, params)
     for kind in catalyst_kinds(model):
         cat = build_catalyst(bundle, kind)
         assert (cat.name, cat.engine, cat.mixed) == (kind, *CATALYST_TABLE[(model, kind)])
+        assert catalyst_is_dense(model, kind) == (cat.engine == "dense")
 
 
 def test_cluster_ghz_pair_is_entangler_invariant():

@@ -10,7 +10,7 @@ from catalab.dense import (
     apply_gates,
     stabilizer_to_dense,
 )
-from catalab.models import Catalyst, build_catalyst, build_model
+from catalab.models import Catalyst, build_catalyst, build_model, catalyst_is_dense, catalyst_kinds
 from catalab.pauli import PauliOperator
 from catalab.stabilizer import (
     CliffordCircuit,
@@ -600,3 +600,31 @@ def test_doubled_rejects_nonlocal_unitary():
     bundle = build_model("cluster-1d", n=n)
     with pytest.raises(ValueError):
         build_doubled_fdqc(PermutationQca(perm), n, bundle.lattice)
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("cluster-1d", {"n": 32}),
+        ("lsm-dimer", {"n": 16}),
+        ("lieb-2d", {"lx": 3, "ly": 3}),
+        ("square-sspt", {"l": 4}),
+    ],
+)
+def test_stabilizer_catalysis_multiplies_no_pauli_objects(monkeypatch, model, params):
+    # Compile, audit and evolve all run on (x, z, phase) ints; the count is
+    # deterministic, so any object product on that path shows here.
+    bundle = build_model(model, **params)
+    kinds = [k for k in catalyst_kinds(model) if not catalyst_is_dense(model, k)]
+    catalysts = [build_catalyst(bundle, k) for k in kinds]
+    calls = []
+    product = PauliOperator.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(PauliOperator, "__mul__", counted)
+    for catalyst in catalysts:
+        assert verify_catalysis(bundle, catalyst).passed
+    assert len(calls) == 0
