@@ -140,34 +140,29 @@ def _basis_images(n: int, perm, terms) -> tuple[np.ndarray, np.ndarray]:
     return labels, signs
 
 
-def _qca_matrix(qca) -> np.ndarray:
-    """Dense matrix of a QCA handle on one register, from all basis images at once."""
+def _qca_images(qca) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and signs of all basis images of a QCA handle on one register."""
     if isinstance(qca, PermutationQca):
-        labels, signs = _basis_images(qca.n, qca.perm, ())
-    else:
-        terms = [(g.support, dn.gate_unitary(g)) for layer in qca.layers for g in layer]
-        labels, signs = _basis_images(qca.n, range(qca.n), terms)
-    matrix = np.zeros((1 << qca.n,) * 2)
-    matrix[labels, np.arange(1 << qca.n)] = signs
-    return matrix
+        return _basis_images(qca.n, qca.perm, ())
+    terms = [(g.support, dn.gate_unitary(g)) for layer in qca.layers for g in layer]
+    return _basis_images(qca.n, range(qca.n), terms)
 
 
 def _doubled_operator_equality_dense(bundle, doubled, details_key, details) -> bool:
-    """Full-matrix comparison of the compiled doubled circuit with U x U^-1
-    over the computational basis (includes the phase).  The doubled circuit
-    (the register swap, then the v-terms) maps every basis state at once to a
-    label and a sign, compared entrywise with the reference in blocks of 64
-    columns.  Register A holds the low digits, so column idx of the reference
-    is kron(U^-1 column idx >> n, U column idx mod 2^n)."""
-    n, dim = bundle.n, 1 << (2 * bundle.n)
-    u, u_inv = _qca_matrix(bundle.entangler), _qca_matrix(bundle.entangler.inverse())
+    """Full-operator comparison of the compiled doubled circuit (the register
+    swap, then the v-terms) with U x U^-1, phase included, as signed
+    permutations of the basis.  Register A holds the low digits, so the
+    reference image of idx is U^-1's of idx >> n beside U's of idx mod 2^n.
+    The largest entry of the difference is |s_ref - s| where the labels agree
+    and 1 where they differ."""
+    n, low = bundle.n, (1 << bundle.n) - 1
+    u_labels, u_signs = _qca_images(bundle.entangler)
+    inv_labels, inv_signs = _qca_images(bundle.entangler.inverse())
     labels, signs = _basis_images(2 * n, [*range(n, 2 * n), *range(n)], doubled.v_terms)
-    worst = 0.0
-    for start in range(0, dim, 64):
-        cols = np.arange(start, min(start + 64, dim))
-        diff = (u_inv[:, None, cols >> n] * u[None, :, cols & ((1 << n) - 1)]).reshape(dim, -1)
-        diff[labels[cols], np.arange(len(cols))] -= signs[cols]
-        worst = max(worst, float(np.max(np.abs(diff))))
+    idx = np.arange(1 << (2 * n))
+    ref_labels = inv_labels[idx >> n] << n | u_labels[idx & low]
+    ref_signs = inv_signs[idx >> n] * u_signs[idx & low]
+    worst = float(np.max(np.where(ref_labels == labels, np.abs(ref_signs - signs), 1.0)))
     details[details_key] = worst
     return worst <= 1e-10
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .pauli import PauliOperator
-from .stabilizer import CliffordGate, PermutationQca, QcaLike, StabilizerMixture
+from .stabilizer import CliffordGate, PermutationQca, QcaLike, StabilizerMixture, _product
 
 _DEFAULT_AMP_LIMIT = 2**20
 _DEFAULT_EIG_LIMIT = 2**14
@@ -602,40 +602,47 @@ def _projected_basis_state(n: int, gens: Sequence[PauliOperator]) -> Optional[De
 
 
 def stabilizer_density(state: StabilizerMixture) -> np.ndarray:
-    """Dense density matrix of a stabilizer mixture (exact)."""
-    n = state.n
-    dim = 1 << n
-    rho = np.eye(dim, dtype=np.complex128)
-    for g in state.generators:
-        rho = rho @ (np.eye(dim) + pauli_matrix(g)) / 2.0
-    return rho / (2 ** (n - state.k))
+    """Dense density matrix of a stabilizer mixture (exact): 2^-n times the
+    sum of its 2^k group elements, each scattered as a signed permutation."""
+    n, gens = state.n, state.generators
+    rho = np.zeros((1 << n,) * 2, dtype=np.complex128)
+    for mask in range(1 << len(gens)):
+        image, sign = pauli_basis_map(PauliOperator(n, *_product(gens, mask)))
+        rho[image, np.arange(1 << n)] += sign
+    return rho / (1 << n)
 
 
 def gate_unitary(gate: CliffordGate) -> np.ndarray:
-    """Dense unitary of a Clifford gate on its support.
+    """Dense unitary of a Clifford gate on its support, read from its tableau:
+    column 0 is the image of |0...0> (the basis state that diagonal Z images
+    all fix, or else projected), and columns 2^a to 2^(a+1) - 1 are X image a,
+    one signed permutation, applied to columns 0 to 2^a - 1.
 
     The tableau fixes the gate up to a global phase; the phase is pinned by
     making the trace positive real (all gates used on the dense path have
     nonzero trace, e.g. conjugated SWAPs with trace 2^(m-1)), falling back to
     the first significant matrix entry otherwise.
     """
-    support = list(gate.support)
-    m = len(support)
-    dim = 1 << m
-    img_x = [_restrict_pauli(gate.images[a][0], tuple(support)) for a in support]
-    img_z = [_restrict_pauli(gate.images[a][1], tuple(support)) for a in support]
-
-    v0 = _projected_basis_state(m, img_z)
-    if v0 is None:
-        raise AssertionError("could not build the image of |0...0>")
-
+    support = tuple(gate.support)
+    dim = 1 << len(support)
+    img_x = [_restrict_pauli(gate.images[a][0], support) for a in support]
+    img_z = [_restrict_pauli(gate.images[a][1], support) for a in support]
     cols = np.zeros((dim, dim), dtype=np.complex128)
-    for x in range(dim):
-        col = v0
-        for a in range(m):
-            if (x >> a) & 1:
-                col = apply_pauli(col, img_x[a])
-        cols[:, x] = col.amps
+    if any(p.x for p in img_z):
+        v0 = _projected_basis_state(len(support), img_z)
+        if v0 is None:
+            raise AssertionError("could not build the image of |0...0>")
+        cols[:, 0] = v0.amps
+    else:
+        # A diagonal image i^phase Z^z fixes |b> when phase/2 + popcount(b & z) is even.
+        fixes = (all((p.phase // 2 + (b & p.z).bit_count()) % 2 == 0 for p in img_z) for b in range(dim))
+        start = next((b for b, ok in enumerate(fixes) if ok), None)
+        if start is None:
+            raise AssertionError("the gate's Z images fix no basis state")
+        cols[start, 0] = 1
+    for a, p in enumerate(img_x):
+        image, sign = pauli_basis_map(p)
+        cols[:, 1 << a : 2 << a] = (sign[:, None] * cols[:, : 1 << a])[image]
     tr = np.trace(cols)
     if abs(tr) > 1e-9:
         cols = cols * (tr.conjugate() / abs(tr))
@@ -643,6 +650,6 @@ def gate_unitary(gate: CliffordGate) -> np.ndarray:
         flat = cols.reshape(-1)
         pivot = flat[np.argmax(np.abs(flat) > 1e-9)]
         cols = cols * (pivot.conjugate() / abs(pivot))
-    if not np.allclose(cols @ cols.conj().T, np.eye(dim), atol=1e-9):
+    if np.max(np.abs(cols @ cols.conj().T - np.eye(dim))) > 1e-9:
         raise AssertionError("gate reconstruction is not unitary")
     return cols

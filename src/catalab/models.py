@@ -30,6 +30,8 @@ from .stabilizer import (
     CliffordCircuit,
     PermutationQca,
     StabilizerMixture,
+    _first_anticommuting,
+    _gram,
     cz_gate,
     is_invariant,
     pack_gates_into_layers,
@@ -215,10 +217,11 @@ class SymmetryRep:
     generators: tuple[SymmetryGenerator, ...]
 
     def __post_init__(self):
-        for a in self.generators:
-            for b in self.generators:
-                if not a.pauli.commutes(b.pauli):
-                    raise ValueError(f"symmetry generators {a.name}, {b.name} anticommute")
+        if any(g.pauli.n != self.n for g in self.generators):
+            raise ValueError("symmetry generator register size mismatch")
+        if any(rows := _gram(self.n, [g.pauli for g in self.generators])):
+            a, b = (self.generators[i] for i in _first_anticommuting(rows))
+            raise ValueError(f"symmetry generators {a.name}, {b.name} anticommute")
 
     def by_name(self, name: str) -> SymmetryGenerator:
         for g in self.generators:

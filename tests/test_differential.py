@@ -6,7 +6,11 @@ checks and the masked symmetric-gate audit against the basis-pair, pairwise
 and restrict-and-conjugate loops they replaced; the dense gate runner against the
 per-gate contraction loop it replaced, on criterion 2's and the cocycle
 chain's circuits and on random Clifford circuits; criterion 2's basis-label
-images against that loop's per-column action; the dense symmetric-gate
+images against that loop's per-column action, and its label-and-sign
+comparison against the full-matrix one; dense gates read from the tableau
+against the per-column projected builder, and the stabilizer density as a
+group sum against the product of projectors; the Gram-row commutation check
+of `SymmetryRep` against the ordered-pair loop; the dense symmetric-gate
 audit by index against the kron audit it replaced; and index-placed Hamiltonian assembly against
 the kron embedding; the cocycle chain's v-terms and Hamiltonians against the
 gate-conjugation loops `CocycleCircuit.conjugate_term` replaced; and the
@@ -25,15 +29,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalab.acceptance as acceptance
+import catalab.dense as dense
 from catalab.acceptance import (
     CATALYSIS_MATRIX,
     _basis_images,
     _doubled_operator_equality_dense,
-    _qca_matrix,
+    _qca_images,
 )
 from catalab.dense import (
     DenseOperator,
     DenseState,
+    _projected_basis_state,
+    _restrict_pauli,
     apply_gates,
     apply_matrix,
     apply_pauli,
@@ -71,6 +78,7 @@ from catalab.pauli import PauliOperator
 from catalab.protocols import _measurement_template, measurement_prepare_catalyst
 from catalab.stabilizer import (
     CliffordCircuit,
+    CliffordGate,
     PermutationQca,
     StabilizerMixture,
     cnot_gate,
@@ -542,6 +550,27 @@ def test_int_level_checks_match_object_loops_on_random_inputs(n, seed):
         assert audit_gate_symmetric(audited, symmetry) == reference_audit(audited, symmetry)
 
 
+def reference_symmetry_rep_check(generators):
+    """The ordered-pair loop the Gram rows replaced in `SymmetryRep`."""
+    for a in generators:
+        for b in generators:
+            if not a.pauli.commutes(b.pauli):
+                raise ValueError(f"symmetry generators {a.name}, {b.name} anticommute")
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 5), k=st.integers(0, 6), seed=SEEDS)
+def test_symmetry_rep_names_the_pair_the_ordered_loop_named(n, k, seed):
+    rng = np.random.default_rng(seed)
+    # Mostly commuting: generators of a random mixture, with random strings mixed in.
+    pool = list(random_mixture(rng, n).generators) + [hermitian(random_pauli(rng, n)) for _ in range(2)]
+    gens = tuple(
+        SymmetryGenerator(f"g{j}", pool[int(rng.integers(len(pool)))], "0-form") for j in range(k)
+    )
+    want = validation_error(lambda: reference_symmetry_rep_check(gens))
+    assert validation_error(lambda: SymmetryRep(n, gens)) == want
+
+
 def test_audit_of_a_generator_on_another_register_raises_as_before():
     gate = cz_gate(4, 0, 1)
     symmetry = SymmetryRep(5, (SymmetryGenerator("x", PauliOperator.x_at(5, 1, 4), "0-form"),))
@@ -589,6 +618,7 @@ def test_full_matrix_check_catches_a_corrupted_v_gate(model):
         assert not _doubled_operator_equality_dense(bundle, corrupted, "err", details)
         assert details["err"] > 1e-10
         assert details["err"] == reference_doubled_maxerr(bundle, corrupted)
+        assert details["err"] == reference_full_matrix_maxerr(bundle, corrupted)
 
 
 CRITERION_2_DENSE = [
@@ -648,12 +678,37 @@ def reference_doubled_maxerr(bundle, doubled):
     return worst
 
 
+def reference_qca_matrix(qca):
+    """Dense matrix of a QCA handle on one register, from all basis images at once."""
+    labels, signs = _qca_images(qca)
+    matrix = np.zeros((1 << qca.n,) * 2)
+    matrix[labels, np.arange(1 << qca.n)] = signs
+    return matrix
+
+
+def reference_full_matrix_maxerr(bundle, doubled):
+    """The full-matrix check that label comparison replaced: kron(U^-1, U)
+    minus the doubled circuit's signed permutation, entrywise, in blocks of
+    64 columns.  Column idx of the reference is kron(U^-1 column idx >> n,
+    U column idx mod 2^n)."""
+    n, dim = bundle.n, 1 << (2 * bundle.n)
+    u, u_inv = reference_qca_matrix(bundle.entangler), reference_qca_matrix(bundle.entangler.inverse())
+    labels, signs = _basis_images(2 * n, [*range(n, 2 * n), *range(n)], doubled.v_terms)
+    worst = 0.0
+    for start in range(0, dim, 64):
+        cols = np.arange(start, min(start + 64, dim))
+        diff = (u_inv[:, None, cols >> n] * u[None, :, cols & ((1 << n) - 1)]).reshape(dim, -1)
+        diff[labels[cols], np.arange(len(cols))] -= signs[cols]
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
+
+
 @pytest.mark.parametrize("model, params", CRITERION_2_DENSE)
 def test_basis_images_match_per_column_dense_action(model, params):
     bundle = build_model(model, **params)
     n = bundle.n
     for qca in (bundle.entangler, bundle.entangler.inverse()):
-        matrix = _qca_matrix(qca)
+        matrix = reference_qca_matrix(qca)
         for j, column in reference_columns(reference_qca_action(qca), n):
             assert np.array_equal(matrix[:, j], column), j
     doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
@@ -700,6 +755,157 @@ def test_one_flipped_v_term_sign_fails_criterion_2(monkeypatch):
         "cluster-1d-n6-dense-maxerr": 2.0,
         "square-sspt-n4-dense-maxerr": 2.0,
     }
+
+
+def test_label_check_names_a_moved_basis_state_as_one():
+    # An identity in place of a v-term moves no label where the term did.
+    bundle = build_model("cluster-1d", n=4)
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    (support, matrix), *rest = doubled.v_terms
+    vars(doubled)["v_terms"] = ((support, np.eye(len(matrix))), *rest)
+    details = {}
+    assert not _doubled_operator_equality_dense(bundle, doubled, "err", details)
+    assert details["err"] == 1.0 == reference_full_matrix_maxerr(bundle, doubled)
+
+
+# ---------------------------------------------------------------------------
+# dense Clifford gates read from the tableau against the per-column
+# projected builder, and the stabilizer density as a group sum against the
+# product of projectors
+# ---------------------------------------------------------------------------
+
+
+def reference_gate_unitary(gate):
+    """The per-column builder `gate_unitary` replaced: column 0 projected from
+    the first basis state the Z images' projectors keep, column x the X
+    images of x's set bits applied to it one `apply_pauli` at a time, then
+    the same phase pin and unitarity check."""
+    support = list(gate.support)
+    m = len(support)
+    dim = 1 << m
+    img_x = [_restrict_pauli(gate.images[a][0], tuple(support)) for a in support]
+    img_z = [_restrict_pauli(gate.images[a][1], tuple(support)) for a in support]
+    v0 = _projected_basis_state(m, img_z)
+    if v0 is None:
+        raise AssertionError("could not build the image of |0...0>")
+    cols = np.zeros((dim, dim), dtype=np.complex128)
+    for x in range(dim):
+        col = v0
+        for a in range(m):
+            if (x >> a) & 1:
+                col = apply_pauli(col, img_x[a])
+        cols[:, x] = col.amps
+    tr = np.trace(cols)
+    if abs(tr) > 1e-9:
+        cols = cols * (tr.conjugate() / abs(tr))
+    else:
+        flat = cols.reshape(-1)
+        pivot = flat[np.argmax(np.abs(flat) > 1e-9)]
+        cols = cols * (pivot.conjugate() / abs(pivot))
+    if not np.allclose(cols @ cols.conj().T, np.eye(dim), atol=1e-9):
+        raise AssertionError("gate reconstruction is not unitary")
+    return cols
+
+
+def registry_gates():
+    """The doubled v-gates and entangler gates of criterion 2's dense models
+    and of cluster-1d at n=10."""
+    gates = []
+    for model, params in CRITERION_2_DENSE + [("cluster-1d", {"n": 10})]:
+        bundle = build_model(model, **params)
+        doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+        gates += doubled.v_gates
+        if not isinstance(bundle.entangler, PermutationQca):
+            gates += [g for layer in bundle.entangler.layers for g in layer]
+    return gates
+
+
+def test_gate_unitary_matches_per_column_builder_on_registry_gates():
+    gates = registry_gates()
+    assert {g.kind for g in gates} >= {"CZ", "TABLEAU"}
+    for gate in gates:
+        assert np.array_equal(gate_unitary(gate), reference_gate_unitary(gate)), gate
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=SEEDS)
+def test_gate_unitary_matches_per_column_builder_on_random_gates(n, seed):
+    rng = np.random.default_rng(seed)
+    sites = [int(a) for a in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+    named = [random_named_gate(rng, n, sites) for _ in range(int(rng.integers(1, 5)))]
+    for gate in (*named, tableau_of(n, sites, named), random_tableau_gate(rng, n, sites)):
+        got, want = gate_unitary(gate), reference_gate_unitary(gate)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        exact = np.isin(want, [0, 1, -1, 1j, -1j])
+        assert np.array_equal(got[exact], want[exact])
+
+
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; returns the record."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_criterion_2_projects_no_basis_state_and_applies_no_pauli(monkeypatch):
+    projected = counted(monkeypatch, dense, "_projected_basis_state")
+    applied = counted(monkeypatch, dense, "apply_pauli")
+    assert acceptance.criterion_2().passed
+    assert (len(projected), len(applied)) == (0, 0)
+
+
+def test_gate_unitary_reads_each_x_image_once(monkeypatch):
+    gates = registry_gates()
+    maps = counted(monkeypatch, dense, "pauli_basis_map")
+    for gate in gates:
+        maps.clear()
+        gate_unitary(gate)
+        assert len(maps) <= len(gate.support), gate
+
+
+X0, X1 = PauliOperator.x_at(2, 0), PauliOperator.x_at(2, 1)
+Z0, Z1 = PauliOperator.z_at(2, 0), PauliOperator.z_at(2, 1)
+
+
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ({0: (X0, Z0), 1: (X1, Z0.negate())}, "the gate's Z images fix no basis state"),
+        ({0: (X0, Z0), 1: (X0, Z1)}, "gate reconstruction is not unitary"),
+    ],
+    ids=["z0-and-minus-z0", "x0-twice"],
+)
+def test_inconsistent_image_tables_raise(images, message):
+    # A named kind skips the table check, so these tables reach the builder.
+    with pytest.raises(AssertionError, match=message):
+        gate_unitary(CliffordGate("CZ", 2, (0, 1), images))
+
+
+def reference_stabilizer_density(state):
+    """The product of projectors the group sum replaced."""
+    n = state.n
+    dim = 1 << n
+    rho = np.eye(dim, dtype=np.complex128)
+    for g in state.generators:
+        rho = rho @ (np.eye(dim) + pauli_matrix(g)) / 2.0
+    return rho / (2 ** (n - state.k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), pure=st.booleans(), seed=SEEDS)
+def test_stabilizer_density_matches_product_of_projectors(n, pure, seed):
+    rng = np.random.default_rng(seed)
+    if pure:
+        state = StabilizerMixture.zero_state(n).apply_circuit(random_circuit(rng, n, 3 * n))
+    else:
+        state = random_mixture(rng, n)
+    assert np.array_equal(stabilizer_density(state), reference_stabilizer_density(state))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from catalab.dense import (
 )
 from catalab.models import (
     RegistryError,
+    SymmetryGenerator,
+    SymmetryRep,
     build_catalyst,
     build_hamiltonian,
     build_model,
@@ -32,6 +34,19 @@ from catalab.stabilizer import is_invariant, tableau_gate, z_gate
 def test_unknown_key():
     with pytest.raises(RegistryError):
         build_model("no-such-model")
+
+
+def test_symmetry_rep_names_the_first_anticommuting_pair():
+    # Only the second and third generators anticommute.
+    gens = {"a": PauliOperator.x_at(2, 1), "b": PauliOperator.x_at(2, 0), "c": PauliOperator.z_at(2, 0)}
+    with pytest.raises(ValueError) as err:
+        SymmetryRep(2, tuple(SymmetryGenerator(name, p, "0-form") for name, p in gens.items()))
+    assert str(err.value) == "symmetry generators b, c anticommute"
+
+
+def test_symmetry_rep_refuses_a_generator_on_another_register():
+    with pytest.raises(ValueError, match="symmetry generator register size mismatch"):
+        SymmetryRep(2, (SymmetryGenerator("x", PauliOperator.x_at(3, 0), "0-form"),))
 
 
 def test_bad_sizes():
