@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .pauli import PauliOperator
-from .stabilizer import CliffordGate, PermutationQca, QcaLike, StabilizerMixture, _product
+from .stabilizer import CliffordGate, PermutationQca, QcaLike, StabilizerMixture
 
 _DEFAULT_AMP_LIMIT = 2**20
 _DEFAULT_EIG_LIMIT = 2**14
@@ -601,22 +601,27 @@ def _projected_basis_state(n: int, gens: Sequence[PauliOperator]) -> Optional[De
     return None
 
 
+def _projector(n: int, gens: Sequence[PauliOperator]) -> np.ndarray:
+    """prod_g (1 + g) as a dense matrix, each factor applied as one signed
+    permutation of the rows: 2^k times the projector onto the common +1
+    eigenspace of k independent commuting generators."""
+    out = np.eye(1 << n, dtype=np.complex128)
+    for g in gens:
+        image, sign = pauli_basis_map(g)
+        out = out + (sign[:, None] * out)[image]
+    return out
+
+
 def stabilizer_density(state: StabilizerMixture) -> np.ndarray:
-    """Dense density matrix of a stabilizer mixture (exact): 2^-n times the
-    sum of its 2^k group elements, each scattered as a signed permutation."""
-    n, gens = state.n, state.generators
-    rho = np.zeros((1 << n,) * 2, dtype=np.complex128)
-    for mask in range(1 << len(gens)):
-        image, sign = pauli_basis_map(PauliOperator(n, *_product(gens, mask)))
-        rho[image, np.arange(1 << n)] += sign
-    return rho / (1 << n)
+    """Dense density matrix of a stabilizer mixture (exact): 2^-n prod_g (1 + g)."""
+    return _projector(state.n, state.generators) / (1 << state.n)
 
 
 def gate_unitary(gate: CliffordGate) -> np.ndarray:
     """Dense unitary of a Clifford gate on its support, read from its tableau:
-    column 0 is the image of |0...0> (the basis state that diagonal Z images
-    all fix, or else projected), and columns 2^a to 2^(a+1) - 1 are X image a,
-    one signed permutation, applied to columns 0 to 2^a - 1.
+    column 0 is the image of |0...0>, the first nonzero column of the Z
+    images' projector, normalized, and columns 2^a to 2^(a+1) - 1 are X
+    image a, one signed permutation, applied to columns 0 to 2^a - 1.
 
     The tableau fixes the gate up to a global phase; the phase is pinned by
     making the trace positive real (all gates used on the dense path have
@@ -628,18 +633,12 @@ def gate_unitary(gate: CliffordGate) -> np.ndarray:
     img_x = [_restrict_pauli(gate.images[a][0], support) for a in support]
     img_z = [_restrict_pauli(gate.images[a][1], support) for a in support]
     cols = np.zeros((dim, dim), dtype=np.complex128)
-    if any(p.x for p in img_z):
-        v0 = _projected_basis_state(len(support), img_z)
-        if v0 is None:
-            raise AssertionError("could not build the image of |0...0>")
-        cols[:, 0] = v0.amps
-    else:
-        # A diagonal image i^phase Z^z fixes |b> when phase/2 + popcount(b & z) is even.
-        fixes = (all((p.phase // 2 + (b & p.z).bit_count()) % 2 == 0 for p in img_z) for b in range(dim))
-        start = next((b for b, ok in enumerate(fixes) if ok), None)
-        if start is None:
-            raise AssertionError("the gate's Z images fix no basis state")
-        cols[start, 0] = 1
+    proj = _projector(len(support), img_z)
+    norms = np.linalg.norm(proj, axis=0)
+    if not np.any(norms > 1e-9):
+        raise AssertionError("the gate's Z images fix no state")
+    start = int(np.argmax(norms > 1e-9))
+    cols[:, 0] = proj[:, start] / norms[start]
     for a, p in enumerate(img_x):
         image, sign = pauli_basis_map(p)
         cols[:, 1 << a : 2 << a] = (sign[:, None] * cols[:, : 1 << a])[image]

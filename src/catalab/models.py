@@ -30,8 +30,6 @@ from .stabilizer import (
     CliffordCircuit,
     PermutationQca,
     StabilizerMixture,
-    _first_anticommuting,
-    _gram,
     cz_gate,
     is_invariant,
     pack_gates_into_layers,
@@ -217,11 +215,10 @@ class SymmetryRep:
     generators: tuple[SymmetryGenerator, ...]
 
     def __post_init__(self):
-        if any(g.pauli.n != self.n for g in self.generators):
-            raise ValueError("symmetry generator register size mismatch")
-        if any(rows := _gram(self.n, [g.pauli for g in self.generators])):
-            a, b = (self.generators[i] for i in _first_anticommuting(rows))
-            raise ValueError(f"symmetry generators {a.name}, {b.name} anticommute")
+        for i, a in enumerate(self.generators):
+            for b in self.generators[i + 1 :]:
+                if not a.pauli.commutes(b.pauli):
+                    raise ValueError(f"symmetry generators {a.name}, {b.name} anticommute")
 
     def by_name(self, name: str) -> SymmetryGenerator:
         for g in self.generators:

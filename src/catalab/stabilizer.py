@@ -151,13 +151,6 @@ def _gram(n: int, ops: Sequence[PauliOperator]) -> list[int]:
     return rows
 
 
-def _first_anticommuting(rows: list[int]) -> tuple[int, int]:
-    """The first anticommuting pair (i, j), i < j, in lexicographic order,
-    read from `_gram` rows that are not all zero."""
-    i = min((row & -row).bit_length() - 1 for row in rows if row)
-    return i, next(j for j, row in enumerate(rows) if row >> i & 1)
-
-
 def _invert_tableau_gate(gate: CliffordGate) -> CliffordGate:
     """Images of the inverse by symplectic duality: g preserves the symplectic
     product, so the preimage Q of P has x bit <P, g Z_b g^dagger> and z bit
@@ -419,8 +412,11 @@ class StabilizerMixture:
             if not g.is_hermitian():
                 raise ValueError(f"generator {g} is not hermitian")
         gens = self.generators
-        if any(rows := _gram(self.n, gens)):
-            i, j = _first_anticommuting(rows)
+        rows = _gram(self.n, gens)
+        if any(rows):
+            # Name the first anticommuting pair (i, j), i < j, in lexicographic order.
+            i = min((row & -row).bit_length() - 1 for row in rows if row)
+            j = next(j for j, row in enumerate(rows) if row >> i & 1)
             raise ValueError(f"generators {gens[i]} and {gens[j]} anticommute")
         if len(self._basis[1]) != len(gens):
             raise ValueError("generators are not independent")

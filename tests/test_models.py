@@ -44,11 +44,6 @@ def test_symmetry_rep_names_the_first_anticommuting_pair():
     assert str(err.value) == "symmetry generators b, c anticommute"
 
 
-def test_symmetry_rep_refuses_a_generator_on_another_register():
-    with pytest.raises(ValueError, match="symmetry generator register size mismatch"):
-        SymmetryRep(2, (SymmetryGenerator("x", PauliOperator.x_at(3, 0), "0-form"),))
-
-
 def test_bad_sizes():
     with pytest.raises(RegistryError):
         build_model("lsm-dimer", n=5)
