@@ -82,13 +82,13 @@ class DenseState:
 
     @classmethod
     def computational(cls, q: int, sites: int, index: int = 0) -> "DenseState":
-        amps = np.zeros(q**sites, dtype=np.complex128)
+        amps = np.zeros(check_amps(q**sites), dtype=np.complex128)
         amps[index] = 1.0
         return cls(q, sites, amps)
 
     @classmethod
     def uniform(cls, q: int, sites: int) -> "DenseState":
-        dim = q**sites
+        dim = check_amps(q**sites)
         return cls(q, sites, np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
 
     def tensor(self, other: "DenseState") -> "DenseState":
@@ -164,7 +164,7 @@ def apply_site_relabel(state: DenseState, mapping: Sequence[int]) -> DenseState:
 def pauli_basis_map(p: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
     """The Pauli as a signed permutation of the basis: p|s> = sign[s] |image[s]>,
     with image[s] = s ^ x and sign[s] = i^phase (-1)^popcount(s & z)."""
-    idx = np.arange(1 << p.n, dtype=np.uint64)
+    idx = np.arange(check_amps(1 << p.n), dtype=np.uint64)
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(p.z)) & np.uint64(1)).astype(np.float64)
     return (idx ^ np.uint64(p.x)).astype(np.int64), (1j**p.phase) * signs
 
@@ -172,7 +172,7 @@ def pauli_basis_map(p: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
 def relabel_basis_map(q: int, sites: int, mapping: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The on-site relabelling |v> -> |mapping[v]> on every site as a basis
     map (image, sign), in the form `pauli_basis_map` returns; every sign is 1."""
-    idx = np.arange(q**sites)
+    idx = np.arange(check_amps(q**sites))
     local = np.asarray(mapping)
     image = sum((local[idx // q**i % q] * q**i for i in range(sites)), 0 * idx)
     return image, np.ones(q**sites, dtype=np.complex128)
@@ -181,7 +181,8 @@ def relabel_basis_map(q: int, sites: int, mapping: Sequence[int]) -> tuple[np.nd
 def translation_basis_map(q: int, sites: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
     """The translation that moves the content of site i to site i + shift
     (mod sites), as a basis map (image, sign); every sign is 1."""
-    return _offsets([(i + shift) % sites for i in range(sites)], q), np.ones(q**sites, dtype=np.complex128)
+    dim = check_amps(q**sites)
+    return _offsets([(i + shift) % sites for i in range(sites)], q), np.ones(dim, dtype=np.complex128)
 
 
 def apply_pauli(state: DenseState, p: PauliOperator) -> DenseState:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -110,10 +110,14 @@ def _validate_tableau_images(n, support, mask, images):
                 raise ValueError("tableau images must be hermitian")
             if (img.x | img.z) & ~mask:
                 raise ValueError("tableau image escapes the gate support")
-    # Only the two images of one site may anticommute, as X_a and Z_a do.
-    ops = [img for a in support for img in images[a]]
-    if _gram(n, ops) != [1 << j - 1 if j & 1 else 0 for j in range(len(ops))]:
+    rows = [img.symplectic() for a in support for img in images[a]]
+    if _gram(n, rows) != _paired(len(rows)):
         raise ValueError("tableau images do not preserve commutation")
+
+
+def _paired(m: int) -> list[int]:
+    """The Gram rows of X_0, Z_0, X_1, Z_1, ...: only X_a and Z_a anticommute."""
+    return [1 << j - 1 if j & 1 else 0 for j in range(m)]
 
 
 def _product(ops: Sequence[PauliOperator], mask: int) -> tuple[int, int, int]:
@@ -130,16 +134,16 @@ def _product(ops: Sequence[PauliOperator], mask: int) -> tuple[int, int, int]:
     return x, z, phase & 3
 
 
-def _gram(n: int, ops: Sequence[PauliOperator]) -> list[int]:
-    """Lower-triangular symplectic Gram rows: bit i < j of row j is set when
-    ops[i] and ops[j] anticommute.  One pass over the packed (x|z) bits: each
-    bit reads its partner column (Z for X, at index c - n either way) of the
-    earlier ops, then joins its own, so the cost is the total weight."""
+def _gram(n: int, packed: Sequence[int]) -> list[int]:
+    """Lower-triangular symplectic Gram rows of packed (x|z) operators: bit
+    i < j of row j is set when operators i and j anticommute.  Each bit reads
+    its partner column (Z for X, at index c - n either way) of the earlier
+    operators, then joins its own, so the cost is the total weight."""
     cols = [0] * (2 * n)
     rows = []
     bit = 1
-    for p in ops:
-        row, bits = 0, p.x | p.z << n
+    for bits in packed:
+        row = 0
         while bits:
             low = bits & -bits
             c = low.bit_length() - 1
@@ -244,9 +248,11 @@ def tableau_gate(n: int, images: dict[int, tuple[PauliOperator, PauliOperator]])
 class CliffordCircuit:
     """Layered local Clifford circuit; gates within a layer have disjoint supports.
 
-    Conjugation follows the light cone of the operator: in each layer only the
-    gates touching its current support are applied (the others fix it, and
-    gates of one layer commute), found through a per-layer site index.
+    Conjugation reads the circuit's tableau, the images of every X_a and Z_a
+    as (x, z, phase) ints.  It is built on first use by walking each through
+    its light cone (per layer, only the gates touching the current support
+    act), and proven as it is built: every image is hermitian and the images
+    commute as X_a and Z_a do, so valid stabilizer states map to valid ones.
     """
 
     n: int
@@ -276,14 +282,9 @@ class CliffordCircuit:
     def depth(self) -> int:
         return len(self.layers)
 
-    def conjugate(self, p: PauliOperator) -> PauliOperator:
-        """The light-cone walk on (x, z, phase) ints, through each gate's
-        table; one operator is built at the end.  Every gate acts on this
-        register (checked when the circuit is built), so the size is
-        checked once, here."""
-        if p.n != self.n:
-            raise ValueError("operator size does not match circuit register")
-        x, z, phase = p.x, p.z, p.phase
+    def _walk(self, x: int, z: int) -> tuple[int, int, int]:
+        """The light-cone image of X^x Z^z as (x, z, phase), via gate tables."""
+        phase = 0
         for at in self._site_gates:
             todo = x | z
             while todo:
@@ -298,6 +299,38 @@ class CliffordCircuit:
                     z = iz | (z & ~mask)
                     phase += iphase
                     todo &= ~mask
+        return x, z, phase & 3
+
+    @cached_property
+    def _tableau(self) -> tuple[tuple[int, int, int], ...]:
+        """The images of X_0, Z_0, X_1, Z_1, ..., walked and then proven."""
+        n = self.n
+        images = tuple(self._walk(x << a, (x ^ 1) << a) for a in range(n) for x in (1, 0))
+        if any((phase ^ (x & z).bit_count()) & 1 for x, z, phase in images):
+            raise ValueError("circuit tableau has a non-hermitian image")
+        if _gram(n, [x | z << n for x, z, _ in images]) != _paired(2 * n):
+            raise ValueError("circuit tableau does not preserve commutation")
+        return images
+
+    def conjugate(self, p: PauliOperator) -> PauliOperator:
+        """U p U^dagger as the product of the tableau images over p's
+        support, site by site in ascending order, X before Z (the order
+        PauliOperator stores), on ints; one operator is built at the end."""
+        if p.n != self.n:
+            raise ValueError("operator size does not match circuit register")
+        images = self._tableau
+        x = z = 0
+        phase = p.phase
+        todo = p.x | p.z
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            a = 2 * low.bit_length() - 2
+            for bit, (ix, iz, iphase) in ((p.x & low, images[a]), (p.z & low, images[a + 1])):
+                if bit:
+                    phase += iphase + 2 * ((z & ix).bit_count() & 1)
+                    x ^= ix
+                    z ^= iz
         return PauliOperator(self.n, x, z, phase)
 
     def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
@@ -344,8 +377,10 @@ class PermutationQca:
     def __init__(self, perm: Sequence[int]):
         self.perm = tuple(perm)
         self.n = len(self.perm)
-        inv = [0] * self.n
+        inv: list = [None] * self.n
         for i, p in enumerate(self.perm):
+            if type(p) is not int or not 0 <= p < self.n or inv[p] is not None:
+                raise ValueError(f"permutation entry perm[{i}] = {p!r} is out of range or repeated")
             inv[p] = i
         self.perm_inv = tuple(inv)
 
@@ -374,6 +409,8 @@ class StabilizerMixture:
 
     n: int
     generators: tuple[PauliOperator, ...]
+    # A tensor product keeps its two factors, whose bases assemble its own.
+    _factors: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -412,7 +449,7 @@ class StabilizerMixture:
             if not g.is_hermitian():
                 raise ValueError(f"generator {g} is not hermitian")
         gens = self.generators
-        rows = _gram(self.n, gens)
+        rows = _gram(self.n, [g.symplectic() for g in gens])
         if any(rows):
             # Name the first anticommuting pair (i, j), i < j, in lexicographic order.
             i = min((row & -row).bit_length() - 1 for row in rows if row)
@@ -425,17 +462,35 @@ class StabilizerMixture:
         n, total = self.n, self.n + other.n
         gens = [PauliOperator(total, g.x, g.z, g.phase) for g in self.generators]
         gens += [PauliOperator(total, g.x << n, g.z << n, g.phase) for g in other.generators]
-        return StabilizerMixture(total, tuple(gens))
+        state = StabilizerMixture(total, tuple(gens))
+        object.__setattr__(state, "_factors", (self, other))
+        return state
 
     # -- group membership -------------------------------------------------
 
     @cached_property
     def _basis(self) -> tuple[list[int], list[int], list[int], dict[int, int]]:
         """One RREF of the generators' (x|z) rows, shared by every query:
-        reduced rows, pivot columns, row transform, pivot column -> row."""
-        rows = [g.symplectic() for g in self.generators]
-        red, pivots, transform = BitMatrix(rows, 2 * self.n).rref_with_transform()
-        return red.rows, pivots, transform, {c: r for r, c in enumerate(pivots)}
+        reduced rows, pivot columns, row transform, pivot column -> row.
+        A tensor product places its factors' bases side by side instead:
+        rows re-packed, pivots remapped, the second transform shifted, rows
+        sorted by pivot.  The RREF is unique, and so is the transform of
+        independent generators, so this is what an elimination returns."""
+        if not self._factors:
+            rows = [g.symplectic() for g in self.generators]
+            red, pivots, transform = BitMatrix(rows, 2 * self.n).rref_with_transform()
+            return red.rows, pivots, transform, {c: r for r, c in enumerate(pivots)}
+        n, placed, shift, offset = self.n, [], 0, 0
+        for factor in self._factors:
+            m, (red, pivots, transform, _) = factor.n, factor._basis
+            low = (1 << m) - 1
+            for row, c, t in zip(red, pivots, transform):
+                col = c + shift if c < m else c - m + n + shift
+                placed.append((col, (row & low) << shift | (row >> m) << (n + shift), t << offset))
+            shift, offset = m, factor.k
+        placed.sort()
+        pivots, red, transform = (list(part) for part in zip(*placed)) if placed else ([], [], [])
+        return red, pivots, transform, {c: r for r, c in enumerate(pivots)}
 
     def _combine(self, mask: int) -> PauliOperator:
         """The product of the generators selected by mask, in ascending
@@ -469,11 +524,11 @@ class StabilizerMixture:
         return combo
 
     def membership_sign(self, p: PauliOperator) -> Optional[int]:
-        """+1 if p is in the signed group, -1 if -p is, None otherwise."""
-        member = self.element_with_vector(p.symplectic())
-        if member is None:
+        """+1 if p is in the signed group, -1 if -p is, None otherwise (ints only)."""
+        combo = self.combination(p.symplectic())
+        if combo is None:
             return None
-        diff = (member.phase - p.phase) & 3
+        diff = (_product(self.generators, combo)[2] - p.phase) & 3
         if diff == 0:
             return 1
         if diff == 2:
@@ -489,18 +544,18 @@ class StabilizerMixture:
 
     # -- evolution ---------------------------------------------------------
 
-    def _evolve(self, conj: Callable[[PauliOperator], PauliOperator]) -> "StabilizerMixture":
-        new = StabilizerMixture(self.n, tuple(conj(g) for g in self.generators))
+    def apply_gate(self, gate: CliffordGate) -> "StabilizerMixture":
+        """The evolved state, validated: gate table entries are not proven."""
+        new = StabilizerMixture(self.n, tuple(gate.conjugate(g) for g in self.generators))
         new.validate()
         return new
 
-    def apply_gate(self, gate: CliffordGate) -> "StabilizerMixture":
-        return self._evolve(gate.conjugate)
-
     def apply_circuit(self, circuit: QcaLike) -> "StabilizerMixture":
+        """The evolved state, not re-validated: a circuit's tableau and a
+        permutation are proven when built, so a valid state maps to one."""
         if circuit.n != self.n:
             raise ValueError("circuit register size mismatch")
-        return self._evolve(circuit.conjugate)
+        return StabilizerMixture(self.n, tuple(circuit.conjugate(g) for g in self.generators))
 
     def measure(
         self, p: PauliOperator, rng: np.random.Generator
@@ -546,10 +601,12 @@ class StabilizerMixture:
 
     def same_state(self, other: "StabilizerMixture") -> bool:
         """Equal signed groups: with independent generators on both sides and
-        equal k, other's group lies in self's exactly when it is all of it."""
+        equal k, self's group lies in other's exactly when it is all of it.
+        Only other's basis is read, so other is the reference state (target,
+        or target (x) catalyst) and a freshly evolved self needs no elimination."""
         if self.n != other.n or self.k != other.k:
             return False
-        return all(self.membership_sign(g) == 1 for g in other.generators)
+        return all(other.membership_sign(g) == 1 for g in self.generators)
 
     # -- serialization --------------------------------------------------------
 
@@ -564,8 +621,15 @@ class StabilizerMixture:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "StabilizerMixture":
-        gens = tuple(PauliOperator.from_string(s) for s in payload["generators"])
-        return cls.from_generators(payload["n"], gens)
+        """The state of a `to_json_dict` payload; a malformed one raises ValueError."""
+        if not isinstance(payload, dict) or not {"n", "generators"} <= payload.keys():
+            raise ValueError("a stabilizer payload is a dict with keys 'n' and 'generators'")
+        n, texts = payload["n"], payload["generators"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"'n' must be a non-negative integer, got {n!r}")
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise ValueError("'generators' must be a list of Pauli strings")
+        return cls.from_generators(n, (PauliOperator.from_string(t) for t in texts))
 
 
 # ---------------------------------------------------------------------------

@@ -523,6 +523,23 @@ def test_eig_limit_bounds_the_largest_block_not_the_space(monkeypatch):
         ground_state(op)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DenseState.computational(2, 32),
+        lambda: DenseState.uniform(2, 32),
+        lambda: pauli_basis_map(PauliOperator.x_at(32, 0)),
+        lambda: dense_module.relabel_basis_map(2, 32, [1, 0]),
+        lambda: translation_basis_map(2, 32, 1),
+    ],
+    ids=["computational", "uniform", "pauli", "relabel", "translation"],
+)
+def test_dense_limit_is_checked_before_allocating(build):
+    # 2^32 entries: refused by the limit check, never allocated.
+    with pytest.raises(ValueError, match="^dense state of 4294967296 amplitudes exceeds the configured limit$"):
+        build()
+
+
 def test_dense_limit_refuses_a_ground_state_before_any_block_is_built(monkeypatch):
     op = catalyst_sum("cluster-1d", 8)
 

@@ -1,7 +1,10 @@
 """Differential tests: the light-cone, conjugation-table, int-level and
 cached-basis fast paths against plain reference forms of the same
-computation, compared exactly, and the dense oracle's entangler action,
-doubled-circuit check and fidelity; the Gram-matrix tableau and generator
+computation, compared exactly; circuit conjugation through the proven
+tableau against the light-cone walk that builds it, and the tensor
+product's basis assembled from its factors against a fresh elimination;
+and the dense oracle's entangler action, doubled-circuit check and
+fidelity; the Gram-matrix tableau and generator
 checks and the masked symmetric-gate audit against the basis-pair, pairwise
 and restrict-and-conjugate loops they replaced; the dense gate runner against the
 per-gate contraction loop it replaced, on criterion 2's and the cocycle
@@ -208,6 +211,62 @@ def test_light_cone_conjugation_matches_gate_by_gate(n, num_gates, seed):
         assert circuit.conjugate(p) == naive_conjugate(circuit, p)
         assert circuit.conjugate_inverse(p) == naive_conjugate_inverse(circuit, p)
         assert circuit.conjugate_inverse(circuit.conjugate(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# tableau circuit conjugation against the light-cone walk
+# ---------------------------------------------------------------------------
+
+
+def reference_circuit_conjugate(circuit, p):
+    """The light-cone walk: in each layer only the gates touching the
+    operator's current support act, each through its conjugation table."""
+    x, z, phase = p.x, p.z, p.phase
+    for layer in circuit.layers:
+        at = {a: g for g in layer for a in g.support}
+        todo = x | z
+        while todo:
+            low = todo & -todo
+            gate = at.get(low.bit_length() - 1)
+            if gate is None:
+                todo ^= low
+                continue
+            mask = gate._mask
+            ix, iz, iphase = gate._image(x & mask, z & mask)
+            x, z, phase = ix | (x & ~mask), iz | (z & ~mask), phase + iphase
+            todo &= ~mask
+    return PauliOperator(circuit.n, x, z, phase)
+
+
+def assert_tableau_matches_walk(rng, circuit, extra=8):
+    """Single-site X and Z on every site and random operators, each with all
+    four phases, forward and backward."""
+    n = circuit.n
+    ops = [q(n, a) for a in range(n) for q in (PauliOperator.x_at, PauliOperator.z_at)]
+    ops += [random_pauli(rng, n) for _ in range(extra)]
+    for op in ops:
+        for phase in range(4):
+            p = PauliOperator(n, op.x, op.z, phase)
+            assert circuit.conjugate(p) == reference_circuit_conjugate(circuit, p)
+            assert circuit.conjugate_inverse(p) == reference_circuit_conjugate(circuit.inverse(), p)
+
+
+@pytest.mark.parametrize("model, params", CATALYSIS_MATRIX + [("cluster-1d", {"n": 6})])
+def test_tableau_conjugation_matches_walk_on_registry_circuits(model, params):
+    rng = np.random.default_rng(19)
+    bundle = build_model(model, **params)
+    circuits = [build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice).as_circuit()]
+    if isinstance(bundle.entangler, CliffordCircuit):
+        circuits += [bundle.entangler, bundle.entangler.inverse()]
+    for circuit in circuits:
+        assert_tableau_matches_walk(rng, circuit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), num_gates=st.integers(0, 16), seed=SEEDS)
+def test_tableau_conjugation_matches_walk_on_random_circuits(n, num_gates, seed):
+    rng = np.random.default_rng(seed)
+    assert_tableau_matches_walk(rng, random_circuit(rng, n, num_gates))
 
 
 def test_size_mismatch_raises_even_when_no_gate_is_touched():
@@ -1213,6 +1272,38 @@ def test_cached_basis_matches_fresh_elimination(n, seed):
     for p in queries:
         assert state.membership_sign(p) == fresh_membership_sign(state, p)
     assert state.canonical().generators == fresh_canonical(state)
+
+
+# ---------------------------------------------------------------------------
+# tensor basis from the factors' bases against a fresh elimination
+# ---------------------------------------------------------------------------
+
+
+def random_factor(rng, n, kind):
+    if kind == "pure":
+        return StabilizerMixture.zero_state(n).apply_circuit(random_circuit(rng, n, 3 * n))
+    if kind == "mixed":
+        return random_mixture(rng, n)
+    return StabilizerMixture.from_generators(n, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    kinds=st.tuples(*[st.sampled_from(("pure", "mixed", "empty"))] * 2),
+    seed=SEEDS,
+)
+def test_tensor_basis_from_factors_matches_fresh_elimination(n, m, kinds, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_factor(rng, n, kinds[0]), random_factor(rng, m, kinds[1])
+    product = a.tensor(b)
+    red, pivots, transform, row_of = product._basis
+    fresh_red, fresh_pivots, fresh_transform = fresh_reduction(product)
+    assert (red, pivots, transform) == (fresh_red.rows, fresh_pivots, fresh_transform)
+    assert row_of == {c: r for r, c in enumerate(pivots)}
+    assert product.canonical() == StabilizerMixture(n + m, product.generators).canonical()
+    assert product.canonical().generators == fresh_canonical(product)
 
 
 # ---------------------------------------------------------------------------

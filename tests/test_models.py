@@ -348,6 +348,13 @@ def test_lieb_hamiltonian_terms_are_cluster_terms():
     assert star in supports
 
 
+@pytest.mark.parametrize("kind", ["superposition", "gapless"])
+def test_dense_catalyst_past_the_limit_is_refused_before_allocating(kind):
+    # 2^32 amplitudes: refused by the limit check, never allocated.
+    with pytest.raises(ValueError, match="^dense state of 4294967296 amplitudes exceeds the configured limit$"):
+        build_catalyst(build_model("cluster-1d", n=32), kind)
+
+
 def test_dense_limit_override(monkeypatch):
     from catalab.dense import DenseState
 

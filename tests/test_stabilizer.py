@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catalab
 from catalab.pauli import PauliOperator
@@ -299,6 +301,86 @@ def test_evolution_validates_under_python_O():
     )
     assert proc.returncode == 1
     assert "ValueError" in proc.stderr and "anticommute" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ((0, 0b10, 0), "circuit tableau does not preserve commutation"),
+        ((0, 0b01, 1), "circuit tableau has a non-hermitian image"),
+    ],
+)
+def test_circuit_tableau_is_proven_under_python_O(entry, message):
+    # A wrong table entry for X_0 under H_0 (Z_1, or i Z_0), read while the
+    # circuit's tableau is built: the first conjugation raises, although
+    # apply_circuit does not validate.
+    code = (
+        "from catalab.stabilizer import CliffordCircuit, StabilizerMixture, h_gate\n"
+        "gate = h_gate(2, 0)\n"
+        f"gate._table[(1, 0)] = {entry}\n"
+        "StabilizerMixture.plus_state(2).apply_circuit(CliffordCircuit(2, ((gate,),)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1
+    assert f"ValueError: {message}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "perm, message",
+    [
+        ([0, 0, 1], r"perm\[1\] = 0 is out of range or repeated"),
+        ([0, 5, 1], r"perm\[1\] = 5 is out of range or repeated"),
+        ([1, -1, 0], r"perm\[1\] = -1 is out of range or repeated"),
+        ([0, 1.0], r"perm\[1\] = 1.0 is out of range or repeated"),
+    ],
+)
+def test_permutation_qca_rejects_a_bad_entry(perm, message):
+    with pytest.raises(ValueError, match=message):
+        PermutationQca(perm)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"generators": ["+XX"]}, "keys 'n' and 'generators'"),
+        ({"n": 2}, "keys 'n' and 'generators'"),
+        (["+XX"], "keys 'n' and 'generators'"),
+        ({"n": -1, "generators": []}, "non-negative integer, got -1"),
+        ({"n": "2", "generators": ["+XX"]}, "non-negative integer, got '2'"),
+        ({"n": True, "generators": ["+X"]}, "non-negative integer, got True"),
+        ({"n": 2, "generators": [5]}, "list of Pauli strings"),
+        ({"n": 2, "generators": "+XX"}, "list of Pauli strings"),
+        ({"n": 2, "generators": ["+XQ"]}, "bad Pauli letter"),
+        ({"n": 2, "generators": ["+XXX"]}, "register size mismatch"),
+        ({"n": 2, "generators": ["+iXX"]}, "not hermitian"),
+        ({"n": 2, "generators": ["+XI", "+ZI"]}, "anticommute"),
+        ({"n": 2, "generators": ["+XX", "-XX"]}, "not independent"),
+    ],
+)
+def test_from_json_dict_rejects_malformed_payloads(payload, message):
+    with pytest.raises(ValueError, match=message):
+        StabilizerMixture.from_json_dict(payload)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 6), data=st.data())
+def test_json_round_trip_gives_the_same_state(n, data):
+    state = StabilizerMixture.zero_state(n)
+    for _ in range(data.draw(st.integers(0, 3 * n))):
+        a, b = data.draw(st.permutations(range(n)))[:2] if n > 1 else (0, None)
+        gate = data.draw(st.sampled_from([h_gate, s_gate] + ([cnot_gate] if n > 1 else [])))
+        state = state.apply_gate(gate(n, a) if gate is not cnot_gate else gate(n, a, b))
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flip = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    gens = [g.negate() if f else g for g, k, f in zip(state.generators, keep, flip) if k]
+    state = StabilizerMixture.from_generators(n, gens)
+    back = StabilizerMixture.from_json_dict(state.to_json_dict())
+    assert back.same_state(state) and state.same_state(back)
+    assert back.to_json_dict() == state.to_json_dict()
+    assert back.generators == state.canonical().generators
 
 
 def test_purification_consistency():

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from catalab import gf2
 from catalab.acceptance import CATALYSIS_MATRIX
 from catalab.dense import (
     DenseState,
@@ -602,21 +603,25 @@ def test_doubled_rejects_nonlocal_unitary():
         build_doubled_fdqc(PermutationQca(perm), n, bundle.lattice)
 
 
-@pytest.mark.parametrize(
-    "model, params",
-    [
-        ("cluster-1d", {"n": 32}),
-        ("lsm-dimer", {"n": 16}),
-        ("lieb-2d", {"lx": 3, "ly": 3}),
-        ("square-sspt", {"l": 4}),
-    ],
-)
+GUARD_SIZES = [
+    ("cluster-1d", {"n": 32}),
+    ("lsm-dimer", {"n": 16}),
+    ("lieb-2d", {"lx": 3, "ly": 3}),
+    ("square-sspt", {"l": 4}),
+]
+
+
+def stabilizer_catalysts(model, params):
+    bundle = build_model(model, **params)
+    kinds = [k for k in catalyst_kinds(model) if not catalyst_is_dense(model, k)]
+    return bundle, [build_catalyst(bundle, k) for k in kinds]
+
+
+@pytest.mark.parametrize("model, params", GUARD_SIZES)
 def test_stabilizer_catalysis_multiplies_no_pauli_objects(monkeypatch, model, params):
     # Compile, audit and evolve all run on (x, z, phase) ints; the count is
     # deterministic, so any object product on that path shows here.
-    bundle = build_model(model, **params)
-    kinds = [k for k in catalyst_kinds(model) if not catalyst_is_dense(model, k)]
-    catalysts = [build_catalyst(bundle, k) for k in kinds]
+    bundle, catalysts = stabilizer_catalysts(model, params)
     calls = []
     product = PauliOperator.__mul__
 
@@ -625,6 +630,24 @@ def test_stabilizer_catalysis_multiplies_no_pauli_objects(monkeypatch, model, pa
         return product(a, b)
 
     monkeypatch.setattr(PauliOperator, "__mul__", counted)
+    for catalyst in catalysts:
+        assert verify_catalysis(bundle, catalyst).passed
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("model, params", GUARD_SIZES)
+def test_stabilizer_catalysis_makes_no_elimination(monkeypatch, model, params):
+    # The evolved state is not re-validated, and target (x) catalyst takes
+    # its basis from the factors' bases, cached when they were built.
+    bundle, catalysts = stabilizer_catalysts(model, params)
+    calls = []
+    reduce = gf2._reduce
+
+    def counted(*args):
+        calls.append(1)
+        return reduce(*args)
+
+    monkeypatch.setattr(gf2, "_reduce", counted)
     for catalyst in catalysts:
         assert verify_catalysis(bundle, catalyst).passed
     assert len(calls) == 0
