@@ -499,15 +499,15 @@ def _random_stab_state(n: int, rng: np.random.Generator, mixed: bool) -> Stabili
     for _ in range(4 * n):
         choice = int(rng.integers(0, 4))
         if choice == 0:
-            state = state.apply_gate(h_gate(n, int(rng.integers(0, n))))
+            state = state.apply_circuit(h_gate(n, int(rng.integers(0, n))))
         elif choice == 1:
-            state = state.apply_gate(s_gate(n, int(rng.integers(0, n))))
+            state = state.apply_circuit(s_gate(n, int(rng.integers(0, n))))
         elif choice == 2:
             a, b = rng.choice(n, size=2, replace=False)
-            state = state.apply_gate(cnot_gate(n, int(a), int(b)))
+            state = state.apply_circuit(cnot_gate(n, int(a), int(b)))
         else:
             a, b = rng.choice(n, size=2, replace=False)
-            state = state.apply_gate(cz_gate(n, int(a), int(b)))
+            state = state.apply_circuit(cz_gate(n, int(a), int(b)))
     if mixed and n > 1:
         keep = int(rng.integers(1, n))
         state = StabilizerMixture(n, state.generators[:keep])
@@ -548,7 +548,7 @@ def criterion_8() -> CriterionResult:
                 evolved = state
                 dense_rho = rho
                 for gate in gates:
-                    evolved = evolved.apply_gate(gate)
+                    evolved = evolved.apply_circuit(gate)
                     u = dn.embed_operator(
                         dn.gate_unitary(gate), list(gate.support), n, 2
                     )

@@ -332,7 +332,7 @@ class ModelBundle:
 @lru_cache(maxsize=16)
 def cz_circuit(n: int, edges: tuple[tuple[int, int], ...]) -> CliffordCircuit:
     """One CZ per edge; cached, so repeated callers share one frozen circuit
-    and the conjugation tables its gates fill."""
+    and the tableau it builds on first use."""
     return pack_gates_into_layers(n, [cz_gate(n, a, b) for a, b in edges])
 
 

@@ -218,8 +218,8 @@ class MeasurementTemplate:
 
     def evaluate(self, bits: int) -> tuple[tuple[int, ...], StabilizerMixture]:
         """The outcomes and the post-measurement state for the given bits.
-        The template validated every projection, and validity does not
-        depend on signs, so the state is built without a re-check."""
+        A projection keeps a valid state valid whatever its sign, so the
+        state is built without a re-check."""
         outcomes = tuple(
             -1 if (base + (mask & bits).bit_count()) & 1 else 1
             for base, mask in self.outcomes
@@ -282,7 +282,6 @@ def _measurement_template(n: int) -> MeasurementTemplate:
             masks[j] ^= masks[anti[0]]
         masks[anti[0]] = 1 << t
         state = state.project(op, 1)
-        state.validate()
     for sublattice in (outcomes[0::2], outcomes[1::2]):
         base = mask = 0
         for b, m in sublattice:

@@ -28,6 +28,12 @@ class ZeroProjectionError(Exception):
     """Raised when a forced projection has probability zero."""
 
 
+def _check_register(p: PauliOperator, n: int, register: str) -> PauliOperator:
+    if p.n != n:
+        raise ValueError(f"operator size does not match {register} register")
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Clifford gates and circuits
 # ---------------------------------------------------------------------------
@@ -39,10 +45,10 @@ _SELF_INVERSE = {"H", "X", "Y", "Z", "CZ", "CNOT", "SWAP"}
 class CliffordGate:
     """A local Clifford gate given by its conjugation images on its support.
 
-    Conjugation reads a per-gate table keyed by the operator's (x, z) bits on
-    the support; each entry is the phase-free local image (x, z, phase),
-    filled on first use by multiplying out the images on ints.  The table
-    lives on the instance because equality and hashing ignore `images`: two
+    Conjugation multiplies the images over the operator's support bits on
+    ints.  The gate keeps its own copy of `images`, so a TABLEAU gate's
+    images are proven once, when they come in; the named kinds come from
+    this module's constructors.  Equality and hashing ignore `images`: two
     TABLEAU gates on one support compare equal but act differently.
     """
 
@@ -51,15 +57,13 @@ class CliffordGate:
     support: SiteSet
     images: dict[int, tuple[PauliOperator, PauliOperator]] = field(compare=False)
     _mask: int = field(init=False, repr=False, compare=False)
-    _table: dict[tuple[int, int], tuple[int, int, int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self):
         for a in self.support:
             if not 0 <= a < self.n:
                 raise ValueError(f"gate support {a} out of range for n={self.n}")
         object.__setattr__(self, "_mask", sum(1 << a for a in self.support))
+        object.__setattr__(self, "images", dict(self.images))
         if self.kind == "TABLEAU":
             _validate_tableau_images(self.n, self.support, self._mask, self.images)
 
@@ -69,21 +73,16 @@ class CliffordGate:
         Images stay on the support, so the image of the support part never
         overlaps the untouched rest and the product with it adds no phase.
         """
-        if p.n != self.n:
-            raise ValueError("operator size does not match gate register")
+        _check_register(p, self.n, "gate")
         mask = self._mask
         x, z, phase = self._image(p.x & mask, p.z & mask)
         return PauliOperator(self.n, x | (p.x & ~mask), z | (p.z & ~mask), p.phase + phase)
 
     def _image(self, x: int, z: int) -> tuple[int, int, int]:
-        """The table entry for P = prod_a X_a^{x_a} Z_a^{z_a} on the support:
-        g P g^dagger as the product of the site images in site order, X
-        before Z, multiplied out on first use."""
-        image = self._table.get((x, z))
-        if image is None:
-            ops = [img for a in self.support for img, b in zip(self.images[a], (x, z)) if b >> a & 1]
-            image = self._table[(x, z)] = _product(ops, (1 << len(ops)) - 1)
-        return image
+        """g P g^dagger for P = prod_a X_a^{x_a} Z_a^{z_a} on the support, as
+        the product of the site images in site order, X before Z."""
+        ops = [img for a in self.support for img, b in zip(self.images[a], (x, z)) if b >> a & 1]
+        return _product(ops, (1 << len(ops)) - 1)
 
     def inverse(self) -> "CliffordGate":
         if self.kind in _SELF_INVERSE:
@@ -283,7 +282,7 @@ class CliffordCircuit:
         return len(self.layers)
 
     def _walk(self, x: int, z: int) -> tuple[int, int, int]:
-        """The light-cone image of X^x Z^z as (x, z, phase), via gate tables."""
+        """The light-cone image of X^x Z^z as (x, z, phase), gate by gate."""
         phase = 0
         for at in self._site_gates:
             todo = x | z
@@ -316,8 +315,7 @@ class CliffordCircuit:
         """U p U^dagger as the product of the tableau images over p's
         support, site by site in ascending order, X before Z (the order
         PauliOperator stores), on ints; one operator is built at the end."""
-        if p.n != self.n:
-            raise ValueError("operator size does not match circuit register")
+        _check_register(p, self.n, "circuit")
         images = self._tableau
         x = z = 0
         phase = p.phase
@@ -385,10 +383,10 @@ class PermutationQca:
         self.perm_inv = tuple(inv)
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
-        return p.permute(list(self.perm))
+        return _check_register(p, self.n, "permutation").permute(list(self.perm))
 
     def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
-        return p.permute(list(self.perm_inv))
+        return _check_register(p, self.n, "permutation").permute(list(self.perm_inv))
 
     def inverse(self) -> "PermutationQca":
         return PermutationQca(self.perm_inv)
@@ -525,7 +523,7 @@ class StabilizerMixture:
 
     def membership_sign(self, p: PauliOperator) -> Optional[int]:
         """+1 if p is in the signed group, -1 if -p is, None otherwise (ints only)."""
-        combo = self.combination(p.symplectic())
+        combo = self.combination(_check_register(p, self.n, "state").symplectic())
         if combo is None:
             return None
         diff = (_product(self.generators, combo)[2] - p.phase) & 3
@@ -544,15 +542,10 @@ class StabilizerMixture:
 
     # -- evolution ---------------------------------------------------------
 
-    def apply_gate(self, gate: CliffordGate) -> "StabilizerMixture":
-        """The evolved state, validated: gate table entries are not proven."""
-        new = StabilizerMixture(self.n, tuple(gate.conjugate(g) for g in self.generators))
-        new.validate()
-        return new
-
-    def apply_circuit(self, circuit: QcaLike) -> "StabilizerMixture":
-        """The evolved state, not re-validated: a circuit's tableau and a
-        permutation are proven when built, so a valid state maps to one."""
+    def apply_circuit(self, circuit: Union[CliffordGate, QcaLike]) -> "StabilizerMixture":
+        """The evolved state under a gate, circuit or permutation, not
+        re-validated: each is proven when built (a TABLEAU gate where its
+        images come in), so a valid state maps to a valid one."""
         if circuit.n != self.n:
             raise ValueError("circuit register size mismatch")
         return StabilizerMixture(self.n, tuple(circuit.conjugate(g) for g in self.generators))
@@ -560,7 +553,8 @@ class StabilizerMixture:
     def measure(
         self, p: PauliOperator, rng: np.random.Generator
     ) -> tuple[int, "StabilizerMixture"]:
-        """Projective measurement of a hermitian Pauli; exact update."""
+        """Projective measurement of a hermitian Pauli; exact update, not
+        re-validated, since a projection keeps a valid state valid."""
         if not p.is_hermitian():
             raise ValueError("cannot measure a non-hermitian operator")
         if not any(g.symplectic_product(p) for g in self.generators):
@@ -568,12 +562,14 @@ class StabilizerMixture:
             if sign is not None:
                 return sign, self
         outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
-        new = self.project(p, outcome)
-        new.validate()
-        return outcome, new
+        return outcome, self.project(p, outcome)
 
     def project(self, p: PauliOperator, sign: int) -> "StabilizerMixture":
-        """Forced projection onto the sign eigenspace of p (renormalized)."""
+        """Forced projection onto the sign eigenspace of p (renormalized);
+        the CHP update, which keeps a valid state valid."""
+        _check_register(p, self.n, "state")
+        if sign not in (1, -1):
+            raise ValueError(f"projection sign must be +1 or -1, got {sign!r}")
         if not p.is_hermitian():
             raise ValueError("cannot project onto a non-hermitian operator")
         anti = [j for j, g in enumerate(self.generators) if g.symplectic_product(p)]

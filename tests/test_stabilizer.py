@@ -260,6 +260,68 @@ def test_project_forced_and_zero():
     assert post.membership_sign(PauliOperator.z_at(2, 0).negate()) == 1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.expectation(PauliOperator.z_at(2, 0)),
+        lambda s: s.membership_sign(PauliOperator.z_at(2, 0, 1)),
+        lambda s: s.project(PauliOperator.z_at(2, 0), 1),
+        lambda s: s.measure(PauliOperator.z_at(2, 0), np.random.default_rng(0)),
+        lambda s: s.measure(PauliOperator.x_at(2, 0), np.random.default_rng(0)),
+        lambda s: s.measure(PauliOperator.z_at(6, 0), np.random.default_rng(0)),
+    ],
+    ids=["expectation", "membership-sign", "project", "measure-random", "measure-known", "measure-wider"],
+)
+def test_operator_on_another_register_raises(call):
+    # The bits of a 2-qubit Z_0 would read as Z_0 on the 4-qubit state.
+    with pytest.raises(ValueError, match="operator size does not match state register"):
+        call(StabilizerMixture.plus_state(4))
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+@pytest.mark.parametrize(
+    "state, op",
+    [
+        (StabilizerMixture.plus_state(2), PauliOperator.x_at(2, 0)),
+        (StabilizerMixture.plus_state(2), PauliOperator.z_at(2, 0)),
+        (StabilizerMixture(2, (PauliOperator.x_at(2, 0),)), PauliOperator.z_at(2, 1)),
+    ],
+    ids=["in-group", "anticommuting", "new-generator"],
+)
+def test_project_rejects_a_sign_other_than_plus_or_minus_one(state, op, sign):
+    with pytest.raises(ValueError, match=f"projection sign must be \\+1 or -1, got {sign}"):
+        state.project(op, sign)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: q.conjugate(PauliOperator.x_at(4, 0, 3)),
+        lambda q: q.conjugate_inverse(PauliOperator.x_at(4, 0, 3)),
+        lambda q: q.conjugate(PauliOperator.x_at(1, 0)),
+        lambda q: is_invariant(StabilizerMixture.plus_state(4), q),
+    ],
+    ids=["wider", "wider-inverse", "narrower", "is-invariant"],
+)
+def test_permutation_on_another_register_raises(call):
+    with pytest.raises(ValueError, match="operator size does not match permutation register"):
+        call(PermutationQca([1, 0]))
+
+
+def test_tableau_gate_keeps_its_own_images():
+    # Editing the caller's dict afterwards would change the gate's action
+    # without a new proof; the gate copied the images it proved.
+    n = 2
+    images = {0: (PauliOperator.z_at(n, 0), PauliOperator.x_at(n, 0))}
+    gate = tableau_gate(n, images)
+    images[0] = (PauliOperator.z_at(n, 1), PauliOperator.x_at(n, 0))
+    assert gate.images[0][0] == PauliOperator.z_at(n, 0)
+    assert gate.conjugate(PauliOperator.x_at(n, 0)) == PauliOperator.z_at(n, 0)
+    evolved = StabilizerMixture.plus_state(n).apply_circuit(gate)
+    assert evolved.generators == (PauliOperator.z_at(n, 0), PauliOperator.x_at(n, 1))
+    evolved.validate()
+
+
 def test_canonical_serialization_stable():
     n = 4
     rho = swssb_mixture(n)
@@ -285,39 +347,22 @@ def test_validation_rejects_bad_groups():
         )
 
 
-def test_evolution_validates_under_python_O():
-    # A wrong conjugation-table entry (X_0 -> Z_1 under H_0) makes |+>|+>
-    # evolve to generators that anticommute.  The check is a raise, not an
-    # assert, so it holds with asserts stripped too.
-    code = (
-        "from catalab.stabilizer import StabilizerMixture, h_gate\n"
-        "gate = h_gate(2, 0)\n"
-        "gate._table[(1, 0)] = (0, 0b10, 0)\n"
-        "StabilizerMixture.plus_state(2).apply_gate(gate)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 1
-    assert "ValueError" in proc.stderr and "anticommute" in proc.stderr
-
-
 @pytest.mark.parametrize(
-    "entry, message",
+    "image, message",
     [
-        ((0, 0b10, 0), "circuit tableau does not preserve commutation"),
-        ((0, 0b01, 1), "circuit tableau has a non-hermitian image"),
+        ("PauliOperator.z_at(2, 1)", "circuit tableau does not preserve commutation"),
+        ("PauliOperator(2, 0, 1, 1)", "circuit tableau has a non-hermitian image"),
     ],
 )
-def test_circuit_tableau_is_proven_under_python_O(entry, message):
-    # A wrong table entry for X_0 under H_0 (Z_1, or i Z_0), read while the
-    # circuit's tableau is built: the first conjugation raises, although
-    # apply_circuit does not validate.
+def test_circuit_tableau_is_proven_under_python_O(image, message):
+    # A wrong image of X_0 under H_0 (Z_1, or i Z_0), put into the gate after
+    # it was built and read while the circuit's tableau is built: the first
+    # conjugation raises, although apply_circuit does not validate.
     code = (
+        "from catalab.pauli import PauliOperator\n"
         "from catalab.stabilizer import CliffordCircuit, StabilizerMixture, h_gate\n"
         "gate = h_gate(2, 0)\n"
-        f"gate._table[(1, 0)] = {entry}\n"
+        f"object.__setattr__(gate, 'images', {{0: ({image}, PauliOperator.x_at(2, 0))}})\n"
         "StabilizerMixture.plus_state(2).apply_circuit(CliffordCircuit(2, ((gate,),)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
@@ -372,7 +417,7 @@ def test_json_round_trip_gives_the_same_state(n, data):
     for _ in range(data.draw(st.integers(0, 3 * n))):
         a, b = data.draw(st.permutations(range(n)))[:2] if n > 1 else (0, None)
         gate = data.draw(st.sampled_from([h_gate, s_gate] + ([cnot_gate] if n > 1 else [])))
-        state = state.apply_gate(gate(n, a) if gate is not cnot_gate else gate(n, a, b))
+        state = state.apply_circuit(gate(n, a) if gate is not cnot_gate else gate(n, a, b))
     keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     flip = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     gens = [g.negate() if f else g for g, k, f in zip(state.generators, keep, flip) if k]
@@ -396,10 +441,10 @@ def test_purification_consistency():
         psi = StabilizerMixture.zero_state(n)
         for _ in range(2 * n):
             if rng.integers(0, 2):
-                psi = psi.apply_gate(h_gate(n, int(rng.integers(0, n))))
+                psi = psi.apply_circuit(h_gate(n, int(rng.integers(0, n))))
             else:
                 a, b = rng.choice(n, size=2, replace=False)
-                psi = psi.apply_gate(cnot_gate(n, int(a), int(b)))
+                psi = psi.apply_circuit(cnot_gate(n, int(a), int(b)))
         w = PauliOperator(
             n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), 0
         )
@@ -435,12 +480,12 @@ def test_canonical_form_invariant_under_regeneration():
         for _ in range(3 * n):
             choice = int(rng.integers(0, 3))
             if choice == 0:
-                state = state.apply_gate(h_gate(n, int(rng.integers(0, n))))
+                state = state.apply_circuit(h_gate(n, int(rng.integers(0, n))))
             elif choice == 1:
-                state = state.apply_gate(s_gate(n, int(rng.integers(0, n))))
+                state = state.apply_circuit(s_gate(n, int(rng.integers(0, n))))
             else:
                 a, b = rng.choice(n, size=2, replace=False)
-                state = state.apply_gate(cnot_gate(n, int(a), int(b)))
+                state = state.apply_circuit(cnot_gate(n, int(a), int(b)))
         # multiply a random pair of generators: same group, same canonical form
         gens = list(state.generators)
         if len(gens) >= 2:

@@ -51,12 +51,12 @@ def random_stab_state(n, seed):
     for _ in range(3 * n):
         choice = rng.integers(0, 3)
         if choice == 0:
-            state = state.apply_gate(h_gate(n, int(rng.integers(0, n))))
+            state = state.apply_circuit(h_gate(n, int(rng.integers(0, n))))
         elif choice == 1:
-            state = state.apply_gate(s_gate(n, int(rng.integers(0, n))))
+            state = state.apply_circuit(s_gate(n, int(rng.integers(0, n))))
         else:
             a, b = rng.choice(n, size=2, replace=False)
-            state = state.apply_gate(cnot_gate(n, int(a), int(b)))
+            state = state.apply_circuit(cnot_gate(n, int(a), int(b)))
     return state
 
 
