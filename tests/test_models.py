@@ -64,7 +64,7 @@ def test_cluster_bundle_target():
         )
         assert bundle.target.membership_sign(stab) == 1
     # The measurement protocol checks invariance under the same frozen
-    # circuit, so the gate tables it fills serve both.
+    # circuit, so the tableau it builds serves both.
     assert bundle.entangler is cz_ring_circuit(n)
 
 
