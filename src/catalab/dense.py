@@ -631,8 +631,9 @@ def gate_unitary(gate: CliffordGate) -> np.ndarray:
     """
     support = tuple(gate.support)
     dim = 1 << len(support)
-    img_x = [_restrict_pauli(gate.images[a][0], support) for a in support]
-    img_z = [_restrict_pauli(gate.images[a][1], support) for a in support]
+    images = gate.images
+    img_x = [_restrict_pauli(images[a][0], support) for a in support]
+    img_z = [_restrict_pauli(images[a][1], support) for a in support]
     cols = np.zeros((dim, dim), dtype=np.complex128)
     proj = _projector(len(support), img_z)
     norms = np.linalg.norm(proj, axis=0)

@@ -141,10 +141,6 @@ class PauliOperator:
             (self.phase + other.phase) & 3,
         )
 
-    def shift(self, offset: int, n_total: int) -> "PauliOperator":
-        """Embed into a larger register starting at site offset."""
-        return PauliOperator(n_total, self.x << offset, self.z << offset, self.phase)
-
     def permute(self, perm: dict[int, int] | list[int]) -> "PauliOperator":
         """Relabel sites: bit i moves to perm[i]."""
         if isinstance(perm, dict):

@@ -236,13 +236,14 @@ def _affine_sign(
 ) -> Optional[tuple[int, int]]:
     """(base sign bit, mask) of p's sign in the group, or None when p is
     outside the group up to sign: the member with p's unsigned part is a
-    product of generators, so its mask is the XOR of theirs."""
+    product of generators, so its mask is the XOR of theirs.  Both are
+    hermitian, so their phases differ by 0 or 2."""
+    if not p.is_hermitian():
+        raise ValueError(f"a group sign requires a hermitian operator, got {p}")
     combo = state.combination(p.symplectic())
     if combo is None:
         return None
     diff = (state._combine(combo).phase - p.phase) & 3
-    if diff & 1:
-        raise AssertionError("phase mismatch between hermitian operators")
     mask = 0
     for j, m in enumerate(masks):
         if combo >> j & 1:

@@ -45,27 +45,35 @@ _SELF_INVERSE = {"H", "X", "Y", "Z", "CZ", "CNOT", "SWAP"}
 class CliffordGate:
     """A local Clifford gate given by its conjugation images on its support.
 
-    Conjugation multiplies the images over the operator's support bits on
-    ints.  The gate keeps its own copy of `images`, so a TABLEAU gate's
-    images are proven once, when they come in; the named kinds come from
-    this module's constructors.  Equality and hashing ignore `images`: two
-    TABLEAU gates on one support compare equal but act differently.
+    `rows[a]` holds the images of X_a and Z_a as (x, z, phase) ints, for
+    every support site a; they are the only stored form.  Every kind is
+    proven where it is built: each image is hermitian, stays on the
+    support, and the images commute as X_a and Z_a do.  `images` is the
+    same table as PauliOperator pairs, built on each read.  Equality and
+    hashing ignore the rows: two TABLEAU gates on one support compare equal
+    but act differently.
     """
 
     kind: str
     n: int
     support: SiteSet
-    images: dict[int, tuple[PauliOperator, PauliOperator]] = field(compare=False)
+    rows: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = field(compare=False)
     _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in self.support:
             if not 0 <= a < self.n:
                 raise ValueError(f"gate support {a} out of range for n={self.n}")
+        if sorted(self.rows) != list(self.support):
+            raise ValueError("tableau gate must give images for every support site")
+        object.__setattr__(self, "rows", dict(self.rows))
         object.__setattr__(self, "_mask", sum(1 << a for a in self.support))
-        object.__setattr__(self, "images", dict(self.images))
-        if self.kind == "TABLEAU":
-            _validate_tableau_images(self.n, self.support, self._mask, self.images)
+        _prove(self.n, self._mask, (self.rows[a] for a in self.support), _GATE_PROOF)
+
+    @property
+    def images(self) -> dict[int, tuple[PauliOperator, PauliOperator]]:
+        n = self.n
+        return {a: (PauliOperator(n, *x), PauliOperator(n, *z)) for a, (x, z) in self.rows.items()}
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         """Exact Heisenberg conjugation g P g^dagger.
@@ -79,10 +87,8 @@ class CliffordGate:
         return PauliOperator(self.n, x | (p.x & ~mask), z | (p.z & ~mask), p.phase + phase)
 
     def _image(self, x: int, z: int) -> tuple[int, int, int]:
-        """g P g^dagger for P = prod_a X_a^{x_a} Z_a^{z_a} on the support, as
-        the product of the site images in site order, X before Z."""
-        ops = [img for a in self.support for img, b in zip(self.images[a], (x, z)) if b >> a & 1]
-        return _product(ops, (1 << len(ops)) - 1)
+        """g P g^dagger for P = prod_a X_a^{x_a} Z_a^{z_a} on the support."""
+        return _image(self.rows, x, z)
 
     def inverse(self) -> "CliffordGate":
         if self.kind in _SELF_INVERSE:
@@ -97,21 +103,48 @@ class CliffordGate:
         return f"{self.kind}{tuple(self.support)}"
 
 
-def _validate_tableau_images(n, support, mask, images):
-    for a in support:
-        if a not in images:
-            raise ValueError("tableau gate must give images for every support site")
-        ix, iz = images[a]
-        for img in (ix, iz):
-            if img.n != n:
-                raise ValueError("image register size mismatch")
-            if not img.is_hermitian():
-                raise ValueError("tableau images must be hermitian")
-            if (img.x | img.z) & ~mask:
-                raise ValueError("tableau image escapes the gate support")
-    rows = [img.symplectic() for a in support for img in images[a]]
-    if _gram(n, rows) != _paired(len(rows)):
-        raise ValueError("tableau images do not preserve commutation")
+def _image(rows, x: int, z: int) -> tuple[int, int, int]:
+    """The image of X^x Z^z when rows[a] holds the images of X_a and Z_a:
+    their product over the set bits of x | z in ascending site order, X
+    before Z, by PauliOperator.__mul__'s phase rule, as (x, z, phase) ints."""
+    ox = oz = phase = 0
+    todo = x | z
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        img_x, img_z = rows[low.bit_length() - 1]
+        if x & low:
+            ix, iz, iphase = img_x
+            phase += iphase + 2 * (oz & ix).bit_count()
+            ox ^= ix
+            oz ^= iz
+        if z & low:
+            ix, iz, iphase = img_z
+            phase += iphase + 2 * (oz & ix).bit_count()
+            ox ^= ix
+            oz ^= iz
+    return ox, oz, phase & 3
+
+
+_GATE_PROOF = ("tableau images must be hermitian", "tableau images do not preserve commutation")
+_CIRCUIT_PROOF = (
+    "circuit tableau has a non-hermitian image",
+    "circuit tableau does not preserve commutation",
+)
+
+
+def _prove(n: int, mask: int, rows, messages: tuple[str, str]) -> None:
+    """Raise ValueError unless every image in rows (pairs of X and Z images)
+    is hermitian and stays inside mask, and the images commute as the X_a
+    and Z_a they come from do."""
+    flat = [img for pair in rows for img in pair]
+    for x, z, phase in flat:
+        if (phase ^ (x & z).bit_count()) & 1:
+            raise ValueError(messages[0])
+        if (x | z) & ~mask:
+            raise ValueError("tableau image escapes the gate support")
+    if _gram(n, [x | z << n for x, z, _ in flat]) != _paired(len(flat)):
+        raise ValueError(messages[1])
 
 
 def _paired(m: int) -> list[int]:
@@ -159,11 +192,12 @@ def _invert_tableau_gate(gate: CliffordGate) -> CliffordGate:
     product, so the preimage Q of P has x bit <P, g Z_b g^dagger> and z bit
     <P, g X_b g^dagger> at each support site b; one forward conjugation then
     fixes the sign."""
+    images = gate.images
 
     def preimage(target: PauliOperator) -> PauliOperator:
         x = z = 0
         for b in gate.support:
-            img_x, img_z = gate.images[b]
+            img_x, img_z = images[b]
             x |= target.symplectic_product(img_z) << b
             z |= target.symplectic_product(img_x) << b
         cand = PauliOperator(gate.n, x, z, (x & z).bit_count() % 4)
@@ -174,73 +208,68 @@ def _invert_tableau_gate(gate: CliffordGate) -> CliffordGate:
             return cand.negate()
         raise AssertionError("inverse candidate does not conjugate back")
 
-    images = {
+    return tableau_gate(gate.n, {
         a: (preimage(PauliOperator.x_at(gate.n, a)), preimage(PauliOperator.z_at(gate.n, a)))
         for a in gate.support
-    }
-    return CliffordGate("TABLEAU", gate.n, gate.support, images)
+    })
 
 
-def _one_site(kind: str, n: int, a: int, img_x: PauliOperator, img_z: PauliOperator) -> CliffordGate:
-    return CliffordGate(kind, n, SiteSet([a]), {a: (img_x, img_z)})
+def _one_site(kind: str, n: int, a: int, img_x: tuple, img_z: tuple) -> CliffordGate:
+    """A one-site gate from its images of X_a and Z_a, each (x bit, z bit, phase) at a."""
+    rows = {a: tuple((x << a, z << a, phase) for x, z, phase in (img_x, img_z))}
+    return CliffordGate(kind, n, SiteSet([a]), rows)
 
 
 def h_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("H", n, a, PauliOperator.z_at(n, a), PauliOperator.x_at(n, a))
+    return _one_site("H", n, a, (0, 1, 0), (1, 0, 0))
 
 
 def s_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("S", n, a, PauliOperator.y_at(n, a), PauliOperator.z_at(n, a))
+    return _one_site("S", n, a, (1, 1, 1), (0, 1, 0))
 
 
 def sdg_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("SDG", n, a, PauliOperator.y_at(n, a).negate(), PauliOperator.z_at(n, a))
+    return _one_site("SDG", n, a, (1, 1, 3), (0, 1, 0))
 
 
 def x_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("X", n, a, PauliOperator.x_at(n, a), PauliOperator.z_at(n, a).negate())
+    return _one_site("X", n, a, (1, 0, 0), (0, 1, 2))
 
 
 def y_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("Y", n, a, PauliOperator.x_at(n, a).negate(), PauliOperator.z_at(n, a).negate())
+    return _one_site("Y", n, a, (1, 0, 2), (0, 1, 2))
 
 
 def z_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("Z", n, a, PauliOperator.x_at(n, a).negate(), PauliOperator.z_at(n, a))
+    return _one_site("Z", n, a, (1, 0, 2), (0, 1, 0))
 
 
 def cz_gate(n: int, a: int, b: int) -> CliffordGate:
-    images = {
-        a: (PauliOperator.x_at(n, a) * PauliOperator.z_at(n, b), PauliOperator.z_at(n, a)),
-        b: (PauliOperator.z_at(n, a) * PauliOperator.x_at(n, b), PauliOperator.z_at(n, b)),
-    }
-    return CliffordGate("CZ", n, SiteSet([a, b]), images)
+    ma, mb = 1 << a, 1 << b
+    rows = {a: ((ma, mb, 0), (0, ma, 0)), b: ((mb, ma, 0), (0, mb, 0))}
+    return CliffordGate("CZ", n, SiteSet([a, b]), rows)
 
 
 def cnot_gate(n: int, control: int, target: int) -> CliffordGate:
-    images = {
-        control: (
-            PauliOperator.x_at(n, control, target),
-            PauliOperator.z_at(n, control),
-        ),
-        target: (
-            PauliOperator.x_at(n, target),
-            PauliOperator.z_at(n, control, target),
-        ),
-    }
-    return CliffordGate("CNOT", n, SiteSet([control, target]), images)
+    mc, mt = 1 << control, 1 << target
+    rows = {control: ((mc | mt, 0, 0), (0, mc, 0)), target: ((mt, 0, 0), (0, mc | mt, 0))}
+    return CliffordGate("CNOT", n, SiteSet([control, target]), rows)
 
 
 def swap_gate(n: int, a: int, b: int) -> CliffordGate:
-    images = {
-        a: (PauliOperator.x_at(n, b), PauliOperator.z_at(n, b)),
-        b: (PauliOperator.x_at(n, a), PauliOperator.z_at(n, a)),
-    }
-    return CliffordGate("SWAP", n, SiteSet([a, b]), images)
+    ma, mb = 1 << a, 1 << b
+    rows = {a: ((mb, 0, 0), (0, mb, 0)), b: ((ma, 0, 0), (0, ma, 0))}
+    return CliffordGate("SWAP", n, SiteSet([a, b]), rows)
 
 
 def tableau_gate(n: int, images: dict[int, tuple[PauliOperator, PauliOperator]]) -> CliffordGate:
-    return CliffordGate("TABLEAU", n, SiteSet(images.keys()), images)
+    """A TABLEAU gate from PauliOperator images, read into rows once."""
+    rows = {}
+    for a, pair in images.items():
+        if any(img.n != n for img in pair):
+            raise ValueError("image register size mismatch")
+        rows[a] = tuple((img.x, img.z, img.phase) for img in pair)
+    return CliffordGate("TABLEAU", n, SiteSet(images), rows)
 
 
 @dataclass(frozen=True)
@@ -256,7 +285,7 @@ class CliffordCircuit:
 
     n: int
     layers: tuple[tuple[CliffordGate, ...], ...]
-    _site_gates: tuple[dict[int, tuple[CliffordGate, int]], ...] = field(
+    _site_gates: tuple[dict[int, tuple[dict, int]], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -266,14 +295,14 @@ class CliffordCircuit:
         )
         index = []
         for layer in self.layers:
-            at: dict[int, tuple[CliffordGate, int]] = {}
+            at: dict[int, tuple[dict, int]] = {}
             for g in layer:
                 if g.n != self.n:
                     raise ValueError("gate register size mismatch")
                 for a in g.support:
                     if a in at:
                         raise ValueError("overlapping gate supports within a layer")
-                    at[a] = (g, g._mask)
+                    at[a] = (g.rows, g._mask)
             index.append(at)
         object.__setattr__(self, "_site_gates", tuple(index))
 
@@ -292,8 +321,8 @@ class CliffordCircuit:
                 if hit is None:
                     todo ^= low
                 else:
-                    gate, mask = hit
-                    ix, iz, iphase = gate._image(x & mask, z & mask)
+                    rows, mask = hit
+                    ix, iz, iphase = _image(rows, x & mask, z & mask)
                     x = ix | (x & ~mask)
                     z = iz | (z & ~mask)
                     phase += iphase
@@ -301,35 +330,19 @@ class CliffordCircuit:
         return x, z, phase & 3
 
     @cached_property
-    def _tableau(self) -> tuple[tuple[int, int, int], ...]:
-        """The images of X_0, Z_0, X_1, Z_1, ..., walked and then proven."""
+    def _tableau(self) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]:
+        """The images of X_a and Z_a for every site a, walked and then proven."""
         n = self.n
-        images = tuple(self._walk(x << a, (x ^ 1) << a) for a in range(n) for x in (1, 0))
-        if any((phase ^ (x & z).bit_count()) & 1 for x, z, phase in images):
-            raise ValueError("circuit tableau has a non-hermitian image")
-        if _gram(n, [x | z << n for x, z, _ in images]) != _paired(2 * n):
-            raise ValueError("circuit tableau does not preserve commutation")
+        images = tuple((self._walk(1 << a, 0), self._walk(0, 1 << a)) for a in range(n))
+        _prove(n, (1 << n) - 1, images, _CIRCUIT_PROOF)
         return images
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         """U p U^dagger as the product of the tableau images over p's
-        support, site by site in ascending order, X before Z (the order
-        PauliOperator stores), on ints; one operator is built at the end."""
+        support, on ints; one operator is built at the end."""
         _check_register(p, self.n, "circuit")
-        images = self._tableau
-        x = z = 0
-        phase = p.phase
-        todo = p.x | p.z
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            a = 2 * low.bit_length() - 2
-            for bit, (ix, iz, iphase) in ((p.x & low, images[a]), (p.z & low, images[a + 1])):
-                if bit:
-                    phase += iphase + 2 * ((z & ix).bit_count() & 1)
-                    x ^= ix
-                    z ^= iz
-        return PauliOperator(self.n, x, z, phase)
+        x, z, phase = _image(self._tableau, p.x, p.z)
+        return PauliOperator(self.n, x, z, p.phase + phase)
 
     def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
         return self.inverse().conjugate(p)
@@ -390,6 +403,11 @@ class PermutationQca:
 
     def inverse(self) -> "PermutationQca":
         return PermutationQca(self.perm_inv)
+
+    @cached_property
+    def _tableau(self) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]:
+        """The images of X_a and Z_a for every site a, as a circuit holds them."""
+        return tuple(((1 << p, 0, 0), (0, 1 << p, 0)) for p in self.perm)
 
 
 # Both handles offer n, conjugate, conjugate_inverse and inverse.
@@ -522,21 +540,18 @@ class StabilizerMixture:
         return combo
 
     def membership_sign(self, p: PauliOperator) -> Optional[int]:
-        """+1 if p is in the signed group, -1 if -p is, None otherwise (ints only)."""
-        combo = self.combination(_check_register(p, self.n, "state").symplectic())
+        """+1 if the hermitian p is in the signed group, -1 if -p is, None
+        otherwise (ints only).  The member with p's bits is hermitian too, so
+        the two phases differ by 0 or 2."""
+        if not _check_register(p, self.n, "state").is_hermitian():
+            raise ValueError(f"a group sign requires a hermitian operator, got {p}")
+        combo = self.combination(p.symplectic())
         if combo is None:
             return None
-        diff = (_product(self.generators, combo)[2] - p.phase) & 3
-        if diff == 0:
-            return 1
-        if diff == 2:
-            return -1
-        raise AssertionError("phase mismatch between hermitian operators")
+        return 1 - ((_product(self.generators, combo)[2] - p.phase) & 3)
 
     def expectation(self, p: PauliOperator) -> int:
         """Tr(rho p) for a hermitian Pauli: exactly -1, 0, or +1."""
-        if not p.is_hermitian():
-            raise ValueError("expectation requires a hermitian operator")
         sign = self.membership_sign(p)
         return 0 if sign is None else sign
 
@@ -544,8 +559,8 @@ class StabilizerMixture:
 
     def apply_circuit(self, circuit: Union[CliffordGate, QcaLike]) -> "StabilizerMixture":
         """The evolved state under a gate, circuit or permutation, not
-        re-validated: each is proven when built (a TABLEAU gate where its
-        images come in), so a valid state maps to a valid one."""
+        re-validated: each is proven when built, so a valid state maps to a
+        valid one."""
         if circuit.n != self.n:
             raise ValueError("circuit register size mismatch")
         return StabilizerMixture(self.n, tuple(circuit.conjugate(g) for g in self.generators))

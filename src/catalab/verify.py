@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,11 +37,10 @@ from .stabilizer import (
     CliffordGate,
     QcaLike,
     StabilizerMixture,
-    _product,
+    _image,
     fidelity,
     pack_gates_into_layers,
     swap_gate,
-    tableau_gate,
 )
 
 
@@ -54,25 +53,32 @@ class RegionTooSmallError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _site_images(
-    conj: Callable[[PauliOperator], PauliOperator], n: int
-) -> list[tuple[PauliOperator, PauliOperator]]:
-    """(conj(X_a), conj(Z_a)) for every site a."""
-    return [(conj(PauliOperator.x_at(n, a)), conj(PauliOperator.z_at(n, a))) for a in range(n)]
+def _site_images(qca: QcaLike, n: int) -> Sequence[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The images of X_a and Z_a under the handle for every site a, as
+    (x, z, phase) ints read off its tableau."""
+    if qca.n != n:
+        raise ValueError("operator size does not match the entangler register")
+    return qca._tableau
 
 
-def _spread(images: list[tuple[PauliOperator, PauliOperator]], lattice) -> int:
-    worst = 0
-    for i, pair in enumerate(images):
-        for image in pair:
-            for j in image.support():
-                worst = max(worst, lattice.distance(i, j))
-    return worst
+def _reach(pair) -> Iterator[int]:
+    """The sites, ascending, that a site's (X image, Z image) pair acts on."""
+    (xx, xz, _), (zx, zz, _) = pair
+    bits = xx | xz | zx | zz
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield low.bit_length() - 1
+
+
+def _spread(images, lattice) -> int:
+    reach = (lattice.distance(i, j) for i, pair in enumerate(images) for j in _reach(pair))
+    return max(reach, default=0)
 
 
 def qca_spread(qca: QcaLike, n: int, lattice) -> int:
     """Exact maximum support growth of single-site operators under the QCA."""
-    return _spread(_site_images(qca.conjugate, n), lattice)
+    return _spread(_site_images(qca, n), lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -155,35 +161,35 @@ def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
     register A, write U^dagger P_a U = R S with S the phase-free site-i factor:
     the swap moves S to site n+i and U maps R = (U^dagger P_a U) S^dagger to
     P_a (U S U^dagger)^dagger.  P_{n+i} is swapped to P_i and maps to U P_i U^dagger.
+    Every image is read and written as (x, z, phase) ints.
     """
-    forward = _site_images(qca.conjugate, n)
+    forward = _site_images(qca, n)
     if _spread(forward, lattice) > max(1, n // 3):
         raise ValueError("entangler failed the locality audit at this size")
-    backward = _site_images(qca.conjugate_inverse, n)
+    backward = _site_images(qca.inverse(), n)
     # touching[i] = register-A sites whose inverse-conjugated X/Z images reach i.
     touching: list[list[int]] = [[] for _ in range(n)]
-    for a, (bx, bz) in enumerate(backward):
-        for i in SiteSet(bx.support() + bz.support()):
+    for a, pair in enumerate(backward):
+        for i in _reach(pair):
             touching[i].append(a)
     n2 = 2 * n
     v_gates = []
     for i in range(n):
-        fx, fz = forward[i]
         b = n + i
-        images = {}
+        rows = {}
         for a in touching[i]:
             pair = []
-            for px, pz, q in ((1 << a, 0, backward[a][0]), (0, 1 << a, backward[a][1])):
+            for px, pz, (qx, qz, _) in ((1 << a, 0, backward[a][0]), (0, 1 << a, backward[a][1])):
                 # S = X_i^sx Z_i^sz is the site-i factor of q = U^dagger p U.
                 # U S U^dagger commutes with the single-site p, so the head
                 # p (U S U^dagger)^dagger takes only the dagger's phase.
-                sx, sz = (q.x >> i) & 1, (q.z >> i) & 1
-                ux, uz, uphase = _product((fx, fz), sx | sz << 1)
-                phase = 2 * (ux & uz).bit_count() - uphase
-                pair.append(PauliOperator(n2, (px ^ ux) | sx << b, (pz ^ uz) | sz << b, phase))
-            images[a] = tuple(pair)
-        images[b] = (fx.shift(0, n2), fz.shift(0, n2))
-        v_gates.append(tableau_gate(n2, images))
+                sx, sz = (qx >> i) & 1, (qz >> i) & 1
+                ux, uz, uphase = _image(forward, sx << i, sz << i)
+                phase = (2 * (ux & uz).bit_count() - uphase) & 3
+                pair.append(((px ^ ux) | sx << b, (pz ^ uz) | sz << b, phase))
+            rows[a] = tuple(pair)
+        rows[b] = forward[i]
+        v_gates.append(CliffordGate("TABLEAU", n2, SiteSet(rows), rows))
     s_gates = tuple(swap_gate(n2, i, n + i) for i in range(n))
     return DoubledCircuit(n, tuple(v_gates), s_gates)
 

@@ -131,6 +131,11 @@ def random_tableau_gate(rng, n, sites):
     return tableau_of(n, sites, [random_named_gate(rng, n, sites) for _ in range(4)])
 
 
+def rows_of(images):
+    """A gate's integer rows for a table of PauliOperator image pairs."""
+    return {a: tuple((p.x, p.z, p.phase) for p in pair) for a, pair in images.items()}
+
+
 def tableau_of(n, sites, named):
     """A TABLEAU gate on `sites` with the images of the named gates in turn."""
     images = {}
@@ -342,6 +347,39 @@ def test_tableau_gate_table_matches_image_product_loop(n, seed):
         assert_table_matches_loop(rng, random_named_gate(rng, n, sites))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=SEEDS)
+def test_image_kernel_matches_ordered_image_product(n, seed):
+    # The bit-loop kernel on a gate's integer rows against the product of
+    # its `images` objects in site order, X before Z, signs included: a
+    # random proven tableau gate on up to 4 sites and every named kind.
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, min(4, n) + 1))
+    sites = [int(a) for a in rng.choice(n, size=size, replace=False)]
+    gates = [random_tableau_gate(rng, n, sites)] + [make(n, sites[0]) for make in ONE_SITE]
+    if size > 1:
+        gates += [make(n, sites[0], sites[1]) for make in TWO_SITE]
+    for gate in gates:
+        for _ in range(8):
+            x, z = (int(rng.integers(0, 1 << n)) & gate._mask for _ in range(2))
+            want = reference_gate_conjugate(gate, PauliOperator(n, x, z, 0))
+            assert gate._image(x, z) == (want.x, want.z, want.phase), gate
+
+
+@pytest.mark.parametrize("make", ONE_SITE + TWO_SITE, ids=lambda f: f.__name__)
+def test_named_kinds_take_the_tableau_proof(make):
+    # A named kind's rows, corrupted as `corrupted_images` does, are refused
+    # with the message `tableau_gate` gives for the same images.
+    rng = np.random.default_rng(23)
+    n = 4
+    gate = make(n, *((2,) if make in ONE_SITE else (3, 1)))
+    for _ in range(6):
+        for name, case, refused in corrupted_images(rng, n, gate.images):
+            got = validation_error(lambda: CliffordGate(gate.kind, n, gate.support, rows_of(case)))
+            assert got == validation_error(lambda: tableau_gate(n, case)), name
+            assert (got is not None) == refused, name
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 6), seed=SEEDS)
 def test_tableau_gate_inverse_round_trips_every_support_pauli(n, seed):
@@ -428,6 +466,32 @@ def assert_doubled_matches_reference(qca, n, lattice):
 def test_doubled_compile_matches_reference_on_registry(model, params):
     bundle = build_model(model, **params)
     assert_doubled_matches_reference(bundle.entangler, bundle.n, bundle.lattice)
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("cluster-1d", {"n": 64}),
+        ("lieb-2d", {"lx": 6, "ly": 6}),
+        ("lsm-dimer", {"n": 64}),
+        ("square-sspt", {"l": 4}),
+    ],
+)
+def test_doubled_compile_builds_no_pauli_operator(monkeypatch, model, params):
+    # U's and U^-1's site images, the locality check and every gate's rows
+    # are ints, for circuits and permutations alike.
+    bundle = build_model(model, **params)
+    built = []
+    inner = PauliOperator.__post_init__
+
+    def counting(self):
+        built.append(self)
+        inner(self)
+
+    monkeypatch.setattr(PauliOperator, "__post_init__", counting)
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    assert len(doubled.v_gates) == len(doubled.s_gates) == bundle.n
+    assert built == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -932,6 +996,13 @@ X0, X1 = PauliOperator.x_at(2, 0), PauliOperator.x_at(2, 1)
 Z0, Z1 = PauliOperator.z_at(2, 0), PauliOperator.z_at(2, 1)
 
 
+def test_a_named_gate_with_an_escaping_image_is_refused():
+    # An H on site 0 with the images (Z_1, X_0) was once built unproven, and
+    # evolving |++> through it gave the anticommuting generators +IZ, +IX.
+    with pytest.raises(ValueError, match="tableau image escapes the gate support"):
+        CliffordGate("H", 2, (0,), rows_of({0: (Z1, X0)}))
+
+
 @pytest.mark.parametrize(
     "images, message",
     [
@@ -942,9 +1013,12 @@ Z0, Z1 = PauliOperator.z_at(2, 0), PauliOperator.z_at(2, 1)
     ids=["z0-and-minus-z0", "x0-and-minus-x0", "x0-twice"],
 )
 def test_inconsistent_image_tables_raise(images, message):
-    # A named kind skips the table check, so these tables reach the builder.
+    # Every kind is proven when built, so these tables are put into a valid
+    # gate's rows afterwards to reach the builder's own checks.
+    gate = cz_gate(2, 0, 1)
+    object.__setattr__(gate, "rows", rows_of(images))
     with pytest.raises(AssertionError, match=message):
-        gate_unitary(CliffordGate("CZ", 2, (0, 1), images))
+        gate_unitary(gate)
 
 
 def reference_stabilizer_density(state):

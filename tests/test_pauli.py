@@ -115,11 +115,10 @@ def test_string_round_trip():
         assert PauliOperator.from_string(text).to_string() == text
 
 
-def test_tensor_and_shift():
+def test_tensor():
     a = PauliOperator.from_string("X")
     b = PauliOperator.from_string("Z")
     assert a.tensor(b).to_string() == "+XZ"
-    assert a.shift(2, 4).to_string() == "+IIXI"
 
 
 def test_permute_translation():

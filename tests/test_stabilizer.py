@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import catalab
 from catalab.pauli import PauliOperator
+from catalab.protocols import _affine_sign
 from catalab.stabilizer import (
     CliffordCircuit,
     PermutationQca,
@@ -190,6 +191,23 @@ def test_expectation_requires_hermitian():
         rho.expectation(P("-iZZ"))
 
 
+@pytest.mark.parametrize(
+    "sign",
+    [
+        lambda state, p: state.membership_sign(p),
+        lambda state, p: _affine_sign(state, [0] * state.k, p),
+    ],
+    ids=["membership_sign", "affine_sign"],
+)
+@pytest.mark.parametrize("op", ["+iX", "-iXX", "+iZY"], ids=["in-group", "in-group-2", "outside"])
+def test_group_signs_refuse_a_non_hermitian_operator(sign, op):
+    # i X is in the group of |+> up to a phase, so the check must come
+    # before any sign comparison; +iZY is outside the group altogether.
+    p = P(op)
+    with pytest.raises(ValueError, match="requires a hermitian operator"):
+        sign(StabilizerMixture.plus_state(p.n), p)
+
+
 def test_fidelity_self():
     rho = swssb_mixture(6)
     assert fidelity(rho, rho) == Fraction(1)
@@ -355,14 +373,15 @@ def test_validation_rejects_bad_groups():
     ],
 )
 def test_circuit_tableau_is_proven_under_python_O(image, message):
-    # A wrong image of X_0 under H_0 (Z_1, or i Z_0), put into the gate after
-    # it was built and read while the circuit's tableau is built: the first
-    # conjugation raises, although apply_circuit does not validate.
+    # A wrong image of X_0 under H_0 (Z_1, or i Z_0), put into the gate's
+    # rows after it was built and read while the circuit's tableau is built:
+    # the first conjugation raises, although apply_circuit does not validate.
     code = (
         "from catalab.pauli import PauliOperator\n"
         "from catalab.stabilizer import CliffordCircuit, StabilizerMixture, h_gate\n"
         "gate = h_gate(2, 0)\n"
-        f"object.__setattr__(gate, 'images', {{0: ({image}, PauliOperator.x_at(2, 0))}})\n"
+        f"img = {image}\n"
+        "object.__setattr__(gate, 'rows', {0: ((img.x, img.z, img.phase), (1, 0, 0))})\n"
         "StabilizerMixture.plus_state(2).apply_circuit(CliffordCircuit(2, ((gate,),)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
