@@ -83,12 +83,8 @@ class CliffordGate:
         """
         _check_register(p, self.n, "gate")
         mask = self._mask
-        x, z, phase = self._image(p.x & mask, p.z & mask)
+        x, z, phase = _image(self.rows, p.x & mask, p.z & mask)
         return PauliOperator(self.n, x | (p.x & ~mask), z | (p.z & ~mask), p.phase + phase)
-
-    def _image(self, x: int, z: int) -> tuple[int, int, int]:
-        """g P g^dagger for P = prod_a X_a^{x_a} Z_a^{z_a} on the support."""
-        return _image(self.rows, x, z)
 
     def inverse(self) -> "CliffordGate":
         if self.kind in _SELF_INVERSE:

@@ -243,7 +243,7 @@ def audit_gate_symmetric(gate: CliffordGate, symmetry: SymmetryRep) -> bool:
         if x | z:
             if gen.pauli.n != gate.n:
                 raise ValueError("operator size does not match gate register")
-            if gate._image(x, z) != (x, z, 0):
+            if _image(gate.rows, x, z) != (x, z, 0):
                 return False
     return True
 

@@ -88,6 +88,7 @@ from catalab.stabilizer import (
     PermutationQca,
     StabilizerMixture,
     ZeroProjectionError,
+    _image,
     cnot_gate,
     cz_gate,
     fidelity,
@@ -241,7 +242,7 @@ def reference_circuit_conjugate(circuit, p):
                 todo ^= low
                 continue
             mask = gate._mask
-            ix, iz, iphase = gate._image(x & mask, z & mask)
+            ix, iz, iphase = _image(gate.rows, x & mask, z & mask)
             x, z, phase = ix | (x & ~mask), iz | (z & ~mask), phase + iphase
             todo &= ~mask
     return PauliOperator(circuit.n, x, z, phase)
@@ -363,7 +364,7 @@ def test_image_kernel_matches_ordered_image_product(n, seed):
         for _ in range(8):
             x, z = (int(rng.integers(0, 1 << n)) & gate._mask for _ in range(2))
             want = reference_gate_conjugate(gate, PauliOperator(n, x, z, 0))
-            assert gate._image(x, z) == (want.x, want.z, want.phase), gate
+            assert _image(gate.rows, x, z) == (want.x, want.z, want.phase), gate
 
 
 @pytest.mark.parametrize("make", ONE_SITE + TWO_SITE, ids=lambda f: f.__name__)
