@@ -998,8 +998,8 @@ Z0, Z1 = PauliOperator.z_at(2, 0), PauliOperator.z_at(2, 1)
 
 
 def test_a_named_gate_with_an_escaping_image_is_refused():
-    # An H on site 0 with the images (Z_1, X_0) was once built unproven, and
-    # evolving |++> through it gave the anticommuting generators +IZ, +IX.
+    # An H on site 0 with the images (Z_1, X_0) would evolve |++> into the
+    # anticommuting generators +IZ, +IX, an invalid state.
     with pytest.raises(ValueError, match="tableau image escapes the gate support"):
         CliffordGate("H", 2, (0,), rows_of({0: (Z1, X0)}))
 
