@@ -141,21 +141,6 @@ class PauliOperator:
             (self.phase + other.phase) & 3,
         )
 
-    def permute(self, perm: dict[int, int] | list[int]) -> "PauliOperator":
-        """Relabel sites: bit i moves to perm[i]."""
-        if isinstance(perm, dict):
-            lookup = perm
-        else:
-            lookup = {i: p for i, p in enumerate(perm)}
-        x = z = 0
-        for i in range(self.n):
-            j = lookup.get(i, i)
-            if (self.x >> i) & 1:
-                x |= 1 << j
-            if (self.z >> i) & 1:
-                z |= 1 << j
-        return PauliOperator(self.n, x, z, self.phase)
-
     # -- symplectic packing ---------------------------------------------
 
     def symplectic(self) -> int:

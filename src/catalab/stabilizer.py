@@ -38,10 +38,7 @@ def _check_register(p: PauliOperator, n: int, register: str) -> PauliOperator:
 # Clifford gates and circuits
 # ---------------------------------------------------------------------------
 
-_SELF_INVERSE = {"H", "X", "Y", "Z", "CZ", "CNOT", "SWAP"}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordGate:
     """A local Clifford gate given by its conjugation images on its support.
 
@@ -49,16 +46,16 @@ class CliffordGate:
     every support site a; they are the only stored form.  Every kind is
     proven where it is built: each image is hermitian, stays on the
     support, and the images commute as X_a and Z_a do.  `images` is the
-    same table as PauliOperator pairs, built on each read.  Equality and
-    hashing ignore the rows: two TABLEAU gates on one support compare equal
-    but act differently.
+    same table as PauliOperator pairs, built on each read.  The inverse is
+    read off the rows by `_dual`, whatever the kind.  Gates compare and
+    hash by identity.
     """
 
     kind: str
     n: int
     support: SiteSet
-    rows: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = field(compare=False)
-    _mask: int = field(init=False, repr=False, compare=False)
+    rows: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]]
+    _mask: int = field(init=False, repr=False)
 
     def __post_init__(self):
         for a in self.support:
@@ -87,13 +84,10 @@ class CliffordGate:
         return PauliOperator(self.n, x | (p.x & ~mask), z | (p.z & ~mask), p.phase + phase)
 
     def inverse(self) -> "CliffordGate":
-        if self.kind in _SELF_INVERSE:
-            return self
-        if self.kind == "S":
-            return sdg_gate(self.n, self.support[0])
-        if self.kind == "SDG":
-            return s_gate(self.n, self.support[0])
-        return _invert_tableau_gate(self)
+        """The gate itself when its dual rows are its own rows, else a
+        TABLEAU gate on those rows."""
+        rows = dict(zip(self.support, _dual(self.rows, self.support)))
+        return self if rows == self.rows else CliffordGate("TABLEAU", self.n, self.support, rows)
 
     def __repr__(self) -> str:
         return f"{self.kind}{tuple(self.support)}"
@@ -120,6 +114,36 @@ def _image(rows, x: int, z: int) -> tuple[int, int, int]:
             ox ^= ix
             oz ^= iz
     return ox, oz, phase & 3
+
+
+def _dual(rows, sites) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+    """The inverse's rows for each site a of sites, in order: the preimages
+    of X_a and Z_a when rows[b] holds the images of X_b and Z_b.
+
+    A Clifford preserves the symplectic product, so the preimage of P has
+    x bit <P, U Z_b U^dagger> and z bit <P, U X_b U^dagger> at each site b:
+    the image bits, transposed.  One forward image fixes each sign, since
+    it maps the phase-free preimage to i^phase P.  Rows that do not
+    preserve commutation fail that image, and raise ValueError.
+    """
+    sites = list(sites)
+    # x and z of X_a's preimage, then of Z_a's, for each site a.
+    pre = {a: [0, 0, 0, 0] for a in sites}
+    for b in sites:
+        (xx, xz, _), (zx, zz, _) = rows[b]
+        for k, bits in enumerate((zz, xz, zx, xx)):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                pre[low.bit_length() - 1][k] |= 1 << b
+    dual = []
+    for a in sites:
+        ax, az, bx, bz = pre[a]
+        fx, fz = _image(rows, ax, az), _image(rows, bx, bz)
+        if fx[:2] != (1 << a, 0) or fz[:2] != (0, 1 << a):
+            raise ValueError("tableau does not preserve commutation, so it has no dual")
+        dual.append(((ax, az, -fx[2] & 3), (bx, bz, -fz[2] & 3)))
+    return dual
 
 
 _GATE_PROOF = ("tableau images must be hermitian", "tableau images do not preserve commutation")
@@ -183,61 +207,14 @@ def _gram(n: int, packed: Sequence[int]) -> list[int]:
     return rows
 
 
-def _invert_tableau_gate(gate: CliffordGate) -> CliffordGate:
-    """Images of the inverse by symplectic duality: g preserves the symplectic
-    product, so the preimage Q of P has x bit <P, g Z_b g^dagger> and z bit
-    <P, g X_b g^dagger> at each support site b; one forward conjugation then
-    fixes the sign."""
-    images = gate.images
-
-    def preimage(target: PauliOperator) -> PauliOperator:
-        x = z = 0
-        for b in gate.support:
-            img_x, img_z = images[b]
-            x |= target.symplectic_product(img_z) << b
-            z |= target.symplectic_product(img_x) << b
-        cand = PauliOperator(gate.n, x, z, (x & z).bit_count() % 4)
-        forward = gate.conjugate(cand)
-        if forward == target:
-            return cand
-        if forward == target.negate():
-            return cand.negate()
-        raise AssertionError("inverse candidate does not conjugate back")
-
-    return tableau_gate(gate.n, {
-        a: (preimage(PauliOperator.x_at(gate.n, a)), preimage(PauliOperator.z_at(gate.n, a)))
-        for a in gate.support
-    })
-
-
-def _one_site(kind: str, n: int, a: int, img_x: tuple, img_z: tuple) -> CliffordGate:
-    """A one-site gate from its images of X_a and Z_a, each (x bit, z bit, phase) at a."""
-    rows = {a: tuple((x << a, z << a, phase) for x, z, phase in (img_x, img_z))}
-    return CliffordGate(kind, n, SiteSet([a]), rows)
-
-
 def h_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("H", n, a, (0, 1, 0), (1, 0, 0))
+    m = 1 << a
+    return CliffordGate("H", n, SiteSet([a]), {a: ((0, m, 0), (m, 0, 0))})
 
 
 def s_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("S", n, a, (1, 1, 1), (0, 1, 0))
-
-
-def sdg_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("SDG", n, a, (1, 1, 3), (0, 1, 0))
-
-
-def x_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("X", n, a, (1, 0, 0), (0, 1, 2))
-
-
-def y_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("Y", n, a, (1, 0, 2), (0, 1, 2))
-
-
-def z_gate(n: int, a: int) -> CliffordGate:
-    return _one_site("Z", n, a, (1, 0, 2), (0, 1, 0))
+    m = 1 << a
+    return CliffordGate("S", n, SiteSet([a]), {a: ((m, m, 1), (0, m, 0))})
 
 
 def cz_gate(n: int, a: int, b: int) -> CliffordGate:
@@ -268,15 +245,40 @@ def tableau_gate(n: int, images: dict[int, tuple[PauliOperator, PauliOperator]])
     return CliffordGate("TABLEAU", n, SiteSet(images), rows)
 
 
+class _TableauHandle:
+    """Conjugation through `_tableau`, the images of every X_a and Z_a on
+    the n sites as (x, z, phase) ints, and backwards through its `_dual`,
+    built once.  `_register` names the handle in a size mismatch."""
+
+    def conjugate(self, p: PauliOperator) -> PauliOperator:
+        """U p U^dagger as the product of the tableau images over p's
+        support, on ints; one operator is built at the end."""
+        _check_register(p, self.n, self._register)
+        x, z, phase = _image(self._tableau, p.x, p.z)
+        return PauliOperator(self.n, x, z, p.phase + phase)
+
+    def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
+        """U^dagger p U the same way, through the dual tableau."""
+        _check_register(p, self.n, self._register)
+        x, z, phase = _image(self._inverse_tableau, p.x, p.z)
+        return PauliOperator(self.n, x, z, p.phase + phase)
+
+    @cached_property
+    def _inverse_tableau(self) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]:
+        return tuple(_dual(self._tableau, range(self.n)))
+
+
 @dataclass(frozen=True)
-class CliffordCircuit:
+class CliffordCircuit(_TableauHandle):
     """Layered local Clifford circuit; gates within a layer have disjoint supports.
 
-    Conjugation reads the circuit's tableau, the images of every X_a and Z_a
-    as (x, z, phase) ints.  It is built on first use by walking each through
-    its light cone (per layer, only the gates touching the current support
-    act), and proven as it is built: every image is hermitian and the images
-    commute as X_a and Z_a do, so valid stabilizer states map to valid ones.
+    Conjugation reads the circuit's tableau.  It is built on first use by
+    walking each X_a and Z_a through its light cone (per layer, only the
+    gates touching the current support act), and proven as it is built:
+    every image is hermitian and the images commute as X_a and Z_a do, so
+    valid stabilizer states map to valid ones.  Inverse conjugation reads
+    the tableau's dual; `inverse()` builds the layered inverse circuit from
+    the gates' duals, for callers that need its gates.
     """
 
     n: int
@@ -284,6 +286,7 @@ class CliffordCircuit:
     _site_gates: tuple[dict[int, tuple[dict, int]], ...] = field(
         init=False, repr=False, compare=False
     )
+    _register = "circuit"
 
     def __post_init__(self):
         object.__setattr__(
@@ -333,25 +336,9 @@ class CliffordCircuit:
         _prove(n, (1 << n) - 1, images, _CIRCUIT_PROOF)
         return images
 
-    def conjugate(self, p: PauliOperator) -> PauliOperator:
-        """U p U^dagger as the product of the tableau images over p's
-        support, on ints; one operator is built at the end."""
-        _check_register(p, self.n, "circuit")
-        x, z, phase = _image(self._tableau, p.x, p.z)
-        return PauliOperator(self.n, x, z, p.phase + phase)
-
-    def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
-        return self.inverse().conjugate(p)
-
     def inverse(self) -> "CliffordCircuit":
-        return self._inverse
-
-    @cached_property
-    def _inverse(self) -> "CliffordCircuit":
-        inv_layers = tuple(
-            tuple(g.inverse() for g in reversed(layer)) for layer in reversed(self.layers)
-        )
-        return CliffordCircuit(self.n, inv_layers)
+        layers = [[g.inverse() for g in reversed(layer)] for layer in reversed(self.layers)]
+        return CliffordCircuit(self.n, layers)
 
 
 def pack_gates_into_layers(n: int, gates: Sequence[CliffordGate]) -> CliffordCircuit:
@@ -378,8 +365,11 @@ def pack_gates_into_layers(n: int, gates: Sequence[CliffordGate]) -> CliffordCir
 # ---------------------------------------------------------------------------
 
 
-class PermutationQca:
-    """QCA that relabels sites (e.g. lattice translation); not an FDQC."""
+class PermutationQca(_TableauHandle):
+    """QCA that relabels sites (e.g. lattice translation); not an FDQC.
+    Its tableau sends X_a and Z_a to X_perm[a] and Z_perm[a]."""
+
+    _register = "permutation"
 
     def __init__(self, perm: Sequence[int]):
         self.perm = tuple(perm)
@@ -391,18 +381,11 @@ class PermutationQca:
             inv[p] = i
         self.perm_inv = tuple(inv)
 
-    def conjugate(self, p: PauliOperator) -> PauliOperator:
-        return _check_register(p, self.n, "permutation").permute(list(self.perm))
-
-    def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
-        return _check_register(p, self.n, "permutation").permute(list(self.perm_inv))
-
     def inverse(self) -> "PermutationQca":
         return PermutationQca(self.perm_inv)
 
     @cached_property
     def _tableau(self) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]:
-        """The images of X_a and Z_a for every site a, as a circuit holds them."""
         return tuple(((1 << p, 0, 0), (0, 1 << p, 0)) for p in self.perm)
 
 

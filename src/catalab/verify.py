@@ -161,12 +161,13 @@ def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
     register A, write U^dagger P_a U = R S with S the phase-free site-i factor:
     the swap moves S to site n+i and U maps R = (U^dagger P_a U) S^dagger to
     P_a (U S U^dagger)^dagger.  P_{n+i} is swapped to P_i and maps to U P_i U^dagger.
-    Every image is read and written as (x, z, phase) ints.
+    Every image is read and written as (x, z, phase) ints, U^dagger P U
+    from the dual of U's tableau.
     """
     forward = _site_images(qca, n)
     if _spread(forward, lattice) > max(1, n // 3):
         raise ValueError("entangler failed the locality audit at this size")
-    backward = _site_images(qca.inverse(), n)
+    backward = qca._inverse_tableau
     # touching[i] = register-A sites whose inverse-conjugated X/Z images reach i.
     touching: list[list[int]] = [[] for _ in range(n)]
     for a, pair in enumerate(backward):

@@ -96,12 +96,8 @@ from catalab.stabilizer import (
     is_invariant,
     pack_gates_into_layers,
     s_gate,
-    sdg_gate,
     swap_gate,
     tableau_gate,
-    x_gate,
-    y_gate,
-    z_gate,
 )
 from catalab.verify import (
     audit_dense_gate_symmetric,
@@ -109,6 +105,8 @@ from catalab.verify import (
     build_doubled_diagonal,
     build_doubled_fdqc,
 )
+
+from named_gates import ROWS, sdg_gate, x_gate, y_gate, z_gate
 
 ONE_SITE = (h_gate, s_gate, sdg_gate, x_gate, y_gate, z_gate)
 TWO_SITE = (cz_gate, cnot_gate, swap_gate)
@@ -395,16 +393,139 @@ def test_tableau_gate_inverse_round_trips_every_support_pauli(n, seed):
 
 
 def test_equal_tableau_gates_keep_their_own_tables():
+    # Two TABLEAU gates on one support, acting differently: gates compare
+    # by identity, so they are not equal.
     n = 3
     a = tableau_of(n, [0, 2], [h_gate(n, 0), cnot_gate(n, 0, 2)])
     b = tableau_of(n, [0, 2], [s_gate(n, 2), cz_gate(n, 0, 2)])
-    assert a == b and hash(a) == hash(b)
+    assert a != b
     rng = np.random.default_rng(11)
     patterns = list(support_patterns(rng, a))
     for p in patterns:
         assert a.conjugate(p) == reference_gate_conjugate(a, p)
         assert b.conjugate(p) == reference_gate_conjugate(b, p)
     assert any(a.conjugate(p) != b.conjugate(p) for p in patterns)
+
+
+# ---------------------------------------------------------------------------
+# inverses by symplectic duality against the paths they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_invert_gate(gate):
+    """The per-gate search `_dual` replaced: each preimage candidate is read
+    off the images' symplectic products as PauliOperator objects, then one
+    forward conjugation picks its sign."""
+    images = gate.images
+
+    def preimage(target):
+        x = z = 0
+        for b in gate.support:
+            img_x, img_z = images[b]
+            x |= target.symplectic_product(img_z) << b
+            z |= target.symplectic_product(img_x) << b
+        cand = PauliOperator(gate.n, x, z, (x & z).bit_count() % 4)
+        forward = gate.conjugate(cand)
+        if forward == target:
+            return cand
+        if forward == target.negate():
+            return cand.negate()
+        raise AssertionError("inverse candidate does not conjugate back")
+
+    return tableau_gate(gate.n, {
+        a: (preimage(PauliOperator.x_at(gate.n, a)), preimage(PauliOperator.z_at(gate.n, a)))
+        for a in gate.support
+    })
+
+
+def reference_inverse_circuit(circuit):
+    """The inverse circuit rebuilt gate by gate, in reverse order, from the
+    reference gate inverses."""
+    return CliffordCircuit(circuit.n, tuple(
+        tuple(reference_invert_gate(g) for g in reversed(layer))
+        for layer in reversed(circuit.layers)
+    ))
+
+
+def walked_tableau(circuit):
+    """The images of every X_a and Z_a, walked through the circuit's light cone."""
+    n = circuit.n
+    basis = [(PauliOperator.x_at(n, a), PauliOperator.z_at(n, a)) for a in range(n)]
+    walked = [[reference_circuit_conjugate(circuit, q) for q in pair] for pair in basis]
+    return tuple(tuple((img.x, img.z, img.phase) for img in pair) for pair in walked)
+
+
+def reference_permute(p, perm):
+    """The site relabelling `PauliOperator.permute` did: bit i moves to
+    perm[i], the phase is kept."""
+    lookup = perm if isinstance(perm, dict) else dict(enumerate(perm))
+    x = z = 0
+    for i in range(p.n):
+        j = lookup.get(i, i)
+        x |= ((p.x >> i) & 1) << j
+        z |= ((p.z >> i) & 1) << j
+    return PauliOperator(p.n, x, z, p.phase)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=SEEDS)
+def test_gate_dual_matches_reference_inverse(n, seed):
+    # A random proven tableau gate on up to 4 sites: its dual rows are the
+    # reference inverse's, and inverse after forward fixes every X_a and
+    # Z_a, signs included.
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, min(4, n) + 1))
+    sites = [int(a) for a in rng.choice(n, size=size, replace=False)]
+    gate = random_tableau_gate(rng, n, sites)
+    inv = gate.inverse()
+    assert inv.rows == reference_invert_gate(gate).rows
+    for a in sites:
+        for q in (PauliOperator.x_at(n, a), PauliOperator.z_at(n, a)):
+            assert inv.conjugate(gate.conjugate(q)) == q
+            assert gate.conjugate(inv.conjugate(q)) == q
+
+
+@pytest.mark.parametrize("make", ONE_SITE + TWO_SITE, ids=lambda f: f.__name__)
+def test_named_kind_duals(make):
+    # S's inverse has SDG's literal rows and SDG's has S's; every other
+    # kind is its own inverse, shown on its rows, and comes back as itself.
+    n = 4
+    gate = make(n, *((2,) if make in ONE_SITE else (3, 1)))
+    inv = gate.inverse()
+    assert inv.rows == reference_invert_gate(gate).rows
+    if gate.kind == "S":
+        assert inv.kind == "TABLEAU"
+        assert inv.rows == {2: tuple((x << 2, z << 2, ph) for x, z, ph in ROWS["SDG"])}
+    elif gate.kind == "SDG":
+        assert inv.kind == "TABLEAU" and inv.rows == s_gate(n, 2).rows
+    else:
+        assert inv is gate
+
+
+@pytest.mark.parametrize("model, params", CATALYSIS_MATRIX + [("cluster-1d", {"n": 6})])
+def test_circuit_dual_matches_walked_inverse(model, params):
+    # The dual of each registry entangler's tableau, and of its doubled
+    # circuit's, is the tableau walked through the rebuilt inverse circuit.
+    bundle = build_model(model, **params)
+    circuits = [build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice).as_circuit()]
+    if isinstance(bundle.entangler, CliffordCircuit):
+        circuits.append(bundle.entangler)
+    for circuit in circuits:
+        walked = walked_tableau(reference_inverse_circuit(circuit))
+        assert circuit._inverse_tableau == walked
+        assert walked_tableau(circuit.inverse()) == walked
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9), seed=SEEDS)
+def test_permutation_conjugation_matches_reference_permute(n, seed):
+    rng = np.random.default_rng(seed)
+    qca = PermutationQca([int(p) for p in rng.permutation(n)])
+    for _ in range(8):
+        p = random_pauli(rng, n)
+        assert qca.conjugate(p) == reference_permute(p, qca.perm)
+        assert qca.conjugate_inverse(p) == reference_permute(p, qca.perm_inv)
+    assert qca._inverse_tableau == qca.inverse()._tableau
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +556,7 @@ def reference_doubled_images(qca, n):
             pair = []
             for basis in (PauliOperator.x_at(n2, a), PauliOperator.z_at(n2, a)):
                 inner = _conjugate_register_a(qca.conjugate_inverse, n, basis)
-                swapped = inner.permute({i: n + i, n + i: i})
+                swapped = reference_permute(inner, {i: n + i, n + i: i})
                 pair.append(_conjugate_register_a(qca.conjugate, n, swapped))
             images[a] = tuple(pair)
         gates.append(images)

@@ -28,7 +28,9 @@ from catalab.models import (
     cz_ring_circuit,
 )
 from catalab.pauli import PauliOperator
-from catalab.stabilizer import is_invariant, tableau_gate, z_gate
+from catalab.stabilizer import is_invariant, tableau_gate
+
+from named_gates import z_gate
 
 
 def test_unknown_key():

@@ -121,12 +121,6 @@ def test_tensor():
     assert a.tensor(b).to_string() == "+XZ"
 
 
-def test_permute_translation():
-    p = PauliOperator.from_string("XZII")
-    t = [(i + 1) % 4 for i in range(4)]
-    assert p.permute(t).to_string() == "+IXZI"
-
-
 def test_restrict():
     p = PauliOperator.from_string("XYZ")
     assert p.restrict([0, 2]).to_string() == "+XIZ"

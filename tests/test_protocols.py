@@ -19,8 +19,10 @@ from catalab.protocols import (
     sqrt_zz_gate,
     ghz_step_gate,
 )
-from catalab.stabilizer import CliffordCircuit, StabilizerMixture, x_gate
+from catalab.stabilizer import CliffordCircuit, StabilizerMixture
 from catalab.verify import audit_gate_symmetric
+
+from named_gates import x_gate, z_gate
 
 
 def test_ghz_step_gate_symmetric():
@@ -165,8 +167,6 @@ def test_audit_schedule_rejects_asymmetric_stage():
         ancilla_offset=None,
     )
     # an X on an even site anticommutes with no generator; use a Z instead
-    from catalab.stabilizer import z_gate
-
     schedule.stages[0].circuit = CliffordCircuit(n, ((z_gate(n, 0),),))
     assert not audit_schedule(schedule, bundle.symmetry)
 

@@ -392,6 +392,32 @@ def test_circuit_tableau_is_proven_under_python_O(image, message):
     assert f"ValueError: {message}" in proc.stderr
 
 
+def test_corrupted_circuit_tableau_has_no_dual_under_python_O():
+    # H_0's tableau, proven, then given the image Z_1 for X_0, which
+    # anticommutes with X_1's image: the dual's forward check refuses it.
+    code = (
+        "from catalab.pauli import PauliOperator\n"
+        "from catalab.stabilizer import CliffordCircuit, h_gate\n"
+        "circuit = CliffordCircuit(2, ((h_gate(2, 0),),))\n"
+        "proven = circuit._tableau\n"
+        "object.__setattr__(circuit, '_tableau', (((0, 2, 0), proven[0][1]), proven[1]))\n"
+        "circuit.conjugate_inverse(PauliOperator.x_at(2, 0))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "ValueError: tableau does not preserve commutation, so it has no dual" in proc.stderr
+
+
+def test_translation_relabels_sites():
+    qca = PermutationQca([(i + 1) % 4 for i in range(4)])
+    assert qca.conjugate(P("XZII")) == P("IXZI")
+    assert qca.conjugate_inverse(P("IXZI")) == P("XZII")
+    assert qca.conjugate(P("-YIIZ")) == P("-ZYII")
+
+
 @pytest.mark.parametrize(
     "perm, message",
     [

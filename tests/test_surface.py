@@ -33,9 +33,6 @@ TESTS = Path(__file__).resolve().parent
 # Definitions that need no caller inside the package, each with its reason.
 EXEMPT = {
     "__all__": "the package's public API list, read by `from catalab import *`",
-    "x_gate": "Pauli member of the named gate set next to h, s, cz, cnot and swap",
-    "y_gate": "Pauli member of the named gate set next to h, s, cz, cnot and swap",
-    "z_gate": "Pauli member of the named gate set next to h, s, cz, cnot and swap",
     "to_json": "JSON form of states and cochains, the entry point for round trips",
     "from_json_dict": "inverse of `to_json_dict`, the other half of the round trip",
 }

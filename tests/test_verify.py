@@ -18,7 +18,6 @@ from catalab.stabilizer import (
     PermutationQca,
     StabilizerMixture,
     cz_gate,
-    z_gate,
 )
 from catalab.verify import (
     RegionTooSmallError,
@@ -36,6 +35,8 @@ from catalab.verify import (
     verify_catalysis,
     weak_localization,
 )
+
+from named_gates import z_gate
 
 
 def ring_translation(n):
@@ -633,6 +634,25 @@ def test_stabilizer_catalysis_multiplies_no_pauli_objects(monkeypatch, model, pa
     for catalyst in catalysts:
         assert verify_catalysis(bundle, catalyst).passed
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("model, params", GUARD_SIZES)
+def test_stabilizer_catalysis_builds_no_inverse_handle(monkeypatch, model, params):
+    # Conjugation by U^-1, in the compile and elsewhere, reads the dual of
+    # U's tableau; no inverse circuit or permutation is built or walked.
+    bundle, catalysts = stabilizer_catalysts(model, params)
+    calls = []
+    for cls in (CliffordCircuit, PermutationQca):
+        inverse = cls.inverse
+
+        def counted(self, inverse=inverse):
+            calls.append(type(self).__name__)
+            return inverse(self)
+
+        monkeypatch.setattr(cls, "inverse", counted)
+    for catalyst in catalysts:
+        assert verify_catalysis(bundle, catalyst).passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("model, params", GUARD_SIZES)
