@@ -214,14 +214,16 @@ def criterion_2() -> CriterionResult:
             gate_ok = all(audit_gate_symmetric(g, dsym) for g in doubled.all_gates())
             audits[model] = gate_ok
             ok = ok and gate_ok
-            # exact tableau identity with U (x) U^-1 at the working size
+            # exact tableau identity of the walked gates with U (x) U^-1 at the
+            # working size (doubled.conjugate reads U (x) U^-1's own table)
             tab_ok = True
+            circuit = doubled.as_circuit()
             for a in range(2 * bundle.n):
                 for p in (
                     PauliOperator.x_at(2 * bundle.n, a),
                     PauliOperator.z_at(2 * bundle.n, a),
                 ):
-                    if doubled.conjugate(p) != doubled_conjugate(
+                    if circuit.conjugate(p) != doubled_conjugate(
                         bundle.entangler, bundle.n, p
                     ):
                         tab_ok = False

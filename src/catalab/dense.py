@@ -30,7 +30,12 @@ _MAX_ORDER = 64  # of a symmetry map: each order multiplies the character blocks
 
 def _env_limit(name: str, default: int) -> int:
     """A positive integer read from the environment, or the default if unset."""
-    raw = os.environ.get(name, str(default))
+    return _parse_limit(name, os.environ.get(name, str(default)))
+
+
+@lru_cache(maxsize=64)
+def _parse_limit(name: str, raw: str) -> int:
+    """The limit a variable's text gives, parsed once per distinct text."""
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"{name} must be a positive integer, got {raw!r}")
     return int(raw)

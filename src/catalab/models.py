@@ -30,6 +30,7 @@ from .stabilizer import (
     CliffordCircuit,
     PermutationQca,
     StabilizerMixture,
+    _gram,
     cz_gate,
     is_invariant,
     pack_gates_into_layers,
@@ -584,10 +585,15 @@ def symmetry_defect(bundle: ModelBundle, cat: Catalyst, weak_only: bool) -> Opti
             for gen in bundle.symmetry.generators
             if gen.name not in cat.broken
         ]
-    for label, element, weak in checks:
+    if cat.engine == "stabilizer":
+        gens, n, k = cat.stab.generators, cat.stab.n, cat.stab.k
+        packed = [g.symplectic() for g in gens] + [e.x | e.z << n for _, e, _ in checks]
+        # One Gram pass: row k + t holds the generators element t anticommutes with.
+        anti = [row & ((1 << k) - 1) for row in _gram(n, packed)[k:]]
+    for t, (label, element, weak) in enumerate(checks):
         if cat.engine == "stabilizer":
             if weak:
-                ok = not any(element.symplectic_product(g) for g in cat.stab.generators)
+                ok = not anti[t]
             else:
                 ok = cat.stab.membership_sign(element) == 1
         else:

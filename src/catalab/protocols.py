@@ -238,9 +238,7 @@ def _affine_sign(
     outside the group up to sign: the member with p's unsigned part is a
     product of generators, so its mask is the XOR of theirs.  Both are
     hermitian, so their phases differ by 0 or 2."""
-    if not p.is_hermitian():
-        raise ValueError(f"a group sign requires a hermitian operator, got {p}")
-    combo = state.combination(p.symplectic())
+    combo = state._hermitian_combination(p)
     if combo is None:
         return None
     diff = (state._combine(combo).phase - p.phase) & 3

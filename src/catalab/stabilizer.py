@@ -247,25 +247,28 @@ def tableau_gate(n: int, images: dict[int, tuple[PauliOperator, PauliOperator]])
 
 class _TableauHandle:
     """Conjugation through `_tableau`, the images of every X_a and Z_a on
-    the n sites as (x, z, phase) ints, and backwards through its `_dual`,
-    built once.  `_register` names the handle in a size mismatch."""
+    the handle's sites as (x, z, phase) ints, and backwards through its
+    `_dual`, built once.  The register is as wide as the tableau;
+    `_register` names the handle in a size mismatch."""
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         """U p U^dagger as the product of the tableau images over p's
         support, on ints; one operator is built at the end."""
-        _check_register(p, self.n, self._register)
-        x, z, phase = _image(self._tableau, p.x, p.z)
-        return PauliOperator(self.n, x, z, p.phase + phase)
+        tableau = self._tableau
+        _check_register(p, len(tableau), self._register)
+        x, z, phase = _image(tableau, p.x, p.z)
+        return PauliOperator(p.n, x, z, p.phase + phase)
 
     def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
         """U^dagger p U the same way, through the dual tableau."""
-        _check_register(p, self.n, self._register)
-        x, z, phase = _image(self._inverse_tableau, p.x, p.z)
-        return PauliOperator(self.n, x, z, p.phase + phase)
+        tableau = self._inverse_tableau
+        _check_register(p, len(tableau), self._register)
+        x, z, phase = _image(tableau, p.x, p.z)
+        return PauliOperator(p.n, x, z, p.phase + phase)
 
     @cached_property
     def _inverse_tableau(self) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]:
-        return tuple(_dual(self._tableau, range(self.n)))
+        return tuple(_dual(self._tableau, range(len(self._tableau))))
 
 
 @dataclass(frozen=True)
@@ -518,13 +521,18 @@ class StabilizerMixture:
             return None
         return combo
 
+    def _hermitian_combination(self, p: PauliOperator) -> Optional[int]:
+        """`combination` of the hermitian p's bits; an operator on another
+        register, or a non-hermitian one, raises ValueError."""
+        if not _check_register(p, self.n, "state").is_hermitian():
+            raise ValueError(f"a group sign requires a hermitian operator, got {p}")
+        return self.combination(p.symplectic())
+
     def membership_sign(self, p: PauliOperator) -> Optional[int]:
         """+1 if the hermitian p is in the signed group, -1 if -p is, None
         otherwise (ints only).  The member with p's bits is hermitian too, so
         the two phases differ by 0 or 2."""
-        if not _check_register(p, self.n, "state").is_hermitian():
-            raise ValueError(f"a group sign requires a hermitian operator, got {p}")
-        combo = self.combination(p.symplectic())
+        combo = self._hermitian_combination(p)
         if combo is None:
             return None
         return 1 - ((_product(self.generators, combo)[2] - p.phase) & 3)

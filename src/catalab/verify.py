@@ -9,11 +9,16 @@ so the trace-positive phase convention reproduces the operator with no
 residual phase, and the compiled product equals U (x) U^-1 as an operator).
 Sub-packing of the commuting v_i into disjoint-support layers is a storage
 artifact and does not count toward the logical depth.
+
+A stabilizer report evolves by V's tableau, not its gates: `build_doubled_fdqc`
+proves each v_i's tableau equal to W s_i W^dagger's, W = U (x) 1, from U's
+tableau and its dual, so with S = prod s_i the product telescopes:
+(prod v_i)(prod s_i) = W S W^dagger S = (U (x) 1)(1 (x) U^dagger) = U (x) U^-1.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -38,6 +43,7 @@ from .stabilizer import (
     QcaLike,
     StabilizerMixture,
     _image,
+    _TableauHandle,
     fidelity,
     pack_gates_into_layers,
     swap_gate,
@@ -87,12 +93,16 @@ def qca_spread(qca: QcaLike, n: int, lattice) -> int:
 
 
 @dataclass(frozen=True)
-class DoubledCircuit:
-    """U (x) U^-1 as one v-layer plus one s-layer on registers [0,n), [n,2n)."""
+class DoubledCircuit(_TableauHandle):
+    """U (x) U^-1 as one v-layer plus one s-layer on registers [0,n), [n,2n).
+    `_tableau`, U's rows on [0, n) and its dual's on [n, 2n), is what the
+    proven gates multiply out to; `conjugate` and `apply_stab` read it."""
 
     n: int
     v_gates: tuple[CliffordGate, ...]
     s_gates: tuple[CliffordGate, ...]
+    _tableau: tuple = field(repr=False, compare=False)
+    _register = "circuit"
 
     @property
     def logical_depth(self) -> int:
@@ -115,11 +125,11 @@ class DoubledCircuit:
         packed = pack_gates_into_layers(2 * self.n, self.v_gates)
         return CliffordCircuit(2 * self.n, (self.s_gates,) + packed.layers)
 
-    def conjugate(self, p: PauliOperator) -> PauliOperator:
-        return self.as_circuit().conjugate(p)
-
     def apply_stab(self, state: StabilizerMixture) -> StabilizerMixture:
-        return state.apply_circuit(self.as_circuit())
+        """Each generator through the tableau, not re-validated."""
+        if state.n != 2 * self.n:
+            raise ValueError("circuit register size mismatch")
+        return StabilizerMixture(state.n, tuple(map(self.conjugate, state.generators)))
 
     @cached_property
     def v_terms(self) -> tuple[tuple[SiteSet, np.ndarray], ...]:
@@ -191,8 +201,39 @@ def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
             rows[a] = tuple(pair)
         rows[b] = forward[i]
         v_gates.append(CliffordGate("TABLEAU", n2, SiteSet(rows), rows))
+    _prove_v_gates(forward, backward, v_gates)
     s_gates = tuple(swap_gate(n2, i, n + i) for i in range(n))
-    return DoubledCircuit(n, tuple(v_gates), s_gates)
+    shifted = tuple(tuple((x << n, z << n, phase) for x, z, phase in pair) for pair in backward)
+    return DoubledCircuit(n, tuple(v_gates), s_gates, forward + shifted)
+
+
+def _prove_v_gates(forward, backward, v_gates: Sequence[CliffordGate]) -> None:
+    """Raise ValueError, naming the first wrong image, unless v_gates[i] is
+    (U (x) 1) s_i (U^-1 (x) 1) for each i, given U's tableau and its dual.
+
+    Apart from the compile: U^dagger P_a U = i^k R S splits, with no phase,
+    into its site-i factor S and the rest R, so v_i sends P_a to
+    i^k (U R U^dagger) S_{n+i} and P_{n+i} to U P_i U^dagger, and fixes every
+    other site; so each a whose U^-1 image reaches i is in v_i's support.
+    """
+    n = len(forward)
+    for a, pair in enumerate(backward):
+        for i in _reach(pair):
+            if a not in v_gates[i].rows:
+                raise ValueError(f"v-gate {i} misses site {a}, whose U^-1 image reaches site {i}")
+    for i, gate in enumerate(v_gates):
+        m, b = 1 << i, n + i
+        for c, got in gate.rows.items():
+            want = forward[i] if c == b else ((1 << c, 0, 0), (0, 1 << c, 0))
+            if c < n:
+                want = []
+                for qx, qz, qphase in backward[c]:
+                    rx, rz, rphase = _image(forward, qx & ~m, qz & ~m)
+                    want.append((rx | (qx >> i & 1) << b, rz | (qz >> i & 1) << b, qphase + rphase & 3))
+            for name, g, w in zip("XZ", got, want):
+                if g != w:
+                    g, w = (PauliOperator(2 * n, *img) for img in (g, w))
+                    raise ValueError(f"v-gate {i} maps {name}_{c} to {g}, not {w}")
 
 
 # -- doubled form of diagonal qudit entanglers -------------------------------

@@ -14,8 +14,10 @@ from catalab.dense import (
     apply_matrix,
     apply_pauli,
     apply_site_relabel,
+    check_amps,
     dense_fidelity,
     dense_renyi_correlator,
+    eig_limit,
     embed_operator,
     gate_term,
     gate_unitary,
@@ -500,6 +502,23 @@ def test_bad_eig_limit_names_the_variable(monkeypatch, value):
     for op in (plain, catalyst_sum("cluster-1d", 4)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ground_state(op)
+
+
+def test_each_limit_text_is_parsed_once(monkeypatch):
+    # The variables are read on every call, so a change takes effect at
+    # once, but each distinct text is parsed only the first time.
+    monkeypatch.setenv("CATALAB_DENSE_LIMIT", "4097")
+    monkeypatch.setenv("CATALAB_EIG_LIMIT", "4099")
+    check_amps(4097)
+    assert eig_limit() == 4099
+    parsed = dense_module._parse_limit.cache_info().misses
+    for _ in range(3):
+        check_amps(16)
+        assert eig_limit() == 4099
+    assert dense_module._parse_limit.cache_info().misses == parsed
+    monkeypatch.setenv("CATALAB_DENSE_LIMIT", "8")
+    with pytest.raises(ValueError, match="^dense state of 16 amplitudes exceeds the configured limit$"):
+        check_amps(16)
 
 
 def test_eig_limit_bounds_the_largest_block_not_the_space(monkeypatch):

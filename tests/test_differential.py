@@ -502,6 +502,35 @@ def test_named_kind_duals(make):
         assert inv is gate
 
 
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("cluster-1d", {"n": 8}),
+        ("cluster-1d", {"n": 16}),
+        ("lsm-dimer", {"n": 8}),
+        ("lsm-dimer", {"n": 16}),
+        ("lieb-2d", {"lx": 2, "ly": 2}),
+        ("lieb-2d", {"lx": 3, "ly": 3}),
+        ("square-sspt", {"l": 3}),
+        ("square-sspt", {"l": 4}),
+    ],
+)
+def test_doubled_tableau_evolution_matches_the_walked_gates(model, params):
+    # A report evolves by U (x) U^-1's tableau, read off U's and its dual;
+    # the packed v- and s-gates, walked, give the same table and the same
+    # generators, signs included, on every registry stabilizer catalyst.
+    bundle = build_model(model, **params)
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    circuit = doubled.as_circuit()
+    assert doubled._tableau == circuit._tableau
+    kinds = [k for k in catalyst_kinds(model) if not catalyst_is_dense(model, k)]
+    assert kinds
+    for kind in kinds:
+        state = bundle.trivial.tensor(build_catalyst(bundle, kind).stab)
+        evolved = doubled.apply_stab(state).generators
+        assert evolved == state.apply_circuit(circuit).generators, kind
+
+
 @pytest.mark.parametrize("model, params", CATALYSIS_MATRIX + [("cluster-1d", {"n": 6})])
 def test_circuit_dual_matches_walked_inverse(model, params):
     # The dual of each registry entangler's tableau, and of its doubled

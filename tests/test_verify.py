@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from catalab import gf2
+from catalab import gf2, verify
 from catalab.acceptance import CATALYSIS_MATRIX
 from catalab.dense import (
     DenseState,
@@ -11,16 +11,25 @@ from catalab.dense import (
     apply_gates,
     stabilizer_to_dense,
 )
-from catalab.models import Catalyst, build_catalyst, build_model, catalyst_is_dense, catalyst_kinds
-from catalab.pauli import PauliOperator
+from catalab.models import (
+    Catalyst,
+    build_catalyst,
+    build_model,
+    catalyst_is_dense,
+    catalyst_kinds,
+    symmetry_defect,
+)
+from catalab.pauli import PauliOperator, SiteSet
 from catalab.stabilizer import (
     CliffordCircuit,
+    CliffordGate,
     PermutationQca,
     StabilizerMixture,
     cz_gate,
 )
 from catalab.verify import (
     RegionTooSmallError,
+    _prove_v_gates,
     audit_dense_gate_symmetric,
     audit_gate_symmetric,
     build_doubled_diagonal,
@@ -124,10 +133,11 @@ def test_doubled_cz_ring_matches_tableau_and_dense():
     bundle = build_model("cluster-1d", n=n)
     qca = bundle.entangler
     doubled = build_doubled_fdqc(qca, n, bundle.lattice)
-    # exact tableau equality with U (x) U^-1
+    # exact tableau equality of the compiled gates with U (x) U^-1
+    circuit = doubled.as_circuit()
     for a in range(2 * n):
         for p in (PauliOperator.x_at(2 * n, a), PauliOperator.z_at(2 * n, a)):
-            assert doubled.conjugate(p) == doubled_conjugate(qca, n, p)
+            assert circuit.conjugate(p) == doubled_conjugate(qca, n, p)
     # dense operator equality, including the global phase
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -604,6 +614,80 @@ def test_doubled_rejects_nonlocal_unitary():
         build_doubled_fdqc(PermutationQca(perm), n, bundle.lattice)
 
 
+# The per-gate proof of the doubled compile: each negative control is a
+# valid Clifford gate in the wrong place, so only the proof can catch it.
+
+
+def v_gate_proof_inputs(n=8):
+    bundle = build_model("cluster-1d", n=n)
+    qca = bundle.entangler
+    doubled = build_doubled_fdqc(qca, n, bundle.lattice)
+    return qca._tableau, qca._inverse_tableau, list(doubled.v_gates)
+
+
+def with_flipped_sign(gate, a):
+    (x, z, phase), z_image = gate.rows[a]
+    rows = {**gate.rows, a: ((x, z, phase ^ 2), z_image)}
+    return CliffordGate("TABLEAU", gate.n, gate.support, rows)
+
+
+def test_v_gate_proof_rejects_one_flipped_image_sign():
+    forward, backward, gates = v_gate_proof_inputs()
+    a = gates[2].support[1]
+    gates[2] = with_flipped_sign(gates[2], a)
+    with pytest.raises(ValueError, match=rf"^v-gate 2 maps X_{a} to -\S+, not \+\S+$"):
+        _prove_v_gates(forward, backward, gates)
+
+
+def test_v_gate_proof_rejects_two_exchanged_gates():
+    forward, backward, gates = v_gate_proof_inputs()
+    gates[1], gates[2] = gates[2], gates[1]
+    with pytest.raises(ValueError, match="^v-gate 1 misses site 0, whose U\\^-1 image reaches site 1$"):
+        _prove_v_gates(forward, backward, gates)
+
+
+def test_v_gate_proof_rejects_a_gate_missing_a_touching_site():
+    # v_3 on its support less site 2 cannot carry v_3's images (they reach
+    # site 2), so the stand-in acts as the identity there.
+    forward, backward, gates = v_gate_proof_inputs()
+    n2 = gates[3].n
+    rest = [c for c in gates[3].support if c != 2]
+    rows = {c: ((1 << c, 0, 0), (0, 1 << c, 0)) for c in rest}
+    gates[3] = CliffordGate("TABLEAU", n2, SiteSet(rest), rows)
+    with pytest.raises(ValueError, match="^v-gate 3 misses site 2, whose U\\^-1 image reaches site 3$"):
+        _prove_v_gates(forward, backward, gates)
+
+
+def test_v_gate_proof_names_a_wrong_register_b_row():
+    forward, backward, gates = v_gate_proof_inputs()
+    gates[0] = with_flipped_sign(gates[0], 8)
+    with pytest.raises(ValueError, match="^v-gate 0 maps X_8 to -"):
+        _prove_v_gates(forward, backward, gates)
+
+
+def test_the_compile_runs_the_v_gate_proof(monkeypatch):
+    # A compile that emits one wrong sign fails before a circuit is returned.
+    made = []
+
+    def flipping(kind, n, support, rows):
+        made.append(kind)
+        gate = CliffordGate(kind, n, support, rows)
+        return with_flipped_sign(gate, support[0]) if len(made) == 3 else gate
+
+    monkeypatch.setattr(verify, "CliffordGate", flipping)
+    bundle = build_model("cluster-1d", n=8)
+    with pytest.raises(ValueError, match="^v-gate 2 maps X_1 to "):
+        build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+
+
+def test_doubled_evolution_refuses_a_state_on_another_register():
+    bundle = build_model("cluster-1d", n=4)
+    doubled = build_doubled_fdqc(bundle.entangler, 4, bundle.lattice)
+    for n in (4, 10):
+        with pytest.raises(ValueError, match="^circuit register size mismatch$"):
+            doubled.apply_stab(StabilizerMixture(n, ()))
+
+
 GUARD_SIZES = [
     ("cluster-1d", {"n": 32}),
     ("lsm-dimer", {"n": 16}),
@@ -670,4 +754,41 @@ def test_stabilizer_catalysis_makes_no_elimination(monkeypatch, model, params):
     monkeypatch.setattr(gf2, "_reduce", counted)
     for catalyst in catalysts:
         assert verify_catalysis(bundle, catalyst).passed
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("model, params", GUARD_SIZES)
+def test_stabilizer_catalysis_walks_no_doubled_circuit(monkeypatch, model, params):
+    # The report evolves by U (x) U^-1's tableau, read off U's and its
+    # dual, which the per-gate proof ties to the gates; nothing walks the
+    # 2n-site circuit.
+    bundle, catalysts = stabilizer_catalysts(model, params)
+    widths = []
+    walk = CliffordCircuit._walk
+
+    def counted(self, x, z):
+        widths.append(self.n)
+        return walk(self, x, z)
+
+    monkeypatch.setattr(CliffordCircuit, "_walk", counted)
+    for catalyst in catalysts:
+        assert verify_catalysis(bundle, catalyst).passed
+    assert 2 * bundle.n not in widths
+
+
+@pytest.mark.parametrize("model, params", GUARD_SIZES)
+def test_weak_symmetry_check_takes_no_symplectic_product(monkeypatch, model, params):
+    # The weak check reads one Gram pass over the catalyst's generators, not
+    # one object call per (symmetry generator, catalyst generator) pair.
+    bundle, catalysts = stabilizer_catalysts(model, params)
+    calls = []
+    product = PauliOperator.symplectic_product
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(PauliOperator, "symplectic_product", counted)
+    for catalyst in catalysts:
+        assert symmetry_defect(bundle, catalyst, weak_only=True) is None
     assert len(calls) == 0
