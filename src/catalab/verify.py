@@ -224,12 +224,13 @@ def _prove_v_gates(forward, backward, v_gates: Sequence[CliffordGate]) -> None:
     for i, gate in enumerate(v_gates):
         m, b = 1 << i, n + i
         for c, got in gate.rows.items():
-            want = forward[i] if c == b else ((1 << c, 0, 0), (0, 1 << c, 0))
             if c < n:
                 want = []
                 for qx, qz, qphase in backward[c]:
                     rx, rz, rphase = _image(forward, qx & ~m, qz & ~m)
                     want.append((rx | (qx >> i & 1) << b, rz | (qz >> i & 1) << b, qphase + rphase & 3))
+            else:
+                want = forward[i] if c == b else ((1 << c, 0, 0), (0, 1 << c, 0))
             for name, g, w in zip("XZ", got, want):
                 if g != w:
                     g, w = (PauliOperator(2 * n, *img) for img in (g, w))
