@@ -47,7 +47,6 @@ from .verify import (
     audit_gate_symmetric,
     build_doubled_fdqc,
     disorder_parameter,
-    doubled_conjugate,
     fidelity_correlator,
     spt_invariant,
     spt_invariant_dense,
@@ -168,39 +167,50 @@ def _doubled_operator_equality_dense(bundle, doubled, details_key, details) -> b
 
 
 def _per_gate_dense_equality(bundle, doubled) -> float:
-    """Compare each compiled v-gate with its locally built dense form.
+    """Compare each compiled v-gate with L s_i L^-1 built locally, both read
+    as signed permutations of the gate's basis states by `_basis_images`.
 
-    For a translation the v-gates are swaps (or identities); for a circuit,
-    v_i = (prod of entangler gates touching i) s_i (same product)^-1 exactly,
-    all supported on the compiled gate support.
+    For a translation L relabels site i, so v_i is the swap of i's image
+    and n+i; for a circuit L is the product of the entangler gates touching
+    i, all supported on the compiled gate support.  The largest difference
+    is |s_ref - s| where the labels agree and 1 where they differ, the
+    largest entry of the difference of the two matrices.
     """
-    n = bundle.n
-    swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
+    n, qca = bundle.n, bundle.entangler
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    if isinstance(qca, PermutationQca):
+        unitary, swapped = {}, [(qca.perm[i], n + i) for i in range(n)]
+    else:
+        unitary = {g: dn.gate_unitary(g) for layer in qca.layers for g in layer}
+        swapped = [(i, n + i) for i in range(n)]
     worst = 0.0
-    if isinstance(bundle.entangler, PermutationQca):
-        for sites, got in doubled.v_terms:
-            expected = swap if len(sites) == 2 else np.eye(1 << len(sites), dtype=np.complex128)
-            worst = max(worst, float(np.max(np.abs(got - expected))))
-        return worst
-    circuit = bundle.entangler
     for i, (sites, got) in enumerate(doubled.v_terms):
-        pos = {s: k for k, s in enumerate(sites)}
-        m = len(sites)
-        local = np.eye(1 << m, dtype=np.complex128)
-        for layer in circuit.layers:
-            for cz in layer:
-                if i in cz.support:
-                    if any(s not in pos for s in cz.support):
-                        raise AssertionError(
-                            f"entangler gate on {list(cz.support)} leaves v-gate {i}'s support"
-                        )
-                    mat = dn.embed_operator(
-                        dn.gate_unitary(cz), [pos[s] for s in cz.support], m, 2
-                    )
-                    local = mat @ local
-        expected = local @ dn.embed_operator(swap, [pos[i], pos[n + i]], m, 2) @ local.conj().T
-        worst = max(worst, float(np.max(np.abs(got - expected))))
+        m, pos = len(sites), {s: k for k, s in enumerate(sites)}
+        gates = [g for g in unitary if i in g.support]
+        for support in [g.support for g in gates] + [swapped[i]]:
+            if any(s not in pos for s in support):
+                raise AssertionError(f"gate on {list(support)} leaves v-gate {i}'s support")
+        local = [([pos[s] for s in g.support], unitary[g]) for g in gates]
+        terms = [(support, mat.conj().T) for support, mat in reversed(local)]
+        terms += [([pos[s] for s in swapped[i]], swap)] + local
+        ref_labels, ref_signs = _basis_images(m, range(m), terms)
+        labels, signs = _basis_images(m, range(m), [(range(m), got)])
+        diff = np.where(ref_labels == labels, np.abs(ref_signs - signs), 1.0)
+        worst = max(worst, float(np.max(diff)))
     return worst
+
+
+def _walked_gates_match(doubled) -> bool:
+    """Whether the compiled gates, packed and walked, conjugate every X_a
+    and Z_a of both registers as U (x) U^-1's own table does (signs
+    included); `doubled.conjugate` reads that table off U's tableau and its
+    dual, not off the gates."""
+    circuit, n2 = doubled.as_circuit(), 2 * doubled.n
+    return all(
+        circuit.conjugate(p) == doubled.conjugate(p)
+        for a in range(n2)
+        for p in (PauliOperator.x_at(n2, a), PauliOperator.z_at(n2, a))
+    )
 
 
 def criterion_2() -> CriterionResult:
@@ -214,19 +224,8 @@ def criterion_2() -> CriterionResult:
             gate_ok = all(audit_gate_symmetric(g, dsym) for g in doubled.all_gates())
             audits[model] = gate_ok
             ok = ok and gate_ok
-            # exact tableau identity of the walked gates with U (x) U^-1 at the
-            # working size (doubled.conjugate reads U (x) U^-1's own table)
-            tab_ok = True
-            circuit = doubled.as_circuit()
-            for a in range(2 * bundle.n):
-                for p in (
-                    PauliOperator.x_at(2 * bundle.n, a),
-                    PauliOperator.z_at(2 * bundle.n, a),
-                ):
-                    if circuit.conjugate(p) != doubled_conjugate(
-                        bundle.entangler, bundle.n, p
-                    ):
-                        tab_ok = False
+            # exact tableau identity of the walked gates with U (x) U^-1
+            tab_ok = _walked_gates_match(doubled)
             audits[model + "-tableau"] = tab_ok
             ok = ok and tab_ok
             # per-gate dense equality (local, covers every entangler)

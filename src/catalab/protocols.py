@@ -21,6 +21,7 @@ from .stabilizer import (
     CliffordCircuit,
     CliffordGate,
     StabilizerMixture,
+    conjugated_gate,
     pack_gates_into_layers,
     swap_gate,
     tableau_gate,
@@ -331,41 +332,21 @@ def _prep_circuit_for(
 def _conjugate_circuit_by_qca(circuit: CliffordCircuit, qca) -> tuple[CliffordCircuit, int]:
     """U C U^dagger as a circuit plus its logical depth.
 
-    Conjugation grows supports by the entangler spread, so the gates of one
-    original layer may overlap afterwards; they still commute pairwise
-    (conjugation preserves commutation of disjoint gates), so each original
-    layer counts once in the logical depth and is merely re-packed into
-    disjoint-support sublayers for storage.
+    Each gate is conjugated through the entangler's tableau and its dual
+    (`conjugated_gate`), so its support becomes the sites that U's images
+    of its own sites reach.  The gates of one original layer may then
+    overlap; they still commute pairwise (conjugation preserves commutation
+    of disjoint gates), so each original layer counts once in the logical
+    depth and is merely re-packed into disjoint-support sublayers for
+    storage.
     """
+    tableau, dual = qca._tableau, qca._inverse_tableau
     new_layers: list[tuple[CliffordGate, ...]] = []
     for layer in circuit.layers:
-        conjugated = [conjugate_gate_by_qca(g, qca) for g in layer]
+        conjugated = [conjugated_gate(g, tableau, dual) for g in layer]
         packed = pack_gates_into_layers(circuit.n, conjugated)
         new_layers.extend(packed.layers)
     return CliffordCircuit(circuit.n, tuple(new_layers)), len(circuit.layers)
-
-
-def conjugate_gate_by_qca(gate: CliffordGate, qca) -> CliffordGate:
-    """Compile U g U^dagger as an explicit local gate (support grows by the
-    entangler spread)."""
-    n = gate.n
-    support = set(gate.support)
-    for s in gate.support:
-        for p in (PauliOperator.x_at(n, s), PauliOperator.z_at(n, s)):
-            support.update(qca.conjugate(p).support())
-    images = {}
-    for a in sorted(support):
-        imgs = []
-        for p in (PauliOperator.x_at(n, a), PauliOperator.z_at(n, a)):
-            inner = qca.conjugate_inverse(p)
-            mid = gate.conjugate(inner)
-            imgs.append(qca.conjugate(mid))
-        images[a] = (imgs[0], imgs[1])
-    for a, (ix, iz) in images.items():
-        for img in (ix, iz):
-            if any(s not in support for s in img.support()):
-                raise AssertionError("conjugated gate escaped its computed support")
-    return tableau_gate(n, images)
 
 
 def catalyzed_pipeline(

@@ -10,9 +10,9 @@ residual phase, and the compiled product equals U (x) U^-1 as an operator).
 Sub-packing of the commuting v_i into disjoint-support layers is a storage
 artifact and does not count toward the logical depth.
 
-A stabilizer report evolves by V's tableau, not its gates: `build_doubled_fdqc`
-proves each v_i's tableau equal to W s_i W^dagger's, W = U (x) 1, from U's
-tableau and its dual, so with S = prod s_i the product telescopes:
+A stabilizer report evolves by V's tableau, not its gates.  The telescoping
+holds by construction: `build_doubled_fdqc` makes each v_i as W s_i W^dagger,
+W = U (x) 1, from U's tableau and its dual, so with S = prod s_i
 (prod v_i)(prod s_i) = W S W^dagger S = (U (x) 1)(1 (x) U^dagger) = U (x) U^-1.
 """
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .stabilizer import (
     StabilizerMixture,
     _image,
     _TableauHandle,
+    conjugated_gate,
     fidelity,
     pack_gates_into_layers,
     swap_gate,
@@ -95,8 +96,9 @@ def qca_spread(qca: QcaLike, n: int, lattice) -> int:
 @dataclass(frozen=True)
 class DoubledCircuit(_TableauHandle):
     """U (x) U^-1 as one v-layer plus one s-layer on registers [0,n), [n,2n).
-    `_tableau`, U's rows on [0, n) and its dual's on [n, 2n), is what the
-    proven gates multiply out to; `conjugate` and `apply_stab` read it."""
+    `_tableau` holds U's rows on [0, n) and its dual's on [n, 2n); the gates
+    multiply out to it by construction (see the module docstring), and
+    `conjugate` and `apply_stab` read it."""
 
     n: int
     v_gates: tuple[CliffordGate, ...]
@@ -148,93 +150,24 @@ class DoubledCircuit(_TableauHandle):
         return dn.apply_gates(state, [*range(n, 2 * n), *range(n)], self.gate_terms)
 
 
-def doubled_conjugate(qca: QcaLike, n: int, p: PauliOperator) -> PauliOperator:
-    """Conjugation by U (x) U^-1 on a 2n-qubit operator."""
-    mask = (1 << n) - 1
-    part_a = PauliOperator(n, p.x & mask, p.z & mask, 0)
-    part_b = PauliOperator(n, p.x >> n, p.z >> n, 0)
-    img_a = qca.conjugate(part_a)
-    img_b = qca.conjugate_inverse(part_b)
-    return PauliOperator(
-        2 * n,
-        img_a.x | (img_b.x << n),
-        img_a.z | (img_b.z << n),
-        (p.phase + img_a.phase + img_b.phase) & 3,
-    )
-
-
 def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
     """Compile U (x) U^-1 into local symmetric gates (conjugated swaps + swaps).
 
-    Each v_i = (U (x) 1) s_i (U^-1 (x) 1) is assembled from the single-site
-    images U P U^dagger and U^dagger P U, computed once for all i.  For P_a on
-    register A, write U^dagger P_a U = R S with S the phase-free site-i factor:
-    the swap moves S to site n+i and U maps R = (U^dagger P_a U) S^dagger to
-    P_a (U S U^dagger)^dagger.  P_{n+i} is swapped to P_i and maps to U P_i U^dagger.
-    Every image is read and written as (x, z, phase) ints, U^dagger P U
-    from the dual of U's tableau.
+    Each v_i is its definition, the swap s_i conjugated by W = U (x) 1
+    through `conjugated_gate`; W's tables are U's rows and its dual's on
+    register A with identity rows on register B, all (x, z, phase) ints.
     """
     forward = _site_images(qca, n)
     if _spread(forward, lattice) > max(1, n // 3):
         raise ValueError("entangler failed the locality audit at this size")
     backward = qca._inverse_tableau
-    # touching[i] = register-A sites whose inverse-conjugated X/Z images reach i.
-    touching: list[list[int]] = [[] for _ in range(n)]
-    for a, pair in enumerate(backward):
-        for i in _reach(pair):
-            touching[i].append(a)
     n2 = 2 * n
-    v_gates = []
-    for i in range(n):
-        b = n + i
-        rows = {}
-        for a in touching[i]:
-            pair = []
-            for px, pz, (qx, qz, _) in ((1 << a, 0, backward[a][0]), (0, 1 << a, backward[a][1])):
-                # S = X_i^sx Z_i^sz is the site-i factor of q = U^dagger p U.
-                # U S U^dagger commutes with the single-site p, so the head
-                # p (U S U^dagger)^dagger takes only the dagger's phase.
-                sx, sz = (qx >> i) & 1, (qz >> i) & 1
-                ux, uz, uphase = _image(forward, sx << i, sz << i)
-                phase = (2 * (ux & uz).bit_count() - uphase) & 3
-                pair.append(((px ^ ux) | sx << b, (pz ^ uz) | sz << b, phase))
-            rows[a] = tuple(pair)
-        rows[b] = forward[i]
-        v_gates.append(CliffordGate("TABLEAU", n2, SiteSet(rows), rows))
-    _prove_v_gates(forward, backward, v_gates)
+    fixed = tuple(((1 << c, 0, 0), (0, 1 << c, 0)) for c in range(n, n2))
+    tableau, dual = forward + fixed, backward + fixed
     s_gates = tuple(swap_gate(n2, i, n + i) for i in range(n))
+    v_gates = tuple(conjugated_gate(s, tableau, dual) for s in s_gates)
     shifted = tuple(tuple((x << n, z << n, phase) for x, z, phase in pair) for pair in backward)
-    return DoubledCircuit(n, tuple(v_gates), s_gates, forward + shifted)
-
-
-def _prove_v_gates(forward, backward, v_gates: Sequence[CliffordGate]) -> None:
-    """Raise ValueError, naming the first wrong image, unless v_gates[i] is
-    (U (x) 1) s_i (U^-1 (x) 1) for each i, given U's tableau and its dual.
-
-    Apart from the compile: U^dagger P_a U = i^k R S splits, with no phase,
-    into its site-i factor S and the rest R, so v_i sends P_a to
-    i^k (U R U^dagger) S_{n+i} and P_{n+i} to U P_i U^dagger, and fixes every
-    other site; so each a whose U^-1 image reaches i is in v_i's support.
-    """
-    n = len(forward)
-    for a, pair in enumerate(backward):
-        for i in _reach(pair):
-            if a not in v_gates[i].rows:
-                raise ValueError(f"v-gate {i} misses site {a}, whose U^-1 image reaches site {i}")
-    for i, gate in enumerate(v_gates):
-        m, b = 1 << i, n + i
-        for c, got in gate.rows.items():
-            if c < n:
-                want = []
-                for qx, qz, qphase in backward[c]:
-                    rx, rz, rphase = _image(forward, qx & ~m, qz & ~m)
-                    want.append((rx | (qx >> i & 1) << b, rz | (qz >> i & 1) << b, qphase + rphase & 3))
-            else:
-                want = forward[i] if c == b else ((1 << c, 0, 0), (0, 1 << c, 0))
-            for name, g, w in zip("XZ", got, want):
-                if g != w:
-                    g, w = (PauliOperator(2 * n, *img) for img in (g, w))
-                    raise ValueError(f"v-gate {i} maps {name}_{c} to {g}, not {w}")
+    return DoubledCircuit(n, v_gates, s_gates, forward + shifted)
 
 
 # -- doubled form of diagonal qudit entanglers -------------------------------

@@ -10,7 +10,11 @@ and restrict-and-conjugate loops they replaced; the dense gate runner against th
 per-gate contraction loop it replaced, on criterion 2's and the cocycle
 chain's circuits and on random Clifford circuits; criterion 2's basis-label
 images against that loop's per-column action, and its label-and-sign
-comparison against the full-matrix one; dense gates read from the tableau
+comparison against the full-matrix one, and its per-gate label comparison
+against the embedded matrix products; one gate conjugated through a
+Clifford's tableau against the doubled compile's proven single-site
+shortcut, the pipeline's PauliOperator conjugation and U (x) U^-1 applied
+register by register; dense gates read from the tableau
 against the per-column projected builder, and the stabilizer density as
 row permutations against the product of dense projectors; the i < j
 commutation loop of `SymmetryRep` against the ordered-pair loop; the dense symmetric-gate
@@ -80,7 +84,7 @@ from catalab.models import (
     cz_ring_circuit,
     symmetry_defect,
 )
-from catalab.pauli import PauliOperator
+from catalab.pauli import PauliOperator, SiteSet
 from catalab.protocols import _measurement_template, measurement_prepare_catalyst
 from catalab.stabilizer import (
     CliffordCircuit,
@@ -90,6 +94,7 @@ from catalab.stabilizer import (
     ZeroProjectionError,
     _image,
     cnot_gate,
+    conjugated_gate,
     cz_gate,
     fidelity,
     h_gate,
@@ -100,6 +105,7 @@ from catalab.stabilizer import (
     tableau_gate,
 )
 from catalab.verify import (
+    _reach,
     audit_dense_gate_symmetric,
     audit_gate_symmetric,
     build_doubled_diagonal,
@@ -653,6 +659,160 @@ def test_doubled_compile_matches_reference_on_random_ring_circuits(n, seed):
 
 
 # ---------------------------------------------------------------------------
+# one gate conjugated through a Clifford's tableau (`conjugated_gate`) against
+# the three paths it replaced: the doubled compile's single-site shortcut
+# with its per-gate proof, the four-step pipeline's PauliOperator
+# conjugation, and U (x) U^-1 applied register by register
+# ---------------------------------------------------------------------------
+
+
+def reference_prove_v_gates(forward, backward, v_gates):
+    """Raise ValueError, naming the first wrong image, unless v_gates[i] is
+    (U (x) 1) s_i (U^-1 (x) 1) for each i: U^dagger P_a U = i^k R S splits
+    into its site-i factor S and the rest R, so v_i sends P_a to
+    i^k (U R U^dagger) S_{n+i} and P_{n+i} to U P_i U^dagger, and fixes
+    every other site."""
+    n = len(forward)
+    for a, pair in enumerate(backward):
+        for i in _reach(pair):
+            if a not in v_gates[i].rows:
+                raise ValueError(f"v-gate {i} misses site {a}, whose U^-1 image reaches site {i}")
+    for i, gate in enumerate(v_gates):
+        m, b = 1 << i, n + i
+        for c, got in gate.rows.items():
+            if c < n:
+                want = []
+                for qx, qz, qphase in backward[c]:
+                    rx, rz, rphase = _image(forward, qx & ~m, qz & ~m)
+                    want.append((rx | (qx >> i & 1) << b, rz | (qz >> i & 1) << b, qphase + rphase & 3))
+            else:
+                want = forward[i] if c == b else ((1 << c, 0, 0), (0, 1 << c, 0))
+            for name, g, w in zip("XZ", got, want):
+                if g != w:
+                    raise ValueError(f"v-gate {i} maps {name}_{c} to {g}, not {w}")
+
+
+def reference_shortcut_compile(qca, n):
+    """The v-gates from single-site images: write U^dagger P_a U = R S with
+    S the phase-free site-i factor; the swap moves S to site n+i and U maps
+    R to P_a (U S U^dagger)^dagger, and P_{n+i} maps to U P_i U^dagger.
+    Each gate is then proven against its definition."""
+    forward, backward = qca._tableau, qca._inverse_tableau
+    touching = [[] for _ in range(n)]
+    for a, pair in enumerate(backward):
+        for i in _reach(pair):
+            touching[i].append(a)
+    v_gates = []
+    for i in range(n):
+        b = n + i
+        rows = {}
+        for a in touching[i]:
+            pair = []
+            for px, pz, (qx, qz, _) in ((1 << a, 0, backward[a][0]), (0, 1 << a, backward[a][1])):
+                sx, sz = (qx >> i) & 1, (qz >> i) & 1
+                ux, uz, uphase = _image(forward, sx << i, sz << i)
+                phase = (2 * (ux & uz).bit_count() - uphase) & 3
+                pair.append(((px ^ ux) | sx << b, (pz ^ uz) | sz << b, phase))
+            rows[a] = tuple(pair)
+        rows[b] = forward[i]
+        v_gates.append(CliffordGate("TABLEAU", 2 * n, SiteSet(rows), rows))
+    reference_prove_v_gates(forward, backward, v_gates)
+    return v_gates
+
+
+def reference_conjugate_gate_by_qca(gate, qca):
+    """U g U^dagger from PauliOperator conjugations, on the gate's own sites
+    and every site U's images of them reach."""
+    n = gate.n
+    support = set(gate.support)
+    for s in gate.support:
+        for p in (PauliOperator.x_at(n, s), PauliOperator.z_at(n, s)):
+            support.update(qca.conjugate(p).support())
+    images = {}
+    for a in sorted(support):
+        pair = [
+            qca.conjugate(gate.conjugate(qca.conjugate_inverse(p)))
+            for p in (PauliOperator.x_at(n, a), PauliOperator.z_at(n, a))
+        ]
+        images[a] = (pair[0], pair[1])
+    return tableau_gate(n, images)
+
+
+def reference_doubled_conjugate(qca, n, p):
+    """Conjugation by U (x) U^-1 on a 2n-qubit operator, register by register."""
+    mask = (1 << n) - 1
+    img_a = qca.conjugate(PauliOperator(n, p.x & mask, p.z & mask, 0))
+    img_b = qca.conjugate_inverse(PauliOperator(n, p.x >> n, p.z >> n, 0))
+    return PauliOperator(
+        2 * n, img_a.x | (img_b.x << n), img_a.z | (img_b.z << n), p.phase + img_a.phase + img_b.phase
+    )
+
+
+@pytest.mark.parametrize(
+    "model, params",
+    CATALYSIS_MATRIX
+    + [("cluster-1d", {"n": 128}), ("lieb-2d", {"lx": 6, "ly": 6}), ("square-sspt", {"l": 8})],
+)
+def test_doubled_compile_matches_the_proven_shortcut(model, params):
+    # The gates, their rows in order and their names are the shortcut's,
+    # and the table a report evolves by is U (x) U^-1's, register by register.
+    bundle = build_model(model, **params)
+    n, qca = bundle.n, bundle.entangler
+    doubled = build_doubled_fdqc(qca, n, bundle.lattice)
+    reference = reference_shortcut_compile(qca, n)
+    assert [repr(g) for g in doubled.v_gates] == [repr(g) for g in reference]
+    assert [list(g.rows.items()) for g in doubled.v_gates] == [list(g.rows.items()) for g in reference]
+    assert [g.kind for g in doubled.v_gates] == ["TABLEAU"] * n
+
+    def row(p):
+        img = reference_doubled_conjugate(qca, n, p)
+        return img.x, img.z, img.phase
+
+    n2 = 2 * n
+    assert doubled._tableau == tuple(
+        (row(PauliOperator.x_at(n2, a)), row(PauliOperator.z_at(n2, a))) for a in range(n2)
+    )
+
+
+def reached_sites(qca, gate):
+    """The sites U's images of the gate's sites act on."""
+    n = gate.n
+    sites = set()
+    for s in gate.support:
+        for p in (PauliOperator.x_at(n, s), PauliOperator.z_at(n, s)):
+            sites.update(qca.conjugate(p).support())
+    return sites
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=SEEDS, permutation=st.booleans())
+def test_conjugated_gate_matches_pauli_object_conjugation(n, seed, permutation):
+    rng = np.random.default_rng(seed)
+    if permutation:
+        qca = PermutationQca([int(p) for p in rng.permutation(n)])
+    else:
+        qca = random_ring_circuit(rng, n)
+    size = int(rng.integers(1, min(3, n) + 1))
+    gate = random_tableau_gate(rng, n, [int(a) for a in rng.choice(n, size=size, replace=False)])
+    got = conjugated_gate(gate, qca._tableau, qca._inverse_tableau)
+    want = reference_conjugate_gate_by_qca(gate, qca)
+    assert set(got.support) == reached_sites(qca, gate)
+    for a in range(n):
+        for p in (PauliOperator.x_at(n, a), PauliOperator.z_at(n, a)):
+            assert got.conjugate(p) == want.conjugate(p)
+
+
+def test_conjugated_gate_refuses_a_table_of_another_size():
+    qca = cz_ring_circuit(6)
+    tableau, dual = qca._tableau, qca._inverse_tableau
+    message = "^conjugating tableau size does not match the gate register$"
+    with pytest.raises(ValueError, match=message):
+        conjugated_gate(swap_gate(8, 0, 1), tableau, dual)
+    with pytest.raises(ValueError, match=message):
+        conjugated_gate(swap_gate(6, 0, 1), tableau, dual + dual[:1])
+
+
+# ---------------------------------------------------------------------------
 # the int-level checks on the compile, audit and evolve path against the
 # object loops they replaced: tableau images, generator commutation and the
 # symmetric-gate audit, on registry and random inputs and corruptions of them
@@ -1029,6 +1189,58 @@ def test_one_flipped_v_term_sign_fails_criterion_2(monkeypatch):
         "cluster-1d-n6-dense-maxerr": 2.0,
         "square-sspt-n4-dense-maxerr": 2.0,
     }
+
+
+def reference_per_gate_dense_equality(bundle, doubled):
+    """The per-gate check that label comparison replaced: each v-gate's
+    matrix against L s_i L^-1 multiplied out as embedded 2^m matrices."""
+    n = bundle.n
+    swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
+    worst = 0.0
+    if isinstance(bundle.entangler, PermutationQca):
+        for sites, got in doubled.v_terms:
+            expected = swap if len(sites) == 2 else np.eye(1 << len(sites), dtype=np.complex128)
+            worst = max(worst, float(np.max(np.abs(got - expected))))
+        return worst
+    for i, (sites, got) in enumerate(doubled.v_terms):
+        pos = {s: k for k, s in enumerate(sites)}
+        m = len(sites)
+        local = np.eye(1 << m, dtype=np.complex128)
+        for layer in bundle.entangler.layers:
+            for gate in layer:
+                if i in gate.support:
+                    mat = embed_operator(gate_unitary(gate), [pos[s] for s in gate.support], m, 2)
+                    local = mat @ local
+        expected = local @ embed_operator(swap, [pos[i], pos[n + i]], m, 2) @ local.conj().T
+        worst = max(worst, float(np.max(np.abs(got - expected))))
+    return worst
+
+
+def with_first_v_term(doubled, edit):
+    """The doubled circuit with its first v-term's matrix changed by edit."""
+    (support, matrix), *rest = doubled.v_terms
+    matrix = matrix.copy()
+    edit(matrix)
+    vars(doubled)["v_terms"] = ((support, matrix), *rest)
+    return doubled
+
+
+def flip_first_column_sign(matrix):
+    matrix[np.flatnonzero(matrix[:, 0])[0], 0] *= -1
+
+
+@pytest.mark.parametrize("model, params", CATALYSIS_MATRIX)
+def test_per_gate_check_matches_the_matrix_products(model, params):
+    # Label-and-sign comparison reads the matrix check's value: 0 on the
+    # compile, 2 for one flipped sign.
+    def both(doubled):
+        got = acceptance._per_gate_dense_equality(bundle, doubled)
+        return got, reference_per_gate_dense_equality(bundle, doubled)
+
+    bundle = build_model(model, **params)
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    assert both(doubled) == (0.0, 0.0)
+    assert both(with_first_v_term(doubled, flip_first_column_sign)) == (2.0, 2.0)
 
 
 def test_label_check_names_a_moved_basis_state_as_one():

@@ -7,9 +7,9 @@ from catalab.protocols import (
     PreparationSchedule,
     RecipeError,
     Stage,
+    _conjugate_circuit_by_qca,
     audit_schedule,
     catalyzed_pipeline,
-    conjugate_gate_by_qca,
     execute_schedule,
     ghz_even_staircase,
     ghz_pair_staircase,
@@ -19,7 +19,7 @@ from catalab.protocols import (
     sqrt_zz_gate,
     ghz_step_gate,
 )
-from catalab.stabilizer import CliffordCircuit, StabilizerMixture
+from catalab.stabilizer import CliffordCircuit, StabilizerMixture, conjugated_gate, swap_gate
 from catalab.verify import audit_gate_symmetric
 
 from named_gates import x_gate, z_gate
@@ -184,13 +184,47 @@ def test_measurement_stage_audit():
 
 
 def test_conjugated_gate_locality():
+    # The ring's CZs spread X_2 and X_4 to their neighbours.
     n = 8
     bundle = build_model("cluster-1d", n=n)
-    gate = ghz_step_gate(n, 2, 4)
-    conj = conjugate_gate_by_qca(gate, bundle.entangler)
-    assert set(conj.support) <= {1, 2, 3, 4, 5}
-    dsym = bundle.symmetry
-    assert audit_gate_symmetric(conj, dsym)
+    qca = bundle.entangler
+    conj = conjugated_gate(ghz_step_gate(n, 2, 4), qca._tableau, qca._inverse_tableau)
+    assert tuple(conj.support) == (1, 2, 3, 4, 5)
+    assert audit_gate_symmetric(conj, bundle.symmetry)
+
+
+def test_four_step_gates_on_lsm_dimer_carry_only_translated_sites():
+    # A translation moves each swap of the unmaking layer to the images of
+    # its sites; the gate's own sites are no longer listed.
+    n = 8
+    bundle = build_model("lsm-dimer", n=n)
+    perm = bundle.entangler.perm
+    cat = build_catalyst(bundle, "long-range-bell")
+    made, unmade = catalyzed_pipeline(bundle, cat, "four-step").stages
+    (layer,) = made.circuit.inverse().layers
+    assert len(unmade.circuit.layers) == 1 and len(layer) == n // 4
+    for gate, conj in zip(layer, unmade.circuit.layers[0], strict=True):
+        a, b = gate.support
+        assert tuple(conj.support) == tuple(sorted((perm[a], perm[b])))
+        assert conj.rows == swap_gate(n, perm[a], perm[b]).rows
+
+
+@pytest.mark.parametrize("model, catalyst", [("cluster-1d", "ghz"), ("lsm-dimer", "long-range-bell")])
+def test_four_step_conjugation_builds_no_pauli_operator(monkeypatch, model, catalyst):
+    bundle = build_model(model, n=16)
+    schedule = catalyzed_pipeline(bundle, build_catalyst(bundle, catalyst), "four-step")
+    unmake = schedule.stages[0].circuit.inverse()
+    built = []
+    inner = PauliOperator.__post_init__
+
+    def counting(self):
+        built.append(self)
+        inner(self)
+
+    monkeypatch.setattr(PauliOperator, "__post_init__", counting)
+    conjugated, depth = _conjugate_circuit_by_qca(unmake, bundle.entangler)
+    assert depth == len(unmake.layers) and conjugated.layers
+    assert built == []
 
 
 def test_depth_accounting_exact():

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from catalab import gf2, verify
-from catalab.acceptance import CATALYSIS_MATRIX
+from catalab import gf2
+from catalab.acceptance import CATALYSIS_MATRIX, _walked_gates_match
 from catalab.dense import (
     DenseState,
     apply_local_unitary,
@@ -29,13 +29,11 @@ from catalab.stabilizer import (
 )
 from catalab.verify import (
     RegionTooSmallError,
-    _prove_v_gates,
     audit_dense_gate_symmetric,
     audit_gate_symmetric,
     build_doubled_diagonal,
     build_doubled_fdqc,
     disorder_parameter,
-    doubled_conjugate,
     fidelity_correlator,
     qca_spread,
     spt_invariant,
@@ -133,11 +131,12 @@ def test_doubled_cz_ring_matches_tableau_and_dense():
     bundle = build_model("cluster-1d", n=n)
     qca = bundle.entangler
     doubled = build_doubled_fdqc(qca, n, bundle.lattice)
-    # exact tableau equality of the compiled gates with U (x) U^-1
+    # exact tableau equality of the compiled gates with U (x) U^-1's table,
+    # read off U's tableau and its dual
     circuit = doubled.as_circuit()
     for a in range(2 * n):
         for p in (PauliOperator.x_at(2 * n, a), PauliOperator.z_at(2 * n, a)):
-            assert circuit.conjugate(p) == doubled_conjugate(qca, n, p)
+            assert circuit.conjugate(p) == doubled.conjugate(p)
     # dense operator equality, including the global phase
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -614,15 +613,19 @@ def test_doubled_rejects_nonlocal_unitary():
         build_doubled_fdqc(PermutationQca(perm), n, bundle.lattice)
 
 
-# The per-gate proof of the doubled compile: each negative control is a
-# valid Clifford gate in the wrong place, so only the proof can catch it.
+# Negative controls on criterion 2's walked-gates check: each fault is a
+# valid Clifford gate in the wrong place, so only the comparison of the
+# walked gates with U (x) U^-1's table can catch it.
 
 
-def v_gate_proof_inputs(n=8):
+def walked_gates_match_with(edit, n=8):
+    """Criterion 2's walked-gates check on the cluster-1d compile, its
+    v-gate list first changed in place by edit."""
     bundle = build_model("cluster-1d", n=n)
-    qca = bundle.entangler
-    doubled = build_doubled_fdqc(qca, n, bundle.lattice)
-    return qca._tableau, qca._inverse_tableau, list(doubled.v_gates)
+    doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
+    gates = list(doubled.v_gates)
+    edit(gates)
+    return _walked_gates_match(replace(doubled, v_gates=tuple(gates)))
 
 
 def with_flipped_sign(gate, a):
@@ -631,53 +634,43 @@ def with_flipped_sign(gate, a):
     return CliffordGate("TABLEAU", gate.n, gate.support, rows)
 
 
-def test_v_gate_proof_rejects_one_flipped_image_sign():
-    forward, backward, gates = v_gate_proof_inputs()
-    a = gates[2].support[1]
-    gates[2] = with_flipped_sign(gates[2], a)
-    with pytest.raises(ValueError, match=rf"^v-gate 2 maps X_{a} to -\S+, not \+\S+$"):
-        _prove_v_gates(forward, backward, gates)
+def flip_one_image_sign(gates):
+    gates[2] = with_flipped_sign(gates[2], gates[2].support[1])
 
 
-def test_v_gate_proof_rejects_two_exchanged_gates():
-    forward, backward, gates = v_gate_proof_inputs()
-    gates[1], gates[2] = gates[2], gates[1]
-    with pytest.raises(ValueError, match="^v-gate 1 misses site 0, whose U\\^-1 image reaches site 1$"):
-        _prove_v_gates(forward, backward, gates)
+def flip_one_register_b_sign(gates):
+    gates[0] = with_flipped_sign(gates[0], 8)
 
 
-def test_v_gate_proof_rejects_a_gate_missing_a_touching_site():
-    # v_3 on its support less site 2 cannot carry v_3's images (they reach
-    # site 2), so the stand-in acts as the identity there.
-    forward, backward, gates = v_gate_proof_inputs()
-    n2 = gates[3].n
+def drop_a_reached_site(gates):
+    # U's images of site 3 reach site 2, so v_3 on its support less site 2
+    # cannot carry v_3's images; the stand-in acts as the identity.
     rest = [c for c in gates[3].support if c != 2]
     rows = {c: ((1 << c, 0, 0), (0, 1 << c, 0)) for c in rest}
-    gates[3] = CliffordGate("TABLEAU", n2, SiteSet(rest), rows)
-    with pytest.raises(ValueError, match="^v-gate 3 misses site 2, whose U\\^-1 image reaches site 3$"):
-        _prove_v_gates(forward, backward, gates)
+    gates[3] = CliffordGate("TABLEAU", gates[3].n, SiteSet(rest), rows)
 
 
-def test_v_gate_proof_names_a_wrong_register_b_row():
-    forward, backward, gates = v_gate_proof_inputs()
-    gates[0] = with_flipped_sign(gates[0], 8)
-    with pytest.raises(ValueError, match="^v-gate 0 maps X_8 to -"):
-        _prove_v_gates(forward, backward, gates)
+def duplicate_one_gate(gates):
+    gates[2] = gates[1]
 
 
-def test_the_compile_runs_the_v_gate_proof(monkeypatch):
-    # A compile that emits one wrong sign fails before a circuit is returned.
-    made = []
+def test_walked_gates_check_passes_the_compile():
+    assert walked_gates_match_with(lambda gates: None)
 
-    def flipping(kind, n, support, rows):
-        made.append(kind)
-        gate = CliffordGate(kind, n, support, rows)
-        return with_flipped_sign(gate, support[0]) if len(made) == 3 else gate
 
-    monkeypatch.setattr(verify, "CliffordGate", flipping)
-    bundle = build_model("cluster-1d", n=8)
-    with pytest.raises(ValueError, match="^v-gate 2 maps X_1 to "):
-        build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+@pytest.mark.parametrize(
+    "edit", [flip_one_image_sign, flip_one_register_b_sign, drop_a_reached_site, duplicate_one_gate]
+)
+def test_walked_gates_check_catches_a_wrong_v_gate(edit):
+    assert not walked_gates_match_with(edit)
+
+
+def test_exchanging_two_v_gates_is_no_fault():
+    # The v_i commute, so their order leaves V unchanged.
+    def exchange(gates):
+        gates[1], gates[2] = gates[2], gates[1]
+
+    assert walked_gates_match_with(exchange)
 
 
 def test_doubled_evolution_refuses_a_state_on_another_register():
@@ -760,8 +753,8 @@ def test_stabilizer_catalysis_makes_no_elimination(monkeypatch, model, params):
 @pytest.mark.parametrize("model, params", GUARD_SIZES)
 def test_stabilizer_catalysis_walks_no_doubled_circuit(monkeypatch, model, params):
     # The report evolves by U (x) U^-1's tableau, read off U's and its
-    # dual, which the per-gate proof ties to the gates; nothing walks the
-    # 2n-site circuit.
+    # dual, which the gates multiply out to by construction; nothing walks
+    # the 2n-site circuit.
     bundle, catalysts = stabilizer_catalysts(model, params)
     widths = []
     walk = CliffordCircuit._walk
