@@ -482,9 +482,10 @@ def criterion_7() -> CriterionResult:
         czm = np.diag([1.0, 1, 1, -1]).astype(complex)
         for i in range(8):
             cluster = dn.apply_local_unitary(cluster, czm, [i, (i + 1) % 8])
-        overlap = abs(complex(np.vdot(state.amps, cluster.amps)))
-        details["cluster_overlap"] = overlap
-        ok = ok and overlap >= 1 - 1e-10
+        # A 4-site q=4 state against an 8-site qubit state, which `dn.overlap` refuses.
+        modulus = abs(complex(np.vdot(state.amps, cluster.amps)))
+        details["cluster_overlap"] = modulus
+        ok = ok and modulus >= 1 - 1e-10
         return ok
 
     return _timed("7", "cohomology groups, normalization, compiled circuit", run)

@@ -599,7 +599,7 @@ def symmetry_defect(bundle: ModelBundle, cat: Catalyst, weak_only: bool) -> Opti
         else:
             state = cat.dense_state
             moved = dn.apply_pauli(state, element) if qsym is None else qsym.apply(state, element)
-            value = complex(np.vdot(state.amps, moved.amps))
+            value = dn.overlap(state, moved)
             ok = abs(value) >= 1 - 1e-9 if weak else abs(value - 1) <= 1e-9
         if not ok:
             return label
@@ -638,7 +638,7 @@ def build_catalyst(bundle: ModelBundle, kind: str) -> Catalyst:
             evolved = dn.qca_dense_action(bundle.entangler)(state)
         else:
             evolved = bundle.entangler.apply(state)
-        invariant = abs(abs(complex(np.vdot(state.amps, evolved.amps))) - 1) <= 1e-9
+        invariant = abs(abs(dn.overlap(state, evolved)) - 1) <= 1e-9
     defect = symmetry_defect(bundle, cat, weak_only=False)
     if defect is not None:
         raise AssertionError(f"catalyst {kind} is not symmetric under {defect}")

@@ -121,13 +121,6 @@ class PauliOperator:
     def negate(self) -> "PauliOperator":
         return PauliOperator(self.n, self.x, self.z, (self.phase + 2) & 3)
 
-    def with_sign(self, sign: int) -> "PauliOperator":
-        if sign == 1:
-            return self
-        if sign == -1:
-            return self.negate()
-        raise ValueError("sign must be +1 or -1")
-
     def restrict(self, sites: Iterable[int]) -> "PauliOperator":
         """Zero out everything except the given sites (same register size)."""
         m = _mask(sites)

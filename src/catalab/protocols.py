@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Optional
 
 import numpy as np
@@ -20,6 +21,7 @@ from .pauli import PauliOperator
 from .stabilizer import (
     CliffordCircuit,
     CliffordGate,
+    SignFamily,
     StabilizerMixture,
     conjugated_gate,
     pack_gates_into_layers,
@@ -208,100 +210,54 @@ class MeasurementTemplate:
 
     A sign is held as (base, mask): the base is its value when every random
     outcome is +1, and the sign flips once for each set bit of mask & bits.
-    `outcomes` holds (base sign bit, mask) per measurement, `generators`
-    (x, z, base phase, mask) per post-measurement generator.
+    `outcomes` holds (base sign bit, mask) per measurement, and `family`
+    the post-measurement generators with one mask each.
     """
 
-    n: int
     random: tuple[int, ...]
     outcomes: tuple[tuple[int, int], ...]
-    generators: tuple[tuple[int, int, int, int], ...]
+    family: SignFamily
 
     def evaluate(self, bits: int) -> tuple[tuple[int, ...], StabilizerMixture]:
-        """The outcomes and the post-measurement state for the given bits.
-        A projection keeps a valid state valid whatever its sign, so the
-        state is built without a re-check."""
+        """The outcomes and the post-measurement state for the given bits."""
         outcomes = tuple(
             -1 if (base + (mask & bits).bit_count()) & 1 else 1
             for base, mask in self.outcomes
         )
-        gens = tuple(
-            PauliOperator(self.n, x, z, phase + 2 * (mask & bits).bit_count())
-            for x, z, phase, mask in self.generators
-        )
-        return outcomes, StabilizerMixture(self.n, gens)
-
-
-def _affine_sign(
-    state: StabilizerMixture, masks: list[int], p: PauliOperator
-) -> Optional[tuple[int, int]]:
-    """(base sign bit, mask) of p's sign in the group, or None when p is
-    outside the group up to sign: the member with p's unsigned part is a
-    product of generators, so its mask is the XOR of theirs.  Both are
-    hermitian, so their phases differ by 0 or 2."""
-    combo = state._hermitian_combination(p)
-    if combo is None:
-        return None
-    diff = (state._combine(combo).phase - p.phase) & 3
-    mask = 0
-    for j, m in enumerate(masks):
-        if combo >> j & 1:
-            mask ^= m
-    return diff >> 1, mask
+        return outcomes, self.family.evaluate(bits)
 
 
 @lru_cache(maxsize=16)
 def _measurement_template(n: int) -> MeasurementTemplate:
-    """Run the measurement sequence once, with every random outcome held as
-    +1 and a mask over outcome bits next to each generator, then prove the
-    protocol's claims for all 2^r outcomes at once.
+    """Run the measurement sequence once as a `SignFamily`, random outcome
+    t drawn as +1 with mask 1 << t, then prove the protocol's claims for
+    all 2^r outcomes at once.
 
     Which measurements are random, and the unsigned post-measurement group,
-    do not depend on earlier outcomes; only signs do, and each is affine in
-    the outcome bits.  A random measurement t gives its new generator the
-    mask 1 << t; the products of `project` XOR masks; a deterministic
-    outcome's mask is the XOR of the masks of the generators it is a
-    product of.  A sign is +1 for every outcome exactly when its base is +1
-    and its mask is 0, so each claim is one exact comparison of masks.
+    do not depend on earlier outcomes; only signs do.  A sign is +1 for
+    every outcome exactly when its base is +1 and its mask is 0, so each
+    claim is one exact comparison.
     """
-    state = StabilizerMixture.plus_state(n)
-    masks = [0] * n
-    random: list[int] = []
+    family = SignFamily(StabilizerMixture.plus_state(n), (0,) * n)
     outcomes: list[tuple[int, int]] = []
     for t in range(n):
         op = PauliOperator.z_at(n, t, (t + 2) % n)
-        anti = [j for j, g in enumerate(state.generators) if g.symplectic_product(op)]
-        if not anti:
-            # The state stays pure, so an operator that commutes with every
-            # generator is in the group up to sign: a deterministic outcome.
-            outcomes.append(_affine_sign(state, masks, op))
-            continue
-        random.append(t)
-        outcomes.append((0, 1 << t))
-        for j in anti[1:]:
-            masks[j] ^= masks[anti[0]]
-        masks[anti[0]] = 1 << t
-        state = state.project(op, 1)
-    for sublattice in (outcomes[0::2], outcomes[1::2]):
-        base = mask = 0
-        for b, m in sublattice:
-            base ^= b
-            mask ^= m
-        if base or mask:
+        outcome, family = family.measure(op, lambda: (0, 1 << t))
+        outcomes.append(outcome)
+    # A fixed outcome is a product of earlier generators, so only a random
+    # outcome t carries bit t.
+    random = tuple(t for t, (_, mask) in enumerate(outcomes) if mask >> t & 1)
+    for first in (0, 1):
+        if any(reduce(xor, part) for part in zip(*outcomes[first::2])):
             raise AssertionError("sublattice parity constraint violated")
     entangler = cz_ring_circuit(n)
-    for g, m in zip(state.generators, masks):
-        if _affine_sign(state, masks, entangler.conjugate(g)) != (0, m):
+    for g, m in zip(family.state.generators, family.masks):
+        if family.sign_of(entangler.conjugate(g)) != (0, m):
             raise AssertionError("post-measurement state is not entangler-invariant")
     for u in (PauliOperator.x_at(n, *range(0, n, 2)), PauliOperator.x_at(n, *range(1, n, 2))):
-        if _affine_sign(state, masks, u) != (0, 0):
+        if family.sign_of(u) != (0, 0):
             raise AssertionError("post-measurement state lost a sublattice symmetry")
-    return MeasurementTemplate(
-        n=n,
-        random=tuple(random),
-        outcomes=tuple(outcomes),
-        generators=tuple((g.x, g.z, g.phase, m) for g, m in zip(state.generators, masks)),
-    )
+    return MeasurementTemplate(random=random, outcomes=tuple(outcomes), family=family)
 
 
 # ---------------------------------------------------------------------------

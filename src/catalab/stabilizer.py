@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -583,42 +583,23 @@ class StabilizerMixture:
             raise ValueError("circuit register size mismatch")
         return StabilizerMixture(self.n, tuple(circuit.conjugate(g) for g in self.generators))
 
-    def measure(
-        self, p: PauliOperator, rng: np.random.Generator
-    ) -> tuple[int, "StabilizerMixture"]:
-        """Projective measurement of a hermitian Pauli; exact update, not
-        re-validated, since a projection keeps a valid state valid."""
-        if not p.is_hermitian():
-            raise ValueError("cannot measure a non-hermitian operator")
-        if not any(g.symplectic_product(p) for g in self.generators):
-            sign = self.membership_sign(p)
-            if sign is not None:
-                return sign, self
-        outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
-        return outcome, self.project(p, outcome)
+    def measure(self, p: PauliOperator, rng: np.random.Generator) -> tuple[int, "StabilizerMixture"]:
+        """Projective measurement of a hermitian Pauli: one `SignFamily`
+        step with zero masks, which draws a bit only for a random outcome."""
+        family = SignFamily(self, (0,) * self.k)
+        (bit, _), family = family.measure(p, lambda: (int(rng.integers(0, 2)), 0))
+        return 1 - 2 * bit, family.state
 
     def project(self, p: PauliOperator, sign: int) -> "StabilizerMixture":
-        """Forced projection onto the sign eigenspace of p (renormalized);
-        the CHP update, which keeps a valid state valid."""
-        _check_register(p, self.n, "state")
+        """Forced projection onto the sign eigenspace of p (renormalized):
+        one `SignFamily` step with zero masks."""
         if sign not in (1, -1):
             raise ValueError(f"projection sign must be +1 or -1, got {sign!r}")
-        if not p.is_hermitian():
-            raise ValueError("cannot project onto a non-hermitian operator")
-        anti = [j for j, g in enumerate(self.generators) if g.symplectic_product(p)]
-        if anti:
-            gens = list(self.generators)
-            j0 = anti[0]
-            for j in anti[1:]:
-                gens[j] = gens[j] * gens[j0]
-            gens[j0] = p.with_sign(sign)
-            return StabilizerMixture(self.n, tuple(gens))
-        known = self.membership_sign(p)
-        if known is not None:
-            if known != sign:
-                raise ZeroProjectionError(f"projection onto {sign}*{p} has zero weight")
-            return self
-        return StabilizerMixture(self.n, self.generators + (p.with_sign(sign),))
+        bit = (1 - sign) >> 1
+        (known, _), family = SignFamily(self, (0,) * self.k).measure(p, lambda: (bit, 0))
+        if known != bit:
+            raise ZeroProjectionError(f"projection onto {sign}*{p} has zero weight")
+        return family.state
 
     # -- comparison and canonical form --------------------------------------
 
@@ -659,6 +640,75 @@ class StabilizerMixture:
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise ValueError("'generators' must be a list of Pauli strings")
         return cls.from_generators(n, (PauliOperator.from_string(t) for t in texts))
+
+
+@dataclass(frozen=True)
+class SignFamily:
+    """A stabilizer state whose generator signs are affine GF(2) functions
+    of outcome bits: generator j carries the base sign of `state`, flipped
+    once for each set bit of masks[j] & bits.  This is the sign-tracking
+    half of Pauli-frame simulation applied to the CHP update, so one run
+    covers every outcome of its random measurements at once."""
+
+    state: StabilizerMixture
+    masks: tuple[int, ...]
+
+    def measure(
+        self, p: PauliOperator, draw: Callable[[], tuple[int, int]]
+    ) -> tuple[tuple[int, int], "SignFamily"]:
+        """The CHP update for the hermitian p in one scan of the generators:
+        (base sign bit, mask) of the outcome, and the family after it.
+
+        A p that commutes with every generator and is in the group up to
+        sign has outcome `sign_of(p)` and leaves the family as it is.  Else
+        `draw()` gives the outcome and p joins with that sign, in place of
+        the first anticommuting generator (each other one is multiplied by
+        it, masks too) or as a new one.  Nothing is re-checked: a
+        projection keeps a valid state valid."""
+        state, gens, masks = self.state, list(self.state.generators), list(self.masks)
+        if not _check_register(p, state.n, "state").is_hermitian():
+            raise ValueError("cannot measure a non-hermitian operator")
+        anti = [j for j, g in enumerate(gens) if g.symplectic_product(p)]
+        if not anti:
+            known = self.sign_of(p)
+            if known is not None:
+                return known, self
+            anti = [len(gens)]
+            gens.append(p)
+            masks.append(0)
+        base, mask = draw()
+        j0 = anti[0]
+        for j in anti[1:]:
+            gens[j] = gens[j] * gens[j0]
+            masks[j] ^= masks[j0]
+        gens[j0] = p.negate() if base else p
+        masks[j0] = mask
+        return (base, mask), SignFamily(StabilizerMixture(state.n, tuple(gens)), tuple(masks))
+
+    def sign_of(self, p: PauliOperator) -> Optional[tuple[int, int]]:
+        """(base sign bit, mask) of the hermitian p's sign in the group, or
+        None when p is outside it up to sign.  The member with p's bits is
+        the product of the generators `combination` selects, so its mask
+        is the XOR of theirs; both are hermitian, so the phases differ by
+        0 or 2."""
+        state = self.state
+        combo = state._hermitian_combination(p)
+        if combo is None:
+            return None
+        phase = (_product(state.generators, combo)[2] - p.phase) & 3
+        mask = 0
+        while combo:
+            low = combo & -combo
+            combo ^= low
+            mask ^= self.masks[low.bit_length() - 1]
+        return phase >> 1, mask
+
+    def evaluate(self, bits: int) -> StabilizerMixture:
+        """The state at the given outcome bits, on integers only: each
+        generator whose mask meets bits an odd number of times flips sign."""
+        gens = zip(self.state.generators, self.masks)
+        flipped = (g.negate() if (m & bits).bit_count() & 1 else g for g, m in gens)
+        return StabilizerMixture(self.state.n, tuple(flipped))
 
 
 # ---------------------------------------------------------------------------

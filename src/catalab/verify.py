@@ -315,7 +315,7 @@ def verify_catalysis(
     else:
         evolved = doubled.apply_dense(bundle.trivial_dense().tensor(catalyst.dense_state))
         expected = bundle.target_dense().tensor(catalyst.dense_state)
-        modulus = abs(complex(np.vdot(expected.amps, evolved.amps)))
+        modulus = abs(dn.overlap(expected, evolved))
         matched = modulus >= 1 - 1e-10
         kind = "overlap"
     return CatalysisReport(
@@ -453,7 +453,7 @@ def spt_invariant_dense(
                 out = apply_u(out)
                 out = dn.apply_pauli(out, trunc_a)
                 out = apply_u_inv(out)
-                phase = complex(np.vdot(psi.amps, out.amps))
+                phase = dn.overlap(psi, out)
                 if abs(abs(phase) - 1) > 1e-10:
                     raise RegionTooSmallError("dense commutator is not a pure phase")
                 if np.linalg.norm(out.amps - phase * psi.amps) > 1e-9:

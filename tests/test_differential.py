@@ -21,8 +21,10 @@ commutation loop of `SymmetryRep` against the ordered-pair loop; the dense symme
 audit by index against the kron audit it replaced; and index-placed Hamiltonian assembly against
 the kron embedding; the cocycle chain's v-terms and Hamiltonians against the
 gate-conjugation loops `CocycleCircuit.conjugate_term` replaced; and the
-measurement protocol's affine-sign template against the per-sample loop and
-the dense projectors; projection, measurement and single-gate evolution,
+measurement protocol's sign-family template against the mirrored-mask
+template it replaced, the per-sample loop, sequential projections and the
+dense projectors, and sign-family steps against the projection they
+replaced; projection, measurement and single-gate evolution,
 none re-validated, against `validate()` and the dense update; the one
 catalyst symmetry contract against the
 three loops it replaced; and the ground-state solve by symmetry-character
@@ -90,6 +92,7 @@ from catalab.stabilizer import (
     CliffordCircuit,
     CliffordGate,
     PermutationQca,
+    SignFamily,
     StabilizerMixture,
     ZeroProjectionError,
     _image,
@@ -1950,7 +1953,8 @@ def independent_masks(rng, n, k, first=()):
 def signed_products(rng, pure, masks):
     """The product of the pure state's generators selected by each mask,
     each with an independent random sign."""
-    return [product_of(pure, m).with_sign(int(rng.choice((1, -1)))) for m in masks]
+    products = [product_of(pure, m) for m in masks]
+    return [p if rng.choice((1, -1)) == 1 else p.negate() for p in products]
 
 
 @settings(max_examples=80, deadline=None)
@@ -2041,6 +2045,161 @@ def test_measurement_template_matches_dense_projections(n):
         assert np.abs(stabilizer_density(state) - rho).max() <= 1e-12
 
 
+def reference_project(state, p, sign):
+    """The CHP update `StabilizerMixture.project` ran before `SignFamily`."""
+    signed = p if sign == 1 else p.negate()
+    anti = [j for j, g in enumerate(state.generators) if g.symplectic_product(p)]
+    if anti:
+        gens = list(state.generators)
+        for j in anti[1:]:
+            gens[j] = gens[j] * gens[anti[0]]
+        gens[anti[0]] = signed
+        return StabilizerMixture(state.n, tuple(gens))
+    known = state.membership_sign(p)
+    if known is not None:
+        if known != sign:
+            raise ZeroProjectionError(f"projection onto {sign}*{p} has zero weight")
+        return state
+    return StabilizerMixture(state.n, state.generators + (signed,))
+
+
+def reference_affine_sign(state, masks, p):
+    """(base sign bit, mask) of p's sign, the mask read by a loop over every
+    generator, as `protocols._affine_sign` did."""
+    combo = state._hermitian_combination(p)
+    if combo is None:
+        return None
+    diff = (state._combine(combo).phase - p.phase) & 3
+    mask = 0
+    for j, m in enumerate(masks):
+        if combo >> j & 1:
+            mask ^= m
+    return diff >> 1, mask
+
+
+def reference_template(n):
+    """The template `_measurement_template` built before `SignFamily`: a
+    side list of masks mirroring `reference_project`'s products, with the
+    same three claims.  Returns (random, outcomes, (x, z, phase, mask) per
+    generator)."""
+    state = StabilizerMixture.plus_state(n)
+    masks = [0] * n
+    random, outcomes = [], []
+    for t in range(n):
+        op = PauliOperator.z_at(n, t, (t + 2) % n)
+        anti = [j for j, g in enumerate(state.generators) if g.symplectic_product(op)]
+        if not anti:
+            outcomes.append(reference_affine_sign(state, masks, op))
+            continue
+        random.append(t)
+        outcomes.append((0, 1 << t))
+        for j in anti[1:]:
+            masks[j] ^= masks[anti[0]]
+        masks[anti[0]] = 1 << t
+        state = reference_project(state, op, 1)
+    for sublattice in (outcomes[0::2], outcomes[1::2]):
+        base = mask = 0
+        for b, m in sublattice:
+            base ^= b
+            mask ^= m
+        assert not (base or mask), "sublattice parity constraint violated"
+    entangler = cz_ring_circuit(n)
+    for g, m in zip(state.generators, masks):
+        assert reference_affine_sign(state, masks, entangler.conjugate(g)) == (0, m)
+    for u in (PauliOperator.x_at(n, *range(0, n, 2)), PauliOperator.x_at(n, *range(1, n, 2))):
+        assert reference_affine_sign(state, masks, u) == (0, 0)
+    gens = tuple((g.x, g.z, g.phase, m) for g, m in zip(state.generators, masks))
+    return tuple(random), tuple(outcomes), gens
+
+
+@pytest.mark.parametrize("n", range(4, 66, 2))
+def test_measurement_template_matches_the_mirrored_mask_template(n):
+    template = _measurement_template(n)
+    random, outcomes, gens = reference_template(n)
+    assert template.random == random
+    assert template.outcomes == outcomes
+    family = template.family
+    assert tuple(
+        (g.x, g.z, g.phase, m) for g, m in zip(family.state.generators, family.masks)
+    ) == gens
+
+
+def template_matches_sequential_projections(template, n):
+    """Every assignment of the random bits: each random outcome t is
+    (-1)^(bit t), and `reference_project` with the template's outcomes, in
+    order, gives exactly the template's state.  A wrong deterministic
+    outcome raises ZeroProjectionError."""
+    ops = [PauliOperator.z_at(n, t, (t + 2) % n) for t in range(n)]
+    for draws in range(1 << len(template.random)):
+        bits = sum(((draws >> k) & 1) << t for k, t in enumerate(template.random))
+        outcomes, state = template.evaluate(bits)
+        if any(outcomes[t] != 1 - 2 * (bits >> t & 1) for t in template.random):
+            return False
+        ref = StabilizerMixture.plus_state(n)
+        for op, outcome in zip(ops, outcomes):
+            ref = reference_project(ref, op, outcome)
+        if ref.generators != state.generators:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_measurement_template_matches_sequential_projections(n):
+    assert template_matches_sequential_projections(_measurement_template(n), n)
+
+
+def _flip_generator_mask(template, j):
+    masks = list(template.family.masks)
+    masks[j] ^= 1 << template.random[j % len(template.random)]
+    return replace(template, family=SignFamily(template.family.state, tuple(masks)))
+
+
+def _flip_outcome_mask(template, t):
+    outcomes = list(template.outcomes)
+    base, mask = outcomes[t]
+    outcomes[t] = (base, mask ^ 1 << template.random[(t + 1) % len(template.random)])
+    return replace(template, outcomes=tuple(outcomes))
+
+
+@pytest.mark.parametrize("flip", [_flip_generator_mask, _flip_outcome_mask])
+@pytest.mark.parametrize("index", range(8))
+def test_one_flipped_mask_bit_fails_the_template_check(flip, index):
+    template = flip(_measurement_template(8), index)
+    try:
+        assert not template_matches_sequential_projections(template, 8)
+    except ZeroProjectionError:
+        pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), mixed=st.booleans(), steps=st.integers(1, 6), seed=SEEDS)
+def test_family_steps_match_projections_at_every_sign(n, mixed, steps, seed):
+    """Family steps on random hermitian Paulis, evaluated at random bits,
+    against `reference_project` with the matching signs: equal generators
+    after every step, and ZeroProjectionError exactly for the opposite
+    sign of a fixed outcome.  Mixed states reach the branch where an
+    operator outside the group joins it."""
+    rng = np.random.default_rng(seed)
+    state = StabilizerMixture.zero_state(n).apply_circuit(random_circuit(rng, n, 3 * n))
+    if mixed:
+        state = StabilizerMixture(n, state.generators[: int(rng.integers(0, n + 1))])
+    family, ref = SignFamily(state, (0,) * state.k), state
+    bits = int(rng.integers(0, 1 << steps))
+    for t in range(steps):
+        p = hermitian(random_pauli(rng, n))
+        (base, mask), after = family.measure(p, lambda: (0, 1 << t))
+        sign = 1 - 2 * ((base + (mask & bits).bit_count()) & 1)
+        if after is family:
+            for project in (reference_project, StabilizerMixture.project):
+                with pytest.raises(ZeroProjectionError):
+                    project(ref, p, -sign)
+        else:
+            assert mask == 1 << t
+        got, ref, family = ref.project(p, sign), reference_project(ref, p, sign), after
+        assert got.generators == ref.generators
+        assert family.evaluate(bits).generators == ref.generators
+
+
 # ---------------------------------------------------------------------------
 # projection, measurement and single-gate evolution, none re-validated,
 # against the validating forms they replaced and the dense update
@@ -2111,6 +2270,27 @@ def test_measurement_makes_one_elimination(monkeypatch, n):
     for i in range(n):
         _, state = state.measure(PauliOperator.z_at(n, i, (i + 2) % n), rng)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", ["template", "measure-loop"])
+def test_each_measurement_scans_the_generators_once(monkeypatch, path):
+    # 64 measurements on 64 generators: one symplectic product per
+    # generator and measurement, n^2 in all.
+    n, calls = 64, []
+    product = PauliOperator.symplectic_product
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(PauliOperator, "symplectic_product", counted)
+    if path == "template":
+        _measurement_template.__wrapped__(n)
+    else:
+        state, rng = StabilizerMixture.plus_state(n), np.random.default_rng(n)
+        for i in range(n):
+            _, state = state.measure(PauliOperator.z_at(n, i, (i + 2) % n), rng)
+    assert len(calls) <= n * n
 
 
 # ---------------------------------------------------------------------------
@@ -2203,7 +2383,7 @@ def contract_cases():
             ):
                 yield bundle, Catalyst(name, "dense", False, dense_state=state)
             continue
-        minus_first = [PauliOperator.x_at(n, i).with_sign(-1 if i == 0 else 1) for i in range(n)]
+        minus_first = [PauliOperator(n, 1 << i, 0, 2 * (i == 0)) for i in range(n)]
         for name, stab in (
             ("zero", StabilizerMixture.zero_state(n)),
             ("plus", StabilizerMixture.plus_state(n)),

@@ -244,7 +244,7 @@ def test_catalysis_fake_catalyst_fails():
     bundle = build_model("lsm-dimer", n=8)
     n = 8
     gens = tuple(
-        PauliOperator.z_at(n, i).with_sign(1 if i % 2 == 0 else -1) for i in range(n)
+        PauliOperator(n, 0, 1 << i, 2 * (i % 2)) for i in range(n)
     )
     fake = Catalyst(
         name="fake-pattern",
