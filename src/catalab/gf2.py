@@ -15,36 +15,42 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
-def _reduce(rows: list[int], cols: int, low: int = 0) -> list[int]:
-    """Gauss–Jordan elimination in place on bits [low, low+cols) of each row.
+def _reduce(rows: list[int], low: int = 0) -> list[int]:
+    """Gauss–Jordan elimination in place on the bits at and above `low`.
 
-    Returns the pivot columns (counted from bit `low`).  The bits below `low`
-    ride along with every swap and XOR, so they carry a payload through the
-    elimination: the row transform or a right-hand side.
+    Returns the pivot columns ascending (counted from bit `low`); the rows come
+    back reduced in pivot order, then the vanished rows.  The bits below `low`
+    ride along with every XOR as a payload: the row transform or a right-hand
+    side.  Each row in turn is reduced by the pivot row of its lowest set bit
+    until it owns a new pivot or vanishes, then the pivot rows are cleared from
+    the highest pivot down, so sparse rows cost their fill-in, not rows times
+    columns (structured elimination, LaMacchia–Odlyzko).
     """
-    pivots: list[int] = []
-    n = len(rows)
-    rank = 0
-    bit = 1 << low
-    for c in range(cols):
-        for r in range(rank, n):
-            if rows[r] & bit:
-                break
+    body = -1 << low
+    owner: dict[int, int] = {}  # bit length of a pivot bit -> its row
+    vanished = []
+    for row in rows:
+        bits = row & body
+        while bits and (key := (bits & -bits).bit_length()) in owner:
+            row ^= owner[key]
+            bits = row & body
+        if bits:
+            owner[key] = row
         else:
-            bit <<= 1
-            continue
-        head = rows[r]
-        rows[r] = rows[rank]
-        rows[rank] = head
-        for r in range(n):
-            if rows[r] & bit and r != rank:
-                rows[r] ^= head
-        pivots.append(c)
-        rank += 1
-        if rank == n:
-            break
-        bit <<= 1
-    return pivots
+            vanished.append(row)
+    keys = sorted(owner)
+    taken = 0
+    for key in reversed(keys):
+        row = owner[key]
+        bits = row & taken
+        while bits:
+            bit = bits & -bits
+            row ^= owner[bit.bit_length()]
+            bits ^= bit
+        owner[key] = row
+        taken |= 1 << (key - 1)
+    rows[:] = [owner[key] for key in keys] + vanished
+    return [key - 1 - low for key in keys]
 
 
 class BitMatrix:
@@ -59,10 +65,6 @@ class BitMatrix:
             if r < 0 or r >> cols:
                 raise ValueError("row has bits outside the declared column range")
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -71,19 +73,22 @@ class BitMatrix:
         )
 
     def __repr__(self) -> str:
-        return f"BitMatrix({self.nrows}x{self.cols})"
+        return f"BitMatrix({len(self.rows)}x{self.cols})"
 
     def rref(self) -> tuple["BitMatrix", list[int]]:
         """Reduced row echelon form and its pivot columns."""
         rows = list(self.rows)
-        pivots = _reduce(rows, self.cols)
+        pivots = _reduce(rows)
         return BitMatrix(rows, self.cols), pivots
 
     def rref_with_transform(self) -> tuple["BitMatrix", list[int], list[int]]:
-        """RREF together with the row transform T (as bit rows, T·A = R)."""
+        """RREF R with a row transform T (bit rows): T·A = R row by row, T is
+        invertible, and the pivot rows' transforms combine only the rows that
+        raised the rank, in order, so they are unique.  A vanished row's
+        transform is a dependency among the rows, and not unique."""
         k = len(self.rows)
         rows = [(row << k) | (1 << i) for i, row in enumerate(self.rows)]
-        pivots = _reduce(rows, self.cols, k)
+        pivots = _reduce(rows, k)
         mask = (1 << k) - 1
         return BitMatrix([r >> k for r in rows], self.cols), pivots, [r & mask for r in rows]
 
@@ -100,7 +105,7 @@ class BitMatrix:
         if b < 0 or b >> len(self.rows):
             raise ValueError("right-hand side has bits beyond the row count")
         rows = [(row << 1) | ((b >> r) & 1) for r, row in enumerate(self.rows)]
-        pivots = _reduce(rows, self.cols, 1)
+        pivots = _reduce(rows, 1)
         if any(row & 1 for row in rows[len(pivots):]):
             return None
         x = 0
@@ -108,6 +113,34 @@ class BitMatrix:
             if rows[r] & 1:
                 x |= 1 << c
         return x
+
+
+# Reduced rows, pivot columns, row transform and pivot column -> reduced row.
+SpanBasis = tuple[list[int], list[int], list[int], dict[int, int]]
+
+
+def span_basis(rows: Sequence[int], cols: int) -> SpanBasis:
+    """`rref_with_transform` of the rows, for `span_combination` to read."""
+    red, pivots, transform = BitMatrix(rows, cols).rref_with_transform()
+    return red.rows, pivots, transform, {c: r for r, c in enumerate(pivots)}
+
+
+def span_combination(basis: SpanBasis, vec: int) -> Optional[int]:
+    """The rows (bit j for row j) of a `span_basis` whose sum is vec, or
+    None when vec is outside their span; only rows that raised the rank take
+    part.  A reduced row is the only one with a bit in its pivot column, so
+    the rows to add are read off vec's own pivot bits, in any order."""
+    red, _, transform, row_of = basis
+    residue, combo, bits = vec, 0, vec
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        r = row_of.get(low.bit_length() - 1)
+        if r is not None:
+            residue ^= red[r]
+            combo ^= transform[r]
+    return None if residue else combo
+
 
 def rowspace_intersection(rows_a: Sequence[int], rows_b: Sequence[int], cols: int) -> list[int]:
     """Basis of span(rows_a) ∩ span(rows_b) via the Zassenhaus construction.

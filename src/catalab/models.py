@@ -778,12 +778,13 @@ def _cocycle_ghz(bundle: ModelBundle):
 
 def _independent_subset(n: int, gens: Iterable[PauliOperator]) -> list[PauliOperator]:
     """The generators not in the span of those before them, in order: the
-    pivot columns of one RREF of the matrix whose columns are the (x|z) rows."""
+    rows that the pivot rows' transforms of one RREF of their (x|z) rows combine."""
     gens = list(gens)
-    vecs = [g.symplectic() for g in gens]
-    rows = [sum(((v >> r) & 1) << j for j, v in enumerate(vecs)) for r in range(2 * n)]
-    _, pivots = BitMatrix(rows, len(gens)).rref()
-    return [gens[j] for j in pivots]
+    _, pivots, transform = BitMatrix([g.symplectic() for g in gens], 2 * n).rref_with_transform()
+    kept = 0
+    for t in transform[: len(pivots)]:
+        kept |= t
+    return [g for j, g in enumerate(gens) if kept >> j & 1]
 
 
 _CATALYST_BUILDERS: dict[tuple[str, str], Callable] = {

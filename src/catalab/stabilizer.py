@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .gf2 import BitMatrix, rowspace_intersection
+from .gf2 import SpanBasis, rowspace_intersection, span_basis, span_combination
 from .pauli import PauliOperator, SiteSet
 
 
@@ -438,8 +438,6 @@ class StabilizerMixture:
 
     n: int
     generators: tuple[PauliOperator, ...]
-    # A tensor product keeps its two factors, whose bases assemble its own.
-    _factors: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -491,35 +489,15 @@ class StabilizerMixture:
         n, total = self.n, self.n + other.n
         gens = [PauliOperator(total, g.x, g.z, g.phase) for g in self.generators]
         gens += [PauliOperator(total, g.x << n, g.z << n, g.phase) for g in other.generators]
-        state = StabilizerMixture(total, tuple(gens))
-        object.__setattr__(state, "_factors", (self, other))
-        return state
+        return StabilizerMixture(total, tuple(gens))
 
     # -- group membership -------------------------------------------------
 
     @cached_property
-    def _basis(self) -> tuple[list[int], list[int], list[int], dict[int, int]]:
+    def _basis(self) -> SpanBasis:
         """One RREF of the generators' (x|z) rows, shared by every query:
-        reduced rows, pivot columns, row transform, pivot column -> row.
-        A tensor product places its factors' bases side by side instead:
-        rows re-packed, pivots remapped, the second transform shifted, rows
-        sorted by pivot.  The RREF is unique, and so is the transform of
-        independent generators, so this is what an elimination returns."""
-        if not self._factors:
-            rows = [g.symplectic() for g in self.generators]
-            red, pivots, transform = BitMatrix(rows, 2 * self.n).rref_with_transform()
-            return red.rows, pivots, transform, {c: r for r, c in enumerate(pivots)}
-        n, placed, shift, offset = self.n, [], 0, 0
-        for factor in self._factors:
-            m, (red, pivots, transform, _) = factor.n, factor._basis
-            low = (1 << m) - 1
-            for row, c, t in zip(red, pivots, transform):
-                col = c + shift if c < m else c - m + n + shift
-                placed.append((col, (row & low) << shift | (row >> m) << (n + shift), t << offset))
-            shift, offset = m, factor.k
-        placed.sort()
-        pivots, red, transform = (list(part) for part in zip(*placed)) if placed else ([], [], [])
-        return red, pivots, transform, {c: r for r, c in enumerate(pivots)}
+        reduced rows, pivot columns, row transform, pivot column -> row."""
+        return span_basis([g.symplectic() for g in self.generators], 2 * self.n)
 
     def _combine(self, mask: int) -> PauliOperator:
         """The product of the generators selected by mask, in ascending
@@ -534,23 +512,8 @@ class StabilizerMixture:
 
     def combination(self, vec: int) -> Optional[int]:
         """The generators (bit j for generator j) whose product has packed
-        (x|z) row vec, or None when vec is outside the row space.
-
-        A reduced row is the only one with a bit in its pivot column, so the
-        rows to add are read off vec's own pivot bits, in any order.
-        """
-        red, _, transform, row_of = self._basis
-        residue, combo, bits = vec, 0, vec
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            r = row_of.get(low.bit_length() - 1)
-            if r is not None:
-                residue ^= red[r]
-                combo ^= transform[r]
-        if residue:
-            return None
-        return combo
+        (x|z) row vec, or None when vec is outside the row space."""
+        return span_combination(self._basis, vec)
 
     def _hermitian_combination(self, p: PauliOperator) -> Optional[int]:
         """`combination` of the hermitian p's bits; an operator on another
@@ -612,8 +575,9 @@ class StabilizerMixture:
     def same_state(self, other: "StabilizerMixture") -> bool:
         """Equal signed groups: with independent generators on both sides and
         equal k, self's group lies in other's exactly when it is all of it.
-        Only other's basis is read, so other is the reference state (target,
-        or target (x) catalyst) and a freshly evolved self needs no elimination."""
+        Only other's basis is read, one elimination of its own rows, so other
+        is the reference state (target, or target (x) catalyst) and a freshly
+        evolved self needs no elimination."""
         if self.n != other.n or self.k != other.k:
             return False
         return all(other.membership_sign(g) == 1 for g in self.generators)

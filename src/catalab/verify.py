@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dense as dn
 from .cohomology import CocycleCircuit
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, span_basis, span_combination
 from .models import (
     Catalyst,
     ModelBundle,
@@ -513,26 +513,17 @@ def strong_localization(
     n = rho.n
     u_gamma, left, right = _truncation(n, gamma, sym_pauli, radius)
     allowed = set(left) | set(right)
-    gens = rho.generators
     # Prefer the trivial witness: the truncated symmetry absorbed entirely.
     h = rho.element_with_vector(u_gamma.symplectic())
     if h is not None:
         w = h.dagger() * u_gamma
         return _split_endpoint_operator(w, left, right)
-    forbidden = [s for s in range(n) if s not in allowed]
-    rows = []
-    target = 0
-    for idx, s in enumerate(forbidden):
-        for offset, getter in enumerate((lambda p: (p.x >> s) & 1, lambda p: (p.z >> s) & 1)):
-            row = 0
-            for j, g in enumerate(gens):
-                if getter(g):
-                    row |= 1 << j
-            rows.append(row)
-            if getter(u_gamma):
-                target |= 1 << (2 * idx + offset)
-    mat = BitMatrix(rows, len(gens))
-    combo = mat.solve_mask(target)
+    # Otherwise h must agree with U_gamma off the endpoint regions: one
+    # elimination of the generators' rows masked to those sites.
+    outside = sum(1 << s for s in range(n) if s not in allowed)
+    outside |= outside << n
+    rows = [g.symplectic() & outside for g in rho.generators]
+    combo = span_combination(span_basis(rows, 2 * n), u_gamma.symplectic() & outside)
     if combo is None:
         return None
     h = rho._combine(combo)

@@ -1,8 +1,10 @@
 """Differential tests: the light-cone, gate-image, int-level and
 cached-basis fast paths against plain reference forms of the same
 computation, compared exactly; circuit conjugation through the proven
-tableau against the light-cone walk that builds it, and the tensor
-product's basis assembled from its factors against a fresh elimination;
+tableau against the light-cone walk that builds it, the tensor
+product's basis against the column-sweep elimination, the pivot-dict
+elimination against that sweep by its stated contract on every input, and
+strong localization on masked rows against the transposed solve it replaced;
 and the dense oracle's entangler action, doubled-circuit check and
 fidelity; the Gram-matrix tableau and generator
 checks and the masked symmetric-gate audit against the basis-pair, pairwise
@@ -109,10 +111,13 @@ from catalab.stabilizer import (
 )
 from catalab.verify import (
     _reach,
+    _split_endpoint_operator,
+    _truncation,
     audit_dense_gate_symmetric,
     audit_gate_symmetric,
     build_doubled_diagonal,
     build_doubled_fdqc,
+    strong_localization,
 )
 
 from named_gates import ROWS, sdg_gate, x_gate, y_gate, z_gate
@@ -1658,13 +1663,14 @@ def test_local_term_assembly_matches_kron_sum(q, seed, data):
 
 
 # ---------------------------------------------------------------------------
-# cached reduced basis against a fresh elimination per query
+# cached reduced basis against the reference elimination per query
 # ---------------------------------------------------------------------------
 
 
 def fresh_reduction(state):
-    rows = [g.symplectic() for g in state.generators]
-    return BitMatrix(rows, 2 * state.n).rref_with_transform()
+    """The reference loop's elimination of the generators' (x|z) rows, so
+    that the cached basis is not compared with the routine that built it."""
+    return reference_rref_with_transform([g.symplectic() for g in state.generators], 2 * state.n)
 
 
 def product_of(state, combo):
@@ -1680,7 +1686,7 @@ def fresh_membership_sign(state, p):
     residue, combo = p.symplectic(), 0
     for r, c in enumerate(pivots):
         if (residue >> c) & 1:
-            residue ^= red.rows[r]
+            residue ^= red[r]
             combo ^= transform[r]
     if residue:
         return None
@@ -1715,7 +1721,7 @@ def test_cached_basis_matches_fresh_elimination(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# tensor basis from the factors' bases against a fresh elimination
+# a tensor product's basis against the reference elimination
 # ---------------------------------------------------------------------------
 
 
@@ -1734,13 +1740,12 @@ def random_factor(rng, n, kind):
     kinds=st.tuples(*[st.sampled_from(("pure", "mixed", "empty"))] * 2),
     seed=SEEDS,
 )
-def test_tensor_basis_from_factors_matches_fresh_elimination(n, m, kinds, seed):
+def test_tensor_basis_matches_reference_elimination(n, m, kinds, seed):
     rng = np.random.default_rng(seed)
     a, b = random_factor(rng, n, kinds[0]), random_factor(rng, m, kinds[1])
     product = a.tensor(b)
     red, pivots, transform, row_of = product._basis
-    fresh_red, fresh_pivots, fresh_transform = fresh_reduction(product)
-    assert (red, pivots, transform) == (fresh_red.rows, fresh_pivots, fresh_transform)
+    assert (red, pivots, transform) == fresh_reduction(product)
     assert row_of == {c: r for r, c in enumerate(pivots)}
     assert product.canonical() == StabilizerMixture(n + m, product.generators).canonical()
     assert product.canonical().generators == fresh_canonical(product)
@@ -1882,21 +1887,62 @@ def reference_rref_with_transform(rows, cols):
     return rows, pivots, transform
 
 
-@settings(max_examples=100, deadline=None)
+def rank_raising(rows, cols):
+    """Bit i set for each row i that raises the rank of the rows before it."""
+    mask = 0
+    for i in range(len(rows)):
+        _, before, _ = reference_rref_with_transform(rows[:i], cols)
+        _, upto, _ = reference_rref_with_transform(rows[: i + 1], cols)
+        if len(upto) > len(before):
+            mask |= 1 << i
+    return mask
+
+
+def assert_elimination_contract(rows, cols, b):
+    """What `rref_with_transform` promises on every input, and `rref` and
+    `solve_mask` against the reference loop; the transform equals the
+    reference's in full when the rows are independent, where it is unique."""
+    m = BitMatrix(rows, cols)
+    ref_red, ref_pivots, ref_transform = reference_rref_with_transform(rows, cols)
+    red, pivots, transform = m.rref_with_transform()
+    assert (red, pivots) == (BitMatrix(ref_red, cols), ref_pivots)
+    assert m.rref() == (BitMatrix(ref_red, cols), ref_pivots)
+    # T·A = R row by row, and T is invertible.
+    assert len(transform) == len(rows)
+    for t, r in zip(transform, red.rows):
+        acc = 0
+        for j, row in enumerate(rows):
+            if t >> j & 1:
+                acc ^= row
+        assert acc == r
+    assert len(reference_rref_with_transform(transform, len(rows))[1]) == len(rows)
+    # The pivot rows' transforms combine only the rows that raised the rank.
+    raising = rank_raising(rows, cols)
+    assert all(t & ~raising == 0 for t in transform[: len(pivots)])
+    if len(pivots) == len(rows):
+        assert transform == ref_transform
+    rhs = [(t & b).bit_count() & 1 for t in ref_transform]
+    if any(rhs[len(ref_pivots):]):
+        expected = None
+    else:
+        expected = sum(1 << c for r, c in enumerate(ref_pivots) if rhs[r])
+    assert m.solve_mask(b) == expected
+
+
+@settings(max_examples=150, deadline=None)
 @given(nrows=st.integers(0, 9), cols=st.integers(0, 12), data=st.data())
 def test_eliminations_match_reference_loop(nrows, cols, data):
     rows = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=nrows, max_size=nrows))
     b = data.draw(st.integers(0, (1 << nrows) - 1))
-    m = BitMatrix(rows, cols)
-    red, pivots, transform = reference_rref_with_transform(rows, cols)
-    assert m.rref() == (BitMatrix(red, cols), pivots)
-    assert m.rref_with_transform() == (BitMatrix(red, cols), pivots, transform)
-    rhs = [(t & b).bit_count() & 1 for t in transform]
-    if any(rhs[len(pivots):]):
-        expected = None
-    else:
-        expected = sum(1 << c for r, c in enumerate(pivots) if rhs[r])
-    assert m.solve_mask(b) == expected
+    assert_elimination_contract(rows, cols, b)
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [([0, 0, 1], 1), ([0b10, 0b10, 0b01], 2), ([0b11, 0b01, 0b10, 0b11], 2)]
+)
+def test_rank_deficient_eliminations_keep_the_contract(rows, cols):
+    for b in range(1 << len(rows)):
+        assert_elimination_contract(rows, cols, b)
 
 
 def greedy_independent_subset(n, gens):
@@ -1933,6 +1979,74 @@ def pauli_lists(draw):
 def test_independent_subset_matches_greedy_rank_loop(case):
     n, gens = case
     assert _independent_subset(n, gens) == greedy_independent_subset(n, gens)
+
+
+# ---------------------------------------------------------------------------
+# strong localization on masked rows against the transposed solve
+# ---------------------------------------------------------------------------
+
+
+def reference_strong_localization(rho, gamma, sym_pauli, radius):
+    """The solve with one unknown per generator: one row per x and z bit
+    outside the endpoint regions, built bit by bit and solved by
+    `solve_mask` with the free generators left out."""
+    n = rho.n
+    u_gamma, left, right = _truncation(n, gamma, sym_pauli, radius)
+    allowed = set(left) | set(right)
+    gens = rho.generators
+    h = rho.element_with_vector(u_gamma.symplectic())
+    if h is not None:
+        return _split_endpoint_operator(h.dagger() * u_gamma, left, right)
+    rows, target = [], 0
+    for idx, s in enumerate(t for t in range(n) if t not in allowed):
+        for offset, getter in enumerate((lambda p: (p.x >> s) & 1, lambda p: (p.z >> s) & 1)):
+            rows.append(sum(1 << j for j, g in enumerate(gens) if getter(g)))
+            if getter(u_gamma):
+                target |= 1 << (2 * idx + offset)
+    combo = BitMatrix(rows, len(gens)).solve_mask(target)
+    if combo is None:
+        return None
+    w = rho._combine(combo).dagger() * u_gamma
+    assert rho.membership_sign(u_gamma * w.dagger()) == 1
+    return _split_endpoint_operator(w, left, right)
+
+
+def localization_cases(n):
+    """Every interval (a, b) and radius that keeps the 4·r rule."""
+    for a in range(n):
+        for b in range(n):
+            for radius in range(((b - a) % n + 1) // 4 + 1):
+                yield (a, b), radius
+
+
+def assert_strong_localization_matches_reference(rho, sym_pauli):
+    for gamma, radius in localization_cases(rho.n):
+        got = strong_localization(rho, gamma, sym_pauli, radius)
+        assert got == reference_strong_localization(rho, gamma, sym_pauli, radius)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 10), mixed=st.booleans(), seed=SEEDS)
+def test_strong_localization_matches_transposed_solve(n, mixed, seed):
+    rng = np.random.default_rng(seed)
+    if mixed:
+        rho = random_mixture(rng, n)
+    else:
+        rho = StabilizerMixture.zero_state(n).apply_circuit(random_circuit(rng, n, 3 * n))
+    for sym_pauli in (PauliOperator.x_at(n, *range(n)), hermitian(random_pauli(rng, n))):
+        assert_strong_localization_matches_reference(rho, sym_pauli)
+
+
+@pytest.mark.parametrize("model", ["cluster-1d", "lsm-dimer"])
+@pytest.mark.parametrize("n", [12, 16])
+def test_strong_localization_matches_transposed_solve_on_the_registry(model, n):
+    bundle = build_model(model, n=n)
+    states = [bundle.target] + [
+        build_catalyst(bundle, k).stab for k in catalyst_kinds(model) if not catalyst_is_dense(model, k)
+    ]
+    for rho in states:
+        for gen in bundle.symmetry.generators:
+            assert_strong_localization_matches_reference(rho, gen.pauli)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 An `ast` walk over `src/catalab` collects each top-level function, class,
 method and module constant, and requires its name to be read somewhere in
-`src/` (as a name, an attribute or an import) apart from where it is
-defined.  Code that only tests use does not belong in `src/`.
+`src/` apart from where it is defined: as an attribute anywhere, or as a
+bare name in its own module or in a module that imports it, so that a local
+variable of the same name does not count.  Code that only tests use does
+not belong in `src/`.
 
 Two more walks close what a name match cannot see: every annotated field
 of a class must be read as an attribute, and every parameter with a
@@ -63,9 +65,10 @@ def _definitions(tree: ast.Module):
                     yield target.id, False
 
 
-def _uses(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """(names read as a bare name or imported, names read as an attribute)."""
+def _uses(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
+    """(names read as a bare name, names imported, names read as an attribute)."""
     names: set[str] = set()
+    imported: set[str] = set()
     attrs: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -73,8 +76,8 @@ def _uses(tree: ast.Module) -> tuple[set[str], set[str]]:
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             attrs.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-    return names, attrs
+            imported.update(alias.name for alias in node.names)
+    return names, imported, attrs
 
 
 def _trees() -> dict[Path, ast.Module]:
@@ -83,22 +86,23 @@ def _trees() -> dict[Path, ast.Module]:
     return trees
 
 
-def unused_definitions() -> list[str]:
+def unused_definitions(trees: dict[Path, ast.Module]) -> list[str]:
     """`module:name` for each definition that nothing in the package reads.
     A method counts as read only through an attribute (`x.name`); a
-    top-level definition through a name, an import or an attribute
-    (`module.name`)."""
-    trees = _trees()
-    names: set[str] = set()
+    top-level definition through an attribute (`module.name`), or through a
+    bare name read in its own module or in a module that imports the name.
+    A local variable of the same name elsewhere does not count."""
+    uses = {path: _uses(tree) for path, tree in trees.items()}
     attrs: set[str] = set()
-    for tree in trees.values():
-        n, a = _uses(tree)
-        names |= n
+    imported_reads: set[str] = set()
+    for names, imported, a in uses.values():
         attrs |= a
+        imported_reads |= names & imported
     unused = []
     for path, tree in trees.items():
+        local = uses[path][0]
         for name, is_method in _definitions(tree):
-            read = name in attrs or (not is_method and name in names)
+            read = name in attrs or (not is_method and (name in local or name in imported_reads))
             if name not in EXEMPT and not read:
                 unused.append(f"{path.name}:{name}")
     return unused
@@ -110,7 +114,7 @@ def unread_fields() -> list[str]:
     trees = _trees()
     attrs: set[str] = set()
     for tree in trees.values():
-        attrs |= _uses(tree)[1]
+        attrs |= _uses(tree)[2]
     return [
         f"{path.name}:{node.name}.{item.target.id}"
         for path, tree in trees.items()
@@ -205,7 +209,17 @@ def unused_imports(paths) -> list[str]:
 
 
 def test_every_definition_has_a_caller():
-    assert unused_definitions() == []
+    assert unused_definitions(_trees()) == []
+
+
+def test_a_local_variable_of_the_same_name_is_not_a_caller():
+    trees = {
+        Path("a.py"): ast.parse("def overlap(u, v):\n    return u * v\n"),
+        Path("b.py"): ast.parse("def f():\n    overlap = 1\n    return overlap\n\n\nf()\n"),
+    }
+    assert unused_definitions(trees) == ["a.py:overlap"]
+    trees[Path("b.py")] = ast.parse("from .a import overlap\n\n\noverlap(1, 2)\n")
+    assert unused_definitions(trees) == []
 
 
 def test_every_field_has_a_reader():

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -733,21 +734,48 @@ def test_stabilizer_catalysis_builds_no_inverse_handle(monkeypatch, model, param
 
 
 @pytest.mark.parametrize("model, params", GUARD_SIZES)
-def test_stabilizer_catalysis_makes_no_elimination(monkeypatch, model, params):
-    # The evolved state is not re-validated, and target (x) catalyst takes
-    # its basis from the factors' bases, cached when they were built.
+def test_stabilizer_catalysis_makes_one_elimination(monkeypatch, model, params):
+    # The evolved state is not re-validated, so a report's one elimination
+    # is the basis of target (x) catalyst, over its own rows.
     bundle, catalysts = stabilizer_catalysts(model, params)
     calls = []
     reduce = gf2._reduce
 
-    def counted(*args):
-        calls.append(1)
-        return reduce(*args)
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return reduce(rows, *args)
 
     monkeypatch.setattr(gf2, "_reduce", counted)
     for catalyst in catalysts:
+        calls.clear()
         assert verify_catalysis(bundle, catalyst).passed
-    assert len(calls) == 0
+        assert calls == [bundle.target.k + catalyst.stab.k]
+
+
+def reduce_line_events(n):
+    """`line` events inside `gf2._reduce` while cluster-1d at n, its GHZ
+    catalyst and the basis of target (x) catalyst are built."""
+    code, count = gf2._reduce.__code__, [0]
+
+    def local(frame, event, arg):
+        count[0] += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        bundle = build_model("cluster-1d", n=n)
+        bundle.target.tensor(build_catalyst(bundle, "ghz").stab)._basis
+    finally:
+        sys.settrace(previous)
+    return count[0]
+
+
+def test_elimination_row_steps_grow_with_the_fill_in():
+    # Registry rows are sparse, so doubling n about doubles the row steps of
+    # the elimination; a sweep of every row per column quadruples them.
+    small, large = reduce_line_events(256), reduce_line_events(512)
+    assert large <= 2.2 * small
 
 
 @pytest.mark.parametrize("model, params", GUARD_SIZES)
