@@ -8,11 +8,22 @@ and cross-checks of everything Clifford).
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .pauli import PauliOperator, SiteSet
 from .stabilizer import CliffordCircuit, CliffordGate, StabilizerMixture
 from .dense import DenseOperator, DenseState
 from .cohomology import Cochain, FiniteAbelianGroup
 from .models import ModelBundle, build_catalyst, build_hamiltonian, build_model
+
+
+def __getattr__(name: str):
+    # Only `selftest` runs the acceptance suite, so nothing imports it up
+    # front; `catalab.acceptance` still resolves, on first read (PEP 562).
+    if name == "acceptance":
+        return importlib.import_module(".acceptance", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

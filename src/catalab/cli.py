@@ -15,10 +15,9 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
+from ._numpy import np
 
 from . import __version__
-from . import acceptance as acc
 from . import dense as dn
 from .cohomology import (
     FiniteAbelianGroup,
@@ -285,6 +284,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import acceptance as acc
+
     keys = args.criteria.split(",") if args.criteria else None
     results = acc.run_all(keys)
     for result in results:

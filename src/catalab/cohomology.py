@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .gf2 import lattice_quotient, smith_normal_form_int, solve_mod
 from . import dense as _dense
@@ -139,13 +139,37 @@ class Cochain:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Cochain":
-        group = FiniteAbelianGroup(tuple(payload["factors"]))
-        entries = payload["entries"]
+        """The cochain of a `to_json_dict` payload; a malformed one raises ValueError."""
+        keys = {"factors", "degree", "entries"}
+        if not isinstance(payload, dict) or not keys <= payload.keys():
+            raise ValueError("a cochain payload is a dict with keys 'factors', 'degree', 'entries'")
+        factors, degree, entries = payload["factors"], payload["degree"], payload["entries"]
+        if not isinstance(factors, list) or not all(type(f) is int and f > 0 for f in factors):
+            raise ValueError(f"'factors' must be a list of positive integers, got {factors!r}")
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"'degree' must be a non-negative integer, got {degree!r}")
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and {"tuple", "num", "den"} <= e.keys() for e in entries
+        ):
+            raise ValueError("'entries' must be a list of dicts with keys 'tuple', 'num', 'den'")
         modulus = entries[0]["den"] if entries else 2
-        table = {
-            tuple(tuple(g) for g in e["tuple"]): e["num"] for e in entries
-        }
-        return cls(group, payload["degree"], modulus, table)
+        table = {}
+        for e in entries:
+            t, num, den = e["tuple"], e["num"], e["den"]
+            if type(den) is not int or den != modulus or den < 1:
+                raise ValueError(f"entry {t!r} has den {den!r}, the first entry has {modulus!r}")
+            if not isinstance(t, list) or len(t) != degree + 1 or not all(
+                isinstance(g, list) and len(g) == len(factors)
+                and all(type(x) is int and 0 <= x < f for x, f in zip(g, factors))
+                for g in t
+            ):
+                raise ValueError(f"entry {t!r} is not {degree + 1} elements of the group {factors}")
+            if type(num) is not int or not 0 <= num < den:
+                raise ValueError(f"entry {t!r} has num {num!r}, not an integer in [0, {den})")
+            table[tuple(tuple(g) for g in t)] = num
+        if len(table) != len(entries):
+            raise ValueError("a cochain payload lists some tuple twice")
+        return cls(FiniteAbelianGroup(tuple(factors)), degree, modulus, table)
 
 
 def coboundary(c: Cochain) -> Cochain:

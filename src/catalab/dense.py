@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .pauli import PauliOperator
 from .stabilizer import CliffordGate, PermutationQca, QcaLike, StabilizerMixture

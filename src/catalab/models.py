@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-import numpy as np
+from ._numpy import np
 
 from . import dense as dn
 from .cohomology import (

@@ -14,7 +14,7 @@ from functools import lru_cache, reduce
 from operator import xor
 from typing import Optional
 
-import numpy as np
+from ._numpy import np
 
 from .models import Catalyst, ModelBundle, SymmetryRep, cz_ring_circuit
 from .pauli import PauliOperator

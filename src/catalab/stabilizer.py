@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-import numpy as np
+from ._numpy import np
 
 from .gf2 import SpanBasis, rowspace_intersection, span_basis, span_combination
 from .pauli import PauliOperator, SiteSet
@@ -189,9 +189,10 @@ def _product(ops: Sequence[PauliOperator], mask: int) -> tuple[int, int, int]:
 def _gram(n: int, packed: Sequence[int]) -> list[int]:
     """Lower-triangular symplectic Gram rows of packed (x|z) operators: bit
     i < j of row j is set when operators i and j anticommute.  Each bit reads
-    its partner column (Z for X, at index c - n either way) of the earlier
-    operators, then joins its own, so the cost is the total weight."""
-    cols = [0] * (2 * n)
+    its partner column (Z for X and X for Z) of the earlier operators, then
+    joins its own; columns are kept only for the bits touched, so the cost is
+    the total weight, not the register."""
+    cols: dict[int, int] = {}
     rows = []
     bit = 1
     for bits in packed:
@@ -199,8 +200,8 @@ def _gram(n: int, packed: Sequence[int]) -> list[int]:
         while bits:
             low = bits & -bits
             c = low.bit_length() - 1
-            row ^= cols[c - n]
-            cols[c] |= bit
+            row ^= cols.get(c - n if c >= n else c + n, 0)
+            cols[c] = cols.get(c, 0) | bit
             bits ^= low
         rows.append(row & (bit - 1))
         bit <<= 1

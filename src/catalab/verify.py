@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-import numpy as np
+from ._numpy import np
 
 from . import dense as dn
 from .cohomology import CocycleCircuit

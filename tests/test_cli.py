@@ -9,6 +9,7 @@ import pytest
 import catalab
 import catalab.cli as cli
 import catalab.dense as dn
+from catalab._numpy import _lazy
 from catalab.verify import CatalysisReport
 
 
@@ -277,16 +278,78 @@ def test_measure_prep_rejects_bad_counts(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def _fresh_python(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy.stats costs most of a second; only criterion 6 imports it, when
     # it runs, so the CLI's start-up time stays free of it.
     code = "import sys, catalab.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = _fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The benchmark's four stabilizer reports (workload stab-large).
+STABILIZER_REPORTS = [
+    "catalyze --model cluster-1d --catalyst ghz --n 128",
+    "catalyze --model cluster-1d --catalyst swssb --n 128",
+    "catalyze --model lieb-2d --catalyst toric-code --lx 6 --ly 6",
+    "catalyze --model square-sspt --catalyst pim-symmetric --l 8",
+]
+
+
+def test_stabilizer_reports_load_no_numpy_and_a_dense_one_does(tmp_path):
+    # `numpy` itself is in sys.modules from `import catalab` on, as a module
+    # whose code has not run; its submodules appear only once it has.
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import catalab.cli as cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+        "out, runs = sys.argv[1], []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        runs.append((cli.main(argv.split() + ['--out', out]), loaded()))\n"
+        "print(json.dumps([runs, json.load(open(out))['passed']]))\n"
+    )
+    dense = GOLDEN_REPORTS["catalyze-cluster-1d-ghz-dense-n8-seed1"]
+    argvs = json.dumps(STABILIZER_REPORTS + [dense])
+    proc = _fresh_python("-c", code, str(tmp_path / "r.json"), argvs)
+    assert proc.returncode == 0, proc.stderr
+    runs, dense_passed = json.loads(proc.stdout)
+    assert runs[:-1] == [[0, []]] * len(STABILIZER_REPORTS)
+    assert runs[-1][0] == 0 and "numpy.linalg" in runs[-1][1]
+    assert dense_passed is True
+
+
+@pytest.mark.parametrize(
+    "name", ["catalyze-cluster-1d-ghz-n16", "catalyze-cluster-1d-ghz-dense-n8-seed1"]
+)
+def test_reports_from_a_fresh_interpreter_match_golden_files(tmp_path, name):
+    # The in-process golden test runs after numpy is loaded; here the
+    # stabilizer report never loads it and the dense one loads it on first use.
+    out = tmp_path / "report.json"
+    argv = GOLDEN_REPORTS[name].split() + ["--out", str(out)]
+    proc = _fresh_python("-m", "catalab.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    got = json.dumps(without_timing(load_report(out)), indent=2, sort_keys=True) + "\n"
+    assert got == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_numpy_shim_returns_a_loaded_module_and_refuses_a_missing_one():
+    import numpy
+
+    assert _lazy("numpy") is numpy is catalab._numpy.np
+    with pytest.raises(ModuleNotFoundError, match="catalab_no_such_module"):
+        _lazy("catalab_no_such_module")
+    proc = _fresh_python("-c", "import sys\nsys.modules['numpy'] = None\nimport catalab")
+    assert proc.returncode == 1 and "ModuleNotFoundError" in proc.stderr
 
 
 def test_measure_prep_invariance_failure_under_python_O(tmp_path):
@@ -303,10 +366,7 @@ def test_measure_prep_invariance_failure_under_python_O(tmp_path):
         "    n, [cz_gate(n, i, i + 1) for i in range(n - 1)])\n"
         f"sys.exit(main(['measure-prep', '--n', '8', '--runs', '3', '--out', {str(out)!r}]))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(catalab.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = _fresh_python("-O", "-c", code)
     assert proc.returncode == 1, proc.stderr
     results = load_report(out)["results"]
     claim = "post-measurement state is not entangler-invariant"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalab.cohomology import (
     Cochain,
@@ -273,6 +275,53 @@ def test_cochain_json_round_trip():
     assert back.table == nu.table
     assert back.modulus == nu.modulus
 
+
+
+def _zero_payload(edit):
+    """The Z2 x Z2 degree-2 zero cocycle's payload, changed by edit."""
+    payload = Cochain.from_function(Z2Z2, 2, 2, lambda *_: 0).to_json_dict()
+    edit(payload)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["entries"][5].update(den=4), "has den 4, the first entry has 2"),
+        (lambda p: p["entries"][5].update(tuple=[[0, 0], [0, 1], [5, 7]]), "not 3 elements"),
+        (lambda p: p["entries"][5].update(tuple=[[0, 0], [0, 1]]), "not 3 elements"),
+        (lambda p: p["entries"][5].update(tuple=[[0, 0], [0, 1], [1, True]]), "not 3 elements"),
+        (lambda p: p["entries"][5].update(num="1"), "num '1', not an integer in"),
+        (lambda p: p["entries"][5].update(num=3), "num 3, not an integer in"),
+        (lambda p: p["entries"][5].pop("num"), "keys 'tuple', 'num', 'den'"),
+        (lambda p: p.pop("degree"), "keys 'factors', 'degree', 'entries'"),
+        (lambda p: p.update(degree="2"), "'degree' must be a non-negative integer"),
+        (lambda p: p.update(factors=[2, 0]), "'factors' must be a list of positive integers"),
+        (lambda p: p["entries"].append(dict(p["entries"][0])), "lists some tuple twice"),
+        (lambda p: p["entries"].pop(), "has 63 entries, expected 64"),
+        (lambda p: p["entries"][0].update(den=0), "has den 0"),
+    ],
+)
+def test_cochain_from_json_dict_rejects_malformed_payloads(edit, message):
+    with pytest.raises(ValueError, match=message):
+        Cochain.from_json_dict(_zero_payload(edit))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    factors=st.lists(st.integers(1, 3), max_size=2),
+    degree=st.sampled_from([1, 2]),
+    modulus=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cochain_json_round_trip_on_small_groups(factors, degree, modulus, seed):
+    group = FiniteAbelianGroup(tuple(factors))
+    nu = random_cochain(np.random.default_rng(seed), group, degree, modulus)
+    back = Cochain.from_json_dict(nu.to_json_dict())
+    assert (back.group, back.degree, back.modulus, back.table) == (
+        nu.group, nu.degree, nu.modulus, nu.table
+    )
+    assert back.to_json_dict() == nu.to_json_dict()
 
 def test_h2_z4():
     z4 = FiniteAbelianGroup((4,))

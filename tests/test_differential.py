@@ -6,7 +6,8 @@ product's basis against the column-sweep elimination, the pivot-dict
 elimination against that sweep by its stated contract on every input, and
 strong localization on masked rows against the transposed solve it replaced;
 and the dense oracle's entangler action, doubled-circuit check and
-fidelity; the Gram-matrix tableau and generator
+fidelity; the Gram rows on the columns their bits touch against one
+register-wide column list; the Gram-matrix tableau and generator
 checks and the masked symmetric-gate audit against the basis-pair, pairwise
 and restrict-and-conjugate loops they replaced; the dense gate runner against the
 per-gate contraction loop it replaced, on criterion 2's and the cocycle
@@ -97,6 +98,7 @@ from catalab.stabilizer import (
     SignFamily,
     StabilizerMixture,
     ZeroProjectionError,
+    _gram,
     _image,
     cnot_gate,
     conjugated_gate,
@@ -990,6 +992,35 @@ def test_int_level_checks_match_object_loops_on_random_inputs(n, seed):
     )
     for audited in (gate, _negate_one_image(gate)):
         assert audit_gate_symmetric(audited, symmetry) == reference_audit(audited, symmetry)
+
+
+def reference_gram(n, packed):
+    """The Gram rows with one column list over the whole register, allocated
+    per call: the form `_gram` replaced by columns kept only for the bits touched."""
+    cols = [0] * (2 * n)
+    rows = []
+    bit = 1
+    for bits in packed:
+        row = 0
+        while bits:
+            low = bits & -bits
+            c = low.bit_length() - 1
+            row ^= cols[c - n]
+            cols[c] |= bit
+            bits ^= low
+        rows.append(row & (bit - 1))
+        bit <<= 1
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    supports=st.lists(st.sets(st.integers(0, 127), max_size=6), max_size=12),
+)
+def test_gram_matches_register_wide_columns(n, supports):
+    packed = [sum(1 << c for c in bits if c < 2 * n) for bits in supports]
+    assert _gram(n, packed) == reference_gram(n, packed)
 
 
 def reference_symmetry_rep_check(generators):

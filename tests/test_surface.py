@@ -19,7 +19,8 @@ by `gate.sites` and `state.q`.  Such fields need a grep by hand.
 
 Imports get the same treatment: every name a module under `tests/` or
 `src/catalab` imports is read in that module, apart from the package's
-re-exports in `__init__.py`.
+re-exports in `__init__.py`.  And only `catalab._numpy` imports numpy, so
+that a command which never reads numpy never loads it.
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ EXEMPT = {
     "__all__": "the package's public API list, read by `from catalab import *`",
     "to_json": "JSON form of states and cochains, the entry point for round trips",
     "from_json_dict": "inverse of `to_json_dict`, the other half of the round trip",
+    "__getattr__": "the package's PEP 562 hook, which Python calls to resolve "
+    "`catalab.acceptance` on first read",
 }
 
 # Defaulted parameters that no call in the package passes, each with its reason.
@@ -208,6 +211,25 @@ def unused_imports(paths) -> list[str]:
     return unused
 
 
+def numpy_imports(trees: dict[Path, ast.Module]) -> list[str]:
+    """`module:line` for each `import numpy...` or `from numpy... import`
+    outside `_numpy.py`."""
+    found = []
+    for path, tree in trees.items():
+        if path.name == "_numpy.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
 def test_every_definition_has_a_caller():
     assert unused_definitions(_trees()) == []
 
@@ -253,3 +275,13 @@ def test_test_modules_use_their_imports():
 
 def test_package_modules_use_their_imports():
     assert unused_imports(p for p in SRC.glob("*.py") if p.name != "__init__.py") == []
+
+
+def test_only_the_numpy_shim_imports_numpy():
+    assert numpy_imports(_trees()) == []
+
+
+def test_the_numpy_import_scan_sees_every_form():
+    text = "import numpy as np\nimport numpy.linalg\nfrom numpy import fft\nfrom ._numpy import np\n"
+    trees = {Path("a.py"): ast.parse(text), Path("_numpy.py"): ast.parse("import numpy\n")}
+    assert numpy_imports(trees) == ["a.py:1", "a.py:2", "a.py:3"]
