@@ -2,8 +2,10 @@
 
 Sites carry dimension q (2 for qubits, |G| for cocycle models).  A gate list
 runs on one copy of the amplitude tensor: a gate that permutes its sites
-after one phase per basis state relabels axes and multiplies phases in
-place, and any other gate is contracted into the tensor.  A Hamiltonian is
+after one phase per basis state relabels axes and its phases join a block
+of at most 2^12 entries that multiplies the tensor in one pass, and any
+other gate is contracted into the tensor; each distinct local Clifford
+unitary is built once.  A Hamiltonian is
 eigensolved in full one symmetry-character block at a time (one full `eigh`
 per block, with no iterative methods), each block read from the sparse
 columns of its orbit representatives; an operator with no symmetry is one
@@ -26,6 +28,10 @@ from .stabilizer import CliffordGate, PermutationQca, QcaLike, StabilizerMixture
 _DEFAULT_AMP_LIMIT = 2**20
 _DEFAULT_EIG_LIMIT = 2**14
 _MAX_ORDER = 64  # of a symmetry map: each order multiplies the character blocks
+# Entries of a phase block (64 KB, cache-sized): the least that brings the
+# doubled cluster-1d n=10 and cocycle sites=5 actions to 2 and 3 passes over
+# the state; larger blocks timed no better.
+_PHASE_BLOCK = 2**12
 
 
 def _env_limit(name: str, default: int) -> int:
@@ -231,8 +237,14 @@ class GateTerm:
 
 
 def gate_term(support: Sequence[int], matrix: np.ndarray) -> GateTerm:
-    """The gate on `support` as a `GateTerm`, its factor form read exactly."""
-    m, matrix = len(support), np.asarray(matrix, dtype=np.complex128)
+    """The gate on `support` as a `GateTerm`, its factor form read exactly.
+    Raises ValueError on an empty support, a negative site or a repeated one."""
+    support, matrix = tuple(support), np.asarray(matrix, dtype=np.complex128)
+    m = len(support)
+    if not support or min(support) < 0:
+        raise ValueError(f"gate support {list(support)} must be one or more sites >= 0")
+    if len(set(support)) != m:
+        raise ValueError(f"gate support {list(support)} repeats a site")
     q = round(len(matrix) ** (1 / m))
     if matrix.shape != (q**m, q**m):
         raise ValueError("matrix shape does not match the support")
@@ -244,39 +256,66 @@ def gate_term(support: Sequence[int], matrix: np.ndarray) -> GateTerm:
         moves = tuple(same.argmax(axis=1).tolist())
         if same.any(axis=1).all() and len(set(moves)) == m:
             phases = read[1].reshape((q,) * m).T
-            return GateTerm(tuple(support), matrix, moves, None if np.all(phases == 1) else phases)
-    return GateTerm(tuple(support), matrix, None, None)
+            return GateTerm(support, matrix, moves, None if np.all(phases == 1) else phases)
+    return GateTerm(support, matrix, None, None)
+
+
+def _multiply_phases(psi: np.ndarray, pending: list[tuple[list[int], np.ndarray]]) -> None:
+    """Multiply psi in place by every pending (axes, phases) pair, phases'
+    axis k on psi's axis axes[k]: their product is built over the union of
+    their axes, then broadcast over psi in one pass."""
+    if not pending:
+        return
+    union = sorted({a for at, _ in pending for a in at})
+    q = psi.shape[union[0]]
+    block = np.ones((q,) * len(union), dtype=np.complex128)
+    for at, phases in pending:
+        where = [union.index(a) for a in at]
+        shape = [q if k in where else 1 for k in range(len(union))]
+        block *= phases.transpose(np.argsort(where)).reshape(shape)
+    np.multiply(psi, block.reshape([q if a in union else 1 for a in range(psi.ndim)]), out=psi)
 
 
 def apply_gates(state: DenseState, perm: Sequence[int], terms: Sequence[GateTerm]) -> DenseState:
     """Move the content of site i to site perm[i], then apply the terms in
-    temporal order; the norm is checked once, at the end.
+    temporal order; the norm is checked once, at the end.  Raises ValueError
+    if perm is not a permutation of the sites or a term reaches past them.
 
     The amplitudes are copied once into a tensor with a site -> axis map.  A
-    site permutation, the register's or a term's own, only updates the map;
-    a term's phases are one in-place broadcast multiply; a term that does
-    not factor is contracted on its current axes as `apply_matrix` does.
-    One transpose at the end restores the layout."""
+    site permutation, the register's or a term's own, only updates the map,
+    so the phases of the terms between two contractions commute: they are
+    collected and multiplied in by `_multiply_phases`, one pass per block
+    of at most _PHASE_BLOCK entries, before each contraction and at the end.
+    A term that does not factor is contracted on its current axes as
+    `apply_matrix` does.  One transpose at the end restores the layout."""
     q, n = state.q, state.sites
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm {list(perm)} is not a permutation of the {n} sites")
     psi = state.amps.reshape((q,) * n).copy()
     axis = [0] * n
     for i, p in enumerate(perm):
         axis[p] = _axis(n, i)
+    pending = []
     for term in terms:
+        if max(term.support) >= n:
+            raise ValueError(f"gate support {list(term.support)} reaches past the {n} sites")
         at = [axis[s] for s in term.support]
         if term.moves is None:
+            _multiply_phases(psi, pending)
+            pending = []
             order = at[::-1] + [a for a in range(n) if a not in at]
             moved = psi.transpose(order).reshape(len(term.matrix), -1)
             psi = (term.matrix @ moved).reshape((q,) * n)
             axis = [order.index(a) for a in axis]
             continue
         if term.phases is not None:
-            shape = [1] * n
-            for a in at:
-                shape[a] = q
-            np.multiply(psi, term.phases.transpose(np.argsort(at)).reshape(shape), out=psi)
+            if q ** len(set(at).union(*(axes for axes, _ in pending))) > _PHASE_BLOCK:
+                _multiply_phases(psi, pending)
+                pending = []
+            pending.append((at, term.phases))
         for k, a in zip(term.moves, at):
             axis[term.support[k]] = a
+    _multiply_phases(psi, pending)
     flat = psi.transpose([axis[s] for s in reversed(range(n))]).reshape(-1)
     return check_norm(state._evolved(flat))
 
@@ -403,14 +442,13 @@ def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return keys, np.bincount(inverse, vals.real, len(keys)) + 1j * np.bincount(inverse, vals.imag, len(keys))
 
 
+def _restrict_bits(bits: int, support: Sequence[int]) -> int:
+    """Bit k of the result is bit support[k] of bits."""
+    return sum(((bits >> s) & 1) << k for k, s in enumerate(support))
+
+
 def _restrict_pauli(p: PauliOperator, support: tuple[int, ...]) -> PauliOperator:
-    x = z = 0
-    for i, s in enumerate(support):
-        if (p.x >> s) & 1:
-            x |= 1 << i
-        if (p.z >> s) & 1:
-            z |= 1 << i
-    return PauliOperator(len(support), x, z, p.phase)
+    return PauliOperator(len(support), _restrict_bits(p.x, support), _restrict_bits(p.z, support), p.phase)
 
 
 def pauli_matrix(p: PauliOperator) -> np.ndarray:
@@ -624,23 +662,37 @@ def stabilizer_density(state: StabilizerMixture) -> np.ndarray:
 
 
 def gate_unitary(gate: CliffordGate) -> np.ndarray:
-    """Dense unitary of a Clifford gate on its support, read from its tableau:
-    column 0 is the image of |0...0>, the first nonzero column of the Z
-    images' projector, normalized, and columns 2^a to 2^(a+1) - 1 are X
-    image a, one signed permutation, applied to columns 0 to 2^a - 1.
+    """Dense unitary of a Clifford gate on its support, read-only: the one
+    `_local_unitary` builds for its images restricted to the support."""
+    support = tuple(gate.support)
+    local = [
+        (_restrict_bits(x, support), _restrict_bits(z, support), phase & 3)
+        for a in support
+        for x, z, phase in gate.rows[a]
+    ]
+    return _local_unitary(tuple(local))
+
+
+@lru_cache(maxsize=64)
+def _local_unitary(rows: tuple[tuple[int, int, int], ...]) -> np.ndarray:
+    """The unitary on m sites that sends X_a and Z_a to the Paulis rows[2a]
+    and rows[2a + 1], (x, z, phase) ints, built once per distinct rows and
+    returned read-only.  Column 0 is the image of |0...0>, the first nonzero
+    column of the Z images' projector, normalized, and columns 2^a to
+    2^(a+1) - 1 are X image a, one signed permutation, applied to columns 0
+    to 2^a - 1.
 
     The tableau fixes the gate up to a global phase; the phase is pinned by
     making the trace positive real (all gates used on the dense path have
     nonzero trace, e.g. conjugated SWAPs with trace 2^(m-1)), falling back to
     the first significant matrix entry otherwise.
     """
-    support = tuple(gate.support)
-    dim = 1 << len(support)
-    images = gate.images
-    img_x = [_restrict_pauli(images[a][0], support) for a in support]
-    img_z = [_restrict_pauli(images[a][1], support) for a in support]
+    m = len(rows) // 2
+    dim = 1 << m
+    img_x = [PauliOperator(m, *row) for row in rows[::2]]
+    img_z = [PauliOperator(m, *row) for row in rows[1::2]]
     cols = np.zeros((dim, dim), dtype=np.complex128)
-    proj = _projector(len(support), img_z)
+    proj = _projector(m, img_z)
     norms = np.linalg.norm(proj, axis=0)
     if not np.any(norms > 1e-9):
         raise AssertionError("the gate's Z images fix no state")
@@ -658,4 +710,5 @@ def gate_unitary(gate: CliffordGate) -> np.ndarray:
         cols = cols * (pivot.conjugate() / abs(pivot))
     if np.max(np.abs(cols @ cols.conj().T - np.eye(dim))) > 1e-9:
         raise AssertionError("gate reconstruction is not unitary")
+    cols.flags.writeable = False
     return cols

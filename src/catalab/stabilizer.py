@@ -45,8 +45,7 @@ class CliffordGate:
     `rows[a]` holds the images of X_a and Z_a as (x, z, phase) ints, for
     every support site a; they are the only stored form.  Every kind is
     proven where it is built: each image is hermitian, stays on the
-    support, and the images commute as X_a and Z_a do.  `images` is the
-    same table as PauliOperator pairs, built on each read.  The inverse is
+    support, and the images commute as X_a and Z_a do.  The inverse is
     read off the rows by `_dual`, whatever the kind.  Gates compare and
     hash by identity.
     """
@@ -66,11 +65,6 @@ class CliffordGate:
         object.__setattr__(self, "rows", dict(self.rows))
         object.__setattr__(self, "_mask", sum(1 << a for a in self.support))
         _prove(self.n, self._mask, (self.rows[a] for a in self.support), _GATE_PROOF)
-
-    @property
-    def images(self) -> dict[int, tuple[PauliOperator, PauliOperator]]:
-        n = self.n
-        return {a: (PauliOperator(n, *x), PauliOperator(n, *z)) for a, (x, z) in self.rows.items()}
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         """Exact Heisenberg conjugation g P g^dagger.

@@ -4,7 +4,7 @@ Each is `CliffordGate(kind, n, SiteSet([a]), rows)` on literal rows, the
 (x bit, z bit, phase) at site a of the images of X_a and Z_a, and so takes
 the same proof where it is built as the package's own named kinds.
 """
-from catalab.pauli import SiteSet
+from catalab.pauli import PauliOperator, SiteSet
 from catalab.stabilizer import CliffordGate
 
 ROWS = {
@@ -34,3 +34,8 @@ def y_gate(n, a):
 
 def z_gate(n, a):
     return one_site_gate("Z", n, a)
+
+
+def images(gate):
+    """The gate's rows as PauliOperator pairs: {a: (image of X_a, image of Z_a)}."""
+    return {a: (PauliOperator(gate.n, *x), PauliOperator(gate.n, *z)) for a, (x, z) in gate.rows.items()}

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from catalab.dense import (
 )
 from catalab.models import build_hamiltonian, build_model
 from catalab.pauli import PauliOperator
+from catalab.verify import build_doubled_diagonal, build_doubled_fdqc
 from catalab.stabilizer import (
     StabilizerMixture,
     cz_gate,
@@ -144,6 +146,83 @@ def test_gate_term_reads_site_permutations_after_phases():
         ((0,), np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
     ):
         assert gate_term(support, matrix).moves is None
+
+
+CZM = np.diag([1.0, 1, 1, -1])
+
+
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        ((-1, 0), r"gate support \[-1, 0\] must be one or more sites >= 0"),
+        ((), r"gate support \[\] must be one or more sites >= 0"),
+        ((0, 0), r"gate support \[0, 0\] repeats a site"),
+    ],
+)
+def test_gate_term_rejects_a_negative_repeated_or_missing_site(support, message):
+    with pytest.raises(ValueError, match=message):
+        gate_term(support, CZM)
+
+
+@pytest.mark.parametrize("perm", [[1, 2], [1, 1, 0], [0, 1, 3], [0, 1, 2, 3], [-1, 0, 1]])
+def test_apply_gates_rejects_a_perm_that_is_not_a_permutation_of_the_sites(perm):
+    state = DenseState.computational(2, 3, 0b001)
+    with pytest.raises(ValueError, match=re.escape(f"perm {perm} is not a permutation of the 3 sites")):
+        apply_gates(state, perm, ())
+
+
+def test_apply_gates_rejects_a_term_past_the_register():
+    state = DenseState.computational(2, 3, 0b001)
+    for support in ((2, 3), (5,)):
+        with pytest.raises(ValueError, match=re.escape(f"gate support {list(support)} reaches past the 3 sites")):
+            apply_gates(state, range(3), [gate_term(support, CZM if len(support) == 2 else ZM)])
+
+
+class _CountingNumpy:
+    """numpy for `catalab.dense`, counting the `multiply` calls whose output
+    has `size` entries."""
+
+    def __init__(self, size):
+        self.size, self.calls = size, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        out = np.multiply(*args, **kwargs)
+        self.calls += out.size == self.size
+        return out
+
+
+def test_doubled_cluster_action_makes_at_most_two_state_sized_multiplies(monkeypatch):
+    # Its 10 v-gates each carry +-1 phases; one multiply per gate made 10.
+    bundle = build_model("cluster-1d", n=10)
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    state = DenseState.computational(2, 20, 0b1011)
+    want = doubled.apply_dense(state).amps
+    counting = _CountingNumpy(2**20)
+    monkeypatch.setattr(dense_module, "np", counting)
+    got = doubled.apply_dense(state).amps
+    assert 1 <= counting.calls <= 2
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model", ["cluster-1d", "cocycle-z2z2"])
+def test_doubled_action_on_2_20_amplitudes_holds_one_state_copy(model):
+    # The phase blocks stay small: no phase tensor the size of the state.
+    if model == "cluster-1d":
+        bundle = build_model(model, n=10)
+        doubled, state = build_doubled_fdqc(bundle.entangler, 10, bundle.lattice), DenseState.uniform(2, 20)
+    else:
+        doubled, state = build_doubled_diagonal(build_model(model, sites=5).entangler), DenseState.uniform(4, 10)
+    doubled.gate_terms
+    tracemalloc.start()
+    try:
+        doubled.apply_dense(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.amps.nbytes + 2**20
 
 
 def test_diagonal_matches_matrix():
@@ -425,6 +504,14 @@ def test_gate_unitary_known_gates():
     ratio = got_s[0, 0] / sm[0, 0]
     assert np.allclose(got_s, ratio * sm, atol=1e-10)
     assert abs(abs(ratio) - 1) < 1e-10
+
+
+def test_gate_unitary_is_read_only_and_shared_by_equal_local_forms():
+    u = gate_unitary(cz_gate(3, 0, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 0] = 0
+    # The same local images on other sites of another register: one build.
+    assert gate_unitary(cz_gate(5, 1, 4)) is u
 
 
 def test_gate_unitary_conjugation_action():

@@ -11,14 +11,16 @@ register-wide column list; the Gram-matrix tableau and generator
 checks and the masked symmetric-gate audit against the basis-pair, pairwise
 and restrict-and-conjugate loops they replaced; the dense gate runner against the
 per-gate contraction loop it replaced, on criterion 2's and the cocycle
-chain's circuits and on random Clifford circuits; criterion 2's basis-label
+chain's circuits, on random Clifford circuits and on runs of phase gates
+multiplied in blocks; criterion 2's basis-label
 images against that loop's per-column action, and its label-and-sign
 comparison against the full-matrix one, and its per-gate label comparison
 against the embedded matrix products; one gate conjugated through a
 Clifford's tableau against the doubled compile's proven single-site
 shortcut, the pipeline's PauliOperator conjugation and U (x) U^-1 applied
 register by register; dense gates read from the tableau
-against the per-column projected builder, and the stabilizer density as
+against the per-column projected builder, each cached one against its
+uncached build, and the stabilizer density as
 row permutations against the product of dense projectors; the i < j
 commutation loop of `SymmetryRep` against the ordered-pair loop; the dense symmetric-gate
 audit by index against the kron audit it replaced; and index-placed Hamiltonian assembly against
@@ -122,7 +124,7 @@ from catalab.verify import (
     strong_localization,
 )
 
-from named_gates import ROWS, sdg_gate, x_gate, y_gate, z_gate
+from named_gates import ROWS, images as gate_images, sdg_gate, x_gate, y_gate, z_gate
 
 ONE_SITE = (h_gate, s_gate, sdg_gate, x_gate, y_gate, z_gate)
 TWO_SITE = (cz_gate, cnot_gate, swap_gate)
@@ -317,9 +319,9 @@ def reference_gate_conjugate(gate, p):
     for a in gate.support:
         bit = 1 << a
         if p.x & bit:
-            acc = acc * gate.images[a][0]
+            acc = acc * gate_images(gate)[a][0]
         if p.z & bit:
-            acc = acc * gate.images[a][1]
+            acc = acc * gate_images(gate)[a][1]
         touched |= bit
     return acc * PauliOperator(gate.n, p.x & ~touched, p.z & ~touched, 0)
 
@@ -389,7 +391,7 @@ def test_named_kinds_take_the_tableau_proof(make):
     n = 4
     gate = make(n, *((2,) if make in ONE_SITE else (3, 1)))
     for _ in range(6):
-        for name, case, refused in corrupted_images(rng, n, gate.images):
+        for name, case, refused in corrupted_images(rng, n, gate_images(gate)):
             got = validation_error(lambda: CliffordGate(gate.kind, n, gate.support, rows_of(case)))
             assert got == validation_error(lambda: tableau_gate(n, case)), name
             assert (got is not None) == refused, name
@@ -432,7 +434,7 @@ def reference_invert_gate(gate):
     """The per-gate search `_dual` replaced: each preimage candidate is read
     off the images' symplectic products as PauliOperator objects, then one
     forward conjugation picks its sign."""
-    images = gate.images
+    images = gate_images(gate)
 
     def preimage(target):
         x = z = 0
@@ -615,7 +617,7 @@ def assert_doubled_matches_reference(qca, n, lattice):
     for gate, images in zip(doubled.v_gates, reference):
         assert list(gate.support) == sorted(images)
         for a in gate.support:
-            assert gate.images[a] == images[a]
+            assert gate_images(gate)[a] == images[a]
     assert [tuple(g.support) for g in doubled.s_gates] == [(i, n + i) for i in range(n)]
 
 
@@ -956,7 +958,7 @@ def test_int_level_checks_match_object_loops_on_registry(model, params):
     if isinstance(bundle.entangler, CliffordCircuit):
         gates += [g for layer in bundle.entangler.layers for g in layer]
     for gate in gates:
-        assert_tableau_check_matches_basis_pairs(rng, gate.n, gate.images)
+        assert_tableau_check_matches_basis_pairs(rng, gate.n, gate_images(gate))
     dsym = bundle.symmetry.doubled()
     verdicts = set()
     for gate in doubled.all_gates():
@@ -981,8 +983,8 @@ def test_int_level_checks_match_object_loops_on_random_inputs(n, seed):
     size = int(rng.integers(1, min(3, n) + 1))
     sites = [int(a) for a in rng.choice(n, size=size, replace=False)]
     gate = random_tableau_gate(rng, n, sites)
-    assert_tableau_check_matches_basis_pairs(rng, n, gate.images)
-    assert_tableau_check_matches_basis_pairs(rng, n, random_named_gate(rng, n, sites).images)
+    assert_tableau_check_matches_basis_pairs(rng, n, gate_images(gate))
+    assert_tableau_check_matches_basis_pairs(rng, n, gate_images(random_named_gate(rng, n, sites)))
     state = random_mixture(rng, n)
     assert_validate_matches_pairwise_loop(rng, state)
     # A random state's commuting generators as the symmetry, audited on the
@@ -1070,7 +1072,7 @@ def test_dense_qca_action_maps_trivial_to_target(model, params):
 
 def _negate_one_image(gate):
     """The same gate with its first X image negated: still a valid tableau."""
-    images = dict(gate.images)
+    images = dict(gate_images(gate))
     a = gate.support[0]
     px, pz = images[a]
     images[a] = (PauliOperator(px.n, px.x, px.z, px.phase + 2), pz)
@@ -1308,8 +1310,8 @@ def reference_gate_unitary(gate):
     support = list(gate.support)
     m = len(support)
     dim = 1 << m
-    img_x = [_restrict_pauli(gate.images[a][0], tuple(support)) for a in support]
-    img_z = [_restrict_pauli(gate.images[a][1], tuple(support)) for a in support]
+    img_x = [_restrict_pauli(gate_images(gate)[a][0], tuple(support)) for a in support]
+    img_z = [_restrict_pauli(gate_images(gate)[a][1], tuple(support)) for a in support]
     v0 = _projected_basis_state(m, img_z)
     if v0 is None:
         raise AssertionError("could not build the image of |0...0>")
@@ -1390,8 +1392,47 @@ def test_gate_unitary_reads_each_image_once(monkeypatch):
     maps = counted(monkeypatch, dense, "pauli_basis_map")
     for gate in gates:
         maps.clear()
+        dense._local_unitary.cache_clear()
         gate_unitary(gate)
         assert len(maps) <= 2 * len(gate.support), gate
+
+
+def test_cached_gate_unitary_equals_the_uncached_build(monkeypatch):
+    gates = [
+        gate
+        for model in ("lsm-dimer", "cluster-1d", "lieb-2d", "square-sspt")
+        if isinstance(entangler := build_model(model).entangler, CliffordCircuit)
+        for layer in entangler.layers
+        for gate in layer
+    ]
+    assert len(gates) >= 40
+    for case in range(len(CRITERION_2_DENSE)):
+        gates += criterion_2_doubled(case)[1].v_gates
+    cached = [gate_unitary(gate) for gate in gates]
+    monkeypatch.setattr(dense, "_local_unitary", dense._local_unitary.__wrapped__)
+    for gate, got in zip(gates, cached):
+        assert not got.flags.writeable
+        assert np.array_equal(got, gate_unitary(gate)), gate
+
+
+def test_gates_whose_images_differ_in_one_sign_do_not_share_a_unitary():
+    gate = cz_gate(3, 0, 2)
+    flipped = _negate_one_image(gate)
+    dense._local_unitary.cache_clear()
+    u, v = gate_unitary(gate), gate_unitary(flipped)
+    assert dense._local_unitary.cache_info().currsize == 2
+    assert np.array_equal(u, reference_gate_unitary(gate))
+    assert np.array_equal(v, reference_gate_unitary(flipped))
+    assert not np.allclose(u, v)
+
+
+def test_criterion_2_builds_each_distinct_local_unitary_once(monkeypatch):
+    # 125 gate_unitary calls; their images restricted to the support take
+    # 10 distinct forms, on 2, 4 and 6 sites.
+    dense._local_unitary.cache_clear()
+    builds = counted(monkeypatch, dense, "_projector")
+    assert acceptance.criterion_2().passed
+    assert 1 <= len(builds) <= 10
 
 
 X0, X1 = PauliOperator.x_at(2, 0), PauliOperator.x_at(2, 1)
@@ -1508,6 +1549,91 @@ def test_runner_matches_per_gate_loop_on_random_clifford_circuits(n, num_gates, 
     state = random_dense_state(rng, 2, n)
     got = apply_gates(state, perm, [gate_term(*term) for term in terms]).amps
     assert np.max(np.abs(got - reference_apply_gates(state, perm, terms).amps)) <= 1e-12
+
+
+def random_phase_gate(rng, q, m, exact):
+    """A q^m x q^m gate that permutes its m sites after one phase per basis
+    state: the phases from {1, i, -1, -i} when exact, else anywhere on the
+    unit circle."""
+    if exact:
+        phases = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, size=q**m)]
+    else:
+        phases = np.exp(2j * np.pi * rng.random(q**m))
+    idx = np.arange(q**m)
+    digits = idx[:, None] // q ** np.arange(m) % q
+    image = digits @ q ** rng.permutation(m)
+    matrix = np.zeros((q**m, q**m), dtype=np.complex128)
+    matrix[image, idx] = phases
+    return matrix
+
+
+def contraction_gate(rng, q, exact):
+    """A one- or two-site gate that does not factor: H or CNOT on qubits; on
+    qutrits |a, b> -> |a, a + b> when exact, else the Fourier matrix, whose
+    complex entries round differently in the two paths' layouts."""
+    if q == 3 and exact:
+        return np.eye(9, dtype=np.complex128)[:, [a + 3 * ((a + b) % 3) for b in range(3) for a in range(3)]]
+    if q == 3:
+        return np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    if rng.random() < 0.5:
+        return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+    return np.eye(4, dtype=np.complex128)[[0, 3, 2, 1]]
+
+
+def assert_phase_runs_match(rng, q, n, num_gates, exact):
+    """`apply_gates` on a random state, register permutation and gate list,
+    phase gates on one to three sites with a contraction now and then,
+    against the per-gate loop: bit for bit when every phase is a power of
+    i, within 1e-12 otherwise."""
+    state = random_dense_state(rng, q, n)
+    perm = [int(p) for p in rng.permutation(n)]
+    terms = []
+    for _ in range(num_gates):
+        if rng.random() < 0.15:
+            matrix = contraction_gate(rng, q, exact)
+        else:
+            matrix = random_phase_gate(rng, q, int(rng.integers(1, 4)), exact)
+        m = round(math.log(len(matrix), q))
+        terms.append(([int(a) for a in rng.choice(n, size=m, replace=False)], matrix))
+    got = apply_gates(state, perm, [gate_term(*term) for term in terms]).amps
+    want = reference_apply_gates(state, perm, terms).amps
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(14, 16), num_gates=st.integers(0, 30), exact=st.booleans(), seed=SEEDS)
+def test_blocked_phases_match_per_gate_loop_on_qubits(n, num_gates, exact, seed):
+    assert_phase_runs_match(np.random.default_rng(seed), 2, n, num_gates, exact)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(6, 9), num_gates=st.integers(0, 20), exact=st.booleans(), seed=SEEDS)
+def test_blocked_phases_match_per_gate_loop_on_qutrits(n, num_gates, exact, seed):
+    assert_phase_runs_match(np.random.default_rng(seed), 3, n, num_gates, exact)
+
+
+def test_phase_blocks_flush_when_full(monkeypatch):
+    # CZ and S on every site of 16 qubits, with no contraction: their axes
+    # outgrow one block, so the run is multiplied in more than one pass.
+    rng = np.random.default_rng(5)
+    state = random_dense_state(rng, 2, 16)
+    terms = [((i, i + 1), np.diag([1, 1, 1, -1])) for i in range(15)]
+    terms += [((i,), np.diag([1, 1j])) for i in range(16)]
+    flushes = counted(monkeypatch, dense, "_multiply_phases")
+    got = apply_gates(state, range(16), [gate_term(*term) for term in terms]).amps
+    assert sum(1 for _, pending in flushes if pending) >= 2
+    assert np.array_equal(got, reference_apply_gates(state, range(16), terms).amps)
+
+
+@pytest.mark.parametrize("q, n", [(2, 14), (3, 8)])
+def test_a_flush_that_drops_its_last_pending_term_is_caught(monkeypatch, q, n):
+    flush = dense._multiply_phases
+    monkeypatch.setattr(dense, "_multiply_phases", lambda psi, pending: flush(psi, pending[:-1]))
+    with pytest.raises(AssertionError):
+        assert_phase_runs_match(np.random.default_rng(11), q, n, 20, exact=True)
 
 
 def reference_audit_dense(support, matrix, qsym):

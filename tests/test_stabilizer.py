@@ -333,7 +333,7 @@ def test_tableau_gate_keeps_its_own_images():
     images = {0: (PauliOperator.z_at(n, 0), PauliOperator.x_at(n, 0))}
     gate = tableau_gate(n, images)
     images[0] = (PauliOperator.z_at(n, 1), PauliOperator.x_at(n, 0))
-    assert gate.images[0][0] == PauliOperator.z_at(n, 0)
+    assert gate.rows[0][0] == (0, 1, 0)  # Z_0
     assert gate.conjugate(PauliOperator.x_at(n, 0)) == PauliOperator.z_at(n, 0)
     evolved = StabilizerMixture.plus_state(n).apply_circuit(gate)
     assert evolved.generators == (PauliOperator.z_at(n, 0), PauliOperator.x_at(n, 1))
