@@ -8,20 +8,24 @@ and cross-checks of everything Clifford).
 
 __version__ = "0.1.0"
 
-import importlib
-
+from ._numpy import _lazy
 from .pauli import PauliOperator, SiteSet
 from .stabilizer import CliffordCircuit, CliffordGate, StabilizerMixture
-from .dense import DenseOperator, DenseState
-from .cohomology import Cochain, FiniteAbelianGroup
 from .models import ModelBundle, build_catalyst, build_hamiltonian, build_model
+
+# Run on first use, so a stabilizer command never compiles them; bound here,
+# as an import would bind them, so that `catalab.dense` resolves at once.
+dense, cohomology, protocols, acceptance = (
+    _lazy(f"{__name__}.{name}") for name in ("dense", "cohomology", "protocols", "acceptance")
+)
 
 
 def __getattr__(name: str):
-    # Only `selftest` runs the acceptance suite, so nothing imports it up
-    # front; `catalab.acceptance` still resolves, on first read (PEP 562).
-    if name == "acceptance":
-        return importlib.import_module(".acceptance", __name__)
+    # The deferred modules' public classes resolve on first read (PEP 562).
+    if name in ("DenseOperator", "DenseState"):
+        return getattr(dense, name)
+    if name in ("Cochain", "FiniteAbelianGroup"):
+        return getattr(cohomology, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

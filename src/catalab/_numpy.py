@@ -1,14 +1,16 @@
-"""numpy for every catalab module, loaded on first use.  The stabilizer engine
-never reads numpy, whose import is about half of `import catalab.cli`; the
-dense engine loads it on its first attribute read.  An imported numpy is used
-as it is, and a missing one fails at `import catalab`.  The deferred load
-(`importlib.util.LazyLoader`) is unsafe when two threads trigger it at once;
-catalab starts no Python threads."""
+"""numpy for every catalab module, and `_lazy`, the loader that defers it
+and `catalab.dense`, `.cohomology`, `.protocols` and `.acceptance`: each
+runs its code on first attribute read, so `import catalab.cli` runs only
+`pauli`, `gf2`, `stabilizer`, `models`, `verify` and `cli`.  A missing numpy
+fails at `import catalab`.  `importlib.util.LazyLoader` is unsafe when two
+threads trigger one load; catalab starts no Python threads."""
 import importlib.util
 import sys
 
 
 def _lazy(name: str):
+    """The module `name`, as imported, or with its code run on its first
+    attribute read.  Unlike an import, it binds no submodule on its package."""
     if sys.modules.get(name) is not None:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)

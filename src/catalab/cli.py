@@ -15,26 +15,11 @@ import sys
 import time
 from typing import Optional
 
-from ._numpy import np
+from ._numpy import _lazy, np
 
 from . import __version__
-from . import dense as dn
-from .cohomology import (
-    FiniteAbelianGroup,
-    bilinear_cocycle,
-    cohomology_group,
-    normalize_cocycle,
-)
-from .models import RegistryError, build_catalyst, build_model, catalyst_is_dense
+from .models import build_catalyst, build_model, catalyst_is_dense
 from .pauli import PauliOperator
-from .protocols import (
-    RecipeError,
-    audit_schedule,
-    catalyzed_pipeline,
-    execute_schedule,
-    measurement_prepare_catalyst,
-    register_a_matches,
-)
 from .verify import (
     disorder_parameter,
     fidelity_correlator,
@@ -44,6 +29,12 @@ from .verify import (
     weak_localization,
 )
 from .stabilizer import renyi_correlator
+
+# Loaded by the first command that reads them: a stabilizer report runs none.
+dn = _lazy("catalab.dense")
+coh = _lazy("catalab.cohomology")
+proto = _lazy("catalab.protocols")
+acc = _lazy("catalab.acceptance")
 
 
 class UsageError(Exception):
@@ -208,7 +199,7 @@ def cmd_correlators(args) -> int:
 def _measure_prep_run(n: int, seed: np.random.SeedSequence) -> dict:
     """One run of the protocol, as its report entry."""
     try:
-        record = measurement_prepare_catalyst(n, np.random.default_rng(seed))
+        record = proto.measurement_prepare_catalyst(n, np.random.default_rng(seed))
     except AssertionError as exc:
         # The protocol asserts its parity, invariance and symmetry claims;
         # a violation is a failed run, not a crash of the whole command.
@@ -237,12 +228,12 @@ def cmd_measure_prep(args) -> int:
 def cmd_pipeline(args) -> int:
     bundle = build_model(args.model, **_model_params(args))
     catalyst = build_catalyst(bundle, args.catalyst)
-    schedule = catalyzed_pipeline(bundle, catalyst, args.mode)
-    audited = audit_schedule(schedule, bundle.symmetry)
+    schedule = proto.catalyzed_pipeline(bundle, catalyst, args.mode)
+    audited = proto.audit_schedule(schedule, bundle.symmetry)
     rng = np.random.default_rng(args.seed)
-    final, outcomes = execute_schedule(schedule, rng)
+    final, outcomes = proto.execute_schedule(schedule, rng)
     if schedule.ancilla_offset is not None:
-        reached = register_a_matches(final, bundle.target)
+        reached = proto.register_a_matches(final, bundle.target)
     else:
         reached = final.same_state(bundle.target)
     results = {
@@ -268,8 +259,10 @@ def cmd_cohomology(args) -> int:
     factors = _GROUPS.get(args.group)
     if factors is None:
         raise UsageError(f"unknown group {args.group!r}; known: {sorted(_GROUPS)}")
-    group = FiniteAbelianGroup(factors)
-    result = cohomology_group(group, args.degree)
+    if args.normalize and (args.group, args.degree) != ("Z2xZ2", 2):
+        raise UsageError("--normalize is supported for --group Z2xZ2 --degree 2 only")
+    group = coh.FiniteAbelianGroup(factors)
+    result = coh.cohomology_group(group, args.degree)
     payload = {
         "group": args.group,
         "degree": args.degree,
@@ -277,15 +270,13 @@ def cmd_cohomology(args) -> int:
         "invariant_factors": list(result.invariant_factors),
         "representatives": [rep.to_json_dict() for rep in result.representatives],
     }
-    if args.normalize and args.group == "Z2xZ2" and args.degree == 2:
-        nu = normalize_cocycle(bilinear_cocycle(group, 0, 1))
+    if args.normalize:
+        nu = coh.normalize_cocycle(coh.bilinear_cocycle(group, 0, 1))
         payload["normalized_entangler_class"] = nu.to_json_dict()
     return _report(args, payload, config={"group": args.group, "degree": args.degree})
 
 
 def cmd_selftest(args) -> int:
-    from . import acceptance as acc
-
     keys = args.criteria.split(",") if args.criteria else None
     results = acc.run_all(keys)
     for result in results:
@@ -404,7 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, RegistryError, RecipeError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ._numpy import np
+from ._numpy import _lazy, np
 
 from .gf2 import lattice_quotient, smith_normal_form_int, solve_mod
-from . import dense as _dense
+
+_dense = _lazy("catalab.dense")
 
 
 class NormalizationError(Exception):

@@ -287,18 +287,28 @@ def apply_gates(state: DenseState, perm: Sequence[int], terms: Sequence[GateTerm
     collected and multiplied in by `_multiply_phases`, one pass per block
     of at most _PHASE_BLOCK entries, before each contraction and at the end.
     A term that does not factor is contracted on its current axes as
-    `apply_matrix` does.  One transpose at the end restores the layout."""
+    `apply_matrix` does.  One transpose at the end restores the layout; with
+    no contraction, the copy is made in the final layout instead."""
     q, n = state.q, state.sites
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm {list(perm)} is not a permutation of the {n} sites")
-    psi = state.amps.reshape((q,) * n).copy()
-    axis = [0] * n
-    for i, p in enumerate(perm):
-        axis[p] = _axis(n, i)
-    pending = []
     for term in terms:
         if max(term.support) >= n:
             raise ValueError(f"gate support {list(term.support)} reaches past the {n} sites")
+    psi = state.amps.reshape((q,) * n)
+    axis = [0] * n
+    for i, p in enumerate(perm):
+        axis[p] = _axis(n, i)
+    if all(term.moves is not None for term in terms):
+        final = list(axis)
+        for term in terms:
+            for k, a in zip(term.moves, [final[s] for s in term.support]):
+                final[term.support[k]] = a
+        order = [final[s] for s in reversed(range(n))]
+        psi, axis = psi.transpose(order), [order.index(a) for a in axis]
+    psi = psi.copy()
+    pending = []
+    for term in terms:
         at = [axis[s] for s in term.support]
         if term.moves is None:
             _multiply_phases(psi, pending)

@@ -12,18 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from ._numpy import np
+from ._numpy import _lazy, np
 
-from . import dense as dn
-from .cohomology import (
-    Cochain,
-    CocycleCircuit,
-    FiniteAbelianGroup,
-    bilinear_cocycle,
-    compile_cocycle_circuit,
-    normalize_cocycle,
-    ring_triangulation,
-)
 from .gf2 import BitMatrix
 from .pauli import PauliOperator
 from .stabilizer import (
@@ -35,6 +25,9 @@ from .stabilizer import (
     is_invariant,
     pack_gates_into_layers,
 )
+
+dn = _lazy("catalab.dense")
+coh = _lazy("catalab.cohomology")
 
 
 class RegistryError(ValueError):
@@ -257,7 +250,7 @@ class SymmetryRep:
 class QuditSymmetry:
     """On-site regular action u(g)|h> = |gh> of a finite abelian group."""
 
-    group: FiniteAbelianGroup
+    group: coh.FiniteAbelianGroup
 
     def mapping(self, g: tuple[int, ...]) -> list[int]:
         """Index of gh for each element h, in element order."""
@@ -302,7 +295,7 @@ class ModelBundle:
     name: str
     lattice: Lattice
     symmetry: SymmetryRep
-    entangler: Union[CliffordCircuit, PermutationQca, CocycleCircuit]
+    entangler: Union[CliffordCircuit, PermutationQca, coh.CocycleCircuit]
     trivial: Optional[StabilizerMixture]
     target: Optional[StabilizerMixture]
     qudit_symmetry: Optional[QuditSymmetry] = None
@@ -465,7 +458,7 @@ def _build_square_sspt(l: int) -> ModelBundle:
     return _graph_bundle("square-sspt", lat, SymmetryRep(n, tuple(gens)), lat.edge_pairs())
 
 
-def _cocycle_state_amplitudes(nu: Cochain, sites: int) -> np.ndarray:
+def _cocycle_state_amplitudes(nu: coh.Cochain, sites: int) -> np.ndarray:
     """The cocycle state on the ring, written from nu rather than from a
     circuit: prod_i omega^{nu(e, g_i, g_{i+1})} / sqrt(|G|^sites), with site 0
     the least-significant digit and digit d standing for group.element(d)."""
@@ -484,9 +477,9 @@ def _cocycle_state_amplitudes(nu: Cochain, sites: int) -> np.ndarray:
 def _build_cocycle_z2z2(sites: int) -> ModelBundle:
     if sites < 3:
         raise RegistryError("the cocycle chain needs at least 3 sites")
-    group = FiniteAbelianGroup((2, 2))
-    nu = normalize_cocycle(bilinear_cocycle(group, 0, 1))
-    circuit = compile_cocycle_circuit(nu, ring_triangulation(sites), sites)
+    group = coh.FiniteAbelianGroup((2, 2))
+    nu = coh.normalize_cocycle(coh.bilinear_cocycle(group, 0, 1))
+    circuit = coh.compile_cocycle_circuit(nu, coh.ring_triangulation(sites), sites)
     evolved = circuit.apply(dn.DenseState.uniform(group.order, sites))
     if np.linalg.norm(evolved.amps - _cocycle_state_amplitudes(nu, sites)) > 1e-10:
         raise AssertionError("cocycle target mismatch")
@@ -864,7 +857,7 @@ def _cocycle_hamiltonian(bundle, kind, alpha, symmetry) -> dn.DenseOperator:
     triv = [((i,), -plus_proj) for i in range(bundle.n)]
     if kind == "triv":
         return dn.DenseOperator(bundle.n, q, triv, symmetry)
-    circuit: CocycleCircuit = bundle.entangler
+    circuit: coh.CocycleCircuit = bundle.entangler
     conj1 = [circuit.conjugate_term(s, m) for s, m in triv]
     if kind == "spt":
         return dn.DenseOperator(bundle.n, q, conj1, symmetry)

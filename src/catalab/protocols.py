@@ -270,19 +270,15 @@ def _prep_circuit_for(
 ) -> tuple[CliffordCircuit, bool]:
     """Returns (circuit, long_range_flag) realizing the catalyst recipe."""
     recipe = catalyst.prep_recipe
-    if recipe is None or recipe == "measure-zz":
-        raise RecipeError(
-            f"catalyst {catalyst.name!r} has no unitary circuit realization; "
-            "gapless and superposition catalysts are demonstrated through the "
-            "eigensolver path only"
-        )
+    if recipe == "measure-zz":
+        raise RecipeError(f"catalyst {catalyst.name!r} is prepared by measurement; use --mode measurement")
     if recipe == "ghz-staircase":
         return ghz_pair_staircase(bundle.n, n_total, offset), False
     if recipe == "ghz-staircase-even":
         return ghz_even_staircase(bundle.n, n_total, offset), False
     if recipe == "lr-bell-swap":
         return long_range_bell_layer(bundle.n, n_total, offset), True
-    raise RecipeError(f"unknown prep recipe {recipe!r}")
+    raise RecipeError(f"catalyst {catalyst.name!r} has no preparation recipe")
 
 
 def _conjugate_circuit_by_qca(circuit: CliffordCircuit, qca) -> tuple[CliffordCircuit, int]:

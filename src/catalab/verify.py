@@ -23,10 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from ._numpy import np
+from ._numpy import _lazy, np
 
-from . import dense as dn
-from .cohomology import CocycleCircuit
 from .gf2 import BitMatrix, span_basis, span_combination
 from .models import (
     Catalyst,
@@ -49,6 +47,9 @@ from .stabilizer import (
     pack_gates_into_layers,
     swap_gate,
 )
+
+dn = _lazy("catalab.dense")
+coh = _lazy("catalab.cohomology")
 
 
 class RegionTooSmallError(Exception):
@@ -193,7 +194,7 @@ class DoubledDiagonalCircuit:
     apply_dense = DoubledCircuit.apply_dense
 
 
-def build_doubled_diagonal(circuit: CocycleCircuit) -> DoubledDiagonalCircuit:
+def build_doubled_diagonal(circuit: coh.CocycleCircuit) -> DoubledDiagonalCircuit:
     """v_i is the register swap of sites i and n+i, conjugated by the gates
     that touch site i."""
     n, q = circuit.num_sites, circuit.q

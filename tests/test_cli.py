@@ -306,13 +306,17 @@ STABILIZER_REPORTS = [
 
 def test_stabilizer_reports_load_no_numpy_and_a_dense_one_does(tmp_path):
     # `numpy` itself is in sys.modules from `import catalab` on, as a module
-    # whose code has not run; its submodules appear only once it has.
+    # whose code has not run; its submodules appear only once it has.  The
+    # deferred catalab modules are in sys.modules as placeholders, whose
+    # type becomes the plain module type once their code has run.
     code = (
-        "import io, json, sys\n"
+        "import io, json, sys, types\n"
         "from contextlib import redirect_stdout\n"
         "import catalab.cli as cli\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
-        "out, runs = sys.argv[1], []\n"
+        "deferred = ['catalab.' + m for m in ('dense', 'cohomology', 'protocols', 'acceptance')]\n"
+        "def loaded(): return sorted([m for m in sys.modules if m.startswith('numpy.')]\n"
+        "    + [m for m in deferred if type(sys.modules.get(m)) is types.ModuleType])\n"
+        "out, runs = sys.argv[1], [(None, loaded())]\n"
         "for argv in json.loads(sys.argv[2]):\n"
         "    with redirect_stdout(io.StringIO()):\n"
         "        runs.append((cli.main(argv.split() + ['--out', out]), loaded()))\n"
@@ -323,9 +327,70 @@ def test_stabilizer_reports_load_no_numpy_and_a_dense_one_does(tmp_path):
     proc = _fresh_python("-c", code, str(tmp_path / "r.json"), argvs)
     assert proc.returncode == 0, proc.stderr
     runs, dense_passed = json.loads(proc.stdout)
-    assert runs[:-1] == [[0, []]] * len(STABILIZER_REPORTS)
-    assert runs[-1][0] == 0 and "numpy.linalg" in runs[-1][1]
+    assert runs[:-1] == [[None, []]] + [[0, []]] * len(STABILIZER_REPORTS)
+    assert runs[-1][0] == 0 and {"numpy.linalg", "catalab.dense"} <= set(runs[-1][1])
     assert dense_passed is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GOLDEN_REPORTS["catalyze-cluster-1d-ghz-dense-n8-seed1"],
+        "cohomology --group Z2xZ2 --degree 2 --normalize",
+        "measure-prep --n 8 --runs 2",
+        "pipeline --model cluster-1d --catalyst ghz --mode four-step --n 8",
+        "selftest --criteria 9",
+    ],
+)
+def test_commands_that_read_deferred_modules_run_from_a_fresh_interpreter(tmp_path, argv):
+    out = tmp_path / "r.json"
+    proc = _fresh_python("-m", "catalab.cli", *argv.split(), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert load_report(out)["passed"] is True
+
+
+def test_every_module_and_public_name_resolves_after_importing_the_cli():
+    modules = sorted(p.stem for p in Path(catalab.__file__).parent.glob("*.py") if p.stem != "__init__")
+    code = (
+        "import json, sys\n"
+        "import catalab.cli\n"
+        "package = sys.modules['catalab']\n"
+        "names = [getattr(package, m).__name__ for m in json.loads(sys.argv[1])]\n"
+        "from catalab import *\n"
+        "print(json.dumps([names, [n for n in package.__all__ if n not in globals()],\n"
+        "    DenseState is package.dense.DenseState, Cochain is package.cohomology.Cochain]))\n"
+    )
+    proc = _fresh_python("-c", code, json.dumps(modules))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[f"catalab.{m}" for m in modules], [], True, True]
+
+
+@pytest.mark.parametrize("group, degree", [("Z3", 2), ("Z2xZ2", 3)])
+def test_normalize_outside_its_one_case_is_a_usage_error(tmp_path, capsys, group, degree):
+    out = tmp_path / "r.json"
+    argv = ["cohomology", "--group", group, "--degree", str(degree), "--normalize", "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert "--normalize is supported for --group Z2xZ2 --degree 2 only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "--model cluster-1d --catalyst swssb --mode ancilla --n 8",
+            "catalyst 'swssb' is prepared by measurement; use --mode measurement",
+        ),
+        (
+            "--model lieb-2d --catalyst toric-code --lx 2 --ly 2",
+            "catalyst 'toric-code' has no preparation recipe",
+        ),
+    ],
+    ids=["measure-zz", "no-recipe"],
+)
+def test_pipeline_recipe_errors_name_the_problem(tmp_path, capsys, argv, message):
+    assert run_cli(["pipeline", *argv.split(), "--out", str(tmp_path / "r.json")]) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -375,7 +440,7 @@ def test_measure_prep_invariance_failure_under_python_O(tmp_path):
 
 
 def test_measure_prep_protocol_violation_fails_the_report(tmp_path, monkeypatch):
-    real = cli.measurement_prepare_catalyst
+    real = catalab.protocols.measurement_prepare_catalyst
     calls = []
 
     def flaky(n, rng):
@@ -384,7 +449,7 @@ def test_measure_prep_protocol_violation_fails_the_report(tmp_path, monkeypatch)
             raise AssertionError(f"sublattice parity constraint violated ({len(calls)})")
         return real(n, rng)
 
-    monkeypatch.setattr(cli, "measurement_prepare_catalyst", flaky)
+    monkeypatch.setattr(catalab.protocols, "measurement_prepare_catalyst", flaky)
     out = tmp_path / "mp.json"
     argv = ["measure-prep", "--n", "8", "--runs", "6", "--seed", "2"]
     assert run_cli(argv + ["--out", str(out)]) == 1

@@ -1580,16 +1580,16 @@ def contraction_gate(rng, q, exact):
     return np.eye(4, dtype=np.complex128)[[0, 3, 2, 1]]
 
 
-def assert_phase_runs_match(rng, q, n, num_gates, exact):
+def assert_phase_runs_match(rng, q, n, num_gates, exact, contract=0.15):
     """`apply_gates` on a random state, register permutation and gate list,
-    phase gates on one to three sites with a contraction now and then,
-    against the per-gate loop: bit for bit when every phase is a power of
-    i, within 1e-12 otherwise."""
+    phase gates on one to three sites with a contraction at each gate with
+    probability `contract`, against the per-gate loop: bit for bit when
+    every phase is a power of i, within 1e-12 otherwise."""
     state = random_dense_state(rng, q, n)
     perm = [int(p) for p in rng.permutation(n)]
     terms = []
     for _ in range(num_gates):
-        if rng.random() < 0.15:
+        if rng.random() < contract:
             matrix = contraction_gate(rng, q, exact)
         else:
             matrix = random_phase_gate(rng, q, int(rng.integers(1, 4)), exact)
@@ -1626,6 +1626,14 @@ def test_phase_blocks_flush_when_full(monkeypatch):
     got = apply_gates(state, range(16), [gate_term(*term) for term in terms]).amps
     assert sum(1 for _, pending in flushes if pending) >= 2
     assert np.array_equal(got, reference_apply_gates(state, range(16), terms).amps)
+
+
+@settings(max_examples=12, deadline=None)
+@given(q_n=st.sampled_from([(2, 14), (2, 16), (3, 8)]), num_gates=st.integers(0, 30), seed=SEEDS)
+def test_runs_with_no_contraction_match_per_gate_loop_bit_for_bit(q_n, num_gates, seed):
+    # Every term factors, so the one copy is made in the final layout that
+    # the register permutation and the terms' site moves leave.
+    assert_phase_runs_match(np.random.default_rng(seed), *q_n, num_gates, exact=True, contract=0)
 
 
 @pytest.mark.parametrize("q, n", [(2, 14), (3, 8)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catalab import models
+from catalab import cohomology, models
 from catalab.acceptance import CATALYSIS_MATRIX
 from catalab.cohomology import CocycleCircuit, bilinear_cocycle, normalize_cocycle
 from catalab.dense import (
@@ -309,7 +309,7 @@ def test_wrong_cocycle_circuit_is_caught_at_build_time(monkeypatch, fault):
     # The target is written from nu directly, so a circuit compiled from
     # the (1,0) bilinear cocycle instead of the (0,1) one, or missing one
     # gate, no longer matches it.
-    real = models.compile_cocycle_circuit
+    real = cohomology.compile_cocycle_circuit
 
     def compile_wrong(nu, simplices, sites):
         if fault == "wrong-cocycle":
@@ -317,7 +317,7 @@ def test_wrong_cocycle_circuit_is_caught_at_build_time(monkeypatch, fault):
         circuit = real(nu, simplices, sites)
         return CocycleCircuit(circuit.group, circuit.num_sites, circuit.gates[1:])
 
-    monkeypatch.setattr(models, "compile_cocycle_circuit", compile_wrong)
+    monkeypatch.setattr(cohomology, "compile_cocycle_circuit", compile_wrong)
     with pytest.raises(AssertionError, match="cocycle target mismatch"):
         build_model("cocycle-z2z2", sites=4)
 

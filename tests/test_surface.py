@@ -39,7 +39,7 @@ EXEMPT = {
     "to_json": "JSON form of states and cochains, the entry point for round trips",
     "from_json_dict": "inverse of `to_json_dict`, the other half of the round trip",
     "__getattr__": "the package's PEP 562 hook, which Python calls to resolve "
-    "`catalab.acceptance` on first read",
+    "`catalab.DenseState` and the other classes of deferred modules on first read",
 }
 
 # Defaulted parameters that no call in the package passes, each with its reason.
