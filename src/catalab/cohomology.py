@@ -24,6 +24,12 @@ from .gf2 import lattice_quotient, smith_normal_form_int, solve_mod
 
 _dense = _lazy("catalab.dense")
 
+# Entries of the largest coboundary matrix `cohomology_group` reduces.  The
+# Smith form's time follows the entry count: Z2 at degree 8, exactly 2^17
+# entries, takes about 6 s on a 2-core machine, and the cases above it
+# (Z3xZ3 at degree 3, Z4 at degree 4, ...) did not finish in a minute.
+_MAX_DELTA_ENTRIES = 2**17
+
 
 class NormalizationError(Exception):
     """Raised when a cocycle cannot be brought to the normalized form."""
@@ -280,8 +286,12 @@ def cohomology_group(group: FiniteAbelianGroup, degree: int) -> CohomologyResult
     """
     m = group.exponent
     dim = group.order**degree
-    if dim * group.order > 20_000:
-        raise ValueError("cochain table size exceeds the configured limit")
+    entries = dim * dim * group.order  # of the coboundary matrix delta_d
+    if entries > _MAX_DELTA_ENTRIES:
+        raise ValueError(
+            f"the degree-{degree} coboundary matrix of a group of order {group.order} "
+            f"has {entries} entries, over the limit of {_MAX_DELTA_ENTRIES}"
+        )
     delta_d = inhomogeneous_delta_matrix(group, degree)
     kernel = _kernel_generators_mod(delta_d, m)
     if degree >= 1:

@@ -1,17 +1,20 @@
 """Exact small-system oracle: dense state vectors and density matrices.
 
-Sites carry dimension q (2 for qubits, |G| for cocycle models).  A gate list
-runs on one copy of the amplitude tensor: a gate that permutes its sites
-after one phase per basis state relabels axes and its phases join a block
-of at most 2^12 entries that multiplies the tensor in one pass, and any
-other gate is contracted into the tensor; each distinct local Clifford
-unitary is built once.  A Hamiltonian is
-eigensolved in full one symmetry-character block at a time (one full `eigh`
-per block, with no iterative methods), each block read from the sparse
-columns of its orbit representatives; an operator with no symmetry is one
-block.  Configured limits keep sizes at desk scale; override with
-CATALAB_DENSE_LIMIT (amplitudes) / CATALAB_EIG_LIMIT (the dimension of one
-eigensolve: the largest block), positive integers.
+Sites carry dimension q (2 for qubits, |G| for cocycle models).  A state is
+acted on by one of two routines, and `overlap` is the one inner product.
+`apply_gates`, the one contraction kernel, runs a gate list on one copy of
+the amplitude tensor: a gate that permutes its sites after one phase per
+basis state relabels axes and its phases join a block of at most 2^12
+entries that multiplies the tensor in one pass, and any other gate is
+contracted into the tensor; `apply_matrix` is its one-term call, and each
+distinct local Clifford unitary is built once.  `_scatter` applies a signed
+permutation of the basis, a Pauli or an on-site relabelling, from its basis
+map.  A Hamiltonian is eigensolved in full one symmetry-character block at
+a time (one full `eigh` per block, with no iterative methods), each block
+read from the sparse columns of its orbit representatives; an operator with
+no symmetry is one block.  Configured limits keep sizes at desk scale;
+override with CATALAB_DENSE_LIMIT (amplitudes) / CATALAB_EIG_LIMIT (the
+dimension of one eigensolve: the largest block), positive integers.
 """
 from __future__ import annotations
 
@@ -117,40 +120,11 @@ class DenseState:
         return out
 
 
-def _axis(state_sites: int, site: int) -> int:
-    # amps.reshape((q,)*sites) puts the highest site index on axis 0.
-    return state_sites - 1 - site
-
-
-@lru_cache(maxsize=1024)
-def _support_first(sites: int, support: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis permutation that brings the support to the front, and its inverse.
-
-    Local matrices index support[0] as the least-significant digit, so the
-    highest support site leads; the other axes keep their order.
-    """
-    axes = [_axis(sites, s) for s in reversed(support)]
-    perm = tuple(axes + [a for a in range(sites) if a not in axes])
-    inverse = [0] * sites
-    for i, a in enumerate(perm):
-        inverse[a] = i
-    return perm, tuple(inverse)
-
-
 def apply_matrix(state: DenseState, matrix: np.ndarray, support: Sequence[int]) -> DenseState:
-    """Contract a q^m x q^m unitary into the state on the given sites.
-
-    The matrix must be unitary: the result is not norm-checked (see
-    `apply_local_unitary` for a checked entry point)."""
-    q, n = state.q, state.sites
-    m = len(support)
-    if matrix.shape != (q**m, q**m):
-        raise ValueError("matrix shape does not match the support")
-    perm, inverse = _support_first(n, tuple(support))
-    moved = state.amps.reshape((q,) * n).transpose(perm)
-    out = matrix @ moved.reshape(q**m, -1)
-    out = out.reshape(moved.shape).transpose(inverse)
-    return state._evolved(out.reshape(-1))
+    """Contract a q^m x q^m unitary into the state on the given sites: one
+    `apply_gates` term, so the result is norm-checked (see
+    `apply_local_unitary` for the entry point that checks unitarity first)."""
+    return apply_gates(state, range(state.sites), [gate_term(support, matrix)])
 
 
 def apply_local_unitary(state: DenseState, matrix: np.ndarray, support: Sequence[int]) -> DenseState:
@@ -162,14 +136,17 @@ def apply_local_unitary(state: DenseState, matrix: np.ndarray, support: Sequence
     return apply_matrix(state, matrix, support)
 
 
+def _scatter(state: DenseState, image: np.ndarray, sign: np.ndarray) -> DenseState:
+    """The signed permutation U|s> = sign[s] |image[s]> applied to the state:
+    each sign[s] amps[s] is written to image[s]."""
+    out = np.zeros_like(state.amps)
+    out[image] = sign * state.amps
+    return state._evolved(out)
+
+
 def apply_site_relabel(state: DenseState, mapping: Sequence[int]) -> DenseState:
     """Relabel local basis states |v> -> |mapping[v]> on every site."""
-    q, n = state.q, state.sites
-    psi = state.amps.reshape((q,) * n)
-    inv = np.argsort(np.asarray(mapping))
-    for s in range(n):
-        psi = np.take(psi, inv, axis=_axis(n, s))
-    return state._evolved(psi.reshape(-1))
+    return _scatter(state, *relabel_basis_map(state.q, state.sites, mapping))
 
 
 def pauli_basis_map(p: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -200,10 +177,7 @@ def apply_pauli(state: DenseState, p: PauliOperator) -> DenseState:
     """Exact Pauli action for qubit states via index arithmetic."""
     if state.q != 2 or p.n != state.sites:
         raise ValueError("apply_pauli expects a qubit state of matching size")
-    image, sign = pauli_basis_map(p)
-    # image is an involution, so gathering at it scatters each sign[s] amps[s]
-    # to image[s].
-    return state._evolved((sign * state.amps)[image])
+    return _scatter(state, *pauli_basis_map(p))
 
 
 def overlap(a: DenseState, b: DenseState) -> complex:
@@ -279,26 +253,34 @@ def _multiply_phases(psi: np.ndarray, pending: list[tuple[list[int], np.ndarray]
 def apply_gates(state: DenseState, perm: Sequence[int], terms: Sequence[GateTerm]) -> DenseState:
     """Move the content of site i to site perm[i], then apply the terms in
     temporal order; the norm is checked once, at the end.  Raises ValueError
-    if perm is not a permutation of the sites or a term reaches past them.
+    if perm is not a permutation of the sites, or a term reaches past them or
+    its matrix is not q^m x q^m for its m sites and the state's q.
 
     The amplitudes are copied once into a tensor with a site -> axis map.  A
     site permutation, the register's or a term's own, only updates the map,
     so the phases of the terms between two contractions commute: they are
     collected and multiplied in by `_multiply_phases`, one pass per block
     of at most _PHASE_BLOCK entries, before each contraction and at the end.
-    A term that does not factor is contracted on its current axes as
-    `apply_matrix` does.  One transpose at the end restores the layout; with
-    no contraction, the copy is made in the final layout instead."""
+    A term that does not factor is contracted on its current axes, its
+    support brought to the front.  One transpose at the end restores the
+    layout; with no contraction, the copy is made in the final layout
+    instead."""
     q, n = state.q, state.sites
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm {list(perm)} is not a permutation of the {n} sites")
     for term in terms:
         if max(term.support) >= n:
             raise ValueError(f"gate support {list(term.support)} reaches past the {n} sites")
+        d, m = len(term.matrix), len(term.support)
+        if d != q**m:
+            raise ValueError(
+                f"gate on support {list(term.support)} is {d} x {d}, "
+                f"not {q}^{m} x {q}^{m} for sites of dimension {q}"
+            )
     psi = state.amps.reshape((q,) * n)
     axis = [0] * n
     for i, p in enumerate(perm):
-        axis[p] = _axis(n, i)
+        axis[p] = n - 1 - i  # reshape((q,) * n) puts the highest site on axis 0
     if all(term.moves is not None for term in terms):
         final = list(axis)
         for term in terms:

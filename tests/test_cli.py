@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,18 @@ def _fresh_python(*args):
     )
 
 
+def test_the_benchmark_tests_pass_against_this_package():
+    # benches/test_bench.py pins names in the package that the benchmark
+    # probes; bytecode is not written, so the run leaves nothing behind.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "benches", "-q", "-p", "no:cacheprovider"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy.stats costs most of a second; only criterion 6 imports it, when
     # it runs, so the CLI's start-up time stays free of it.
@@ -528,6 +541,20 @@ def test_cohomology_report(tmp_path):
     assert code == 0
     report = load_report(out)
     assert report["results"]["invariant_factors"] == [2]
+
+
+def test_cohomology_past_the_coboundary_limit_exits_two_at_once(tmp_path, capsys, monkeypatch):
+    # Z3xZ3 at degree 3 has a 9^7-entry coboundary matrix; its Smith form
+    # ran for over a minute before the limit.  Should the limit let it
+    # through, the matrix build fails at once instead.
+    monkeypatch.setattr("catalab.cohomology.inhomogeneous_delta_matrix", None)
+    out = tmp_path / "coh.json"
+    start = time.perf_counter()
+    assert run_cli(["cohomology", "--group", "Z3xZ3", "--degree", "3", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    message = "the degree-3 coboundary matrix of a group of order 9 has 4782969 entries"
+    assert capsys.readouterr().err == f"error: {message}, over the limit of 131072\n"
+    assert not out.exists()
 
 
 def test_pipeline_report(tmp_path):

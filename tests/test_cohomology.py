@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalab import cohomology
 from catalab.cohomology import (
     Cochain,
     FiniteAbelianGroup,
@@ -46,6 +47,46 @@ def test_group_basics():
         assert Z2Z2.element(idx) == e
     assert Z3.add((1,), (2,)) == (0,)
     assert Z3.neg((1,)) == (2,)
+
+
+# Inputs the old cochain-table limit admitted and that ran past a minute:
+# the coboundary matrix has order^(2 degree + 1) entries.
+@pytest.mark.parametrize(
+    "factors, degree, entries",
+    [
+        ((3, 3), 3, 9**7),
+        ((2, 4), 3, 8**7),
+        ((4,), 4, 4**9),
+        ((2, 2), 4, 4**9),
+        ((2,), 9, 2**19),
+        ((3,), 5, 3**11),
+    ],
+)
+def test_cohomology_refuses_a_coboundary_past_the_limit(monkeypatch, factors, degree, entries):
+    # Should the limit let one through, the matrix build fails at once
+    # rather than running for minutes.
+    monkeypatch.setattr(cohomology, "inhomogeneous_delta_matrix", None)
+    group = FiniteAbelianGroup(factors)
+    message = (
+        f"the degree-{degree} coboundary matrix of a group of order {group.order} "
+        f"has {entries} entries, over the limit of 131072"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cohomology_group(group, degree)
+
+
+def test_the_coboundary_limit_admits_exactly_its_entry_count(monkeypatch):
+    # Z2 at degree 8 has 2^17 entries, the limit itself: it gets past the
+    # check to the matrix build, stopped here so that nothing is reduced.
+    class Reached(Exception):
+        pass
+
+    def reached(group, degree):
+        raise Reached
+
+    monkeypatch.setattr(cohomology, "inhomogeneous_delta_matrix", reached)
+    with pytest.raises(Reached):
+        cohomology_group(Z2, 8)
 
 
 def test_coboundary_of_zero():

@@ -42,6 +42,8 @@ from catalab.stabilizer import (
     swap_gate,
 )
 
+from test_differential import reference_apply_matrix
+
 XM = np.array([[0, 1], [1, 0]], dtype=complex)
 ZM = np.diag([1.0, -1.0]).astype(complex)
 YM = 1j * XM @ ZM
@@ -236,8 +238,24 @@ def test_diagonal_matches_matrix():
     phases = np.exp(2j * np.pi * rng.random(4))
     for support in ([0, 2], [2, 0]):
         got = apply_gates(state, range(n), [gate_term(support, np.diag(phases))]).amps
-        expected = apply_matrix(state, np.diag(phases), support).amps
+        expected = reference_apply_matrix(state, np.diag(phases), support).amps
         assert np.allclose(got, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "q, matrix",
+    [(4, np.kron(HM, HM)), (4, np.eye(4)), (2, np.eye(9)), (3, np.kron(HM, HM))],
+)
+def test_apply_gates_rejects_a_term_of_another_site_dimension(q, matrix):
+    # A 4 x 4 gate on two q=4 sites was once contracted into one of them,
+    # and a 9 x 9 gate on qubits failed inside a reshape.
+    state = DenseState.uniform(q, 3)
+    d = len(matrix)
+    message = f"gate on support [0, 1] is {d} x {d}, not {q}^2 x {q}^2 for sites of dimension {q}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_gates(state, range(3), [gate_term([0, 1], matrix)])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_matrix(state, matrix, [0, 1])
 
 
 def test_overlap_basics():

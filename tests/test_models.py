@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,21 @@ def test_wrong_entangler_is_caught_at_build_time(monkeypatch):
             build_model("cluster-1d", n=14)
     finally:
         models.cz_circuit.cache_clear()
+
+
+def test_cocycle_entangler_with_one_phase_changed_is_caught():
+    # One entry of one gate's phase table moves by one unit of 1/modulus
+    # turns: the diagonal is no longer invariant under the on-site action.
+    bundle = build_model("cocycle-z2z2", sites=4)
+    circuit = bundle.entangler
+    first = circuit.gates[0]
+    numerators = ((first.numerators[0] + 1) % first.modulus,) + first.numerators[1:]
+    changed = replace(first, numerators=numerators)
+    gates = [changed, *circuit.gates[1:]]
+    broken = replace(bundle, entangler=CocycleCircuit(circuit.group, circuit.num_sites, gates))
+    models._check_bundle(bundle)
+    with pytest.raises(AssertionError, match="^cocycle entangler is not symmetric as a whole$"):
+        models._check_bundle(broken)
 
 
 def test_lsm_dimer_translation_maps_trivial_to_target():
