@@ -22,7 +22,7 @@ from .cohomology import (
     normalize_cocycle,
     ring_triangulation,
 )
-from .gf2 import BitMatrix
+from .gf2 import span_basis
 from .models import build_catalyst, build_model, catalyst_kinds
 from .pauli import PauliOperator
 from .protocols import (
@@ -449,14 +449,10 @@ def criterion_7() -> CriterionResult:
         for group, result in ((z2, res_z2), (z2z2, cohomology_group(z2z2, 2))):
             d2 = inhomogeneous_delta_matrix(group, 2)
             d1 = inhomogeneous_delta_matrix(group, 1)
-            rank2 = BitMatrix(
-                [sum((v & 1) << c for c, v in enumerate(row)) for row in d2],
-                len(d2[0]),
-            ).rank()
-            rank1 = BitMatrix(
-                [sum((v & 1) << c for c, v in enumerate(row)) for row in d1],
-                len(d1[0]),
-            ).rank()
+            rank2, rank1 = (
+                len(span_basis([sum((v & 1) << c for c, v in enumerate(row)) for row in d], len(d[0]))[1])
+                for d in (d2, d1)
+            )
             kernel_dim = len(d2[0]) - rank2
             class_count = 2 ** (kernel_dim - rank1)
             expected = 1

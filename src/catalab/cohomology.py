@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from ._numpy import _lazy, np
@@ -284,6 +285,8 @@ def cohomology_group(group: FiniteAbelianGroup, degree: int) -> CohomologyResult
     exponent, which is where all the entangler classes used in the registry
     live.
     """
+    if degree < 0:
+        raise ValueError(f"the cohomology degree must be at least 0, got {degree}")
     m = group.exponent
     dim = group.order**degree
     entries = dim * dim * group.order  # of the coboundary matrix delta_d
@@ -421,10 +424,14 @@ class CocycleCircuit:
     def q(self) -> int:
         return self.group.order
 
+    @cached_property
+    def gate_terms(self) -> tuple["_dense.GateTerm", ...]:
+        """Each gate's diagonal read once for `_dense.apply_gates`."""
+        return tuple(_dense.gate_term(gate.sites, np.diag(gate.phases())) for gate in self.gates)
+
     def apply(self, state: "_dense.DenseState") -> "_dense.DenseState":
         """Every gate in order; the norm is checked once, at the end."""
-        terms = [_dense.gate_term(gate.sites, np.diag(gate.phases())) for gate in self.gates]
-        return _dense.apply_gates(state, range(state.sites), terms)
+        return _dense.apply_gates(state, range(state.sites), self.gate_terms)
 
     def conjugate_term(
         self, support: Sequence[int], mat: np.ndarray

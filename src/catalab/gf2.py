@@ -2,17 +2,18 @@
 
 GF(2) matrices are stored as packed bit rows (one Python int per row, bit c
 of row r holding the entry (r, c)) with an explicit column count.  One
-Gauss–Jordan routine does all elimination, in place on copies; the row
-transform or a right-hand side rides along in low payload bits.  Z_M
-arithmetic (used for cohomology exponent systems) is kept separate and works
-through integer Smith normal form; there is no generic ring abstraction on
-purpose.
+Gauss–Jordan routine does all elimination, in place on copies, and one basis
+form answers every question asked of it: `span_basis` reduces the rows with
+the row transform riding in low payload bits, and `span_combination` reads a
+vector's combination of the rows off its pivot bits.  Z_M arithmetic (used
+for cohomology exponent systems) is kept separate and works through integer
+Smith normal form; there is no generic ring abstraction on purpose.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def _reduce(rows: list[int], low: int = 0) -> list[int]:
@@ -20,10 +21,10 @@ def _reduce(rows: list[int], low: int = 0) -> list[int]:
 
     Returns the pivot columns ascending (counted from bit `low`); the rows come
     back reduced in pivot order, then the vanished rows.  The bits below `low`
-    ride along with every XOR as a payload: the row transform or a right-hand
-    side.  Each row in turn is reduced by the pivot row of its lowest set bit
-    until it owns a new pivot or vanishes, then the pivot rows are cleared from
-    the highest pivot down, so sparse rows cost their fill-in, not rows times
+    ride along with every XOR as a payload: `span_basis`'s row transform.
+    Each row in turn is reduced by the pivot row of its lowest set bit until
+    it owns a new pivot or vanishes, then the pivot rows are cleared from the
+    highest pivot down, so sparse rows cost their fill-in, not rows times
     columns (structured elimination, LaMacchia–Odlyzko).
     """
     body = -1 << low
@@ -53,76 +54,27 @@ def _reduce(rows: list[int], low: int = 0) -> list[int]:
     return [key - 1 - low for key in keys]
 
 
-class BitMatrix:
-    """Dense GF(2) matrix with bit-packed rows."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, rows: Iterable[int], cols: int):
-        self.rows = list(rows)
-        self.cols = cols
-        for r in self.rows:
-            if r < 0 or r >> cols:
-                raise ValueError("row has bits outside the declared column range")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.cols == other.cols
-            and self.rows == other.rows
-        )
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({len(self.rows)}x{self.cols})"
-
-    def rref(self) -> tuple["BitMatrix", list[int]]:
-        """Reduced row echelon form and its pivot columns."""
-        rows = list(self.rows)
-        pivots = _reduce(rows)
-        return BitMatrix(rows, self.cols), pivots
-
-    def rref_with_transform(self) -> tuple["BitMatrix", list[int], list[int]]:
-        """RREF R with a row transform T (bit rows): T·A = R row by row, T is
-        invertible, and the pivot rows' transforms combine only the rows that
-        raised the rank, in order, so they are unique.  A vanished row's
-        transform is a dependency among the rows, and not unique."""
-        k = len(self.rows)
-        rows = [(row << k) | (1 << i) for i, row in enumerate(self.rows)]
-        pivots = _reduce(rows, k)
-        mask = (1 << k) - 1
-        return BitMatrix([r >> k for r in rows], self.cols), pivots, [r & mask for r in rows]
-
-    def rank(self) -> int:
-        _, pivots = self.rref()
-        return len(pivots)
-
-    def solve_mask(self, b: int) -> Optional[int]:
-        """Solve A·x = b (b packed over rows).  Free variables are set to 0.
-
-        Returns the solution as a column bitmask, or None when inconsistent.
-        Raises ValueError when b has bits at or above the row count.
-        """
-        if b < 0 or b >> len(self.rows):
-            raise ValueError("right-hand side has bits beyond the row count")
-        rows = [(row << 1) | ((b >> r) & 1) for r, row in enumerate(self.rows)]
-        pivots = _reduce(rows, 1)
-        if any(row & 1 for row in rows[len(pivots):]):
-            return None
-        x = 0
-        for r, c in enumerate(pivots):
-            if rows[r] & 1:
-                x |= 1 << c
-        return x
-
-
 # Reduced rows, pivot columns, row transform and pivot column -> reduced row.
 SpanBasis = tuple[list[int], list[int], list[int], dict[int, int]]
 
 
 def span_basis(rows: Sequence[int], cols: int) -> SpanBasis:
-    """`rref_with_transform` of the rows, for `span_combination` to read."""
-    red, pivots, transform = BitMatrix(rows, cols).rref_with_transform()
-    return red.rows, pivots, transform, {c: r for r, c in enumerate(pivots)}
+    """One `_reduce` of the rows with the row transform T in the low bits.
+
+    T·A = R row by row and T is invertible; the pivot rows' transforms
+    combine only the rows that raised the rank, in order, so they are
+    unique.  A vanished row's transform is a dependency among the rows, and
+    not unique.
+    """
+    k = len(rows)
+    work = []
+    for i, row in enumerate(rows):
+        if row < 0 or row >> cols:
+            raise ValueError("row has bits outside the declared column range")
+        work.append((row << k) | (1 << i))
+    pivots = _reduce(work, k)
+    mask = (1 << k) - 1
+    return [r >> k for r in work], pivots, [r & mask for r in work], {c: r for r, c in enumerate(pivots)}
 
 
 def span_combination(basis: SpanBasis, vec: int) -> Optional[int]:
@@ -150,14 +102,12 @@ def rowspace_intersection(rows_a: Sequence[int], rows_b: Sequence[int], cols: in
     intersection basis in their second block.
     """
     low_mask = (1 << cols) - 1
-    stacked = [(r & low_mask) | (r << cols) for r in rows_a] + [r & low_mask for r in rows_b]
-    mat = BitMatrix(stacked, 2 * cols)
-    red, _ = mat.rref()
-    out = []
-    for row in red.rows:
-        if row and (row & low_mask) == 0:
-            out.append(row >> cols)
-    return out
+    for r in rows_a:
+        if r < 0 or r >> cols:
+            raise ValueError("row has bits outside the declared column range")
+    stacked = [r | (r << cols) for r in rows_a] + [r & low_mask for r in rows_b]
+    _reduce(stacked)
+    return [row >> cols for row in stacked if row and not row & low_mask]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ._numpy import _lazy, np
 
-from .gf2 import BitMatrix
+from .gf2 import span_basis
 from .pauli import PauliOperator
 from .stabilizer import (
     CliffordCircuit,
@@ -763,9 +763,9 @@ def _cocycle_ghz(bundle: ModelBundle):
 
 def _independent_subset(n: int, gens: Iterable[PauliOperator]) -> list[PauliOperator]:
     """The generators not in the span of those before them, in order: the
-    rows that the pivot rows' transforms of one RREF of their (x|z) rows combine."""
+    rows that the pivot rows' transforms of one `span_basis` of their (x|z) rows combine."""
     gens = list(gens)
-    _, pivots, transform = BitMatrix([g.symplectic() for g in gens], 2 * n).rref_with_transform()
+    _, pivots, transform, _ = span_basis([g.symplectic() for g in gens], 2 * n)
     kept = 0
     for t in transform[: len(pivots)]:
         kept |= t

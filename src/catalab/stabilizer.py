@@ -490,7 +490,7 @@ class StabilizerMixture:
 
     @cached_property
     def _basis(self) -> SpanBasis:
-        """One RREF of the generators' (x|z) rows, shared by every query:
+        """One reduction of the generators' (x|z) rows, shared by every query:
         reduced rows, pivot columns, row transform, pivot column -> row."""
         return span_basis([g.symplectic() for g in self.generators], 2 * self.n)
 

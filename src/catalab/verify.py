@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from ._numpy import _lazy, np
 
-from .gf2 import BitMatrix, span_basis, span_combination
+from .gf2 import span_basis, span_combination
 from .models import (
     Catalyst,
     ModelBundle,
@@ -546,21 +546,15 @@ def weak_localization(
     u_gamma, left, right = _truncation(n, gamma, sym_pauli, radius)
     region = sorted(set(left) | set(right))
     gens = rho.generators
-    # Unknowns: x and z bits of W on the region; equations: one per generator.
-    ncols = 2 * len(region)
+    # One row per unknown bit of W over the generators, x then z at each
+    # region site: W's x bit at s pairs with g's z bit there, and its z bit
+    # with g's x bit.  The target holds U_gamma's product with each g.
     rows = []
-    rhs = []
-    for g in gens:
-        row = 0
-        for c, s in enumerate(region):
-            if (g.z >> s) & 1:  # x-bit of W at s pairs with the z-bit of g
-                row |= 1 << (2 * c)
-            if (g.x >> s) & 1:
-                row |= 1 << (2 * c + 1)
-        rows.append(row)
-        rhs.append(u_gamma.symplectic_product(g))
-    mat = BitMatrix(rows, ncols)
-    sol = mat.solve_mask(sum(bit << r for r, bit in enumerate(rhs)))
+    for s in region:
+        rows.append(sum(((g.z >> s) & 1) << j for j, g in enumerate(gens)))
+        rows.append(sum(((g.x >> s) & 1) << j for j, g in enumerate(gens)))
+    target = sum(u_gamma.symplectic_product(g) << j for j, g in enumerate(gens))
+    sol = span_combination(span_basis(rows, len(gens)), target)
     if sol is None:
         return None
     x = z = 0

@@ -89,6 +89,12 @@ def test_the_coboundary_limit_admits_exactly_its_entry_count(monkeypatch):
         cohomology_group(Z2, 8)
 
 
+@pytest.mark.parametrize("degree", [-1, -3])
+def test_cohomology_refuses_a_negative_degree_by_name(degree):
+    with pytest.raises(ValueError, match=f"^the cohomology degree must be at least 0, got {degree}$"):
+        cohomology_group(Z2, degree)
+
+
 def test_coboundary_of_zero():
     z = Cochain.from_function(Z2, 1, 2, lambda *_: 0)
     assert coboundary(z).is_zero()

@@ -4,7 +4,8 @@ computation, compared exactly; circuit conjugation through the proven
 tableau against the light-cone walk that builds it, the tensor
 product's basis against the column-sweep elimination, the pivot-dict
 elimination against that sweep by its stated contract on every input, and
-strong localization on masked rows against the transposed solve it replaced;
+strong localization on masked rows against the transposed solve it replaced,
+and weak localization's column read against the row solve it replaced;
 and the dense oracle's entangler action, doubled-circuit check and
 fidelity; the Gram rows on the columns their bits touch against one
 register-wide column list; the Gram-matrix tableau and generator
@@ -76,7 +77,7 @@ from catalab.dense import (
     stabilizer_to_dense,
 )
 from catalab.cohomology import CocycleCircuit
-from catalab.gf2 import BitMatrix
+from catalab.gf2 import span_basis, span_combination
 from catalab.models import (
     Catalyst,
     RingLattice,
@@ -122,6 +123,7 @@ from catalab.verify import (
     build_doubled_diagonal,
     build_doubled_fdqc,
     strong_localization,
+    weak_localization,
 )
 
 from named_gates import ROWS, images as gate_images, sdg_gate, x_gate, y_gate, z_gate
@@ -2014,7 +2016,7 @@ def reference_validate(state):
         for j in range(i + 1, len(gens)):
             if gens[i].symplectic_product(gens[j]):
                 raise ValueError(f"generators {gens[i]} and {gens[j]} anticommute")
-    if BitMatrix([g.symplectic() for g in gens], 2 * state.n).rank() != len(gens):
+    if len(reference_rref_with_transform([g.symplectic() for g in gens], 2 * state.n)[1]) != len(gens):
         raise ValueError("generators are not independent")
 
 
@@ -2090,18 +2092,35 @@ def rank_raising(rows, cols):
     return mask
 
 
+def reference_solve_mask(rows, cols, b):
+    """A·x = b (b packed over the rows) by the reference loop, with the free
+    variables set to 0: the column bitmask x, or None when inconsistent."""
+    _, pivots, transform = reference_rref_with_transform(rows, cols)
+    rhs = [(t & b).bit_count() & 1 for t in transform]
+    if any(rhs[len(pivots):]):
+        return None
+    return sum(1 << c for r, c in enumerate(pivots) if rhs[r])
+
+
+def columns_of(rows, cols):
+    """The columns of a bit-row matrix, each packed over the rows."""
+    return [sum((row >> c & 1) << r for r, row in enumerate(rows)) for c in range(cols)]
+
+
 def assert_elimination_contract(rows, cols, b):
-    """What `rref_with_transform` promises on every input, and `rref` and
-    `solve_mask` against the reference loop; the transform equals the
-    reference's in full when the rows are independent, where it is unique."""
-    m = BitMatrix(rows, cols)
+    """What `span_basis` promises on every input, against the reference loop;
+    the transform equals the reference's in full when the rows are
+    independent, where it is unique.  `span_combination` reads every vector
+    of the row space off the rows that raised the rank, and on A's columns
+    it is the reference solve of A·x = b."""
     ref_red, ref_pivots, ref_transform = reference_rref_with_transform(rows, cols)
-    red, pivots, transform = m.rref_with_transform()
-    assert (red, pivots) == (BitMatrix(ref_red, cols), ref_pivots)
-    assert m.rref() == (BitMatrix(ref_red, cols), ref_pivots)
+    basis = span_basis(rows, cols)
+    red, pivots, transform, row_of = basis
+    assert (red, pivots) == (ref_red, ref_pivots)
+    assert row_of == {c: r for r, c in enumerate(ref_pivots)}
     # T·A = R row by row, and T is invertible.
     assert len(transform) == len(rows)
-    for t, r in zip(transform, red.rows):
+    for t, r in zip(transform, red):
         acc = 0
         for j, row in enumerate(rows):
             if t >> j & 1:
@@ -2113,12 +2132,18 @@ def assert_elimination_contract(rows, cols, b):
     assert all(t & ~raising == 0 for t in transform[: len(pivots)])
     if len(pivots) == len(rows):
         assert transform == ref_transform
-    rhs = [(t & b).bit_count() & 1 for t in ref_transform]
-    if any(rhs[len(ref_pivots):]):
-        expected = None
-    else:
-        expected = sum(1 << c for r, c in enumerate(ref_pivots) if rhs[r])
-    assert m.solve_mask(b) == expected
+    vec = 0
+    for j, row in enumerate(rows):
+        if b >> j & 1:
+            vec ^= row
+    combo = span_combination(basis, vec)
+    assert combo is not None and combo & ~raising == 0
+    assert combo == reference_solve_mask(columns_of(rows, cols), len(rows), vec)
+    if cols and len(pivots) < cols:
+        outside = next(1 << c for c in range(cols) if c not in row_of)
+        assert span_combination(basis, vec ^ outside) is None
+    got = span_combination(span_basis(columns_of(rows, cols), len(rows)), b)
+    assert got == reference_solve_mask(rows, cols, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -2142,7 +2167,7 @@ def greedy_independent_subset(n, gens):
     out, rows = [], []
     for g in gens:
         candidate = rows + [g.symplectic()]
-        if BitMatrix(candidate, 2 * n).rank() == len(candidate):
+        if len(reference_rref_with_transform(candidate, 2 * n)[1]) == len(candidate):
             out.append(g)
             rows.append(g.symplectic())
     return out
@@ -2181,7 +2206,7 @@ def test_independent_subset_matches_greedy_rank_loop(case):
 def reference_strong_localization(rho, gamma, sym_pauli, radius):
     """The solve with one unknown per generator: one row per x and z bit
     outside the endpoint regions, built bit by bit and solved by
-    `solve_mask` with the free generators left out."""
+    `reference_solve_mask` with the free generators left out."""
     n = rho.n
     u_gamma, left, right = _truncation(n, gamma, sym_pauli, radius)
     allowed = set(left) | set(right)
@@ -2195,7 +2220,7 @@ def reference_strong_localization(rho, gamma, sym_pauli, radius):
             rows.append(sum(1 << j for j, g in enumerate(gens) if getter(g)))
             if getter(u_gamma):
                 target |= 1 << (2 * idx + offset)
-    combo = BitMatrix(rows, len(gens)).solve_mask(target)
+    combo = reference_solve_mask(rows, len(gens), target)
     if combo is None:
         return None
     w = rho._combine(combo).dagger() * u_gamma
@@ -2229,16 +2254,82 @@ def test_strong_localization_matches_transposed_solve(n, mixed, seed):
         assert_strong_localization_matches_reference(rho, sym_pauli)
 
 
-@pytest.mark.parametrize("model", ["cluster-1d", "lsm-dimer"])
-@pytest.mark.parametrize("n", [12, 16])
-def test_strong_localization_matches_transposed_solve_on_the_registry(model, n):
+def registry_stabilizer_states(model, n):
+    """The target and every stabilizer catalyst of a registry model."""
     bundle = build_model(model, n=n)
     states = [bundle.target] + [
         build_catalyst(bundle, k).stab for k in catalyst_kinds(model) if not catalyst_is_dense(model, k)
     ]
+    return bundle, states
+
+
+@pytest.mark.parametrize("model", ["cluster-1d", "lsm-dimer"])
+@pytest.mark.parametrize("n", [12, 16])
+def test_strong_localization_matches_transposed_solve_on_the_registry(model, n):
+    bundle, states = registry_stabilizer_states(model, n)
     for rho in states:
         for gen in bundle.symmetry.generators:
             assert_strong_localization_matches_reference(rho, gen.pauli)
+
+
+# ---------------------------------------------------------------------------
+# weak localization on W's columns against the row solve it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_weak_localization(rho, gamma, sym_pauli, radius):
+    """The solve with one equation per generator over W's x and z bits on
+    the endpoint regions (x then z per site, ascending), solved by
+    `reference_solve_mask` with the free bits set to 0."""
+    n = rho.n
+    u_gamma, left, right = _truncation(n, gamma, sym_pauli, radius)
+    region = sorted(set(left) | set(right))
+    rows, target = [], 0
+    for j, g in enumerate(rho.generators):
+        row = 0
+        for c, s in enumerate(region):
+            row |= ((g.z >> s) & 1) << (2 * c) | ((g.x >> s) & 1) << (2 * c + 1)
+        rows.append(row)
+        target |= u_gamma.symplectic_product(g) << j
+    sol = reference_solve_mask(rows, 2 * len(region), target)
+    if sol is None:
+        return None
+    x = sum(((sol >> (2 * c)) & 1) << s for c, s in enumerate(region))
+    z = sum(((sol >> (2 * c + 1)) & 1) << s for c, s in enumerate(region))
+    return _split_endpoint_operator(PauliOperator(n, x, z, (x & z).bit_count() % 4), left, right)
+
+
+def weak_localization_outcomes(rho, sym_pauli):
+    """Compare every case with the reference; the set of outcomes seen
+    (True for a witness, False for None)."""
+    seen = set()
+    for gamma, radius in localization_cases(rho.n):
+        got = weak_localization(rho, gamma, sym_pauli, radius)
+        assert got == reference_weak_localization(rho, gamma, sym_pauli, radius), (gamma, radius)
+        seen.add(got is not None)
+    return seen
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 10), mixed=st.booleans(), seed=SEEDS)
+def test_weak_localization_matches_the_row_solve(n, mixed, seed):
+    rng = np.random.default_rng(seed)
+    if mixed:
+        rho = random_mixture(rng, n)
+    else:
+        rho = StabilizerMixture.zero_state(n).apply_circuit(random_circuit(rng, n, 3 * n))
+    for sym_pauli in (PauliOperator.x_at(n, *range(n)), hermitian(random_pauli(rng, n))):
+        weak_localization_outcomes(rho, sym_pauli)
+
+
+@pytest.mark.parametrize("model", ["cluster-1d", "lsm-dimer"])
+def test_weak_localization_matches_the_row_solve_on_the_registry(model):
+    bundle, states = registry_stabilizer_states(model, 12)
+    seen = set()
+    for rho in states:
+        for gen in bundle.symmetry.generators:
+            seen |= weak_localization_outcomes(rho, gen.pauli)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -2251,7 +2342,7 @@ def independent_masks(rng, n, k, first=()):
     masks = list(first)
     while len(masks) < k:
         mask = int(rng.integers(1, 1 << n))
-        if BitMatrix(masks + [mask], n).rank() == len(masks) + 1:
+        if len(reference_rref_with_transform(masks + [mask], n)[1]) == len(masks) + 1:
             masks.append(mask)
     return masks
 

@@ -27,6 +27,7 @@ from catalab.stabilizer import (
     PermutationQca,
     StabilizerMixture,
     cz_gate,
+    is_invariant,
 )
 from catalab.verify import (
     RegionTooSmallError,
@@ -731,6 +732,43 @@ def test_stabilizer_catalysis_builds_no_inverse_handle(monkeypatch, model, param
     for catalyst in catalysts:
         assert verify_catalysis(bundle, catalyst).passed
     assert calls == []
+
+
+def verdicts_against_invariance(bundle, catalysts, flips):
+    """V(triv (x) c) = target (x) U^-1 c, so catalysis of a weakly symmetric
+    stabilizer catalyst holds exactly when U leaves c invariant.  Each
+    catalyst is checked with the sign of each generator `flips(k)` names
+    flipped in turn, built directly since `build_catalyst` would refuse it;
+    the invariance verdicts seen are returned."""
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    seen = []
+    for cat in catalysts:
+        gens = cat.stab.generators
+        for j in flips(len(gens)):
+            stab = StabilizerMixture(cat.stab.n, gens[:j] + (gens[j].negate(),) + gens[j + 1 :])
+            flipped = replace(cat, stab=stab)
+            invariant = is_invariant(stab, bundle.entangler)
+            report = verify_catalysis(bundle, flipped, doubled)
+            assert (report.state_match != "mismatch") == invariant, (bundle.name, cat.name, j)
+            seen.append(invariant)
+    return seen
+
+
+def test_catalysis_equals_invariance_on_every_sign_flip_of_the_registry():
+    seen = []
+    for model, params in [("cluster-1d", {"n": 16}), ("lsm-dimer", {"n": 16})] + GUARD_SIZES[2:]:
+        seen += verdicts_against_invariance(*stabilizer_catalysts(model, params), range)
+    assert (len(seen), sum(seen)) == (151, 95)
+
+
+@pytest.mark.parametrize(
+    "model, kinds", [("lsm-dimer", ("long-range-bell", "ghz")), ("cluster-1d", ("ghz-one-sublattice",))]
+)
+def test_catalysis_equals_invariance_at_1024_sites(model, kinds):
+    bundle = build_model(model, n=1024)
+    catalysts = [build_catalyst(bundle, k) for k in kinds]
+    seen = verdicts_against_invariance(bundle, catalysts, lambda k: (0, k - 1))
+    assert set(seen) == {True, False}
 
 
 @pytest.mark.parametrize("model, params", GUARD_SIZES)
