@@ -131,7 +131,7 @@ def apply_local_unitary(state: DenseState, matrix: np.ndarray, support: Sequence
     """Apply a local unitary; rejects non-unitary input (1e-10)."""
     matrix = np.asarray(matrix, dtype=np.complex128)
     dim = matrix.shape[0]
-    if not np.allclose(matrix @ matrix.conj().T, np.eye(dim), atol=1e-10):
+    if not np.allclose(matrix @ matrix.conj().T, np.eye(dim), rtol=0, atol=1e-10):
         raise ValueError("matrix is not unitary within 1e-10")
     return apply_matrix(state, matrix, support)
 
@@ -349,7 +349,7 @@ class BasisMap:
         out = [BasisMap("1", np.arange(len(self.image)), np.ones(len(self.sign), dtype=np.complex128))]
         while len(out) <= _MAX_ORDER:
             power = self.compose(out[-1])
-            if np.all(power.image == out[0].image) and np.allclose(power.sign, 1, atol=1e-12):
+            if np.all(power.image == out[0].image) and np.allclose(power.sign, 1, rtol=0, atol=1e-12):
                 return out
             out.append(power)
         raise ValueError(f"symmetry map {self.name} has no finite order up to {_MAX_ORDER}")
@@ -381,7 +381,7 @@ class DenseOperator:
                 raise ValueError("term support out of range")
             if mat.shape != (self.q ** len(support),) * 2:
                 raise ValueError("term matrix does not match its support")
-            if not np.allclose(mat, mat.conj().T, atol=1e-12):
+            if not np.allclose(mat, mat.conj().T, rtol=0, atol=1e-12):
                 raise ValueError("hamiltonian term is not hermitian within 1e-12")
             checked.append((support, mat))
         self.terms = checked
@@ -390,13 +390,13 @@ class DenseOperator:
             if (
                 u.image.shape != (dim,)
                 or np.any((u.image < 0) | (u.image >= dim))
-                or not np.allclose(np.abs(u.sign), 1, atol=1e-12)
+                or not np.allclose(np.abs(u.sign), 1, rtol=0, atol=1e-12)
             ):
                 raise ValueError(f"symmetry map {u.name} is not a signed permutation of {dim} states")
         for i, a in enumerate(self.symmetry):
             for b in self.symmetry[:i]:
                 ab, ba = a.compose(b), b.compose(a)
-                if np.any(ab.image != ba.image) or not np.allclose(ab.sign, ba.sign, atol=1e-12):
+                if np.any(ab.image != ba.image) or not np.allclose(ab.sign, ba.sign, rtol=0, atol=1e-12):
                     raise ValueError(f"symmetry maps {a.name} and {b.name} do not commute")
 
     @classmethod
@@ -615,42 +615,39 @@ def stabilizer_to_dense(state: StabilizerMixture) -> DenseState:
     """Dense vector for a pure stabilizer state (phase convention arbitrary)."""
     if not state.is_pure:
         raise ValueError("dense vector form needs a pure state")
-    vec = _projected_basis_state(state.n, state.generators)
-    if vec is None:
-        raise AssertionError("projector product vanished on every basis state")
-    return vec
+    return _stabilizer_vector(state)
 
 
-def _projected_basis_state(n: int, gens: Sequence[PauliOperator]) -> Optional[DenseState]:
-    """prod_g (1 + g)/2 applied to the first basis state it does not
-    annihilate, renormalized after each factor; None when it annihilates all."""
-    for start in range(1 << n):
-        vec = DenseState.computational(2, n, start)
-        for g in gens:
-            projected = 0.5 * (vec.amps + apply_pauli(vec, g).amps)
-            norm = np.linalg.norm(projected)
-            if norm < 1e-9:
-                break
-            vec = DenseState(2, n, projected / norm)
-        else:
-            return vec
-    return None
-
-
-def _projector(n: int, gens: Sequence[PauliOperator]) -> np.ndarray:
-    """prod_g (1 + g) as a dense matrix, each factor applied as one signed
-    permutation of the rows: 2^k times the projector onto the common +1
-    eigenspace of k independent commuting generators."""
-    out = np.eye(1 << n, dtype=np.complex128)
-    for g in gens:
+def _stabilizer_vector(state: StabilizerMixture) -> DenseState:
+    """prod_g (1 + g)/2 on the least basis state of the group's support,
+    renormalized after each factor; AssertionError if a factor annihilates
+    it.  A reduced row of `state._basis` whose pivot (lowest bit) is Z at site
+    c has no X part and fixes bit c of the support to its sign bit; setting
+    only those bits gives the least element (Dehaene–De Moor)."""
+    n, (_, pivots, transform, _) = state.n, state._basis
+    least = sum(
+        1 << c - n for r, c in enumerate(pivots) if c >= n and state._combine(transform[r]).phase == 2
+    )
+    amps = DenseState.computational(2, n, least).amps
+    for g in state.generators:
         image, sign = pauli_basis_map(g)
-        out = out + (sign[:, None] * out)[image]
-    return out
+        moved = np.zeros_like(amps)
+        moved[image] = sign * amps
+        projected = 0.5 * (amps + moved)
+        if (norm := np.linalg.norm(projected)) < 1e-9:
+            raise AssertionError(f"the stabilizer group annihilates its least support element {least}")
+        amps = projected / norm
+    return DenseState(2, n, amps)
 
 
 def stabilizer_density(state: StabilizerMixture) -> np.ndarray:
-    """Dense density matrix of a stabilizer mixture (exact): 2^-n prod_g (1 + g)."""
-    return _projector(state.n, state.generators) / (1 << state.n)
+    """Dense density matrix of a stabilizer mixture (exact): 2^-n prod_g (1 + g),
+    each factor applied as one signed permutation of the rows."""
+    out = np.eye(1 << state.n, dtype=np.complex128)
+    for g in state.generators:
+        image, sign = pauli_basis_map(g)
+        out = out + (sign[:, None] * out)[image]
+    return out / (1 << state.n)
 
 
 def gate_unitary(gate: CliffordGate) -> np.ndarray:
@@ -669,10 +666,10 @@ def gate_unitary(gate: CliffordGate) -> np.ndarray:
 def _local_unitary(rows: tuple[tuple[int, int, int], ...]) -> np.ndarray:
     """The unitary on m sites that sends X_a and Z_a to the Paulis rows[2a]
     and rows[2a + 1], (x, z, phase) ints, built once per distinct rows and
-    returned read-only.  Column 0 is the image of |0...0>, the first nonzero
-    column of the Z images' projector, normalized, and columns 2^a to
-    2^(a+1) - 1 are X image a, one signed permutation, applied to columns 0
-    to 2^a - 1.
+    returned read-only.  Column 0 is the image of |0...0>, the
+    `_stabilizer_vector` of the group the Z images generate, and columns 2^a
+    to 2^(a+1) - 1 are X image a, one signed permutation, applied to columns
+    0 to 2^a - 1.
 
     The tableau fixes the gate up to a global phase; the phase is pinned by
     making the trace positive real (all gates used on the dense path have
@@ -684,12 +681,7 @@ def _local_unitary(rows: tuple[tuple[int, int, int], ...]) -> np.ndarray:
     img_x = [PauliOperator(m, *row) for row in rows[::2]]
     img_z = [PauliOperator(m, *row) for row in rows[1::2]]
     cols = np.zeros((dim, dim), dtype=np.complex128)
-    proj = _projector(m, img_z)
-    norms = np.linalg.norm(proj, axis=0)
-    if not np.any(norms > 1e-9):
-        raise AssertionError("the gate's Z images fix no state")
-    start = int(np.argmax(norms > 1e-9))
-    cols[:, 0] = proj[:, start] / norms[start]
+    cols[:, 0] = _stabilizer_vector(StabilizerMixture(m, tuple(img_z))).amps
     for a, p in enumerate(img_x):
         image, sign = pauli_basis_map(p)
         cols[:, 1 << a : 2 << a] = (sign[:, None] * cols[:, : 1 << a])[image]

@@ -101,13 +101,12 @@ def rowspace_intersection(rows_a: Sequence[int], rows_b: Sequence[int], cols: in
     (eliminated first); reduced rows with vanishing first block carry an
     intersection basis in their second block.
     """
-    low_mask = (1 << cols) - 1
-    for r in rows_a:
+    for r in (*rows_a, *rows_b):
         if r < 0 or r >> cols:
             raise ValueError("row has bits outside the declared column range")
-    stacked = [r | (r << cols) for r in rows_a] + [r & low_mask for r in rows_b]
+    stacked = [r | (r << cols) for r in rows_a] + list(rows_b)
     _reduce(stacked)
-    return [row >> cols for row in stacked if row and not row & low_mask]
+    return [row >> cols for row in stacked if row and not row & ((1 << cols) - 1)]
 
 
 # ---------------------------------------------------------------------------

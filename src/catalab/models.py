@@ -667,7 +667,7 @@ def _superposition_catalyst(bundle: ModelBundle):
 
 def _gapless_catalyst(bundle: ModelBundle):
     """Unique ground state of the sum of the trivial Hamiltonian and its
-    images under the entangler."""
+    one image under the entangler."""
     op = build_hamiltonian(bundle, "catalyst-sum")
     _, basis = dn.ground_state(op)
     if len(basis) != 1:
@@ -805,67 +805,41 @@ def build_hamiltonian(
 ) -> dn.DenseOperator:
     """Dense Hamiltonians: trivial / entangled-side / interpolated / catalyst-sum.
 
-    Each carries as basis maps the symmetry that every kind commutes with:
-    the model's 0-form Pauli generators, or on the qudit chain u(g) for the
-    generator g of each cyclic factor, then translation by the model's unit
-    cell where it declares one.  `ground_state` proves each map on the
-    operator, so a wrong unit cell fails there."""
-    cell = bundle.unit_cell
-    q = 2 if bundle.qudit_symmetry is None else bundle.qudit_symmetry.group.order
-    shift = () if cell is None else (
-        dn.BasisMap(f"translate-{cell}", *dn.translation_basis_map(q, bundle.n, cell)),
+    Each kind is a weighted sum of the trivial terms and their one image
+    under the entangler: (-1, generator) pairs on qubits, kept as Paulis
+    until the operator is built, or each site's minus projector onto the
+    uniform state on the qudit chain.  Each carries as basis maps the
+    symmetry that every kind commutes with: the model's 0-form Pauli
+    generators, or on the qudit chain u(g) for the generator g of each
+    cyclic factor, then translation by the model's unit cell where it
+    declares one.  `ground_state` proves each map on the operator, so a
+    wrong unit cell fails there."""
+    if kind not in ("triv", "spt", "interpolated", "catalyst-sum"):
+        raise RegistryError(f"unknown hamiltonian kind {kind!r}")
+    if kind == "interpolated" and alpha is None:
+        raise ValueError("interpolated Hamiltonians need alpha")
+    qudit, n = bundle.qudit_symmetry, bundle.n
+    q = 2 if qudit is None else qudit.group.order
+    shift = () if bundle.unit_cell is None else (
+        dn.BasisMap(f"translate-{bundle.unit_cell}", *dn.translation_basis_map(q, n, bundle.unit_cell)),
     )
-    if bundle.qudit_symmetry is not None:
-        return _cocycle_hamiltonian(bundle, kind, alpha, bundle.qudit_symmetry.basis_maps(bundle.n) + shift)
-    symmetry = tuple(
-        dn.BasisMap(g.name, *dn.pauli_basis_map(g.pauli)) for g in bundle.symmetry.zero_form()
-    ) + shift
-    triv_terms = _trivial_terms(bundle)
-    if kind == "triv":
-        return dn.DenseOperator.from_pauli_terms(bundle.n, triv_terms, symmetry)
-    spt_terms = [
-        (coeff, bundle.entangler.conjugate(p)) for coeff, p in triv_terms
-    ]
-    if kind == "spt":
-        return dn.DenseOperator.from_pauli_terms(bundle.n, spt_terms, symmetry)
+    if qudit is None:
+        symmetry = tuple(
+            dn.BasisMap(g.name, *dn.pauli_basis_map(g.pauli)) for g in bundle.symmetry.zero_form()
+        )
+        triv = [(-1.0, g) for g in bundle.trivial.generators]
+        image = lambda term: (term[0], bundle.entangler.conjugate(term[1]))
+        scale = lambda a, term: (a * term[0], term[1])
+    else:
+        symmetry = qudit.basis_maps(n)
+        triv = [((i,), -np.full((q, q), 1.0 / q, dtype=np.complex128)) for i in range(n)]
+        image = lambda term: bundle.entangler.conjugate_term(*term)
+        scale = lambda a, term: (term[0], a * term[1])
+    spt = [] if kind == "triv" else [image(term) for term in triv]
     if kind == "interpolated":
-        if alpha is None:
-            raise ValueError("interpolated Hamiltonians need alpha")
-        terms = [(alpha * c, p) for c, p in triv_terms]
-        terms += [((1 - alpha) * c, p) for c, p in spt_terms]
-        return dn.DenseOperator.from_pauli_terms(bundle.n, terms, symmetry)
-    if kind == "catalyst-sum":
-        return dn.DenseOperator.from_pauli_terms(bundle.n, triv_terms + spt_terms, symmetry)
-    raise RegistryError(f"unknown hamiltonian kind {kind!r}")
-
-
-def _trivial_terms(bundle: ModelBundle) -> list[tuple[float, PauliOperator]]:
-    return [(-1.0, g) for g in bundle.trivial.generators]
-
-
-def _cocycle_hamiltonian(bundle, kind, alpha, symmetry) -> dn.DenseOperator:
-    q = bundle.qudit_symmetry.group.order
-    plus_proj = np.full((q, q), 1.0 / q, dtype=np.complex128)
-    triv = [((i,), -plus_proj) for i in range(bundle.n)]
-    if kind == "triv":
-        return dn.DenseOperator(bundle.n, q, triv, symmetry)
-    circuit: coh.CocycleCircuit = bundle.entangler
-    conj1 = [circuit.conjugate_term(s, m) for s, m in triv]
-    if kind == "spt":
-        return dn.DenseOperator(bundle.n, q, conj1, symmetry)
-    if kind == "interpolated":
-        if alpha is None:
-            raise ValueError("interpolated Hamiltonians need alpha")
-        terms = [(s, alpha * m) for s, m in triv] + [
-            (s, (1 - alpha) * m) for s, m in conj1
-        ]
-        return dn.DenseOperator(bundle.n, q, terms, symmetry)
-    if kind == "catalyst-sum":
-        order = circuit.order()
-        terms = list(triv)
-        current = triv
-        for _ in range(order - 1):
-            current = [circuit.conjugate_term(s, m) for s, m in current]
-            terms += current
-        return dn.DenseOperator(bundle.n, q, terms, symmetry)
-    raise RegistryError(f"unknown hamiltonian kind {kind!r}")
+        terms = [scale(alpha, t) for t in triv] + [scale(1 - alpha, t) for t in spt]
+    else:
+        terms = {"triv": triv, "spt": spt, "catalyst-sum": triv + spt}[kind]
+    if qudit is None:
+        return dn.DenseOperator.from_pauli_terms(n, terms, symmetry + shift)
+    return dn.DenseOperator(n, q, terms, symmetry + shift)

@@ -482,6 +482,38 @@ def test_symmetry_maps_must_commute_and_permute_the_basis():
         ising_chain(2, (scaled,))
 
 
+# numpy's default rtol=1e-5 would let each of these through near 1, although
+# the check's message states a bound of 1e-10 or 1e-12.
+
+
+def test_a_matrix_off_unitary_by_more_than_1e_10_is_refused():
+    zero = DenseState.computational(2, 1)
+    with pytest.raises(ValueError, match="^matrix is not unitary within 1e-10$"):
+        apply_local_unitary(zero, np.diag([1, 1 + 5e-6]), [0])
+    apply_local_unitary(zero, np.diag([1, 1 + 1e-11]), [0])
+
+
+def test_a_term_off_hermitian_by_more_than_1e_12_is_refused():
+    with pytest.raises(ValueError, match="^hamiltonian term is not hermitian within 1e-12$"):
+        DenseOperator(1, 2, [((0,), np.array([[1, 1 + 1e-6], [1, 1]]))])
+    DenseOperator(1, 2, [((0,), np.array([[1, 1 + 1e-13], [1, 1]]))])
+
+
+def test_a_sign_off_modulus_1_by_more_than_1e_12_is_refused():
+    u = BasisMap("u", np.arange(2), np.array([1, 1 + 2e-6], dtype=np.complex128))
+    with pytest.raises(ValueError, match="^symmetry map u is not a signed permutation of 2 states$"):
+        DenseOperator(1, 2, [], (u,))
+    with pytest.raises(ValueError, match="^symmetry map u has no finite order up to 64$"):
+        u.powers()
+
+
+def test_maps_off_commuting_by_more_than_1e_12_are_refused():
+    a = BasisMap("a", np.arange(2), np.array([1, np.exp(1e-6j)]))
+    b = BasisMap("b", np.array([1, 0]), np.ones(2, dtype=np.complex128))
+    with pytest.raises(ValueError, match="^symmetry maps b and a do not commute$"):
+        DenseOperator(1, 2, [], (a, b))
+
+
 def test_density_and_fidelity():
     plus = DenseState.uniform(2, 1).amps
     minus = np.array([1, -1]) / np.sqrt(2)

@@ -21,7 +21,8 @@ Clifford's tableau against the doubled compile's proven single-site
 shortcut, the pipeline's PauliOperator conjugation and U (x) U^-1 applied
 register by register; dense gates read from the tableau
 against the per-column projected builder, each cached one against its
-uncached build, and the stabilizer density as
+uncached build, the stabilizer vector's start, read off the reduced rows,
+against the basis-state search it replaced, and the stabilizer density as
 row permutations against the product of dense projectors; the i < j
 commutation loop of `SymmetryRep` against the ordered-pair loop; the dense symmetric-gate
 audit by index against the kron audit it replaced; and index-placed Hamiltonian assembly against
@@ -57,7 +58,6 @@ from catalab.acceptance import (
 from catalab.dense import (
     DenseOperator,
     DenseState,
-    _projected_basis_state,
     _restrict_pauli,
     apply_gates,
     apply_matrix,
@@ -1331,6 +1331,23 @@ def test_label_check_names_a_moved_basis_state_as_one():
 # ---------------------------------------------------------------------------
 
 
+def reference_projected_basis_state(n, gens):
+    """prod_g (1 + g)/2 applied to the first basis state it does not
+    annihilate, renormalized after each factor; None when it annihilates all:
+    the basis-state search that `dense._stabilizer_vector` replaced."""
+    for start in range(1 << n):
+        vec = DenseState.computational(2, n, start)
+        for g in gens:
+            projected = 0.5 * (vec.amps + apply_pauli(vec, g).amps)
+            norm = np.linalg.norm(projected)
+            if norm < 1e-9:
+                break
+            vec = DenseState(2, n, projected / norm)
+        else:
+            return vec
+    return None
+
+
 def reference_gate_unitary(gate):
     """The per-column builder `gate_unitary` replaced: column 0 projected from
     the first basis state the Z images' projectors keep, column x the X
@@ -1341,7 +1358,7 @@ def reference_gate_unitary(gate):
     dim = 1 << m
     img_x = [_restrict_pauli(gate_images(gate)[a][0], tuple(support)) for a in support]
     img_z = [_restrict_pauli(gate_images(gate)[a][1], tuple(support)) for a in support]
-    v0 = _projected_basis_state(m, img_z)
+    v0 = reference_projected_basis_state(m, img_z)
     if v0 is None:
         raise AssertionError("could not build the image of |0...0>")
     cols = np.zeros((dim, dim), dtype=np.complex128)
@@ -1410,10 +1427,14 @@ def counted(monkeypatch, module, name):
 
 
 def test_criterion_2_projects_no_basis_state_and_applies_no_pauli(monkeypatch):
-    projected = counted(monkeypatch, dense, "_projected_basis_state")
+    # The only stabilizer vectors criterion 2 builds are the column 0 of the
+    # local unitaries it builds: one per cache miss of `_local_unitary`.
+    misses = dense._local_unitary.cache_info().misses
+    projected = counted(monkeypatch, dense, "_stabilizer_vector")
     applied = counted(monkeypatch, dense, "apply_pauli")
     assert acceptance.criterion_2().passed
-    assert (len(projected), len(applied)) == (0, 0)
+    built = dense._local_unitary.cache_info().misses - misses
+    assert (len(projected), len(applied)) == (built, 0)
 
 
 def test_gate_unitary_reads_each_image_once(monkeypatch):
@@ -1459,7 +1480,7 @@ def test_criterion_2_builds_each_distinct_local_unitary_once(monkeypatch):
     # 125 gate_unitary calls; their images restricted to the support take
     # 10 distinct forms, on 2, 4 and 6 sites.
     dense._local_unitary.cache_clear()
-    builds = counted(monkeypatch, dense, "_projector")
+    builds = counted(monkeypatch, dense, "_stabilizer_vector")
     assert acceptance.criterion_2().passed
     assert 1 <= len(builds) <= 10
 
@@ -1478,8 +1499,8 @@ def test_a_named_gate_with_an_escaping_image_is_refused():
 @pytest.mark.parametrize(
     "images, message",
     [
-        ({0: (X0, Z0), 1: (X1, Z0.negate())}, "the gate's Z images fix no state"),
-        ({0: (Z0, X0), 1: (Z1, X0.negate())}, "the gate's Z images fix no state"),
+        ({0: (X0, Z0), 1: (X1, Z0.negate())}, "the stabilizer group annihilates its least support element"),
+        ({0: (Z0, X0), 1: (Z1, X0.negate())}, "the stabilizer group annihilates its least support element"),
         ({0: (X0, Z0), 1: (X0, Z1)}, "gate reconstruction is not unitary"),
     ],
     ids=["z0-and-minus-z0", "x0-and-minus-x0", "x0-twice"],
@@ -1491,6 +1512,74 @@ def test_inconsistent_image_tables_raise(images, message):
     object.__setattr__(gate, "rows", rows_of(images))
     with pytest.raises(AssertionError, match=message):
         gate_unitary(gate)
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer vector's start, read off the reduced rows, against the
+# basis-state search it replaced
+# ---------------------------------------------------------------------------
+
+
+def three_qubit_stabilizer_states():
+    """Every pure stabilizer state on 3 qubits: |000> closed under H, S and
+    CNOT, each state kept once by its canonical generators."""
+    gates = [make(3, a) for make in (h_gate, s_gate) for a in range(3)]
+    gates += [cnot_gate(3, a, b) for a in range(3) for b in range(3) if a != b]
+    frontier = [StabilizerMixture.zero_state(3)]
+    seen = {frontier[0].canonical().generators: frontier[0]}
+    while frontier:
+        images = [state.apply_circuit(gate) for state in frontier for gate in gates]
+        keyed = [(image.canonical().generators, image) for image in images]
+        frontier = [seen.setdefault(key, image) for key, image in keyed if key not in seen]
+    return list(seen.values())
+
+
+def test_the_start_is_the_least_support_element_of_every_three_qubit_state(monkeypatch):
+    states = three_qubit_stabilizer_states()
+    assert len(states) == 1080
+    starts = []
+    build = DenseState.computational.__func__
+    monkeypatch.setattr(
+        DenseState,
+        "computational",
+        classmethod(lambda cls, q, sites, index=0: starts.append(index) or build(cls, q, sites, index)),
+    )
+    for state in states:
+        starts.clear()
+        amps = stabilizer_to_dense(state).amps
+        least = int(np.flatnonzero(np.diag(reference_stabilizer_density(state)).real > 1e-9)[0])
+        assert starts == [least] and np.flatnonzero(amps)[0] == least, state
+        assert amps[least].real > 0 and amps[least].imag == 0, state
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=SEEDS)
+def test_stabilizer_to_dense_equals_the_basis_state_search_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    pure = StabilizerMixture.zero_state(n).apply_circuit(random_circuit(rng, n, 3 * n))
+    gens = tuple(g.negate() if rng.random() < 0.5 else g for g in pure.generators)
+    got = stabilizer_to_dense(StabilizerMixture(n, gens))
+    assert got.amps.tobytes() == reference_projected_basis_state(n, gens).amps.tobytes()
+
+
+@pytest.mark.parametrize("model", ["cluster-1d", "lsm-dimer"])
+def test_stabilizer_to_dense_equals_the_basis_state_search_on_the_registry(model):
+    bundle, states = registry_stabilizer_states(model, 10)
+    pure = [state for state in [bundle.trivial, *states] if state.is_pure]
+    assert len(pure) >= 3
+    for state in pure:
+        got = stabilizer_to_dense(state)
+        assert got.amps.tobytes() == reference_projected_basis_state(10, state.generators).amps.tobytes()
+
+
+def test_the_start_is_read_not_searched(monkeypatch):
+    # -Z on every site: the support is the one basis state 1...1, the last
+    # the search would reach after 2^n - 1 failed starts.
+    n = 10
+    state = StabilizerMixture(n, tuple(PauliOperator.z_at(n, i).negate() for i in range(n)))
+    maps = counted(monkeypatch, dense, "pauli_basis_map")
+    amps = stabilizer_to_dense(state).amps
+    assert len(maps) == n and amps[-1] == 1
 
 
 def reference_stabilizer_density(state):

@@ -109,6 +109,13 @@ def test_span_basis_transform_identity():
             assert acc == red[r]
 
 
+def test_rowspace_intersection_rejects_a_rows_b_row_outside_the_columns():
+    # Masking it would intersect with a row that was never given.
+    for row in (1 << 3, (1 << 5) | 1, -1):
+        with pytest.raises(ValueError, match="^row has bits outside the declared column range$"):
+            rowspace_intersection([0b001], [row], 3)
+
+
 def test_rowspace_intersection_bruteforce():
     rng = np.random.default_rng(7)
     for _ in range(100):

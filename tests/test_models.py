@@ -284,6 +284,18 @@ def test_interpolated_hamiltonian_commutes_with_entangler():
     assert np.linalg.norm(h_away @ u - u @ h_away) > 1e-6
 
 
+@pytest.mark.parametrize("model, params", [("cluster-1d", {"n": 6}), ("cocycle-z2z2", {"sites": 3})])
+def test_each_hamiltonian_kind_is_its_weighted_sum_of_the_trivial_and_entangled_sides(model, params):
+    # Qubit and qudit models share one dispatch: interpolated is the alpha-
+    # weighted sum of triv and spt, and catalyst-sum their plain sum.
+    bundle = build_model(model, **params)
+    triv, spt = (full_matrix(build_hamiltonian(bundle, kind)) for kind in ("triv", "spt"))
+    assert np.linalg.norm(triv - spt) > 1
+    h = full_matrix(build_hamiltonian(bundle, "interpolated", alpha=0.3))
+    assert np.abs(h - (0.3 * triv + 0.7 * spt)).max() <= 1e-12
+    assert np.abs(full_matrix(build_hamiltonian(bundle, "catalyst-sum")) - (triv + spt)).max() <= 1e-12
+
+
 def test_lsm_catalyst_sum_self_dual():
     # conjugating every term by translation permutes the term set
     bundle = build_model("lsm-dimer", n=8)

@@ -21,6 +21,10 @@ Imports get the same treatment: every name a module under `tests/` or
 `src/catalab` imports is read in that module, apart from the package's
 re-exports in `__init__.py`.  And only `catalab._numpy` imports numpy, so
 that a command which never reads numpy never loads it.
+
+Last, every `allclose` or `isclose` call in the package passes `rtol`:
+numpy's default rtol=1e-5 lets entries near 1 pass at about 1e-5, whatever
+bound the `atol` beside it and the error message state.
 """
 from __future__ import annotations
 
@@ -230,6 +234,22 @@ def numpy_imports(trees: dict[Path, ast.Module]) -> list[str]:
     return found
 
 
+def tolerance_calls_without_rtol(trees: dict[Path, ast.Module]) -> list[str]:
+    """`module:line` for each `allclose` or `isclose` call, bare or as an
+    attribute, that passes no rtol, by keyword or as its third argument."""
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("allclose", "isclose") and len(node.args) < 3:
+                if not any(keyword.arg == "rtol" for keyword in node.keywords):
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
 def test_every_definition_has_a_caller():
     assert unused_definitions(_trees()) == []
 
@@ -285,3 +305,15 @@ def test_the_numpy_import_scan_sees_every_form():
     text = "import numpy as np\nimport numpy.linalg\nfrom numpy import fft\nfrom ._numpy import np\n"
     trees = {Path("a.py"): ast.parse(text), Path("_numpy.py"): ast.parse("import numpy\n")}
     assert numpy_imports(trees) == ["a.py:1", "a.py:2", "a.py:3"]
+
+
+def test_every_tolerance_call_passes_rtol():
+    assert tolerance_calls_without_rtol(_trees()) == []
+
+
+def test_the_rtol_scan_sees_every_form():
+    text = (
+        "np.allclose(a, b, atol=1e-12)\nisclose(a, b)\nnp.isclose(a, b, atol=1e-9)\n"
+        "np.allclose(a, b, rtol=0, atol=1e-12)\nnp.isclose(a, b, 0, 1e-9)\nnp.close(a, b)\n"
+    )
+    assert tolerance_calls_without_rtol({Path("a.py"): ast.parse(text)}) == ["a.py:1", "a.py:2", "a.py:3"]
