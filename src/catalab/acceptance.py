@@ -34,7 +34,6 @@ from .protocols import (
 )
 from .stabilizer import (
     CliffordCircuit,
-    PermutationQca,
     StabilizerMixture,
     cnot_gate,
     cz_gate,
@@ -141,10 +140,7 @@ def _basis_images(n: int, perm, terms) -> tuple[np.ndarray, np.ndarray]:
 
 def _qca_images(qca) -> tuple[np.ndarray, np.ndarray]:
     """Labels and signs of all basis images of a QCA handle on one register."""
-    if isinstance(qca, PermutationQca):
-        return _basis_images(qca.n, qca.perm, ())
-    terms = [(g.support, dn.gate_unitary(g)) for layer in qca.layers for g in layer]
-    return _basis_images(qca.n, range(qca.n), terms)
+    return _basis_images(qca.n, qca.perm, [(g.support, dn.gate_unitary(g)) for g in qca.gates])
 
 
 def _doubled_operator_equality_dense(bundle, doubled, details_key, details) -> bool:
@@ -170,19 +166,16 @@ def _per_gate_dense_equality(bundle, doubled) -> float:
     """Compare each compiled v-gate with L s_i L^-1 built locally, both read
     as signed permutations of the gate's basis states by `_basis_images`.
 
-    For a translation L relabels site i, so v_i is the swap of i's image
-    and n+i; for a circuit L is the product of the entangler gates touching
-    i, all supported on the compiled gate support.  The largest difference
-    is |s_ref - s| where the labels agree and 1 where they differ, the
-    largest entry of the difference of the two matrices.
+    L relabels site i to perm[i], so the swap is of perm[i] and n+i, and
+    then applies its gates touching i, all on the compiled gate support.
+    The largest difference is |s_ref - s| where the labels agree and 1
+    where they differ, the largest entry of the difference of the two
+    matrices.
     """
     n, qca = bundle.n, bundle.entangler
     swap = np.eye(4)[[0, 2, 1, 3]]
-    if isinstance(qca, PermutationQca):
-        unitary, swapped = {}, [(qca.perm[i], n + i) for i in range(n)]
-    else:
-        unitary = {g: dn.gate_unitary(g) for layer in qca.layers for g in layer}
-        swapped = [(i, n + i) for i in range(n)]
+    unitary = {g: dn.gate_unitary(g) for g in qca.gates}
+    swapped = [(qca.perm[i], n + i) for i in range(n)]
     worst = 0.0
     for i, (sites, got) in enumerate(doubled.v_terms):
         m, pos = len(sites), {s: k for k, s in enumerate(sites)}

@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ._numpy import np
 
-from .pauli import PauliOperator
-from .stabilizer import CliffordGate, PermutationQca, QcaLike, StabilizerMixture
+from .pauli import PauliOperator, _gather
+from .stabilizer import CliffordGate, QcaLike, StabilizerMixture
 
 _DEFAULT_AMP_LIMIT = 2**20
 _DEFAULT_EIG_LIMIT = 2**14
@@ -313,13 +313,11 @@ def apply_gates(state: DenseState, perm: Sequence[int], terms: Sequence[GateTerm
 
 
 def qca_dense_action(qca: QcaLike) -> Callable[[DenseState], DenseState]:
-    """Dense action of a QCA handle: a site relabelling, or every gate of a
-    circuit in temporal order.  Each gate is read once here and reused on
-    every state the action is applied to."""
-    if isinstance(qca, PermutationQca):
-        return lambda state: apply_gates(state, qca.perm, ())
-    terms = [gate_term(gate.support, gate_unitary(gate)) for layer in qca.layers for gate in layer]
-    return lambda state: apply_gates(state, range(state.sites), terms)
+    """Dense action of a QCA handle: its site relabelling, then its gates
+    in temporal order.  Each gate is read once here and reused on every
+    state the action is applied to."""
+    terms = [gate_term(gate.support, gate_unitary(gate)) for gate in qca.gates]
+    return lambda state: apply_gates(state, qca.perm, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +432,8 @@ def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return keys, np.bincount(inverse, vals.real, len(keys)) + 1j * np.bincount(inverse, vals.imag, len(keys))
 
 
-def _restrict_bits(bits: int, support: Sequence[int]) -> int:
-    """Bit k of the result is bit support[k] of bits."""
-    return sum(((bits >> s) & 1) << k for k, s in enumerate(support))
-
-
 def _restrict_pauli(p: PauliOperator, support: tuple[int, ...]) -> PauliOperator:
-    return PauliOperator(len(support), _restrict_bits(p.x, support), _restrict_bits(p.z, support), p.phase)
+    return PauliOperator(len(support), _gather(p.x, support), _gather(p.z, support), p.phase)
 
 
 def pauli_matrix(p: PauliOperator) -> np.ndarray:
@@ -615,6 +608,7 @@ def stabilizer_to_dense(state: StabilizerMixture) -> DenseState:
     """Dense vector for a pure stabilizer state (phase convention arbitrary)."""
     if not state.is_pure:
         raise ValueError("dense vector form needs a pure state")
+    state.validate()
     return _stabilizer_vector(state)
 
 
@@ -643,6 +637,7 @@ def _stabilizer_vector(state: StabilizerMixture) -> DenseState:
 def stabilizer_density(state: StabilizerMixture) -> np.ndarray:
     """Dense density matrix of a stabilizer mixture (exact): 2^-n prod_g (1 + g),
     each factor applied as one signed permutation of the rows."""
+    state.validate()
     out = np.eye(1 << state.n, dtype=np.complex128)
     for g in state.generators:
         image, sign = pauli_basis_map(g)
@@ -652,14 +647,8 @@ def stabilizer_density(state: StabilizerMixture) -> np.ndarray:
 
 def gate_unitary(gate: CliffordGate) -> np.ndarray:
     """Dense unitary of a Clifford gate on its support, read-only: the one
-    `_local_unitary` builds for its images restricted to the support."""
-    support = tuple(gate.support)
-    local = [
-        (_restrict_bits(x, support), _restrict_bits(z, support), phase & 3)
-        for a in support
-        for x, z, phase in gate.rows[a]
-    ]
-    return _local_unitary(tuple(local))
+    `_local_unitary` builds for the gate's `local_rows`."""
+    return _local_unitary(gate.local_rows)
 
 
 @lru_cache(maxsize=64)

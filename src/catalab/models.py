@@ -9,7 +9,7 @@ entangler invariance before it is handed to the verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ._numpy import _lazy, np
@@ -21,6 +21,7 @@ from .stabilizer import (
     PermutationQca,
     StabilizerMixture,
     _gram,
+    _TableauHandle,
     cz_gate,
     is_invariant,
     pack_gates_into_layers,
@@ -210,9 +211,15 @@ class SymmetryRep:
 
     def __post_init__(self):
         for i, a in enumerate(self.generators):
+            if a.pauli.n != self.n:
+                raise ValueError(f"symmetry generator {a.name} is not on the {self.n}-site register")
             for b in self.generators[i + 1 :]:
                 if not a.pauli.commutes(b.pauli):
                     raise ValueError(f"symmetry generators {a.name}, {b.name} anticommute")
+
+    @cached_property
+    def paulis(self) -> tuple[PauliOperator, ...]:
+        return tuple(g.pauli for g in self.generators)
 
     def by_name(self, name: str) -> SymmetryGenerator:
         for g in self.generators:
@@ -307,7 +314,7 @@ class ModelBundle:
 
     @property
     def is_clifford(self) -> bool:
-        return isinstance(self.entangler, (CliffordCircuit, PermutationQca))
+        return isinstance(self.entangler, _TableauHandle)
 
     def trivial_dense(self) -> dn.DenseState:
         if self.qudit_symmetry is not None:
@@ -704,8 +711,8 @@ def _cluster_swssb(bundle: ModelBundle):
 
 def _group_average_catalyst(bundle: ModelBundle):
     """rho proportional to the sum of all symmetry operators."""
-    gens = [g.pauli for g in bundle.symmetry.generators]
-    return _spec(StabilizerMixture.from_generators(bundle.n, _independent_subset(bundle.n, gens)))
+    gens = _independent_subset(bundle.n, bundle.symmetry.paulis)
+    return _spec(StabilizerMixture.from_generators(bundle.n, gens))
 
 
 def _lieb_ghz_vertices(bundle: ModelBundle):
@@ -746,7 +753,7 @@ def _square_pim_symmetric(bundle: ModelBundle):
     lat: SquareLattice = bundle.lattice
     n = bundle.n
     gens = [PauliOperator.z_at(n, *lat.neighbors(v)) for v in range(n)]
-    gens += [g.pauli for g in bundle.symmetry.generators]
+    gens += bundle.symmetry.paulis
     return _spec(StabilizerMixture.from_generators(n, _independent_subset(n, gens)))
 
 

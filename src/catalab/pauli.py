@@ -9,7 +9,7 @@ need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 _PREFIXES = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX_LOOKUP = {"+": 0, "": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
@@ -165,3 +165,8 @@ def _mask(sites: Iterable[int]) -> int:
     for s in sites:
         m |= 1 << s
     return m
+
+
+def _gather(bits: int, sites: Sequence[int]) -> int:
+    """Bit k of the result is bit sites[k] of bits."""
+    return sum(((bits >> s) & 1) << k for k, s in enumerate(sites))

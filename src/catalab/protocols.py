@@ -49,7 +49,7 @@ class Stage:
     def long_range_gate_count(self) -> int:
         if not self.long_range or self.circuit is None:
             return 0
-        return sum(len(layer) for layer in self.circuit.layers)
+        return len(self.circuit.gates)
 
 
 @dataclass
@@ -129,32 +129,19 @@ def sqrt_zz_gate(n: int, a: int, b: int) -> CliffordGate:
     return tableau_gate(n, images)
 
 
-def ghz_pair_staircase(n: int, n_total: int, offset: int) -> CliffordCircuit:
-    """Linear staircase making cat states on both sublattices of a ring.
+def ghz_staircase(n: int, n_total: int, offset: int, step: int) -> CliffordCircuit:
+    """Staircase making cat states on the sublattices of an even ring.
 
-    Layers 1..n-2 walk one two-qubit gate across the ring, alternating
-    sublattices; the final layer closes the even-sublattice ring with a pure
-    Ising half-turn that acts as a phase on the finished cat state.  Exactly
-    n-1 two-qubit layers.
+    One two-qubit layer on (a, a + 2) for a = 0, step, 2 step, ... below
+    n - 2: step 1 alternates the two sublattices, step 2 walks the even one
+    only and leaves odd sites untouched.  The final layer closes the
+    even-sublattice ring with a pure Ising half-turn that acts as a phase
+    on the finished cat state.
     """
     if n < 4 or n % 2:
         raise ValueError("the staircase needs an even ring of at least 4 sites")
-    layers = []
-    for t in range(1, n - 1):
-        a = (t - 1) % n
-        b = (t + 1) % n
-        layers.append((ghz_step_gate(n_total, a + offset, b + offset),))
+    layers = [(ghz_step_gate(n_total, a + offset, a + 2 + offset),) for a in range(0, n - 2, step)]
     layers.append((sqrt_zz_gate(n_total, (n - 2) + offset, offset),))
-    return CliffordCircuit(n_total, tuple(layers))
-
-
-def ghz_even_staircase(n: int, n_total: int, offset: int) -> CliffordCircuit:
-    """Staircase on the even sublattice only (odd sites untouched)."""
-    sites = list(range(0, n, 2))
-    layers = []
-    for i in range(len(sites) - 1):
-        layers.append((ghz_step_gate(n_total, sites[i] + offset, sites[i + 1] + offset),))
-    layers.append((sqrt_zz_gate(n_total, sites[-1] + offset, sites[0] + offset),))
     return CliffordCircuit(n_total, tuple(layers))
 
 
@@ -273,9 +260,9 @@ def _prep_circuit_for(
     if recipe == "measure-zz":
         raise RecipeError(f"catalyst {catalyst.name!r} is prepared by measurement; use --mode measurement")
     if recipe == "ghz-staircase":
-        return ghz_pair_staircase(bundle.n, n_total, offset), False
+        return ghz_staircase(bundle.n, n_total, offset, 1), False
     if recipe == "ghz-staircase-even":
-        return ghz_even_staircase(bundle.n, n_total, offset), False
+        return ghz_staircase(bundle.n, n_total, offset, 2), False
     if recipe == "lr-bell-swap":
         return long_range_bell_layer(bundle.n, n_total, offset), True
     raise RecipeError(f"catalyst {catalyst.name!r} has no preparation recipe")
@@ -284,18 +271,16 @@ def _prep_circuit_for(
 def _conjugate_circuit_by_qca(circuit: CliffordCircuit, qca) -> tuple[CliffordCircuit, int]:
     """U C U^dagger as a circuit plus its logical depth.
 
-    Each gate is conjugated through the entangler's tableau and its dual
-    (`conjugated_gate`), so its support becomes the sites that U's images
-    of its own sites reach.  The gates of one original layer may then
-    overlap; they still commute pairwise (conjugation preserves commutation
-    of disjoint gates), so each original layer counts once in the logical
-    depth and is merely re-packed into disjoint-support sublayers for
-    storage.
+    Each gate is conjugated by the entangler (`conjugated_gate`), so its
+    support becomes the sites that U's images of its own sites reach.  The
+    gates of one original layer may then overlap; they still commute
+    pairwise (conjugation preserves commutation of disjoint gates), so each
+    original layer counts once in the logical depth and is merely
+    re-packed into disjoint-support sublayers for storage.
     """
-    tableau, dual = qca._tableau, qca._inverse_tableau
     new_layers: list[tuple[CliffordGate, ...]] = []
     for layer in circuit.layers:
-        conjugated = [conjugated_gate(g, tableau, dual) for g in layer]
+        conjugated = [conjugated_gate(g, qca) for g in layer]
         packed = pack_gates_into_layers(circuit.n, conjugated)
         new_layers.extend(packed.layers)
     return CliffordCircuit(circuit.n, tuple(new_layers)), len(circuit.layers)
@@ -401,13 +386,9 @@ def audit_schedule(schedule: PreparationSchedule, symmetry: SymmetryRep) -> bool
     all_ok = True
     for stage in schedule.stages:
         if stage.kind == "circuit":
-            ok = all(
-                audit_gate_symmetric(g, sym) for layer in stage.circuit.layers for g in layer
-            )
+            ok = all(audit_gate_symmetric(g, sym) for g in stage.circuit.gates)
         else:
-            ok = all(
-                p.commutes(gen.pauli) for p in stage.measurements for gen in sym.generators
-            )
+            ok = all(p.commutes(g) for p in stage.measurements for g in sym.paulis)
         stage.audited = ok
         all_ok = all_ok and ok
     return all_ok

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from ._numpy import np
 
 from .gf2 import SpanBasis, rowspace_intersection, span_basis, span_combination
-from .pauli import PauliOperator, SiteSet
+from .pauli import PauliOperator, SiteSet, _gather
 
 
 class UnsupportedCaseError(Exception):
@@ -76,6 +76,25 @@ class CliffordGate:
         mask = self._mask
         x, z, phase = _image(self.rows, p.x & mask, p.z & mask)
         return PauliOperator(self.n, x | (p.x & ~mask), z | (p.z & ~mask), p.phase + phase)
+
+    def fixes(self, paulis: Iterable[PauliOperator]) -> bool:
+        """True iff g maps each p's restriction to its support to itself,
+        sign included, for Paulis on the gate's register (not re-checked)."""
+        rows, mask = self.rows, self._mask
+        for p in paulis:
+            x, z = p.x & mask, p.z & mask
+            # Every gate fixes the identity: skip operators that miss the support.
+            if (x | z) and _image(rows, x, z) != (x, z, 0):
+                return False
+        return True
+
+    @property
+    def local_rows(self) -> tuple[tuple[int, int, int], ...]:
+        """The images of X_a and Z_a for each support site a in order, with
+        bit k on the support's k-th site: the gate on its own m sites."""
+        support, rows = self.support, self.rows
+        flat = (row for a in support for row in rows[a])
+        return tuple((_gather(x, support), _gather(z, support), phase & 3) for x, z, phase in flat)
 
     def inverse(self) -> "CliffordGate":
         """The gate itself when its dual rows are its own rows, else a
@@ -230,34 +249,36 @@ def swap_gate(n: int, a: int, b: int) -> CliffordGate:
     return CliffordGate("SWAP", n, SiteSet([a, b]), rows)
 
 
-def conjugated_gate(gate: CliffordGate, tableau, dual) -> CliffordGate:
-    """U g U^dagger as a TABLEAU gate, given U's tableau and its dual as
-    flat tables (row a: the images of X_a and Z_a) on the gate's register.
+def conjugated_gate(gate: CliffordGate, qca: "_TableauHandle") -> CliffordGate:
+    """U g U^dagger as a TABLEAU gate, for the handle U on the first qca.n
+    sites of the gate's register; U fixes every site at or past qca.n.
 
     Its support is the sites that U's images of g's sites reach.  Any other
     site c is fixed: U^dagger P_c U misses g's support, since its bits at a
     site a are P_c's symplectic products with U's images of Z_a and X_a.
-    Row c is U(g(U^dagger P_c U)), read through `_image` on ints; g acts on
-    its support part only, which shares no site with the rest, so the
-    pieces join with no phase.  The result is proven as every gate is."""
-    n = gate.n
-    if len(tableau) != n or len(dual) != n:
-        raise ValueError("conjugating tableau size does not match the gate register")
-    reach = 0
+    Row c is U(g(U^dagger P_c U)) on ints, U^dagger P_c U read off the dual
+    (P_c itself past qca.n); g and then U act as in `CliffordGate.conjugate`,
+    on the part inside their sites.  The result is proven as every gate is."""
+    n, tableau, dual = gate.n, qca._tableau, qca._inverse_tableau
+    if len(tableau) > n:
+        raise ValueError("the conjugating handle is wider than the gate register")
+    inside, own, mask = (1 << len(tableau)) - 1, gate.rows, gate._mask
+    reach = mask & ~inside  # sites past the handle reach themselves
     for a in gate.support:
-        (xx, xz, _), (zx, zz, _) = tableau[a]
-        reach |= xx | xz | zx | zz
-    own, mask = gate.rows, gate._mask
+        if a < len(tableau):
+            (xx, xz, _), (zx, zz, _) = tableau[a]
+            reach |= xx | xz | zx | zz
     rows = {}
     while reach:
         low = reach & -reach
         reach ^= low
         c = low.bit_length() - 1
         pair = []
-        for qx, qz, qphase in dual[c]:
+        for qx, qz, qphase in dual[c] if low & inside else ((low, 0, 0), (0, low, 0)):
             gx, gz, gphase = _image(own, qx & mask, qz & mask)
-            x, z, phase = _image(tableau, gx | (qx & ~mask), gz | (qz & ~mask))
-            pair.append((x, z, (qphase + gphase + phase) & 3))
+            x, z = gx | (qx & ~mask), gz | (qz & ~mask)
+            ix, iz, phase = _image(tableau, x & inside, z & inside)
+            pair.append((ix | (x & ~inside), iz | (z & ~inside), (qphase + gphase + phase) & 3))
         rows[c] = tuple(pair)
     return CliffordGate("TABLEAU", n, SiteSet(rows), rows)
 
@@ -276,7 +297,8 @@ class _TableauHandle:
     """Conjugation through `_tableau`, the images of every X_a and Z_a on
     the handle's sites as (x, z, phase) ints, and backwards through its
     `_dual`, built once.  The register is as wide as the tableau;
-    `_register` names the handle in a size mismatch."""
+    `_register` names the handle in a size mismatch.  Only this module
+    reads the rows; callers ask the handle, or pass it on."""
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         """U p U^dagger as the product of the tableau images over p's
@@ -295,6 +317,24 @@ class _TableauHandle:
     @cached_property
     def _inverse_tableau(self) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]:
         return tuple(_dual(self._tableau, range(len(self._tableau))))
+
+    def spread(self, lattice) -> int:
+        """Exact maximum support growth of single-site operators: the largest
+        lattice distance from a to a site the images of X_a and Z_a act on."""
+        worst = 0
+        for a, ((xx, xz, _), (zx, zz, _)) in enumerate(self._tableau):
+            bits = xx | xz | zx | zz
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                worst = max(worst, lattice.distance(a, low.bit_length() - 1))
+        return worst
+
+    def doubled_tableau(self) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]:
+        """The rows of U (x) U^-1 on 2n sites: U's on [0, n), and its
+        dual's moved up onto [n, 2n)."""
+        n, dual = len(self._tableau), self._inverse_tableau
+        return self._tableau + tuple(tuple((x << n, z << n, p) for x, z, p in pair) for pair in dual)
 
 
 @dataclass(frozen=True)
@@ -337,6 +377,15 @@ class CliffordCircuit(_TableauHandle):
     @property
     def depth(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def gates(self) -> tuple[CliffordGate, ...]:
+        """Every gate, in temporal order."""
+        return tuple(g for layer in self.layers for g in layer)
+
+    @property
+    def perm(self) -> range:
+        return range(self.n)
 
     def _walk(self, x: int, z: int) -> tuple[int, int, int]:
         """The light-cone image of X^x Z^z as (x, z, phase), gate by gate."""
@@ -399,6 +448,7 @@ class PermutationQca(_TableauHandle):
     Its tableau sends X_a and Z_a to X_perm[a] and Z_perm[a]."""
 
     _register = "permutation"
+    gates: tuple[CliffordGate, ...] = ()
 
     def __init__(self, perm: Sequence[int]):
         self.perm = tuple(perm)
@@ -418,7 +468,8 @@ class PermutationQca(_TableauHandle):
         return tuple(((1 << p, 0, 0), (0, 1 << p, 0)) for p in self.perm)
 
 
-# Both handles offer n, conjugate, conjugate_inverse and inverse.
+# Both handles offer n, perm (a site relabelling) followed by gates (in
+# temporal order), inverse, and the `_TableauHandle` methods.
 QcaLike = Union[CliffordCircuit, PermutationQca]
 
 

@@ -12,7 +12,7 @@ artifact and does not count toward the logical depth.
 
 A stabilizer report evolves by V's tableau, not its gates.  The telescoping
 holds by construction: `build_doubled_fdqc` makes each v_i as W s_i W^dagger,
-W = U (x) 1, from U's tableau and its dual, so with S = prod s_i
+W = U (x) 1, through `conjugated_gate`, so with S = prod s_i
 (prod v_i)(prod s_i) = W S W^dagger S = (U (x) 1)(1 (x) U^dagger) = U (x) U^-1.
 """
 from __future__ import annotations
@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from ._numpy import _lazy, np
 
@@ -40,7 +40,6 @@ from .stabilizer import (
     CliffordGate,
     QcaLike,
     StabilizerMixture,
-    _image,
     _TableauHandle,
     conjugated_gate,
     fidelity,
@@ -61,32 +60,11 @@ class RegionTooSmallError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _site_images(qca: QcaLike, n: int) -> Sequence[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The images of X_a and Z_a under the handle for every site a, as
-    (x, z, phase) ints read off its tableau."""
-    if qca.n != n:
-        raise ValueError("operator size does not match the entangler register")
-    return qca._tableau
-
-
-def _reach(pair) -> Iterator[int]:
-    """The sites, ascending, that a site's (X image, Z image) pair acts on."""
-    (xx, xz, _), (zx, zz, _) = pair
-    bits = xx | xz | zx | zz
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        yield low.bit_length() - 1
-
-
-def _spread(images, lattice) -> int:
-    reach = (lattice.distance(i, j) for i, pair in enumerate(images) for j in _reach(pair))
-    return max(reach, default=0)
-
-
 def qca_spread(qca: QcaLike, n: int, lattice) -> int:
     """Exact maximum support growth of single-site operators under the QCA."""
-    return _spread(_site_images(qca, n), lattice)
+    if qca.n != n:
+        raise ValueError("operator size does not match the entangler register")
+    return qca.spread(lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +75,9 @@ def qca_spread(qca: QcaLike, n: int, lattice) -> int:
 @dataclass(frozen=True)
 class DoubledCircuit(_TableauHandle):
     """U (x) U^-1 as one v-layer plus one s-layer on registers [0,n), [n,2n).
-    `_tableau` holds U's rows on [0, n) and its dual's on [n, 2n); the gates
-    multiply out to it by construction (see the module docstring), and
-    `conjugate` and `apply_stab` read it."""
+    `_tableau` holds U's `doubled_tableau`; the gates multiply out to it by
+    construction (see the module docstring), and `conjugate` and
+    `apply_stab` read it."""
 
     n: int
     v_gates: tuple[CliffordGate, ...]
@@ -155,20 +133,13 @@ def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
     """Compile U (x) U^-1 into local symmetric gates (conjugated swaps + swaps).
 
     Each v_i is its definition, the swap s_i conjugated by W = U (x) 1
-    through `conjugated_gate`; W's tables are U's rows and its dual's on
-    register A with identity rows on register B, all (x, z, phase) ints.
+    through `conjugated_gate`, which fixes register B.
     """
-    forward = _site_images(qca, n)
-    if _spread(forward, lattice) > max(1, n // 3):
+    if qca_spread(qca, n, lattice) > max(1, n // 3):
         raise ValueError("entangler failed the locality audit at this size")
-    backward = qca._inverse_tableau
-    n2 = 2 * n
-    fixed = tuple(((1 << c, 0, 0), (0, 1 << c, 0)) for c in range(n, n2))
-    tableau, dual = forward + fixed, backward + fixed
-    s_gates = tuple(swap_gate(n2, i, n + i) for i in range(n))
-    v_gates = tuple(conjugated_gate(s, tableau, dual) for s in s_gates)
-    shifted = tuple(tuple((x << n, z << n, phase) for x, z, phase in pair) for pair in backward)
-    return DoubledCircuit(n, v_gates, s_gates, forward + shifted)
+    s_gates = tuple(swap_gate(2 * n, i, n + i) for i in range(n))
+    v_gates = tuple(conjugated_gate(s, qca) for s in s_gates)
+    return DoubledCircuit(n, v_gates, s_gates, qca.doubled_tableau())
 
 
 # -- doubled form of diagonal qudit entanglers -------------------------------
@@ -213,16 +184,9 @@ def audit_gate_symmetric(gate: CliffordGate, symmetry: SymmetryRep) -> bool:
     """True iff the gate commutes with every generator's restriction to its
     support (exact; valid because 0-form generators are on-site products and
     loop/line generators restrict to their intersection with the support)."""
-    mask = gate._mask
-    for gen in symmetry.generators:
-        x, z = gen.pauli.x & mask, gen.pauli.z & mask
-        # Every gate fixes the identity: skip generators that miss the support.
-        if x | z:
-            if gen.pauli.n != gate.n:
-                raise ValueError("operator size does not match gate register")
-            if _image(gate.rows, x, z) != (x, z, 0):
-                return False
-    return True
+    if symmetry.n != gate.n:
+        raise ValueError("operator size does not match gate register")
+    return gate.fixes(symmetry.paulis)
 
 
 def audit_dense_gate_symmetric(

@@ -533,6 +533,19 @@ def test_stabilizer_density_matches_projector():
     assert np.allclose(rho, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "second, message",
+    [("ZI", "generators are not independent"), ("XI", "generators .* anticommute")],
+)
+@pytest.mark.parametrize("bridge", [stabilizer_to_dense, stabilizer_density])
+def test_dense_bridges_refuse_an_invalid_group(bridge, second, message):
+    # Unchecked, (Z0, Z0) gave |00> and a density of trace 2, and (Z0, X0)
+    # a vector and a non-hermitian matrix.
+    gens = (PauliOperator.from_string("ZI"), PauliOperator.from_string(second))
+    with pytest.raises(ValueError, match=message):
+        bridge(StabilizerMixture(2, gens))
+
+
 def test_dense_renyi_pure_charged():
     plus = DenseState.uniform(2, 1).amps
     rho = np.outer(plus, plus.conj())

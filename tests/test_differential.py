@@ -115,7 +115,6 @@ from catalab.stabilizer import (
     tableau_gate,
 )
 from catalab.verify import (
-    _reach,
     _split_endpoint_operator,
     _truncation,
     audit_dense_gate_symmetric,
@@ -680,6 +679,39 @@ def test_doubled_compile_matches_reference_on_random_ring_circuits(n, seed):
 # ---------------------------------------------------------------------------
 
 
+def _reach(pair):
+    """The sites, ascending, that a site's (X image, Z image) pair acts on."""
+    (xx, xz, _), (zx, zz, _) = pair
+    bits = xx | xz | zx | zz
+    return [c for c in range(bits.bit_length()) if bits >> c & 1]
+
+
+def reference_padded_conjugated_gate(gate, qca):
+    """U g U^dagger read through U's tableau and its dual padded with
+    identity rows to the gate's register, one table lookup per bit: the
+    form `conjugated_gate` replaced by its pass-through past qca.n."""
+    n, width = gate.n, qca.n
+    fixed = tuple(((1 << c, 0, 0), (0, 1 << c, 0)) for c in range(width, n))
+    tableau, dual = qca._tableau + fixed, qca._inverse_tableau + fixed
+    reach = 0
+    for a in gate.support:
+        (xx, xz, _), (zx, zz, _) = tableau[a]
+        reach |= xx | xz | zx | zz
+    own, mask = gate.rows, gate._mask
+    rows = {}
+    while reach:
+        low = reach & -reach
+        reach ^= low
+        c = low.bit_length() - 1
+        pair = []
+        for qx, qz, qphase in dual[c]:
+            gx, gz, gphase = _image(own, qx & mask, qz & mask)
+            x, z, phase = _image(tableau, gx | (qx & ~mask), gz | (qz & ~mask))
+            pair.append((x, z, (qphase + gphase + phase) & 3))
+        rows[c] = tuple(pair)
+    return CliffordGate("TABLEAU", n, SiteSet(rows), rows)
+
+
 def reference_prove_v_gates(forward, backward, v_gates):
     """Raise ValueError, naming the first wrong image, unless v_gates[i] is
     (U (x) 1) s_i (U^-1 (x) 1) for each i: U^dagger P_a U = i^k R S splits
@@ -808,7 +840,7 @@ def test_conjugated_gate_matches_pauli_object_conjugation(n, seed, permutation):
         qca = random_ring_circuit(rng, n)
     size = int(rng.integers(1, min(3, n) + 1))
     gate = random_tableau_gate(rng, n, [int(a) for a in rng.choice(n, size=size, replace=False)])
-    got = conjugated_gate(gate, qca._tableau, qca._inverse_tableau)
+    got = conjugated_gate(gate, qca)
     want = reference_conjugate_gate_by_qca(gate, qca)
     assert set(got.support) == reached_sites(qca, gate)
     for a in range(n):
@@ -816,14 +848,32 @@ def test_conjugated_gate_matches_pauli_object_conjugation(n, seed, permutation):
             assert got.conjugate(p) == want.conjugate(p)
 
 
-def test_conjugated_gate_refuses_a_table_of_another_size():
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), seed=SEEDS, permutation=st.booleans())
+def test_conjugated_gate_on_two_registers_matches_the_padded_table(n, seed, permutation):
+    # A gate on 2n sites, through a handle on the first n: the rows, in
+    # order, are those of U's tables padded with identity rows.
+    rng = np.random.default_rng(seed)
+    if permutation:
+        qca = PermutationQca([int(p) for p in rng.permutation(n)])
+    else:
+        qca = random_ring_circuit(rng, n)
+    size = int(rng.integers(1, 4))
+    sites = [int(a) for a in rng.choice(2 * n, size=size, replace=False)]
+    for gate in (random_tableau_gate(rng, 2 * n, sites), swap_gate(2 * n, sites[0], n + sites[0] % n)):
+        got, want = conjugated_gate(gate, qca), reference_padded_conjugated_gate(gate, qca)
+        assert list(got.rows.items()) == list(want.rows.items())
+
+
+def test_conjugated_gate_refuses_a_wider_handle_and_fixes_past_a_narrower_one():
     qca = cz_ring_circuit(6)
-    tableau, dual = qca._tableau, qca._inverse_tableau
-    message = "^conjugating tableau size does not match the gate register$"
-    with pytest.raises(ValueError, match=message):
-        conjugated_gate(swap_gate(8, 0, 1), tableau, dual)
-    with pytest.raises(ValueError, match=message):
-        conjugated_gate(swap_gate(6, 0, 1), tableau, dual + dual[:1])
+    with pytest.raises(ValueError, match="^the conjugating handle is wider than the gate register$"):
+        conjugated_gate(swap_gate(4, 0, 1), qca)
+    # On 8 sites the handle acts on [0, 6): sites 6 and 7 pass through.
+    assert conjugated_gate(swap_gate(8, 6, 7), qca).rows == swap_gate(8, 6, 7).rows
+    got = conjugated_gate(swap_gate(8, 0, 7), qca)
+    assert tuple(got.support) == (0, 1, 5, 7)
+    assert list(got.rows.items()) == list(reference_padded_conjugated_gate(swap_gate(8, 0, 7), qca).rows.items())
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,14 @@ def test_symmetry_rep_names_the_first_anticommuting_pair():
     assert str(err.value) == "symmetry generators b, c anticommute"
 
 
+def test_symmetry_rep_refuses_a_generator_on_another_register():
+    # The gate audit checks the register once, against the symmetry's n, so
+    # every generator must be on that register.
+    gen = SymmetryGenerator("x", PauliOperator.x_at(5, 1, 4), "0-form")
+    with pytest.raises(ValueError, match="^symmetry generator x is not on the 4-site register$"):
+        SymmetryRep(4, (gen,))
+
+
 def test_bad_sizes():
     with pytest.raises(RegistryError):
         build_model("lsm-dimer", n=5)

@@ -11,8 +11,7 @@ from catalab.protocols import (
     audit_schedule,
     catalyzed_pipeline,
     execute_schedule,
-    ghz_even_staircase,
-    ghz_pair_staircase,
+    ghz_staircase,
     long_range_bell_layer,
     measurement_prepare_catalyst,
     register_a_matches,
@@ -37,7 +36,7 @@ def test_staircase_builds_ghz_pair():
     n = 8
     bundle = build_model("cluster-1d", n=n)
     ghz = build_catalyst(bundle, "ghz")
-    circuit = ghz_pair_staircase(n, n, 0)
+    circuit = ghz_staircase(n, n, 0, 1)
     assert circuit.depth == n - 1
     assert all(len(layer) == 1 for layer in circuit.layers)
     out = StabilizerMixture.plus_state(n).apply_circuit(circuit)
@@ -48,9 +47,17 @@ def test_even_staircase_builds_one_sublattice_ghz():
     n = 8
     bundle = build_model("cluster-1d", n=n)
     cat = build_catalyst(bundle, "ghz-one-sublattice")
-    circuit = ghz_even_staircase(n, n, 0)
+    circuit = ghz_staircase(n, n, 0, 2)
+    assert circuit.depth == n // 2
     out = StabilizerMixture.plus_state(n).apply_circuit(circuit)
     assert out.same_state(cat.stab)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_both_staircases_need_an_even_ring_of_at_least_4_sites(step, n):
+    with pytest.raises(ValueError, match="even ring of at least 4 sites"):
+        ghz_staircase(n, 8, 0, step)
 
 
 def test_long_range_layer_builds_antipodal_pairs():
@@ -187,8 +194,7 @@ def test_conjugated_gate_locality():
     # The ring's CZs spread X_2 and X_4 to their neighbours.
     n = 8
     bundle = build_model("cluster-1d", n=n)
-    qca = bundle.entangler
-    conj = conjugated_gate(ghz_step_gate(n, 2, 4), qca._tableau, qca._inverse_tableau)
+    conj = conjugated_gate(ghz_step_gate(n, 2, 4), bundle.entangler)
     assert tuple(conj.support) == (1, 2, 3, 4, 5)
     assert audit_gate_symmetric(conj, bundle.symmetry)
 
