@@ -39,6 +39,7 @@ from .stabilizer import (
     cz_gate,
     fidelity,
     h_gate,
+    pack_gates_into_layers,
     renyi_correlator,
     s_gate,
 )
@@ -198,11 +199,12 @@ def _walked_gates_match(doubled) -> bool:
     and Z_a of both registers as U (x) U^-1's own table does (signs
     included); `doubled.conjugate` reads that table off U's tableau and its
     dual, not off the gates."""
-    circuit, n2 = doubled.as_circuit(), 2 * doubled.n
+    n = doubled.n
+    circuit = pack_gates_into_layers(n, doubled.gates)
     return all(
         circuit.conjugate(p) == doubled.conjugate(p)
-        for a in range(n2)
-        for p in (PauliOperator.x_at(n2, a), PauliOperator.z_at(n2, a))
+        for a in range(n)
+        for p in (PauliOperator.x_at(n, a), PauliOperator.z_at(n, a))
     )
 
 
@@ -214,7 +216,7 @@ def criterion_2() -> CriterionResult:
             bundle = build_model(model, **params)
             doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
             dsym = bundle.symmetry.doubled()
-            gate_ok = all(audit_gate_symmetric(g, dsym) for g in doubled.all_gates())
+            gate_ok = all(audit_gate_symmetric(g, dsym) for g in doubled.gates)
             audits[model] = gate_ok
             ok = ok and gate_ok
             # exact tableau identity of the walked gates with U (x) U^-1

@@ -232,10 +232,7 @@ def cmd_pipeline(args) -> int:
     audited = proto.audit_schedule(schedule, bundle.symmetry)
     rng = np.random.default_rng(args.seed)
     final, outcomes = proto.execute_schedule(schedule, rng)
-    if schedule.ancilla_offset is not None:
-        reached = proto.register_a_matches(final, bundle.target)
-    else:
-        reached = final.same_state(bundle.target)
+    reached = proto.register_a_matches(final, bundle.target)
     results = {
         **schedule.to_json_dict(),
         "audited": audited,
@@ -278,6 +275,9 @@ def cmd_cohomology(args) -> int:
 
 def cmd_selftest(args) -> int:
     keys = args.criteria.split(",") if args.criteria else None
+    unknown = [k for k in keys or () if k not in acc.ALL_CRITERIA]
+    if unknown:
+        raise UsageError(f"unknown --criteria entries {unknown}; known: {list(acc.ALL_CRITERIA)}")
     results = acc.run_all(keys)
     for result in results:
         print(result.line())
@@ -302,6 +302,17 @@ def cmd_selftest(args) -> int:
 
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
+
+
+def _seed(text: str) -> int:
+    """A `--seed`: numpy's generators take a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"a seed is a non-negative integer, got {text!r}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("auto", "stabilizer", "dense"), default="auto")
     add_sizes(p)
     add_common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_catalyze)
 
     p = sub.add_parser("invariant", help="entangler invariant table")
@@ -360,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--runs", type=int, default=100)
     add_common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_measure_prep)
 
     p = sub.add_parser("pipeline", help="catalyzed preparation schedules")
@@ -369,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("ancilla", "four-step", "measurement"), default="ancilla")
     add_sizes(p)
     add_common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("cohomology", help="cohomology groups and representatives")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 
-def _reduce(rows: list[int], low: int = 0) -> list[int]:
+def _reduce(rows: list[int], low: int) -> list[int]:
     """Gauss–Jordan elimination in place on the bits at and above `low`.
 
     Returns the pivot columns ascending (counted from bit `low`); the rows come
@@ -92,21 +92,6 @@ def span_combination(basis: SpanBasis, vec: int) -> Optional[int]:
             residue ^= red[r]
             combo ^= transform[r]
     return None if residue else combo
-
-
-def rowspace_intersection(rows_a: Sequence[int], rows_b: Sequence[int], cols: int) -> list[int]:
-    """Basis of span(rows_a) ∩ span(rows_b) via the Zassenhaus construction.
-
-    Rows [a | a] and [b | 0] are reduced with the first block in the low bits
-    (eliminated first); reduced rows with vanishing first block carry an
-    intersection basis in their second block.
-    """
-    for r in (*rows_a, *rows_b):
-        if r < 0 or r >> cols:
-            raise ValueError("row has bits outside the declared column range")
-    stacked = [r | (r << cols) for r in rows_a] + list(rows_b)
-    _reduce(stacked)
-    return [row >> cols for row in stacked if row and not row & ((1 << cols) - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
-from typing import Optional
+from typing import Optional, Union
 
 from ._numpy import np
 
@@ -28,7 +28,7 @@ from .stabilizer import (
     swap_gate,
     tableau_gate,
 )
-from .verify import audit_gate_symmetric, build_doubled_fdqc
+from .verify import DoubledCircuit, audit_gate_symmetric, build_doubled_fdqc
 
 
 class RecipeError(ValueError):
@@ -37,13 +37,16 @@ class RecipeError(ValueError):
 
 @dataclass
 class Stage:
-    kind: str  # "circuit" | "measurement"
     label: str
     depth: int
     long_range: bool = False
-    circuit: Optional[CliffordCircuit] = None
+    circuit: Optional[Union[CliffordCircuit, DoubledCircuit]] = None  # None in a measurement stage
     measurements: tuple[PauliOperator, ...] = ()
     audited: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "measurement" if self.circuit is None else "circuit"
 
     @property
     def long_range_gate_count(self) -> int:
@@ -57,10 +60,12 @@ class PreparationSchedule:
     model: str
     catalyst: str
     mode: str
-    n_total: int
     initial_state: StabilizerMixture
     stages: list[Stage]
-    ancilla_offset: Optional[int]
+
+    @property
+    def n_total(self) -> int:
+        return self.initial_state.n
 
     @property
     def total_depth(self) -> int:
@@ -307,71 +312,55 @@ def catalyzed_pipeline(
         conjugated, logical_depth = _conjugate_circuit_by_qca(
             prep.inverse(), bundle.entangler
         )
+        initial = bundle.trivial
         stages = [
             Stage(
-                kind="circuit",
                 label=f"make-{catalyst.name}",
                 depth=prep.depth,
                 long_range=long_range,
                 circuit=prep,
             ),
             Stage(
-                kind="circuit",
                 label="conjugated-unmake",
                 depth=logical_depth,
                 long_range=long_range,
                 circuit=conjugated,
             ),
         ]
-        return PreparationSchedule(
-            model=bundle.name,
-            catalyst=catalyst.name,
-            mode=mode,
-            n_total=n,
-            initial_state=bundle.trivial,
-            stages=stages,
-            ancilla_offset=None,
-        )
-    n_total = 2 * n
-    if mode == "ancilla":
-        prep, long_range = _prep_circuit_for(bundle, catalyst, n_total, offset=n)
-        first = Stage(
-            kind="circuit",
-            label=f"make-{catalyst.name}-on-ancilla",
-            depth=prep.depth,
-            long_range=long_range,
-            circuit=prep,
-        )
-        initial = bundle.trivial.tensor(bundle.trivial)
-    elif mode == "measurement":
-        if catalyst.prep_recipe != "measure-zz":
-            raise RecipeError("measurement mode applies to the measured mixture catalyst")
-        first = Stage(
-            kind="measurement",
-            label="measure-ancilla-zz",
-            depth=1,
-            measurements=tuple(
-                PauliOperator.z_at(n_total, n + i, n + (i + 2) % n) for i in range(n)
-            ),
-        )
-        initial = bundle.trivial.tensor(StabilizerMixture.plus_state(n))
     else:
-        raise RecipeError(f"unknown pipeline mode {mode!r}")
-    doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
-    doubled_stage = Stage(
-        kind="circuit",
-        label="doubled-entangler",
-        depth=doubled.logical_depth,
-        circuit=doubled.as_circuit(),
-    )
+        if mode == "ancilla":
+            prep, long_range = _prep_circuit_for(bundle, catalyst, 2 * n, offset=n)
+            first = Stage(
+                label=f"make-{catalyst.name}-on-ancilla",
+                depth=prep.depth,
+                long_range=long_range,
+                circuit=prep,
+            )
+            initial = bundle.trivial.tensor(bundle.trivial)
+        elif mode == "measurement":
+            if catalyst.prep_recipe != "measure-zz":
+                raise RecipeError("measurement mode applies to the measured mixture catalyst")
+            first = Stage(
+                label="measure-ancilla-zz",
+                depth=1,
+                measurements=tuple(
+                    PauliOperator.z_at(2 * n, n + i, n + (i + 2) % n) for i in range(n)
+                ),
+            )
+            initial = bundle.trivial.tensor(StabilizerMixture.plus_state(n))
+        else:
+            raise RecipeError(f"unknown pipeline mode {mode!r}")
+        doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
+        doubled_stage = Stage(
+            label="doubled-entangler", depth=doubled.logical_depth, circuit=doubled
+        )
+        stages = [first, doubled_stage]
     return PreparationSchedule(
         model=bundle.name,
         catalyst=catalyst.name,
         mode=mode,
-        n_total=n_total,
         initial_state=initial,
-        stages=[first, doubled_stage],
-        ancilla_offset=n,
+        stages=stages,
     )
 
 
@@ -416,7 +405,9 @@ def execute_schedule(
 
 
 def register_a_matches(final: StabilizerMixture, target: StabilizerMixture) -> bool:
-    """True iff register A of the final state is exactly the target state."""
+    """True iff register A of the final state is exactly the target state.
+    Every mode's success rule: on the one register of a four-step final,
+    both are pure on the same sites, so containment is equality."""
     for g in target.generators:
         embedded = PauliOperator(final.n, g.x, g.z, g.phase)
         if final.membership_sign(embedded) != 1:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ._numpy import np
 
-from .gf2 import SpanBasis, rowspace_intersection, span_basis, span_combination
+from .gf2 import SpanBasis, span_basis, span_combination
 from .pauli import PauliOperator, SiteSet, _gather
 
 
@@ -584,13 +584,13 @@ class StabilizerMixture:
 
     # -- evolution ---------------------------------------------------------
 
-    def apply_circuit(self, circuit: Union[CliffordGate, QcaLike]) -> "StabilizerMixture":
-        """The evolved state under a gate, circuit or permutation, not
+    def apply_circuit(self, circuit: Union[CliffordGate, _TableauHandle]) -> "StabilizerMixture":
+        """The evolved state under a gate or any tableau handle, not
         re-validated: each is proven when built, so a valid state maps to a
         valid one."""
         if circuit.n != self.n:
             raise ValueError("circuit register size mismatch")
-        return StabilizerMixture(self.n, tuple(circuit.conjugate(g) for g in self.generators))
+        return StabilizerMixture(self.n, tuple(map(circuit.conjugate, self.generators)))
 
     def measure(self, p: PauliOperator, rng: np.random.Generator) -> tuple[int, "StabilizerMixture"]:
         """Projective measurement of a hermitian Pauli: one `SignFamily`
@@ -726,41 +726,30 @@ class SignFamily:
 # ---------------------------------------------------------------------------
 
 
-def _element_with_vector(state: StabilizerMixture, vec: int) -> PauliOperator:
-    element = state.element_with_vector(vec)
-    if element is None:
-        raise AssertionError("vector is not in the group row space")
-    return element
-
-
 def fidelity(rho: StabilizerMixture, sigma: StabilizerMixture) -> Union[Fraction, float]:
     """Uhlmann fidelity of two commuting-projector stabilizer mixtures.
 
     Exact via sign bookkeeping on the group intersection: zero when some
     common unsigned element carries opposite signs, else 2^(s - (k1+k2)/2)
-    with s the intersection dimension.  Raises UnsupportedCaseError when the
-    two generator sets do not pairwise commute.
+    with s the intersection dimension.  One `span_basis` of rho's rows, then
+    sigma's, reads the intersection: each vanished row's transform pairs a
+    product of rho's generators with one of sigma's with the same bits, and
+    these s pairs span it.  The sign difference is a character of the
+    intersection, so it is trivial exactly when it is on the pairs.  Raises
+    UnsupportedCaseError when the two generator sets do not pairwise commute.
     """
     if rho.n != sigma.n:
         raise ValueError("register size mismatch")
-    for g in rho.generators:
-        for h in sigma.generators:
-            if g.symplectic_product(h):
-                raise UnsupportedCaseError(
-                    "fidelity requires pairwise commuting generator sets"
-                )
-    inter = rowspace_intersection(
-        [g.symplectic() for g in rho.generators],
-        [h.symplectic() for h in sigma.generators],
-        2 * rho.n,
-    )
-    for vec in inter:
-        a = _element_with_vector(rho, vec)
-        b = _element_with_vector(sigma, vec)
-        if ((a.phase - b.phase) & 3) == 2:
+    k, low = rho.k, (1 << rho.k) - 1
+    rows = [g.symplectic() for g in rho.generators + sigma.generators]
+    if any(row & low for row in _gram(rho.n, rows)[k:]):
+        raise UnsupportedCaseError("fidelity requires pairwise commuting generator sets")
+    _, pivots, transform, _ = span_basis(rows, 2 * rho.n)
+    pairs = transform[len(pivots):]
+    for t in pairs:
+        if (_product(rho.generators, t & low)[2] - _product(sigma.generators, t >> k)[2]) & 3 == 2:
             return Fraction(0)
-    s = len(inter)
-    e2 = 2 * s - rho.k - sigma.k
+    e2 = 2 * len(pairs) - rho.k - sigma.k
     if e2 % 2 == 0:
         e = e2 // 2
         return Fraction(2**e) if e >= 0 else Fraction(1, 2**-e)

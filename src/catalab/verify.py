@@ -36,14 +36,12 @@ from .models import (
 )
 from .pauli import PauliOperator, SiteSet
 from .stabilizer import (
-    CliffordCircuit,
     CliffordGate,
     QcaLike,
     StabilizerMixture,
     _TableauHandle,
     conjugated_gate,
     fidelity,
-    pack_gates_into_layers,
     swap_gate,
 )
 
@@ -74,10 +72,10 @@ def qca_spread(qca: QcaLike, n: int, lattice) -> int:
 
 @dataclass(frozen=True)
 class DoubledCircuit(_TableauHandle):
-    """U (x) U^-1 as one v-layer plus one s-layer on registers [0,n), [n,2n).
-    `_tableau` holds U's `doubled_tableau`; the gates multiply out to it by
-    construction (see the module docstring), and `conjugate` and
-    `apply_stab` read it."""
+    """U (x) U^-1 on the n sites of registers [0, n/2) and [n/2, n): the
+    s-layer, then the v-layer.  `_tableau` holds U's `doubled_tableau`; the
+    gates multiply out to it by construction (see the module docstring),
+    and `conjugate` and `apply_stab` read it."""
 
     n: int
     v_gates: tuple[CliffordGate, ...]
@@ -90,27 +88,18 @@ class DoubledCircuit(_TableauHandle):
         return 2
 
     @property
+    def gates(self) -> tuple[CliffordGate, ...]:
+        """Every gate, in temporal order: the swaps act first, since the
+        operator product (prod v_i)(prod s_i) has them rightmost."""
+        return self.s_gates + self.v_gates
+
+    @property
     def max_gate_support(self) -> int:
-        return max(len(g.support) for g in self.all_gates())
-
-    def all_gates(self) -> list[CliffordGate]:
-        return list(self.v_gates) + list(self.s_gates)
-
-    def as_circuit(self) -> CliffordCircuit:
-        """Temporal order: the swap layer acts first, then the v gates (the
-        operator product (prod v_i)(prod s_i) has the swaps rightmost)."""
-        return self._circuit
-
-    @cached_property
-    def _circuit(self) -> CliffordCircuit:
-        packed = pack_gates_into_layers(2 * self.n, self.v_gates)
-        return CliffordCircuit(2 * self.n, (self.s_gates,) + packed.layers)
+        return max(len(g.support) for g in self.gates)
 
     def apply_stab(self, state: StabilizerMixture) -> StabilizerMixture:
         """Each generator through the tableau, not re-validated."""
-        if state.n != 2 * self.n:
-            raise ValueError("circuit register size mismatch")
-        return StabilizerMixture(state.n, tuple(map(self.conjugate, state.generators)))
+        return state.apply_circuit(self)
 
     @cached_property
     def v_terms(self) -> tuple[tuple[SiteSet, np.ndarray], ...]:
@@ -123,23 +112,24 @@ class DoubledCircuit(_TableauHandle):
         return tuple(dn.gate_term(support, mat) for support, mat in self.v_terms)
 
     def apply_dense(self, state: dn.DenseState) -> dn.DenseState:
-        """The s-layer (exchange registers [0, n) and [n, 2n)), then the
+        """The s-layer (exchange registers [0, n/2) and [n/2, n)), then the
         v-terms; the norm is checked once, at the end."""
-        n = self.n
-        return dn.apply_gates(state, [*range(n, 2 * n), *range(n)], self.gate_terms)
+        n, m = self.n, self.n // 2
+        return dn.apply_gates(state, [*range(m, n), *range(m)], self.gate_terms)
 
 
 def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
     """Compile U (x) U^-1 into local symmetric gates (conjugated swaps + swaps).
 
     Each v_i is its definition, the swap s_i conjugated by W = U (x) 1
-    through `conjugated_gate`, which fixes register B.
+    through `conjugated_gate`, which fixes register B.  n is the size of
+    one register; the handle spans both.
     """
     if qca_spread(qca, n, lattice) > max(1, n // 3):
         raise ValueError("entangler failed the locality audit at this size")
     s_gates = tuple(swap_gate(2 * n, i, n + i) for i in range(n))
     v_gates = tuple(conjugated_gate(s, qca) for s in s_gates)
-    return DoubledCircuit(n, v_gates, s_gates, qca.doubled_tableau())
+    return DoubledCircuit(2 * n, v_gates, s_gates, qca.doubled_tableau())
 
 
 # -- doubled form of diagonal qudit entanglers -------------------------------
@@ -147,7 +137,8 @@ def build_doubled_fdqc(qca: QcaLike, n: int, lattice) -> DoubledCircuit:
 
 @dataclass
 class DoubledDiagonalCircuit:
-    """U (x) U^-1 for a diagonal qudit circuit: dense v-layer plus swaps."""
+    """U (x) U^-1 for a diagonal qudit circuit, on the n sites of both
+    registers: dense v-layer plus swaps."""
 
     n: int
     v_terms: tuple[tuple[tuple[int, ...], np.ndarray], ...]
@@ -172,7 +163,7 @@ def build_doubled_diagonal(circuit: coh.CocycleCircuit) -> DoubledDiagonalCircui
     swap = np.eye(q * q, dtype=np.complex128).reshape((q,) * 4).transpose(1, 0, 2, 3)
     swap = swap.reshape(q * q, q * q)
     v_terms = tuple(circuit.conjugate_term((i, n + i), swap) for i in range(n))
-    return DoubledDiagonalCircuit(n, v_terms)
+    return DoubledDiagonalCircuit(2 * n, v_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +253,8 @@ def verify_catalysis(
         if doubled is None:
             doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
         dsym = bundle.symmetry.doubled()
-        audits = [(repr(g), audit_gate_symmetric(g, dsym)) for g in doubled.all_gates()]
+        # Reports list the v-gate audits first, then the swaps.
+        audits = [(repr(g), audit_gate_symmetric(g, dsym)) for g in doubled.v_gates + doubled.s_gates]
     else:
         # Diagonal qudit entangler: dense throughout.
         doubled = build_doubled_diagonal(bundle.entangler)

@@ -644,6 +644,36 @@ def test_selftest_subset(capsys, tmp_path):
     assert report["results"][0]["passed"] is True
 
 
+@pytest.mark.parametrize("criteria, unknown", [("1,10", "['10']"), ("1,,2", "['']"), ("0,x", "['0', 'x']")])
+def test_selftest_with_an_unknown_criterion_is_a_usage_error(tmp_path, capsys, monkeypatch, criteria, unknown):
+    # Every entry is checked before any criterion runs.
+    import catalab.acceptance as acceptance
+
+    ran = []
+    monkeypatch.setitem(acceptance.ALL_CRITERIA, "1", lambda: ran.append("1"))
+    out = tmp_path / "self.json"
+    assert run_cli(["selftest", "--criteria", criteria, "--out", str(out)]) == 2
+    known = list(acceptance.ALL_CRITERIA)
+    assert capsys.readouterr().err == f"error: unknown --criteria entries {unknown}; known: {known}\n"
+    assert ran == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalyze", "--model", "cluster-1d", "--catalyst", "ghz", "--n", "8"],
+        ["measure-prep", "--n", "8", "--runs", "2"],
+        ["pipeline", "--model", "cluster-1d", "--catalyst", "ghz", "--n", "8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_negative_seed_is_a_usage_error_naming_it(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert run_cli(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "argument --seed: a seed is a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_localization_weak_mode(tmp_path):
     out = tmp_path / "weak.json"
     code = run_cli(

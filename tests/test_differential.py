@@ -39,6 +39,7 @@ block, built from the terms with the translation as a generator, against
 one full eigensolve of the whole space."""
 import math
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -100,6 +101,7 @@ from catalab.stabilizer import (
     PermutationQca,
     SignFamily,
     StabilizerMixture,
+    UnsupportedCaseError,
     ZeroProjectionError,
     _gram,
     _image,
@@ -278,11 +280,18 @@ def assert_tableau_matches_walk(rng, circuit, extra=8):
             assert circuit.conjugate_inverse(p) == reference_circuit_conjugate(circuit.inverse(), p)
 
 
+def packed_doubled_gates(bundle):
+    """The doubled compile's gates in temporal order, packed into a circuit
+    whose tableau is walked: the swap layer, then the v-gates."""
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    return pack_gates_into_layers(doubled.n, doubled.gates)
+
+
 @pytest.mark.parametrize("model, params", CATALYSIS_MATRIX + [("cluster-1d", {"n": 6})])
 def test_tableau_conjugation_matches_walk_on_registry_circuits(model, params):
     rng = np.random.default_rng(19)
     bundle = build_model(model, **params)
-    circuits = [build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice).as_circuit()]
+    circuits = [packed_doubled_gates(bundle)]
     if isinstance(bundle.entangler, CliffordCircuit):
         circuits += [bundle.entangler, bundle.entangler.inverse()]
     for circuit in circuits:
@@ -540,7 +549,7 @@ def test_doubled_tableau_evolution_matches_the_walked_gates(model, params):
     # generators, signs included, on every registry stabilizer catalyst.
     bundle = build_model(model, **params)
     doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
-    circuit = doubled.as_circuit()
+    circuit = packed_doubled_gates(bundle)
     assert doubled._tableau == circuit._tableau
     kinds = [k for k in catalyst_kinds(model) if not catalyst_is_dense(model, k)]
     assert kinds
@@ -555,7 +564,7 @@ def test_circuit_dual_matches_walked_inverse(model, params):
     # The dual of each registry entangler's tableau, and of its doubled
     # circuit's, is the tableau walked through the rebuilt inverse circuit.
     bundle = build_model(model, **params)
-    circuits = [build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice).as_circuit()]
+    circuits = [packed_doubled_gates(bundle)]
     if isinstance(bundle.entangler, CliffordCircuit):
         circuits.append(bundle.entangler)
     for circuit in circuits:
@@ -1006,14 +1015,14 @@ def test_int_level_checks_match_object_loops_on_registry(model, params):
     rng = np.random.default_rng(17)
     bundle = build_model(model, **params)
     doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
-    gates = doubled.all_gates()
+    gates = list(doubled.gates)
     if isinstance(bundle.entangler, CliffordCircuit):
         gates += [g for layer in bundle.entangler.layers for g in layer]
     for gate in gates:
         assert_tableau_check_matches_basis_pairs(rng, gate.n, gate_images(gate))
     dsym = bundle.symmetry.doubled()
     verdicts = set()
-    for gate in doubled.all_gates():
+    for gate in doubled.gates:
         for audited in (gate, _negate_one_image(gate)):
             got = audit_gate_symmetric(audited, dsym)
             assert got == reference_audit(audited, dsym)
@@ -1207,7 +1216,7 @@ def reference_qca_action(qca):
 
 def reference_doubled_action(doubled):
     """The register swap, then the v-terms, by the per-gate loop."""
-    n = doubled.n
+    n = doubled.n // 2
     perm = [*range(n, 2 * n), *range(n)]
     return lambda state: reference_apply_gates(state, perm, doubled.v_terms)
 
@@ -2521,6 +2530,95 @@ def test_fidelity_matches_dense_on_unrelated_commuting_groups(n, opposite, seed,
     elif got:
         # 2^(s - (k1 + k2)/2): exact for even k1 + k2, the float branch for odd.
         assert isinstance(got, float) == bool((k1 + k2) % 2)
+
+
+# ---------------------------------------------------------------------------
+# fidelity on one span basis against the Zassenhaus intersection it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_rowspace_intersection(rows_a, rows_b, cols):
+    """Basis of span(rows_a) ∩ span(rows_b) via the Zassenhaus construction.
+
+    Rows [a | a] and [b | 0] are reduced by the reference loop with the
+    first block in the low bits (eliminated first); reduced rows with
+    vanishing first block carry an intersection basis in their second block.
+    """
+    for r in (*rows_a, *rows_b):
+        if r < 0 or r >> cols:
+            raise ValueError("row has bits outside the declared column range")
+    stacked = [r | (r << cols) for r in rows_a] + list(rows_b)
+    reduced = reference_rref_with_transform(stacked, 2 * cols)[0]
+    return [row >> cols for row in reduced if row and not row & ((1 << cols) - 1)]
+
+
+def reference_fidelity(rho, sigma):
+    """`fidelity` by the pairwise commutation loop and the Zassenhaus
+    intersection, each basis vector's sign read off both groups."""
+    if rho.n != sigma.n:
+        raise ValueError("register size mismatch")
+    for g in rho.generators:
+        for h in sigma.generators:
+            if g.symplectic_product(h):
+                raise UnsupportedCaseError("fidelity requires pairwise commuting generator sets")
+    inter = reference_rowspace_intersection(
+        [g.symplectic() for g in rho.generators],
+        [h.symplectic() for h in sigma.generators],
+        2 * rho.n,
+    )
+    for vec in inter:
+        a, b = rho.element_with_vector(vec), sigma.element_with_vector(vec)
+        if ((a.phase - b.phase) & 3) == 2:
+            return Fraction(0)
+    e2 = 2 * len(inter) - rho.k - sigma.k
+    if e2 % 2 == 0:
+        e = e2 // 2
+        return Fraction(2**e) if e >= 0 else Fraction(1, 2**-e)
+    return float(2.0 ** (e2 / 2.0))
+
+
+def fidelity_outcome(fid, rho, sigma):
+    """The value and its type, or the refusal."""
+    try:
+        value = fid(rho, sigma)
+    except UnsupportedCaseError as exc:
+        return "refused", str(exc)
+    return value, type(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), mixed=st.booleans(), seed=SEEDS)
+def test_fidelity_matches_the_zassenhaus_reference(n, mixed, seed):
+    """rho from criterion 8's random states, against one generator's sign
+    flip (F = 0), a subset of its generators (F > 0), a site Pauli that
+    anticommutes with a generator (refused), a randomly signed subset and
+    an independent state, in both orders."""
+    rng = np.random.default_rng(seed)
+    rho = acceptance._random_stab_state(n, rng, mixed)
+    gens = rho.generators
+    j = int(rng.integers(len(gens)))
+    flipped = StabilizerMixture(n, gens[:j] + (gens[j].negate(),) + gens[j + 1 :])
+    subset = [g for g in gens if rng.integers(2)]
+    site = int(rng.choice(list(gens[j].support())))
+    anti = PauliOperator.z_at(n, site) if gens[j].x >> site & 1 else PauliOperator.x_at(n, site)
+    signed = [g.negate() if rng.integers(2) else g for g in subset]
+    cases = {
+        "zero": flipped,
+        "positive": StabilizerMixture(n, tuple(subset)),
+        "refused": StabilizerMixture(n, (anti,)),
+        "signed": StabilizerMixture(n, tuple(signed)),
+        "independent": acceptance._random_stab_state(n, rng, bool(rng.integers(2))),
+    }
+    for word, sigma in cases.items():
+        for pair in ((rho, sigma), (sigma, rho)):
+            got = fidelity_outcome(fidelity, *pair)
+            assert got == fidelity_outcome(reference_fidelity, *pair), word
+            if word == "zero":
+                assert got[0] == 0
+            elif word == "positive":
+                assert got[0] > 0
+            elif word == "refused":
+                assert got[0] == "refused"
 
 
 # ---------------------------------------------------------------------------

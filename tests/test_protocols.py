@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catalab.models import build_catalyst, build_model
+from catalab.models import build_catalyst, build_model, catalyst_is_dense, catalyst_kinds
 from catalab.pauli import PauliOperator
 from catalab.protocols import (
     PreparationSchedule,
@@ -19,7 +19,7 @@ from catalab.protocols import (
     ghz_step_gate,
 )
 from catalab.stabilizer import CliffordCircuit, StabilizerMixture, conjugated_gate, swap_gate
-from catalab.verify import audit_gate_symmetric
+from catalab.verify import DoubledCircuit, audit_gate_symmetric
 
 from named_gates import x_gate, z_gate
 
@@ -148,6 +148,56 @@ def test_measurement_pipeline_yields_cluster_for_any_seed():
         assert len(outcomes[0]) == n
 
 
+@pytest.mark.parametrize(
+    "model, catalyst, mode",
+    [("cluster-1d", "ghz", "ancilla"), ("lsm-dimer", "long-range-bell", "ancilla"), ("cluster-1d", "swssb", "measurement")],
+)
+def test_doubled_stage_evolves_through_the_doubled_tableau(monkeypatch, model, catalyst, mode):
+    # The stage holds the handle that `catalyze` checks with, and evolves
+    # by U (x) U^-1's tableau: no circuit holding its gates is walked.
+    n = 8
+    bundle = build_model(model, n=n)
+    schedule = catalyzed_pipeline(bundle, build_catalyst(bundle, catalyst), mode)
+    doubled = schedule.stages[-1].circuit
+    assert isinstance(doubled, DoubledCircuit)
+    assert doubled.n == schedule.n_total == 2 * n
+    walked = []
+    walk = CliffordCircuit._walk
+
+    def recorded(self, x, z):
+        walked.append(self)
+        return walk(self, x, z)
+
+    monkeypatch.setattr(CliffordCircuit, "_walk", recorded)
+    final, _ = execute_schedule(schedule, np.random.default_rng(0))
+    assert register_a_matches(final, bundle.target)
+    compiled = set(doubled.gates)
+    assert not any(compiled & set(circuit.gates) for circuit in walked)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_register_a_rule_is_state_equality_on_four_step_finals(n):
+    # A four-step final is pure on the n sites of the target, so the one
+    # success rule, containment of the reference's group, is equality.
+    verdicts, finals = set(), 0
+    for model in ("lsm-dimer", "cluster-1d"):
+        bundle = build_model(model, n=n)
+        for kind in catalyst_kinds(model):
+            if catalyst_is_dense(model, kind):
+                continue
+            try:
+                schedule = catalyzed_pipeline(bundle, build_catalyst(bundle, kind), "four-step")
+            except RecipeError:
+                continue
+            final, _ = execute_schedule(schedule)
+            finals += 1
+            for reference in (bundle.target, bundle.trivial):
+                verdict = register_a_matches(final, reference)
+                assert verdict == final.same_state(reference), (model, kind)
+                verdicts.add(verdict)
+    assert finals == 3 and verdicts == {True, False}
+
+
 def test_gapless_recipe_refused():
     bundle = build_model("cluster-1d", n=8)
     gapless = build_catalyst(bundle, "gapless")
@@ -159,7 +209,6 @@ def test_audit_schedule_rejects_asymmetric_stage():
     n = 8
     bundle = build_model("cluster-1d", n=n)
     bad_stage = Stage(
-        kind="circuit",
         label="bad",
         depth=1,
         circuit=CliffordCircuit(n, ((x_gate(n, 0),),)),
@@ -168,10 +217,8 @@ def test_audit_schedule_rejects_asymmetric_stage():
         model="cluster-1d",
         catalyst="none",
         mode="manual",
-        n_total=n,
         initial_state=StabilizerMixture.plus_state(n),
         stages=[bad_stage],
-        ancilla_offset=None,
     )
     # an X on an even site anticommutes with no generator; use a Z instead
     schedule.stages[0].circuit = CliffordCircuit(n, ((z_gate(n, 0),),))

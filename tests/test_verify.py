@@ -28,6 +28,7 @@ from catalab.stabilizer import (
     StabilizerMixture,
     cz_gate,
     is_invariant,
+    pack_gates_into_layers,
 )
 from catalab.verify import (
     RegionTooSmallError,
@@ -113,7 +114,7 @@ def test_doubled_translation_dense_product_check():
     doubled = build_doubled_fdqc(bundle.entangler, n, bundle.lattice)
     assert doubled.logical_depth == 2
     # v-layer is a single layer of disjoint swaps
-    assert len(doubled.as_circuit().layers) == 2
+    assert len(pack_gates_into_layers(doubled.n, doubled.v_gates).layers) == 1
     rng = np.random.default_rng(3)
     for _ in range(5):
         pa = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -135,7 +136,7 @@ def test_doubled_cz_ring_matches_tableau_and_dense():
     doubled = build_doubled_fdqc(qca, n, bundle.lattice)
     # exact tableau equality of the compiled gates with U (x) U^-1's table,
     # read off U's tableau and its dual
-    circuit = doubled.as_circuit()
+    circuit = pack_gates_into_layers(2 * n, doubled.gates)
     for a in range(2 * n):
         for p in (PauliOperator.x_at(2 * n, a), PauliOperator.z_at(2 * n, a)):
             assert circuit.conjugate(p) == doubled.conjugate(p)
@@ -152,6 +153,23 @@ def test_doubled_cz_ring_matches_tableau_and_dense():
             expected = apply_local_unitary(expected, czm, [i, (i + 1) % n])
             expected = apply_local_unitary(expected, czm, [n + i, n + (i + 1) % n])
         assert np.linalg.norm(out.amps - expected.amps) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "model, params", [("lsm-dimer", {"n": 8}), ("cluster-1d", {"n": 8}), ("lieb-2d", {"lx": 2, "ly": 2})]
+)
+def test_doubled_circuit_is_a_register_wide_handle(model, params):
+    # n is the width of the tableau it conjugates through, as for every
+    # other handle, and `gates` lists the swap layer first, as it acts.
+    bundle = build_model(model, **params)
+    doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
+    assert doubled.n == len(bundle.entangler.doubled_tableau()) == 2 * bundle.n
+    assert doubled.gates == doubled.s_gates + doubled.v_gates
+    assert {g.n for g in doubled.gates} == {doubled.n}
+    p = PauliOperator.x_at(doubled.n, doubled.n - 1)
+    assert pack_gates_into_layers(doubled.n, doubled.gates).conjugate(p) == doubled.conjugate(p)
+    cocycle = build_model("cocycle-z2z2", sites=3)
+    assert build_doubled_diagonal(cocycle.entangler).n == 6
 
 
 def test_doubled_action_checks_the_norm_at_its_end():
@@ -196,7 +214,7 @@ def test_audit_swap_against_doubled_symmetry():
     bundle = build_model("cluster-1d", n=8)
     doubled = build_doubled_fdqc(bundle.entangler, 8, bundle.lattice)
     dsym = bundle.symmetry.doubled()
-    for gate in doubled.all_gates():
+    for gate in doubled.gates:
         assert audit_gate_symmetric(gate, dsym)
 
 
