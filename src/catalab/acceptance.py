@@ -490,7 +490,8 @@ def criterion_7() -> CriterionResult:
 def _random_stab_state(n: int, rng: np.random.Generator, mixed: bool) -> StabilizerMixture:
     state = StabilizerMixture.zero_state(n)
     for _ in range(4 * n):
-        choice = int(rng.integers(0, 4))
+        # One site takes no two-site gate: it draws H and S only.
+        choice = int(rng.integers(0, 4 if n > 1 else 2))
         if choice == 0:
             state = state.apply_circuit(h_gate(n, int(rng.integers(0, n))))
         elif choice == 1:

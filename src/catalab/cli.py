@@ -125,11 +125,16 @@ def cmd_invariant(args) -> int:
     return _report(args, {**payload, "nontrivial": nontrivial}, rows=rows)
 
 
+def _stabilizer_catalyst(bundle, kind: str, refusal: str):
+    """The registry catalyst `kind`, refused with `refusal` before it is
+    built when it is dense, as every catalyst of a non-Clifford bundle is."""
+    if not bundle.is_clifford or catalyst_is_dense(bundle.name, kind):
+        raise UsageError(refusal)
+    return build_catalyst(bundle, kind)
+
+
 def cmd_localization(args) -> int:
     bundle = build_model(args.model, n=args.n)
-    catalyst = build_catalyst(bundle, args.catalyst)
-    if catalyst.engine != "stabilizer":
-        raise UsageError("localization diagnostics need a stabilizer catalyst")
     # An interval holds at least one site; [0, -1] would read as the whole ring.
     low, high = max(1, 4 * args.radius), args.n - 4 * args.radius
     for length in args.lengths:
@@ -138,6 +143,8 @@ def cmd_localization(args) -> int:
                 f"--lengths entry {length} does not fit: at --n {args.n} and "
                 f"--radius {args.radius} a length must lie in [{low}, {high}]"
             )
+    refusal = "localization diagnostics need a stabilizer catalyst"
+    catalyst = _stabilizer_catalyst(bundle, args.catalyst, refusal)
     solver = strong_localization if args.mode == "strong" else weak_localization
     results = []
     for gen in bundle.symmetry.generators:
@@ -159,10 +166,14 @@ def cmd_localization(args) -> int:
 
 def cmd_correlators(args) -> int:
     bundle = build_model(args.model, **_model_params(args))
-    catalyst = build_catalyst(bundle, args.catalyst)
-    if catalyst.engine != "stabilizer":
-        raise UsageError("correlator diagnostics need a stabilizer catalyst")
-    state = catalyst.stab
+    pairs = [(0, 2), (0, 1), (0, 4)]
+    if bundle.name != "lieb-2d" and bundle.n <= 4:
+        raise UsageError(
+            f"the correlator pairs {pairs} need sites 0 to 4; "
+            f"{args.model} at this size has {bundle.n} sites"
+        )
+    refusal = "correlator diagnostics need a stabilizer catalyst"
+    state = _stabilizer_catalyst(bundle, args.catalyst, refusal).stab
     results = []
     if bundle.name == "lieb-2d":
         lat = bundle.lattice
@@ -172,12 +183,6 @@ def cmd_correlators(args) -> int:
             exp, fid = disorder_parameter(state, op)
             results.append({"observable": tag, "expectation": exp, "fidelity": str(fid)})
     else:
-        pairs = [(0, 2), (0, 1), (0, 4)]
-        if bundle.n <= 4:
-            raise UsageError(
-                f"the correlator pairs {pairs} need sites 0 to 4; "
-                f"{args.model} at this size has {bundle.n} sites"
-            )
         for i, j in pairs:
             o_i = PauliOperator.z_at(bundle.n, i)
             o_j = PauliOperator.z_at(bundle.n, j)
@@ -227,7 +232,8 @@ def cmd_measure_prep(args) -> int:
 
 def cmd_pipeline(args) -> int:
     bundle = build_model(args.model, **_model_params(args))
-    catalyst = build_catalyst(bundle, args.catalyst)
+    refusal = "pipelines are realized for Clifford bundles and stabilizer catalysts"
+    catalyst = _stabilizer_catalyst(bundle, args.catalyst, refusal)
     schedule = proto.catalyzed_pipeline(bundle, catalyst, args.mode)
     audited = proto.audit_schedule(schedule, bundle.symmetry)
     rng = np.random.default_rng(args.seed)

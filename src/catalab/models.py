@@ -284,8 +284,9 @@ class QuditSymmetry:
 
 @dataclass
 class Catalyst:
-    """Strongly symmetric under every generator of its bundle's symmetry
-    except those it names: weakly under `weak_under`, not under `broken`."""
+    """Strongly symmetric under every symmetry element of its bundle except
+    those it names: weakly under `weak_under`, not under `broken`, as
+    `symmetry_defect` checks in `build_catalyst` and `verify_catalysis`."""
 
     name: str
     engine: str  # "stabilizer" | "dense"
@@ -450,18 +451,11 @@ def _build_square_sspt(l: int) -> ModelBundle:
         raise RegistryError("square-sspt needs a torus of linear size at least 2")
     lat = SquareLattice(l)
     n = lat.n
-    gens = []
-    for c in range(l):
-        gens.append(
-            SymmetryGenerator(
-                f"line-d{c}", PauliOperator.x_at(n, *lat.diagonal_line(c, +1)), "line"
-            )
-        )
-        gens.append(
-            SymmetryGenerator(
-                f"line-a{c}", PauliOperator.x_at(n, *lat.diagonal_line(c, -1)), "line"
-            )
-        )
+    gens = [
+        SymmetryGenerator(f"line-{tag}{c}", PauliOperator.x_at(n, *lat.diagonal_line(c, d)), "line")
+        for c in range(l)
+        for tag, d in (("d", +1), ("a", -1))
+    ]
     return _graph_bundle("square-sspt", lat, SymmetryRep(n, tuple(gens)), lat.edge_pairs())
 
 
@@ -558,41 +552,41 @@ def _check_bundle(bundle: ModelBundle) -> None:
 # ---------------------------------------------------------------------------
 
 
-def symmetry_defect(bundle: ModelBundle, cat: Catalyst, weak_only: bool) -> Optional[str]:
-    """The first symmetry element the catalyst fails, or None.
+def symmetry_defect(bundle: ModelBundle, cat: Catalyst) -> Optional[str]:
+    """The first symmetry element the catalyst fails, or None; a catalyst on
+    another register raises ValueError.
 
-    Under a generator the catalyst does not name it must be strongly
+    Under an element it does not name (a qubit model's generator by name, a
+    qudit chain's group element g as `str(g)`) it must be strongly
     symmetric: a stabilizer state has g in its group with sign +1, a dense
     state <psi|g|psi> within 1e-9 of 1.  Under one in `weak_under` it need
     only be weakly symmetric: g commutes with every stabilizer generator, or
-    |<psi|g|psi>| >= 1 - 1e-9.  Generators in `broken` are skipped; on a
-    qudit chain every group element is checked.  With `weak_only`, every
-    check is weak."""
-    qsym = bundle.qudit_symmetry
-    if qsym is not None:
-        checks = [(str(g), g, weak_only) for g in qsym.group.elements()]
+    |<psi|g|psi>| >= 1 - 1e-9.  Elements in `broken` are skipped."""
+    qsym, stab, state = bundle.qudit_symmetry, cat.stab, cat.dense_state
+    held = (stab.n, 2) if cat.engine == "stabilizer" else (state.sites, state.q)
+    register = (bundle.n, 2 if qsym is None else qsym.group.order)
+    if held != register:
+        raise ValueError(
+            f"catalyst {cat.name} is on {held[0]} sites of dimension {held[1]}, "
+            f"but {bundle.name} has {register[0]} of dimension {register[1]}"
+        )
+    if qsym is None:
+        elements = [(gen.name, gen.pauli) for gen in bundle.symmetry.generators]
     else:
-        checks = [
-            (gen.name, gen.pauli, weak_only or gen.name in cat.weak_under)
-            for gen in bundle.symmetry.generators
-            if gen.name not in cat.broken
-        ]
-    if cat.engine == "stabilizer":
-        gens, n, k = cat.stab.generators, cat.stab.n, cat.stab.k
-        packed = [g.symplectic() for g in gens] + [e.x | e.z << n for _, e, _ in checks]
-        # One Gram pass: row k + t holds the generators element t anticommutes with.
-        anti = [row & ((1 << k) - 1) for row in _gram(n, packed)[k:]]
-    for t, (label, element, weak) in enumerate(checks):
+        elements = [(str(g), g) for g in qsym.group.elements()]
+    checks = [(label, g, label in cat.weak_under) for label, g in elements if label not in cat.broken]
+    weak = [g for _, g, is_weak in checks if is_weak]
+    if cat.engine == "stabilizer" and weak:
+        packed = [h.symplectic() for h in stab.generators] + [g.x | g.z << stab.n for g in weak]
+        # One Gram pass: row k + t holds the generators weak element t anticommutes with.
+        anti = iter(row & ((1 << stab.k) - 1) for row in _gram(stab.n, packed)[stab.k :])
+    for label, g, is_weak in checks:
         if cat.engine == "stabilizer":
-            if weak:
-                ok = not anti[t]
-            else:
-                ok = cat.stab.membership_sign(element) == 1
+            ok = not next(anti) if is_weak else stab.membership_sign(g) == 1
         else:
-            state = cat.dense_state
-            moved = dn.apply_pauli(state, element) if qsym is None else qsym.apply(state, element)
+            moved = dn.apply_pauli(state, g) if qsym is None else qsym.apply(state, g)
             value = dn.overlap(state, moved)
-            ok = abs(value) >= 1 - 1e-9 if weak else abs(value - 1) <= 1e-9
+            ok = abs(value) >= 1 - 1e-9 if is_weak else abs(value - 1) <= 1e-9
         if not ok:
             return label
     return None
@@ -631,7 +625,7 @@ def build_catalyst(bundle: ModelBundle, kind: str) -> Catalyst:
         else:
             evolved = bundle.entangler.apply(state)
         invariant = abs(abs(dn.overlap(state, evolved)) - 1) <= 1e-9
-    defect = symmetry_defect(bundle, cat, weak_only=False)
+    defect = symmetry_defect(bundle, cat)
     if defect is not None:
         raise AssertionError(f"catalyst {kind} is not symmetric under {defect}")
     if not invariant:

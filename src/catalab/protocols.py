@@ -302,10 +302,8 @@ def catalyzed_pipeline(
     then run the same doubled circuit.
     four-step mode: a single register, the catalyst maker followed by its
     entangler-conjugated inverse (total depth 2 tau).
+    A catalyst without a recipe, as every dense one is, raises RecipeError.
     """
-    if not bundle.is_clifford or catalyst.engine != "stabilizer":
-        raise RecipeError("pipelines are realized for Clifford bundles and "
-                          "stabilizer catalysts")
     n = bundle.n
     if mode == "four-step":
         prep, long_range = _prep_circuit_for(bundle, catalyst, n, offset=0)

@@ -236,17 +236,17 @@ def verify_catalysis(
 ) -> CatalysisReport:
     """Run the doubled circuit on (trivial x catalyst) and check the outcome.
 
-    The catalyst must be at least weakly symmetric under every symmetry
-    generator that `catalyst.broken` does not name; otherwise this raises
-    ValueError, because a state that breaks the symmetry outright can be
-    returned unchanged without the transformation being symmetric.
+    The catalyst must have the symmetry it declares, by the rule of
+    `symmetry_defect` that `build_catalyst` runs too, or this raises
+    ValueError: a state without it can come back unchanged, as the
+    maximally mixed state does from every U, with no catalysis under it.
     Stabilizer catalysts are compared as exact signed groups (operator
     equality for mixtures, equality up to global phase for pure states);
     dense catalysts by overlap modulus.  A symmetric catalyst that does not
     come back unchanged is reported as a failure, not raised.
     """
     start = time.perf_counter()
-    failed = symmetry_defect(bundle, catalyst, weak_only=True)
+    failed = symmetry_defect(bundle, catalyst)
     if failed is not None:
         raise ValueError(f"catalyst {catalyst.name} is not symmetric under {failed}")
     if bundle.is_clifford:

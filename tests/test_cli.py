@@ -104,11 +104,20 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("--model cluster-1d --catalyst gapless --n 16", "dense state of 4294967296 amplitudes"),
-        ("--model lsm-dimer --catalyst superposition --n 12", "dense state of 16777216 amplitudes"),
-        ("--model cocycle-z2z2 --catalyst gapless --sites 6", "dense state of 16777216 amplitudes"),
-        ("--model cluster-1d --catalyst ghz --engine dense --n 12", "dense state of 16777216 amplitudes"),
-        ("--model cluster-1d --catalyst gapless --engine stabilizer --n 16", "no stabilizer realization"),
+        ("catalyze --model cluster-1d --catalyst gapless --n 16", "dense state of 4294967296 amplitudes"),
+        ("catalyze --model lsm-dimer --catalyst superposition --n 12", "dense state of 16777216 amplitudes"),
+        ("catalyze --model cocycle-z2z2 --catalyst gapless --sites 6", "dense state of 16777216 amplitudes"),
+        ("catalyze --model cluster-1d --catalyst ghz --engine dense --n 12", "dense state of 16777216 amplitudes"),
+        ("catalyze --model cluster-1d --catalyst gapless --engine stabilizer --n 16", "no stabilizer realization"),
+        # The commands that read a stabilizer group refuse a dense catalyst,
+        # and check their own arguments, before anything is built.
+        ("localization --model cluster-1d --catalyst gapless --n 12", "localization diagnostics need a stabilizer catalyst"),
+        ("localization --model lsm-dimer --catalyst superposition --n 12", "localization diagnostics need a stabilizer catalyst"),
+        ("localization --model cluster-1d --catalyst swssb --n 12 --lengths 100", "--lengths entry 100 does not fit"),
+        ("correlators --model cluster-1d --catalyst gapless --n 12", "correlator diagnostics need a stabilizer catalyst"),
+        ("correlators --model cluster-1d --catalyst swssb --n 4", "need sites 0 to 4"),
+        ("pipeline --model cluster-1d --catalyst gapless --n 12", "pipelines are realized for Clifford bundles and stabilizer catalysts"),
+        ("pipeline --model cocycle-z2z2 --catalyst ghz", "pipelines are realized for Clifford bundles and stabilizer catalysts"),
     ],
 )
 def test_dense_catalysts_beyond_the_doubled_limit_are_refused_unbuilt(
@@ -117,10 +126,11 @@ def test_dense_catalysts_beyond_the_doubled_limit_are_refused_unbuilt(
     def unreachable(*args, **kwargs):
         raise AssertionError("the catalyst was built")
 
+    monkeypatch.setattr(cli, "build_catalyst", unreachable)
     monkeypatch.setattr(dn, "ground_state", unreachable)
     monkeypatch.setattr(dn, "stabilizer_to_dense", unreachable)
     out = ["--out", str(tmp_path / "r.json")]
-    assert run_cli(["catalyze", *argv.split(), *out]) == 2
+    assert run_cli([*argv.split(), *out]) == 2
     assert message in capsys.readouterr().err
 
 

@@ -2587,7 +2587,7 @@ def fidelity_outcome(fid, rho, sigma):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 8), mixed=st.booleans(), seed=SEEDS)
+@given(n=st.integers(1, 8), mixed=st.booleans(), seed=SEEDS)
 def test_fidelity_matches_the_zassenhaus_reference(n, mixed, seed):
     """rho from criterion 8's random states, against one generator's sign
     flip (F = 0), a subset of its generators (F > 0), a site Pauli that
@@ -3030,7 +3030,18 @@ def contract_cases():
             yield bundle, replace(build_catalyst(bundle, "toric-code"), broken=())
 
 
+def weak_everywhere(bundle, cat):
+    """The catalyst declared weak under every symmetry element."""
+    if bundle.qudit_symmetry is None:
+        labels = [gen.name for gen in bundle.symmetry.generators]
+    else:
+        labels = [str(g) for g in bundle.qudit_symmetry.group.elements()]
+    return replace(cat, weak_under=tuple(labels))
+
+
 def test_symmetry_defect_matches_the_loops_it_replaced():
+    # The declared rule is the loop `build_catalyst` ran; declared weak
+    # everywhere, it is the weak loop `verify_catalysis` ran.
     seen = set()
     for bundle, cat in contract_cases():
         build_check = (
@@ -3038,12 +3049,12 @@ def test_symmetry_defect_matches_the_loops_it_replaced():
             if cat.engine == "stabilizer"
             else reference_build_check_dense
         )
-        expected = {False: build_check(bundle, cat), True: reference_first_asymmetry(bundle, cat)}
-        for weak_only in (False, True):
-            assert symmetry_defect(bundle, cat, weak_only) == expected[weak_only], (
-                bundle.name, cat.name, cat.engine, weak_only
-            )
-            seen.add(expected[weak_only] is None)
+        expected = build_check(bundle, cat)
+        assert symmetry_defect(bundle, cat) == expected, (bundle.name, cat.name, cat.engine)
+        weak = reference_first_asymmetry(bundle, cat)
+        got = symmetry_defect(bundle, weak_everywhere(bundle, cat))
+        assert got == weak, (bundle.name, cat.name, cat.engine, "weak")
+        seen.update((expected is None, weak is None))
     # Both outcomes occur, so neither side can pass by always agreeing on one.
     assert seen == {True, False}
 
@@ -3055,8 +3066,8 @@ def test_dense_weak_under_generators_are_checked_weakly():
     bundle = build_model("cluster-1d", n=8)
     zero = StabilizerMixture.zero_state(8)
     cat = Catalyst("zero", "stabilizer", False, stab=zero, weak_under=("x-even",))
-    assert symmetry_defect(bundle, cat, weak_only=False) == "x-even"
-    assert symmetry_defect(bundle, as_dense(cat), weak_only=False) == "x-even"
+    assert symmetry_defect(bundle, cat) == "x-even"
+    assert symmetry_defect(bundle, as_dense(cat)) == "x-even"
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,60 @@ def test_asymmetric_qudit_catalyst_is_rejected():
         verify_catalysis(bundle, fake)
 
 
+@pytest.mark.parametrize("model, generator", [("cluster-1d", "x-even"), ("lsm-dimer", "x-all")])
+def test_maximally_mixed_state_catalyzes_only_as_weakly_symmetric(model, generator):
+    # The maximally mixed state comes back from every U, and commutes with
+    # every symmetry, but holds none of them strongly: declared strongly
+    # symmetric it is refused, declared weakly symmetric it passes.
+    bundle = build_model(model, n=16)
+    mixed = Catalyst("mixed-all", "stabilizer", True, stab=StabilizerMixture(16, ()))
+    with pytest.raises(ValueError, match=f"^catalyst mixed-all is not symmetric under {generator}$"):
+        verify_catalysis(bundle, mixed)
+    names = tuple(gen.name for gen in bundle.symmetry.generators)
+    report = verify_catalysis(bundle, replace(mixed, weak_under=names))
+    assert report.passed and report.state_match == "operator-equality"
+
+
+def test_qudit_elements_are_declared_by_label():
+    # Site 0 carries the character (-1)^{h_0}: strongly symmetric under half
+    # the group, weakly under the other half, named by str(h).
+    bundle = build_model("cocycle-z2z2", sites=4)
+    group = bundle.qudit_symmetry.group
+    charge = [(-1) ** h[0] for h in group.elements()]
+    amps = np.kron(np.ones(group.order**3), charge)
+    charged = Catalyst("charged", "dense", False, dense_state=DenseState.from_amplitudes(4, 4, amps))
+    odd = tuple(str(h) for h in group.elements() if h[0])
+    assert symmetry_defect(bundle, charged) == odd[0]
+    assert symmetry_defect(bundle, replace(charged, weak_under=odd[1:])) == odd[0]
+    assert symmetry_defect(bundle, replace(charged, weak_under=odd)) is None
+    assert symmetry_defect(bundle, replace(charged, broken=odd)) is None
+
+
+@pytest.mark.parametrize(
+    "model, params, held, message",
+    [
+        ("cluster-1d", {"n": 16}, "plus-8", "on 8 sites of dimension 2, but cluster-1d has 16 of dimension 2"),
+        ("cluster-1d", {"n": 16}, "dense-plus-8", "on 8 sites of dimension 2, but cluster-1d has 16 of dimension 2"),
+        ("cocycle-z2z2", {"sites": 4}, "plus-4", "on 4 sites of dimension 2, but cocycle-z2z2 has 4 of dimension 4"),
+        ("cocycle-z2z2", {"sites": 4}, "uniform-3", "on 3 sites of dimension 4, but cocycle-z2z2 has 4 of dimension 4"),
+    ],
+    ids=["qubits-stabilizer", "qubits-dense", "qudits-stabilizer", "qudits-dense"],
+)
+def test_catalyst_on_another_register_is_named(model, params, held, message):
+    # Read in the model's layout, an 8-site |+> catalyst's bits on
+    # cluster-1d n=16 would fail x-even: the register is checked first.
+    bundle = build_model(model, **params)
+    kind, sites = held.rsplit("-", 1)
+    plus = StabilizerMixture.plus_state(int(sites))
+    fake = {
+        "plus": Catalyst(held, "stabilizer", False, stab=plus),
+        "dense-plus": Catalyst(held, "dense", False, dense_state=stabilizer_to_dense(plus)),
+        "uniform": Catalyst(held, "dense", False, dense_state=DenseState.uniform(4, int(sites))),
+    }[kind]
+    with pytest.raises(ValueError, match=f"^catalyst {held} is {message}$"):
+        verify_catalysis(bundle, fake)
+
+
 # Every Clifford model at the criterion-1 sizes with its own trivial state as
 # the would-be catalyst, plus the |+>^n product on cluster-1d.
 NEGATIVE_CONTROLS = [
@@ -756,19 +810,34 @@ def verdicts_against_invariance(bundle, catalysts, flips):
     """V(triv (x) c) = target (x) U^-1 c, so catalysis of a weakly symmetric
     stabilizer catalyst holds exactly when U leaves c invariant.  Each
     catalyst is checked with the sign of each generator `flips(k)` names
-    flipped in turn, built directly since `build_catalyst` would refuse it;
-    the invariance verdicts seen are returned."""
+    flipped in turn, built directly since `build_catalyst` would refuse it,
+    and declared weak under every generator it does not break.  Under its
+    registry declaration the flipped catalyst must be refused exactly when
+    the flip costs it a strong symmetry.  The (invariance, refused) pairs
+    seen are returned."""
     doubled = build_doubled_fdqc(bundle.entangler, bundle.n, bundle.lattice)
     seen = []
     for cat in catalysts:
         gens = cat.stab.generators
+        names = [gen.name for gen in bundle.symmetry.generators if gen.name not in cat.broken]
         for j in flips(len(gens)):
             stab = StabilizerMixture(cat.stab.n, gens[:j] + (gens[j].negate(),) + gens[j + 1 :])
             flipped = replace(cat, stab=stab)
             invariant = is_invariant(stab, bundle.entangler)
-            report = verify_catalysis(bundle, flipped, doubled)
+            report = verify_catalysis(bundle, replace(flipped, weak_under=tuple(names)), doubled)
             assert (report.state_match != "mismatch") == invariant, (bundle.name, cat.name, j)
-            seen.append(invariant)
+            lost = [
+                name
+                for name in names
+                if name not in cat.weak_under
+                and stab.membership_sign(bundle.symmetry.by_name(name).pauli) != 1
+            ]
+            if lost:
+                with pytest.raises(ValueError, match=f"{cat.name} is not symmetric under {lost[0]}$"):
+                    verify_catalysis(bundle, flipped, doubled)
+            else:
+                assert symmetry_defect(bundle, flipped) is None
+            seen.append((invariant, bool(lost)))
     return seen
 
 
@@ -776,7 +845,11 @@ def test_catalysis_equals_invariance_on_every_sign_flip_of_the_registry():
     seen = []
     for model, params in [("cluster-1d", {"n": 16}), ("lsm-dimer", {"n": 16})] + GUARD_SIZES[2:]:
         seen += verdicts_against_invariance(*stabilizer_catalysts(model, params), range)
-    assert (len(seen), sum(seen)) == (151, 95)
+    invariant, refused = zip(*seen)
+    # 73 of the 97 flips that cost a strong symmetry leave c invariant: a
+    # weak-only check would have passed them.
+    assert (len(seen), sum(invariant), sum(refused)) == (151, 95, 97)
+    assert sum(i and r for i, r in seen) == 73
 
 
 @pytest.mark.parametrize(
@@ -786,7 +859,7 @@ def test_catalysis_equals_invariance_at_1024_sites(model, kinds):
     bundle = build_model(model, n=1024)
     catalysts = [build_catalyst(bundle, k) for k in kinds]
     seen = verdicts_against_invariance(bundle, catalysts, lambda k: (0, k - 1))
-    assert set(seen) == {True, False}
+    assert {invariant for invariant, _ in seen} == {True, False}
 
 
 @pytest.mark.parametrize("model, params", GUARD_SIZES)
@@ -866,6 +939,7 @@ def test_weak_symmetry_check_takes_no_symplectic_product(monkeypatch, model, par
         return product(a, b)
 
     monkeypatch.setattr(PauliOperator, "symplectic_product", counted)
+    names = tuple(gen.name for gen in bundle.symmetry.generators)
     for catalyst in catalysts:
-        assert symmetry_defect(bundle, catalyst, weak_only=True) is None
+        assert symmetry_defect(bundle, replace(catalyst, weak_under=names)) is None
     assert len(calls) == 0
