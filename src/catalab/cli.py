@@ -18,7 +18,7 @@ from typing import Optional
 from ._numpy import _lazy, np
 
 from . import __version__
-from .models import build_catalyst, build_model, catalyst_is_dense
+from .models import build_catalyst, build_model, catalyst_is_dense, catalyst_is_mixed
 from .pauli import PauliOperator
 from .verify import (
     disorder_parameter,
@@ -99,13 +99,13 @@ def cmd_catalyze(args) -> int:
     if args.engine == "stabilizer" and dense:
         raise UsageError(f"catalyst {args.catalyst!r} has no stabilizer realization")
     if args.engine == "dense" or dense:
-        # The doubled dense state is refused before the catalyst is built.
+        # The doubled dense state and a mixed catalyst are refused unbuilt.
         qsym = bundle.qudit_symmetry
         dn.check_amps((2 if qsym is None else qsym.group.order) ** (2 * bundle.n))
+        if catalyst_is_mixed(bundle.name, args.catalyst):
+            raise UsageError("mixed catalysts are verified exactly, not densely")
     catalyst = build_catalyst(bundle, args.catalyst)
     if args.engine == "dense" and catalyst.engine == "stabilizer":
-        if catalyst.mixed:
-            raise UsageError("mixed catalysts are verified exactly, not densely")
         catalyst.engine = "dense"
         catalyst.dense_state = dn.stabilizer_to_dense(catalyst.stab)
     report = verify_catalysis(bundle, catalyst)

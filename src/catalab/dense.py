@@ -1,13 +1,16 @@
 """Exact small-system oracle: dense state vectors and density matrices.
 
 Sites carry dimension q (2 for qubits, |G| for cocycle models).  A state is
-acted on by one of two routines, and `overlap` is the one inner product.
-`apply_gates`, the one contraction kernel, runs a gate list on one copy of
-the amplitude tensor: a gate that permutes its sites after one phase per
-basis state relabels axes and its phases join a block of at most 2^12
-entries that multiplies the tensor in one pass, and any other gate is
-contracted into the tensor; `apply_matrix` is its one-term call, and each
-distinct local Clifford unitary is built once.  `_scatter` applies a signed
+acted on by one of two routines, neither of which changes it, and `overlap`
+is the one inner product.  `apply_gates`, the one contraction kernel, runs a
+gate list on one copy of the amplitude tensor, or in place on a product it
+builds: a gate that permutes its sites after one phase per basis state
+relabels axes and its phases join a block of at most 2^12 entries that
+multiplies the tensor in one pass, and any other gate is contracted into
+the tensor; `apply_matrix` is its one-term call, and each distinct local
+Clifford unitary is built once.  `overlap` sums in one fixed order, whatever
+the BLAS thread count: numpy's pairwise sum over each block of at most
+_SUM_BLOCK products, then over the block sums.  `_scatter` applies a signed
 permutation of the basis, a Pauli or an on-site relabelling, from its basis
 map.  A Hamiltonian is eigensolved in full one symmetry-character block at
 a time (one full `eigh` per block, with no iterative methods), each block
@@ -20,8 +23,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ._numpy import np
 
@@ -35,6 +38,7 @@ _MAX_ORDER = 64  # of a symmetry map: each order multiplies the character blocks
 # doubled cluster-1d n=10 and cocycle sites=5 actions to 2 and 3 passes over
 # the state; larger blocks timed no better.
 _PHASE_BLOCK = 2**12
+_SUM_BLOCK = 2**14  # products per overlap block (256 KB): q^k of them, for the largest such k
 
 
 def _env_limit(name: str, default: int) -> int:
@@ -159,11 +163,17 @@ def pauli_basis_map(p: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
 
 def relabel_basis_map(q: int, sites: int, mapping: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The on-site relabelling |v> -> |mapping[v]> on every site as a basis
-    map (image, sign), in the form `pauli_basis_map` returns; every sign is 1."""
+    map (image, sign), in the form `pauli_basis_map` returns; every sign is 1.
+    Built once per distinct (q, sites, mapping) of the last 64, read-only."""
+    return _relabel_basis_map(q, sites, tuple(mapping))
+
+
+@lru_cache(maxsize=64)
+def _relabel_basis_map(q: int, sites: int, mapping: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(check_amps(q**sites))
-    local = np.asarray(mapping)
-    image = sum((local[idx // q**i % q] * q**i for i in range(sites)), 0 * idx)
-    return image, np.ones(q**sites, dtype=np.complex128)
+    image = sum((np.asarray(mapping)[idx // q**i % q] * q**i for i in range(sites)), 0 * idx)
+    image.flags.writeable = False
+    return image, np.broadcast_to(np.complex128(1), image.shape)  # a read-only view
 
 
 def translation_basis_map(q: int, sites: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,10 +190,20 @@ def apply_pauli(state: DenseState, p: PauliOperator) -> DenseState:
     return _scatter(state, *pauli_basis_map(p))
 
 
-def overlap(a: DenseState, b: DenseState) -> complex:
-    if a.q != b.q or a.sites != b.sites:
+def overlap(bra: Union[DenseState, Sequence[DenseState]], ket: DenseState) -> complex:
+    """<bra|ket> for a bra that is a state or a product state's factors, lowest
+    sites first: a block's bra multiplies each factor's digits in the block."""
+    factors = [bra] if isinstance(bra, DenseState) else list(bra)
+    if {f.q for f in factors} != {ket.q} or sum(f.sites for f in factors) != ket.sites:
         raise ValueError("shape mismatch")
-    return complex(np.vdot(a.amps, b.amps))
+    step = ket.q ** min(ket.sites, len(np.base_repr(_SUM_BLOCK, ket.q)) - 1)
+    strides = np.cumprod([1] + [len(f.amps) for f in factors])
+    sums = []
+    for start in range(0, len(ket.amps), step):
+        slices = [f.amps[start // s % len(f.amps) :][: max(1, step // s)] for f, s in zip(factors, strides)]
+        block = reduce(lambda low, high: np.multiply.outer(high, low).reshape(-1), map(np.conjugate, slices))
+        sums.append(np.multiply(block, ket.amps[start : start + step], out=block).sum())
+    return complex(np.sum(sums))
 
 
 def monomial(matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -250,13 +270,16 @@ def _multiply_phases(psi: np.ndarray, pending: list[tuple[list[int], np.ndarray]
     np.multiply(psi, block.reshape([q if a in union else 1 for a in range(psi.ndim)]), out=psi)
 
 
-def apply_gates(state: DenseState, perm: Sequence[int], terms: Sequence[GateTerm]) -> DenseState:
+def apply_gates(
+    state: Union[DenseState, Sequence[DenseState]], perm: Sequence[int], terms: Sequence[GateTerm]
+) -> DenseState:
     """Move the content of site i to site perm[i], then apply the terms in
     temporal order; the norm is checked once, at the end.  Raises ValueError
     if perm is not a permutation of the sites, or a term reaches past them or
     its matrix is not q^m x q^m for its m sites and the state's q.
 
-    The amplitudes are copied once into a tensor with a site -> axis map.  A
+    A state is copied once into a tensor with a site -> axis map; factors of
+    a product state, lowest sites first, are built into a fresh tensor.  A
     site permutation, the register's or a term's own, only updates the map,
     so the phases of the terms between two contractions commute: they are
     collected and multiplied in by `_multiply_phases`, one pass per block
@@ -264,7 +287,8 @@ def apply_gates(state: DenseState, perm: Sequence[int], terms: Sequence[GateTerm
     A term that does not factor is contracted on its current axes, its
     support brought to the front.  One transpose at the end restores the
     layout; with no contraction, the copy is made in the final layout
-    instead."""
+    instead, and none of a fresh tensor already in it (U (x) U^-1's)."""
+    state, copy = (state, True) if isinstance(state, DenseState) else (reduce(DenseState.tensor, state), None)
     q, n = state.q, state.sites
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm {list(perm)} is not a permutation of the {n} sites")
@@ -288,7 +312,7 @@ def apply_gates(state: DenseState, perm: Sequence[int], terms: Sequence[GateTerm
                 final[term.support[k]] = a
         order = [final[s] for s in reversed(range(n))]
         psi, axis = psi.transpose(order), [order.index(a) for a in axis]
-    psi = psi.copy()
+    psi = np.array(psi, order="C", copy=copy)  # copy=None: only if not already in this layout
     pending = []
     for term in terms:
         at = [axis[s] for s in term.support]

@@ -602,6 +602,12 @@ def catalyst_is_dense(model: str, kind: str) -> bool:
     return _CATALYST_BUILDERS.get((model, kind)) in _DENSE_BUILDERS
 
 
+def catalyst_is_mixed(model: str, kind: str) -> bool:
+    """Whether the registry's builder for this catalyst returns a mixed state
+    at the sizes the dense limit admits; pim-symmetric is mixed only from l=4."""
+    return _CATALYST_BUILDERS.get((model, kind)) in _MIXED_BUILDERS
+
+
 def build_catalyst(bundle: ModelBundle, kind: str) -> Catalyst:
     """Construct a named catalyst for the bundle and verify it before return.
 
@@ -794,6 +800,7 @@ _CATALYST_BUILDERS: dict[tuple[str, str], Callable] = {
     ("cocycle-z2z2", "gapless"): _gapless_catalyst,
 }
 _DENSE_BUILDERS = (_superposition_catalyst, _gapless_catalyst, _cocycle_ghz)
+_MIXED_BUILDERS = (_cluster_swssb, _group_average_catalyst, _lieb_mixed)
 
 
 # ---------------------------------------------------------------------------

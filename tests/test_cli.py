@@ -109,6 +109,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ("catalyze --model cocycle-z2z2 --catalyst gapless --sites 6", "dense state of 16777216 amplitudes"),
         ("catalyze --model cluster-1d --catalyst ghz --engine dense --n 12", "dense state of 16777216 amplitudes"),
         ("catalyze --model cluster-1d --catalyst gapless --engine stabilizer --n 16", "no stabilizer realization"),
+        # The registry records which catalysts are mixed, so --engine dense
+        # refuses them unbuilt.
+        ("catalyze --model cluster-1d --catalyst swssb --engine dense --n 8", "mixed catalysts are verified exactly"),
+        ("catalyze --model cluster-1d --catalyst group-average --engine dense --n 6", "mixed catalysts are verified exactly"),
+        ("catalyze --model square-sspt --catalyst group-average --engine dense --l 3", "mixed catalysts are verified exactly"),
         # The commands that read a stabilizer group refuse a dense catalyst,
         # and check their own arguments, before anything is built.
         ("localization --model cluster-1d --catalyst gapless --n 12", "localization diagnostics need a stabilizer catalyst"),
@@ -782,3 +787,47 @@ def test_csv_without_rows_is_a_usage_error(tmp_path):
     argv = ["catalyze", "--model", "cluster-1d", "--catalyst", "ghz", "--n", "8", "--format", "csv"]
     assert run_cli(argv) == 2
     assert run_cli(argv + ["--out", str(tmp_path / "r.csv")]) == 2
+
+
+# The reports whose last bits followed the BLAS thread count while the
+# overlap was one threaded `np.vdot`.
+THREAD_REPORTS = [
+    "catalyze --model lsm-dimer --catalyst superposition --n 8",
+    "catalyze --model lsm-dimer --catalyst gapless --n 8",
+    "catalyze --model cluster-1d --catalyst superposition --n 8",
+    "catalyze --model cocycle-z2z2 --catalyst superposition --sites 4",
+    "catalyze --model cocycle-z2z2 --catalyst gapless --sites 4",
+    "selftest --criteria 1",
+]
+
+
+def test_dense_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # One fresh interpreter per thread count, run side by side.
+    code = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import catalab.cli as cli\n"
+        "out, reports = sys.argv[1], []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv.split() + ['--out', out])\n"
+        "    reports.append([code, json.load(open(out))])\n"
+        "print(json.dumps(reports))\n"
+    )
+    root = Path(catalab.__file__).resolve().parents[1]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code, str(tmp_path / f"r{threads}.json"), json.dumps(THREAD_REPORTS)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(root), "OPENBLAS_NUM_THREADS": str(threads)},
+        )
+        for threads in (1, 2)
+    ]
+    runs = []
+    for proc in procs:
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        runs.append([[code, without_timing(report)] for code, report in json.loads(stdout)])
+    assert [code for code, _ in runs[0]] == [0] * len(THREAD_REPORTS)
+    for argv, one, two in zip(THREAD_REPORTS, *runs):
+        assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True), argv

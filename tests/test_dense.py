@@ -724,3 +724,66 @@ def test_dense_limit_refuses_a_ground_state_before_any_block_is_built(monkeypatc
     monkeypatch.setenv("CATALAB_DENSE_LIMIT", "256")
     with pytest.raises(AssertionError, match="character blocks built"):
         ground_state(op)
+
+
+def test_relabel_basis_maps_are_cached_read_only():
+    # A second identical call builds nothing and returns the same arrays,
+    # which no caller can change.
+    first = dense_module.relabel_basis_map(4, 3, [1, 0, 3, 2])
+    before = dense_module._relabel_basis_map.cache_info()
+    second = dense_module.relabel_basis_map(4, 3, (1, 0, 3, 2))
+    after = dense_module._relabel_basis_map.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert all(a is b for a, b in zip(first, second))
+    for array in first:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def _random_state(q, sites, seed):
+    rng = np.random.default_rng(seed)
+    return DenseState.from_amplitudes(q, sites, rng.normal(size=q**sites) + 1j * rng.normal(size=q**sites))
+
+
+@pytest.mark.parametrize(
+    "action", ["apply_gates", "apply_gates-permuted", "doubled", "doubled-diagonal", "qca_dense_action", "cocycle"]
+)
+def test_dense_actions_leave_a_state_argument_unchanged(action):
+    # Only a product given as its factors is evolved in place; the actions
+    # here leave their sites where they are, but for one.
+    diagonal = gate_term([0, 1], np.diag([1, 1j, 1j, -1]))
+    if action == "cocycle":
+        circuit = build_model("cocycle-z2z2", sites=3).entangler
+        state, act = _random_state(4, 3, 1), circuit.apply
+    elif action == "doubled-diagonal":
+        doubled = build_doubled_diagonal(build_model("cocycle-z2z2", sites=3).entangler)
+        state, act = _random_state(4, 6, 2), doubled.apply_dense
+    elif action == "doubled":
+        bundle = build_model("cluster-1d", n=4)
+        doubled = build_doubled_fdqc(bundle.entangler, 4, bundle.lattice)
+        state, act = _random_state(2, 8, 3), doubled.apply_dense
+    elif action == "qca_dense_action":
+        state, act = _random_state(2, 4, 4), dense_module.qca_dense_action(build_model("cluster-1d", n=4).entangler)
+    elif action == "apply_gates":
+        state, act = _random_state(2, 4, 5), lambda s: apply_gates(s, range(4), [diagonal])
+    else:
+        swap = gate_term([2, 3], np.eye(4)[[0, 2, 1, 3]])
+        state, act = _random_state(2, 4, 5), lambda s: apply_gates(s, [1, 2, 3, 0], [diagonal, swap])
+    before = state.amps.tobytes()
+    out = act(state)
+    assert state.amps.tobytes() == before
+    assert not np.shares_memory(out.amps, state.amps)
+
+
+@pytest.mark.parametrize("model", ["cluster-1d", "lsm-dimer", "cocycle-z2z2"])
+def test_a_doubled_product_given_as_factors_matches_the_built_product(model):
+    # Evolved in the buffer it is built in, with the same amplitudes.
+    if model == "cocycle-z2z2":
+        doubled, q, n = build_doubled_diagonal(build_model(model, sites=3).entangler), 4, 3
+    else:
+        bundle = build_model(model, n=4)
+        doubled, q, n = build_doubled_fdqc(bundle.entangler, 4, bundle.lattice), 2, 4
+    low, high = _random_state(q, n, 6), _random_state(q, n, 7)
+    want = doubled.apply_dense(low.tensor(high)).amps
+    assert np.array_equal(doubled.apply_dense([low, high]).amps, want)

@@ -3212,3 +3212,45 @@ def test_apply_matrix_matches_per_gate_contraction(q, m):
         support = [int(s) for s in rng.permutation(n)[:m]]
         want = reference_apply_matrix(state, u, support).amps
         assert np.array_equal(apply_matrix(state, u, support).amps, want)
+
+
+def reference_overlap(a, b):
+    """The BLAS inner product `overlap` replaced: one `np.vdot`, whose last
+    bits depend on the BLAS thread count at the size of a doubled state."""
+    return complex(np.vdot(a.amps, b.amps))
+
+
+def _random_dense(rng, q, sites):
+    amps = rng.normal(size=q**sites) + 1j * rng.normal(size=q**sites)
+    return DenseState.from_amplitudes(q, sites, amps)
+
+
+@pytest.mark.parametrize(
+    "q, parts",
+    [(2, [10]), (2, [1]), (4, [5]), (3, [4]), (2, [5, 5]), (2, [1, 9]), (2, [9, 1]), (4, [2, 3]),
+     (3, [2, 3]), (2, [3, 4, 3]), (2, [0, 6]), (2, [2, 8, 0]), (4, [1, 2, 2]), (2, [10, 10]),
+     (2, [15, 1, 4]), (4, [8, 2])],
+)
+def test_fixed_order_overlap_matches_vdot(q, parts):
+    # A bra given as its factors, lowest sites first, against the vdot of
+    # the product built whole, on random states of up to 2^20 amplitudes;
+    # the last two have factors that start past one block.
+    rng = np.random.default_rng(sum(parts) + 7 * q)
+    factors = [_random_dense(rng, q, k) for k in parts]
+    ket = _random_dense(rng, q, sum(parts))
+    product = factors[0]
+    for f in factors[1:]:
+        product = product.tensor(f)
+    want = reference_overlap(product, ket)
+    assert abs(overlap(factors, ket) - want) <= 1e-12
+    assert abs(overlap(product, ket) - want) <= 1e-12
+    assert abs(overlap(ket, ket) - 1) <= 1e-12
+    assert overlap(factors, ket) == overlap(tuple(factors), ket)
+
+
+def test_fixed_order_overlap_refuses_a_bra_of_another_shape():
+    rng = np.random.default_rng(3)
+    ket = _random_dense(rng, 2, 6)
+    for bra in ([_random_dense(rng, 2, 3), _random_dense(rng, 2, 2)], _random_dense(rng, 4, 3), [ket, ket]):
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            overlap(bra, ket)

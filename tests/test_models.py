@@ -26,6 +26,7 @@ from catalab.models import (
     build_hamiltonian,
     build_model,
     catalyst_is_dense,
+    catalyst_is_mixed,
     catalyst_kinds,
     cz_ring_circuit,
 )
@@ -402,3 +403,12 @@ def test_dense_limit_override(monkeypatch):
         DenseState.uniform(2, 3)
     monkeypatch.delenv("CATALAB_DENSE_LIMIT")
     DenseState.uniform(2, 3)
+
+
+@pytest.mark.parametrize("model, params", CATALYSIS_MATRIX + [("cocycle-z2z2", {"sites": 4})])
+def test_the_recorded_mixed_catalysts_are_the_mixed_registry_states(model, params):
+    # What `catalyze --engine dense` refuses unbuilt is what the builders return.
+    bundle = build_model(model, **params)
+    for kind in catalyst_kinds(model):
+        cat = build_catalyst(bundle, kind)
+        assert catalyst_is_mixed(model, kind) == (cat.engine == "stabilizer" and not cat.stab.is_pure)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -943,3 +944,30 @@ def test_weak_symmetry_check_takes_no_symplectic_product(monkeypatch, model, par
     for catalyst in catalysts:
         assert symmetry_defect(bundle, replace(catalyst, weak_under=names)) is None
     assert len(calls) == 0
+
+
+def test_dense_catalysis_holds_one_doubled_state():
+    # The product is evolved in the buffer it is built in and read against
+    # target (x) catalyst without building that: one 16 MiB doubled state,
+    # where two were held at once.
+    bundle = build_model("cluster-1d", n=10)
+    catalyst = build_catalyst(bundle, "gapless")
+    tracemalloc.start()
+    try:
+        report = verify_catalysis(bundle, catalyst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.state_match == "overlap"
+    assert peak < 16 * 2**20 + 4 * 2**20
+
+
+@pytest.mark.parametrize("model, params", [("cluster-1d", {"n": 8}), ("cocycle-z2z2", {"sites": 4})])
+def test_a_dense_catalyst_that_the_inverse_moves_is_a_mismatch(model, params):
+    # The target handed in as a catalyst is symmetric, but U^-1 takes it back
+    # to the trivial state on register B, so it does not come back unchanged.
+    bundle = build_model(model, **params)
+    fake = Catalyst("target", "dense", False, dense_state=bundle.target_dense())
+    report = verify_catalysis(bundle, fake)
+    assert report.state_match == "mismatch" and not report.passed
+    assert report.overlap_modulus < 1 - 1e-10
